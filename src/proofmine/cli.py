@@ -117,9 +117,9 @@ def render_report(doc: dict) -> str:
     cfg = doc["config"]
     clusters = doc["clusters"]
     lines = [
-        "proofmine digest  algorithm={algorithm}  granularity={granularity}  "
-        "n={n}  runs={runs}  freq-threshold={frequency_threshold}  seed={master_seed}".format(
-            n=doc["clusters_per_run"], **cfg),
+        f"proofmine digest  algorithm={cfg['algorithm']}  granularity={cfg['granularity']}  "
+        f"n={doc['clusters_per_run']}  runs={cfg['runs']}  "
+        f"freq-threshold={cfg['frequency_threshold']}  seed={cfg['master_seed']}",
         f"objects clustered: {doc['objects']}; consensus clusters: {len(clusters)}",
     ]
     libraries = doc.get("libraries", {})

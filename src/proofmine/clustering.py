@@ -96,22 +96,39 @@ def _update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray)
 
 
 def kmeans(points, n: int, seed: int) -> ClusterAssignment:
-    """Lloyd iteration from n seeded distinct starting points."""
+    """Lloyd iteration from n seeded distinct starting points.
+
+    Updated centers depend only on the labels, so once a labelling repeats the
+    run cycles for good; it then stops with the state that KMEANS_MAX_ITER
+    iterations would reach.  A fixed point is the cycle of period 1.
+    Assignments are computed once per distinct row and broadcast back.
+    """
     pts = _as_points(points)
     m = len(pts)
     _check_n(n, m)
     rng = np.random.default_rng(seed)
     init = rng.choice(m, size=n, replace=False)
+    distinct, inverse = np.unique(pts, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it as a column
+
+    def assign(centers: np.ndarray) -> np.ndarray:
+        return np.argmin(_sq_distances(distinct, centers), axis=1)[inverse]
+
     centers = pts[init].copy()
-    labels = np.argmin(_sq_distances(pts, centers), axis=1)
+    labels = assign(centers)
+    states = [(labels, centers)]
+    first_seen = {labels.tobytes(): 0}
     history = [float(np.sum((pts - centers[labels]) ** 2))]
-    for _ in range(KMEANS_MAX_ITER):
+    for step in range(1, KMEANS_MAX_ITER + 1):
         centers = _update_centers(pts, labels, centers)
-        new_labels = np.argmin(_sq_distances(pts, centers), axis=1)
-        history.append(float(np.sum((pts - centers[new_labels]) ** 2)))
-        if np.array_equal(new_labels, labels):
+        labels = assign(centers)
+        history.append(float(np.sum((pts - centers[labels]) ** 2)))
+        states.append((labels, centers))
+        start = first_seen.setdefault(labels.tobytes(), step)
+        if start != step:
+            # states start+1 .. step repeat with period step - start
+            labels, centers = states[start + 1 + (KMEANS_MAX_ITER - start - 1) % (step - start)]
             break
-        labels = new_labels
     objective = float(np.sum((pts - centers[labels]) ** 2))
     return ClusterAssignment(
         labels=labels,

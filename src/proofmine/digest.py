@@ -97,9 +97,7 @@ def co_occurrence_counts(labels_runs: np.ndarray) -> np.ndarray:
     runs, m = labels_runs.shape
     counts = np.zeros((m, m), dtype=np.int64)
     for row in labels_runs:
-        for label in np.unique(row):
-            idx = np.flatnonzero(row == label)
-            counts[np.ix_(idx, idx)] += 1
+        counts += row[:, None] == row[None, :]
     return counts
 
 
@@ -129,13 +127,15 @@ def _member_proximities(component: list[int], labels_runs: np.ndarray,
                         proximity_runs: np.ndarray) -> dict[int, float]:
     """Mean proximity over the runs where a member is co-labeled with the
     majority of the other members; 0 when no run qualifies."""
+    sub = labels_runs[:, component]
+    # per run, how many other members share each member's label
+    keys = sub + np.arange(len(sub))[:, None] * (int(sub.max()) + 1)
+    agree = np.bincount(keys.ravel())[keys] - 1
+    qualifying = agree * 2 >= len(component) - 1
     out: dict[int, float] = {}
-    size = len(component)
-    for x in component:
-        others = [y for y in component if y != x]
-        co = labels_runs[:, others] == labels_runs[:, [x]]
-        qualifying = co.sum(axis=1) * 2 >= (size - 1)
-        out[x] = float(proximity_runs[qualifying, x].mean()) if qualifying.any() else 0.0
+    for pos, x in enumerate(component):
+        runs = qualifying[:, pos]
+        out[x] = float(proximity_runs[runs, x].mean()) if runs.any() else 0.0
     return out
 
 
@@ -213,7 +213,28 @@ def write_digest(path: str | Path, doc: dict) -> None:
 
 
 def read_digest(path: str | Path) -> dict:
+    """Load a digest file, checking the fields a report reads and their types."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or doc.get("format") != DIGEST_FORMAT:
         raise ValueError(f"{path}: not a {DIGEST_FORMAT} file")
+
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise ValueError(f"{path}: malformed digest: bad or missing {what}")
+
+    number = (int, float)
+    config = doc.get("config")
+    need(isinstance(config, dict) and all(k in config for k in DigestConfig().to_dict()), "config")
+    need(isinstance(doc.get("objects"), int), "objects")
+    need(isinstance(doc.get("clusters_per_run"), int), "clusters_per_run")
+    need(isinstance(doc.get("libraries", {}), dict), "libraries")
+    need(isinstance(doc.get("clusters"), list), "clusters")
+    for cluster in doc["clusters"]:
+        need(isinstance(cluster, dict) and isinstance(cluster.get("frequency"), number)
+             and isinstance(cluster.get("homogeneity"), str)
+             and isinstance(cluster.get("members"), list)
+             and isinstance(cluster.get("member_proximity"), dict), "cluster fields")
+        for name in cluster["members"]:
+            need(isinstance(name, str) and isinstance(cluster["member_proximity"].get(name), number),
+                 "member proximity")
     return doc

@@ -615,7 +615,8 @@ def parse_partial(source: str, *, filename: str = "<query>", library_tag: str = 
 # ---------------------------------------------------------------------------
 # trace files ("proofmine trace v1", JSON Lines)
 
-_TRACE_FIELDS = ("lemma", "library", "step_index", "tactic_line", "goal_before", "subgoals_after")
+_TRACE_FIELDS = {"lemma": str, "library": str, "step_index": int, "tactic_line": str,
+                 "goal_before": str, "subgoals_after": int}
 
 
 def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
@@ -631,14 +632,17 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
             raise ParseError(f"bad trace record: {exc}", file=filename, line=line_no)
         if not isinstance(obj, dict):
             raise ParseError("trace record must be a JSON object", file=filename, line=line_no)
-        for field in _TRACE_FIELDS:
+        for field, kind in _TRACE_FIELDS.items():
             if field not in obj:
                 raise ParseError(f"trace record missing {field!r}", file=filename, line=line_no)
+            # bool is an int subclass; true must not read as step 1
+            if not isinstance(obj[field], kind) or isinstance(obj[field], bool):
+                raise ParseError(f"{field} must be of type {kind.__name__}", file=filename, line=line_no)
         name = obj["lemma"]
         idx = obj["step_index"]
-        if not isinstance(idx, int) or idx < 1:
+        if idx < 1:
             raise ParseError("step_index must be a positive integer", file=filename, line=line_no)
-        if not isinstance(obj["subgoals_after"], int) or obj["subgoals_after"] < 0:
+        if obj["subgoals_after"] < 0:
             raise ParseError("subgoals_after must be a non-negative integer", file=filename, line=line_no)
         entry = per_lemma.setdefault(name, {"library": obj["library"], "steps": {}, "lines": []})
         if obj["library"] != entry["library"]:

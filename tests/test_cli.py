@@ -191,3 +191,18 @@ def test_corrupt_corpus_exits_3(tmp_path):
     bogus = tmp_path / "x.corpus"
     bogus.write_text("{not json")
     assert main(["cluster", "--corpus", str(bogus), "--out", str(tmp_path / "d")]) == 3
+
+
+def test_report_on_bare_digest_exits_2(tmp_path, capsys):
+    path = tmp_path / "bare.json"
+    path.write_text('{"format": "proofmine digest v1"}')
+    assert main(["report", str(path)]) == 2
+    assert "malformed digest" in capsys.readouterr().err
+
+
+def test_extract_ill_typed_trace_exits_2(tmp_path):
+    trace = tmp_path / "lib.jsonl"
+    trace.write_text(json.dumps({"lemma": ["x"], "library": "l", "step_index": 1,
+                                 "tactic_line": "by [].", "goal_before": "a = b",
+                                 "subgoals_after": 0}) + "\n")
+    assert main(["extract", "--lib", f"l:{trace}", "--out", str(tmp_path / "c")]) == 2

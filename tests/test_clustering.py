@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from proofmine.clustering import (GranularityConfig, TooFewPoints, choose_n, em_gaussian,
-                                  farthest_first, kmeans)
+from proofmine import clustering, ingest
+from proofmine.clustering import (KMEANS_MAX_ITER, ClusterAssignment, GranularityConfig,
+                                  TooFewPoints, choose_n, em_gaussian, farthest_first, kmeans)
+
+from conftest import random_library_source
 
 # (m, g) -> n pairs fixed by the published granularity tables
 GRANULARITY_TABLE = [
@@ -125,6 +128,112 @@ def test_kmeans_deterministic():
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.centers, b.centers)
     assert a.objective == b.objective
+
+
+# ---------------------------------------------------------------------------
+# k-means against the plain Lloyd loop
+
+
+def kmeans_oracle(points, n: int, seed: int) -> ClusterAssignment:
+    """The Lloyd loop without cycle detection or distinct-row assignment."""
+    pts = clustering._as_points(points)
+    m = len(pts)
+    clustering._check_n(n, m)
+    rng = np.random.default_rng(seed)
+    init = rng.choice(m, size=n, replace=False)
+    centers = pts[init].copy()
+    labels = np.argmin(clustering._sq_distances(pts, centers), axis=1)
+    history = [float(np.sum((pts - centers[labels]) ** 2))]
+    for _ in range(KMEANS_MAX_ITER):
+        centers = clustering._update_centers(pts, labels, centers)
+        new_labels = np.argmin(clustering._sq_distances(pts, centers), axis=1)
+        history.append(float(np.sum((pts - centers[new_labels]) ** 2)))
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    objective = float(np.sum((pts - centers[labels]) ** 2))
+    return ClusterAssignment(
+        labels=labels,
+        centers=centers,
+        proximity=clustering._nearest_proximity(pts, centers, labels),
+        objective=objective,
+        center_indices=tuple(int(i) for i in init),
+        objective_history=tuple(history),
+    )
+
+
+@pytest.fixture(scope="module")
+def template_matrix(tmp_path_factory):
+    """Duplicate-heavy features: 120 template lemmas encode to few distinct rows."""
+    rng = np.random.default_rng(0)
+    root = tmp_path_factory.mktemp("templates")
+    paths = []
+    for lib in range(2):
+        path = root / f"lib{lib}.v"
+        path.write_text(random_library_source(rng, 60, f"lib{lib}"))
+        paths.append(path)
+    return ingest(paths, ["lib0", "lib1"]).feature_database().matrix
+
+
+def distinct_rows(points) -> int:
+    return len(np.unique(points, axis=0))
+
+
+def assert_same_run(got: ClusterAssignment, want: ClusterAssignment) -> None:
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.centers, want.centers)
+    assert got.objective == want.objective
+    assert np.array_equal(got.proximity, want.proximity)
+    assert got.center_indices == want.center_indices
+    # the same iterations, cut short where the oracle only cycles on to its cap
+    assert got.objective_history == want.objective_history[:len(got.objective_history)]
+
+
+def test_kmeans_matches_oracle_when_n_exceeds_distinct_rows(template_matrix):
+    n = distinct_rows(template_matrix) + 1
+    capped = 0
+    for seed in range(6):
+        want = kmeans_oracle(template_matrix, n, seed)
+        assert_same_run(kmeans(template_matrix, n, seed), want)
+        capped += len(want.objective_history) == KMEANS_MAX_ITER + 1
+    assert capped, "no oracle run reached the iteration cap"
+
+
+@pytest.mark.parametrize("share", [1.0, 0.5, 0.1])
+def test_kmeans_matches_oracle_when_n_within_distinct_rows(template_matrix, share):
+    n = max(1, int(distinct_rows(template_matrix) * share))
+    for seed in range(6):
+        want = kmeans_oracle(template_matrix, n, seed)
+        got = kmeans(template_matrix, n, seed)
+        assert_same_run(got, want)
+        assert got.objective_history == want.objective_history
+
+
+def test_kmeans_matches_oracle_on_gaussian_data():
+    rng = np.random.default_rng(14)
+    for seed in range(12):
+        points = rng.normal(size=(int(rng.integers(10, 80)), int(rng.integers(1, 6))))
+        n = int(rng.integers(1, len(points) // 2))
+        want = kmeans_oracle(points, n, seed)
+        got = kmeans(points, n, seed)
+        assert_same_run(got, want)
+        assert got.objective_history == want.objective_history
+
+
+def test_kmeans_capped_case_ends_on_repeated_labelling(template_matrix):
+    n = distinct_rows(template_matrix) + 1
+    for seed in range(6):
+        assert len(kmeans(template_matrix, n, seed).objective_history) - 1 < KMEANS_MAX_ITER
+
+
+def test_em_unchanged_by_kmeans_start(template_matrix, monkeypatch):
+    n = distinct_rows(template_matrix) + 1
+    got = [em_gaussian(template_matrix, n, seed) for seed in range(3)]
+    monkeypatch.setattr(clustering, "kmeans", kmeans_oracle)
+    for seed, result in enumerate(got):
+        want = em_gaussian(template_matrix, n, seed)
+        assert np.array_equal(result.labels, want.labels)
+        assert result.log_likelihood_history == want.log_likelihood_history
 
 
 # ---------------------------------------------------------------------------

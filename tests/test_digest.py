@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from proofmine.digest import (ConsensusCluster, DigestConfig, Homogeneity, TooFewLemmas,
-                              UnknownLemma, classify_homogeneity, co_occurrence_counts,
+                              UnknownLemma, _member_proximities, classify_homogeneity,
+                              co_occurrence_counts,
                               components_at, digest_to_dict, read_digest, run_digest,
                               run_partitions, select_reliable, write_digest)
 from proofmine.features import FeatureDatabase
@@ -104,6 +107,55 @@ def test_co_occurrence_symmetric_unit_diagonal():
     assert np.array_equal(matrix, matrix.T)
     assert np.all(np.diag(matrix) == 1.0)
     assert matrix.min() >= 0.0 and matrix.max() <= 1.0
+
+
+def co_occurrence_oracle(labels_runs):
+    """One np.ix_ update per label and run."""
+    runs, m = labels_runs.shape
+    counts = np.zeros((m, m), dtype=np.int64)
+    for row in labels_runs:
+        for label in np.unique(row):
+            idx = np.flatnonzero(row == label)
+            counts[np.ix_(idx, idx)] += 1
+    return counts
+
+
+def member_proximities_oracle(component, labels_runs, proximity_runs):
+    """Agreement counted member by member against a list of the others."""
+    out = {}
+    size = len(component)
+    for x in component:
+        others = [y for y in component if y != x]
+        co = labels_runs[:, others] == labels_runs[:, [x]]
+        qualifying = co.sum(axis=1) * 2 >= (size - 1)
+        out[x] = float(proximity_runs[qualifying, x].mean()) if qualifying.any() else 0.0
+    return out
+
+
+def random_runs(rng):
+    runs, m = int(rng.integers(1, 30)), int(rng.integers(2, 40))
+    labels = rng.integers(0, int(rng.integers(1, m + 1)), size=(runs, m))
+    return labels, rng.uniform(size=(runs, m))
+
+
+def test_co_occurrence_matches_oracle():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        labels, _ = random_runs(rng)
+        assert np.array_equal(co_occurrence_counts(labels), co_occurrence_oracle(labels))
+    labels, _, _ = run_partitions(family_matrix(jitter=0.2),
+                                  DigestConfig(runs=12, granularity=5, master_seed=4))
+    assert np.array_equal(co_occurrence_counts(labels), co_occurrence_oracle(labels))
+
+
+def test_member_proximities_match_oracle():
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        labels, proximity = random_runs(rng)
+        m = labels.shape[1]
+        component = sorted(rng.choice(m, size=int(rng.integers(2, m + 1)), replace=False).tolist())
+        assert (_member_proximities(component, labels, proximity)
+                == member_proximities_oracle(component, labels, proximity))
 
 
 def test_threshold_monotonicity():
@@ -230,3 +282,23 @@ def test_digest_file_round_trip(tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"format": "something else"}')
         read_digest(bad)
+
+
+@pytest.mark.parametrize("doc", [
+    {"format": "proofmine digest v1"},
+    {"format": "proofmine digest v1", "config": [], "objects": 2, "clusters_per_run": 1,
+     "clusters": []},
+    {"format": "proofmine digest v1", "config": {"runs": 1}, "objects": 2,
+     "clusters_per_run": 1, "clusters": []},
+    {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": "2",
+     "clusters_per_run": 1, "clusters": []},
+    {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
+     "clusters_per_run": 1, "clusters": [{"members": ["a", "b"], "frequency": 1.0,
+                                          "member_proximity": {"a": 1.0},
+                                          "homogeneity": "homogeneous"}]},
+])
+def test_read_digest_rejects_missing_report_fields(tmp_path, doc):
+    path = tmp_path / "digest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="malformed digest"):
+        read_digest(path)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from proofmine.script import (ArgumentKind, DuplicateLemmaName, EmptyStep, MalformedStatement,
@@ -308,6 +310,25 @@ def test_trace_fixture_parses_with_goals(tmp_path):
     assert [s.subgoals_after for s in first.steps] == [1, 1, 2, 1]
     assert first.statement == first.steps[0].goal_before
     compare_with_golden(records, load_golden("matrix_trace"))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lemma", ["x"]),
+    ("library", 3),
+    ("tactic_line", 7),
+    ("goal_before", None),
+    ("step_index", True),
+    ("step_index", 1.0),
+    ("subgoals_after", False),
+    ("subgoals_after", "0"),
+])
+def test_trace_rejects_ill_typed_fields(field, value):
+    record = {"lemma": "x", "library": "l", "step_index": 1, "tactic_line": "by [].",
+              "goal_before": "a = b", "subgoals_after": 0}
+    parse_trace(json.dumps(record))
+    record[field] = value
+    with pytest.raises(ParseError, match=field):
+        parse_trace(json.dumps(record))
 
 
 def test_trace_rejects_bad_records():
