@@ -5,7 +5,7 @@ from .clustering import (ClusterAssignment, GranularityConfig, TooFewPoints, cho
 from .corpus import Corpus, CorruptFile, VersionMismatch, database_with_query, ingest, load, save
 from .digest import (ConsensusCluster, DigestConfig, Homogeneity, TooFewLemmas, UnknownLemma,
                      classify_homogeneity, run_digest, select_reliable)
-from .features import (EmptyCorpus, EncodingTable, FeatureDatabase, FeatureVector, NoProofBody,
+from .features import (EmptyCorpus, EncodingTable, FeatureDatabase, NoProofBody,
                        build_encoding_table, encode_step, extract_features, min_max_scale)
 from .script import (ArgumentKind, ArgumentToken, DuplicateLemmaName, EmptyStep, LemmaRecord,
                      MalformedStatement, ParseError, ProofStep, TacticApplication,

@@ -106,9 +106,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
         print(f"{tag}: {len(corpus.libraries[tag])} lemmas")
     print(f"corpus written to {args.out} ({corpus.lemma_count()} lemmas)")
     if args.features:
-        names = sorted(corpus.features)
-        write_feature_records(args.features, names, corpus.library_tags(),
-                              corpus.features, corpus.table)
+        db = corpus.feature_database()
+        write_feature_records(args.features, db.names, db.libraries, corpus.raw, db.matrix,
+                              corpus.table)
         print(f"feature database written to {args.features}")
     return EXIT_OK
 

@@ -1,9 +1,12 @@
-"""Persistent corpora: parsed lemmas, the encoding table, and feature vectors.
+"""Persistent corpora: the parsed lemmas are the only state.
 
-A corpus file ("proofmine corpus v1") is a single JSON document carrying a
-format tag, a sha256 checksum of the canonical payload, and the payload.
-Ingesting new files rebuilds the encoding table over the merged vocabulary and
-re-extracts every vector, so the stored features always match the table.
+A corpus file ("proofmine corpus v2") is a JSON header line holding the format
+tag and the sha256 checksum of the payload bytes, then the canonical JSON
+payload: the patch length and the lemma records of each library.  The encoding
+table and the raw feature matrix are derived from the records whenever a
+corpus is built or loaded, so they always match them.  Version 1 files (one
+JSON document whose payload also stored the table and the feature vectors) are
+still read; their table and features are ignored.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import (EncodingTable, FeatureDatabase, FeatureVector, build_encoding_table,
-                       extract_features, min_max_scale, PATCH_LEN)
+from .features import (EmptyCorpus, EncodingTable, FeatureDatabase, build_encoding_table,
+                       extract_features, min_max_scale, PATCH_LEN, SLOTS_PER_STEP)
 from .script import DuplicateLemmaName, LemmaRecord, looks_like_trace, parse_library, parse_trace
 
-CORPUS_FORMAT = "proofmine corpus v1"
+CORPUS_FORMAT = "proofmine corpus v2"
+CORPUS_FORMAT_V1 = "proofmine corpus v1"
 QUERY_NAME = "?query"
 
 
@@ -33,41 +37,32 @@ class CorruptFile(ValueError):
 
 @dataclass
 class Corpus:
-    libraries: dict[str, list[LemmaRecord]] = field(default_factory=dict)
-    table: EncodingTable | None = None
-    features: dict[str, FeatureVector] = field(default_factory=dict)
-    version: str = CORPUS_FORMAT
-    patch_len: int = PATCH_LEN
+    """Lemma records by library tag, and what is derived from them at construction."""
 
-    def all_lemmas(self) -> list[LemmaRecord]:
-        records = [r for records in self.libraries.values() for r in records]
-        records.sort(key=lambda r: r.name)
-        return records
+    libraries: dict[str, list[LemmaRecord]] = field(default_factory=dict)
+    patch_len: int = PATCH_LEN
+    # derived from the records: vocabulary codes, sorted lemma names, one raw row per name
+    table: EncodingTable = field(init=False, compare=False)
+    names: list[str] = field(init=False, compare=False)
+    raw: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        records = sorted((r for recs in self.libraries.values() for r in recs), key=lambda r: r.name)
+        # an empty corpus gets an empty vocabulary, so every query token encodes as 0
+        self.table = build_encoding_table(records) if records else EncodingTable({}, {})
+        self.names = [r.name for r in records]
+        rows = [extract_features(r, self.table, self.patch_len) for r in records]
+        self.raw = np.array(rows, dtype=np.float64).reshape(len(rows), SLOTS_PER_STEP * self.patch_len)
 
     def lemma_count(self) -> int:
-        return sum(len(records) for records in self.libraries.values())
+        return len(self.names)
 
     def library_tags(self) -> dict[str, str]:
         return {r.name: tag for tag, records in self.libraries.items() for r in records}
 
     def feature_database(self) -> FeatureDatabase:
-        names = sorted(self.features)
-        matrix = np.array([self.features[name].scaled for name in names], dtype=np.float64)
-        return FeatureDatabase(names=names, libraries=self.library_tags(), matrix=matrix)
-
-
-def _rebuild(libraries: dict[str, list[LemmaRecord]], patch_len: int) -> Corpus:
-    records = [r for recs in libraries.values() for r in recs]
-    table = build_encoding_table(records)
-    names = [r.name for r in records]
-    raws = np.array([extract_features(r, table, patch_len) for r in records], dtype=np.float64)
-    scaled = min_max_scale(raws)
-    features = {
-        name: FeatureVector(tuple(float(v) for v in raws[i]), tuple(float(v) for v in scaled[i]))
-        for i, name in enumerate(names)
-    }
-    ordered = {tag: list(libraries[tag]) for tag in sorted(libraries)}
-    return Corpus(libraries=ordered, table=table, features=features, patch_len=patch_len)
+        matrix = min_max_scale(self.raw) if self.names else self.raw
+        return FeatureDatabase(names=list(self.names), libraries=self.library_tags(), matrix=matrix)
 
 
 def ingest(paths: list[str | Path], tags: list[str], corpus: Corpus | None = None, *,
@@ -104,7 +99,9 @@ def ingest(paths: list[str | Path], tags: list[str], corpus: Corpus | None = Non
                     file=str(path))
             names[record.name] = record.library
             libraries.setdefault(record.library, []).append(record)
-    return _rebuild(libraries, patch_len)
+    if not names:
+        raise EmptyCorpus("cannot build an encoding table from an empty corpus")
+    return Corpus(libraries, patch_len)
 
 
 def database_with_query(corpus: Corpus, query: LemmaRecord) -> FeatureDatabase:
@@ -112,69 +109,51 @@ def database_with_query(corpus: Corpus, query: LemmaRecord) -> FeatureDatabase:
 
     Unknown query vocabulary encodes as 0; the query row is named QUERY_NAME.
     """
-    if corpus.table is None:
-        raise ValueError("corpus has no encoding table")
-    names = sorted(corpus.features)
-    raws = [corpus.features[name].raw for name in names]
-    raws.append(extract_features(query, corpus.table, corpus.patch_len))
-    matrix = min_max_scale(np.array(raws, dtype=np.float64))
+    row = extract_features(query, corpus.table, corpus.patch_len)
+    matrix = min_max_scale(np.vstack([corpus.raw, row]))
     libraries = corpus.library_tags()
     libraries[QUERY_NAME] = query.library
-    return FeatureDatabase(names=names + [QUERY_NAME], libraries=libraries, matrix=matrix)
+    return FeatureDatabase(names=corpus.names + [QUERY_NAME], libraries=libraries, matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
 
-def _payload(corpus: Corpus) -> dict:
-    return {
-        "patch_len": corpus.patch_len,
-        "libraries": {
-            tag: [r.to_dict() for r in records]
-            for tag, records in sorted(corpus.libraries.items())
-        },
-        "table": corpus.table.to_dict() if corpus.table else None,
-        "features": {name: vec.to_dict() for name, vec in sorted(corpus.features.items())},
-    }
-
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _canonical(payload) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def save(corpus: Corpus, path: str | Path) -> None:
-    payload = _payload(corpus)
-    checksum = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-    doc = {"format": CORPUS_FORMAT, "checksum": checksum, "payload": payload}
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    payload = _canonical({
+        "patch_len": corpus.patch_len,
+        "libraries": {tag: [r.to_dict() for r in records] for tag, records in corpus.libraries.items()},
+    })
+    header = {"format": CORPUS_FORMAT, "checksum": hashlib.sha256(payload).hexdigest()}
+    Path(path).write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
 
 def load(path: str | Path) -> Corpus:
-    text = Path(path).read_text(encoding="utf-8")
+    first, _, rest = Path(path).read_bytes().partition(b"\n")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        header = json.loads(first)
+    except ValueError as exc:
         raise CorruptFile(f"{path}: not parseable as JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "format" not in doc:
+    if not isinstance(header, dict) or "format" not in header:
         raise CorruptFile(f"{path}: missing format header")
-    if doc["format"] != CORPUS_FORMAT:
-        raise VersionMismatch(f"{path}: expected {CORPUS_FORMAT!r}, found {doc['format']!r}")
-    payload = doc.get("payload")
-    if payload is None or "checksum" not in doc:
-        raise CorruptFile(f"{path}: missing payload or checksum")
-    checksum = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-    if checksum != doc["checksum"]:
+    if header["format"] == CORPUS_FORMAT:
+        payload = rest
+    elif header["format"] == CORPUS_FORMAT_V1:
+        # the whole v1 document is one line; its checksum covers the canonical payload
+        payload = _canonical(header.get("payload"))
+    else:
+        raise VersionMismatch(f"{path}: expected {CORPUS_FORMAT!r}, found {header['format']!r}")
+    if hashlib.sha256(payload).hexdigest() != header.get("checksum"):
         raise CorruptFile(f"{path}: checksum mismatch")
-    libraries = {
-        tag: [LemmaRecord.from_dict(r) for r in records]
-        for tag, records in payload["libraries"].items()
-    }
-    table = EncodingTable.from_dict(payload["table"]) if payload["table"] else None
-    features = {name: FeatureVector.from_dict(vec) for name, vec in payload["features"].items()}
-    return Corpus(
-        libraries=libraries,
-        table=table,
-        features=features,
-        patch_len=payload.get("patch_len", PATCH_LEN),
-    )
+    try:
+        data = json.loads(payload)
+        libraries = {tag: [LemmaRecord.from_dict(r) for r in records]
+                     for tag, records in data["libraries"].items()}
+        return Corpus(libraries, data.get("patch_len", PATCH_LEN))
+    except (LookupError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+        raise CorruptFile(f"{path}: malformed payload ({exc!r})") from exc

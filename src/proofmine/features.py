@@ -79,21 +79,6 @@ class EncodingTable:
         )
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Raw slot values and their corpus-scaled counterparts."""
-
-    raw: tuple[float, ...]
-    scaled: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {"raw": list(self.raw), "scaled": list(self.scaled)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FeatureVector":
-        return cls(tuple(data["raw"]), tuple(data["scaled"]))
-
-
 @dataclass
 class FeatureDatabase:
     """Fixed-order view of a corpus used by the clustering layer."""
@@ -194,31 +179,20 @@ FEATURES_FORMAT = "proofmine features v1"
 
 
 def write_feature_records(path: str | Path, names: list[str], libraries: dict[str, str],
-                          vectors: dict[str, FeatureVector], table: EncodingTable) -> int:
-    """Dump one JSON record per lemma ("proofmine features v1", JSON Lines)."""
+                          raw: np.ndarray, scaled: np.ndarray, table: EncodingTable) -> int:
+    """Dump one JSON record per lemma ("proofmine features v1", JSON Lines).
+
+    Row i of raw and scaled belongs to names[i].
+    """
     version = table.version_hash()
-    out = Path(path)
-    count = 0
-    with out.open("w", encoding="utf-8") as handle:
-        for name in names:
-            vec = vectors[name]
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for name, raw_row, scaled_row in zip(names, raw.tolist(), scaled.tolist()):
             record = {
                 "name": name,
                 "library": libraries[name],
-                "raw": list(vec.raw),
-                "scaled": list(vec.scaled),
+                "raw": raw_row,
+                "scaled": scaled_row,
                 "table_version": version,
             }
             handle.write(json.dumps(record, sort_keys=True) + "\n")
-            count += 1
-    return count
-
-
-def read_feature_records(path: str | Path) -> list[dict]:
-    records = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+    return len(names)

@@ -5,7 +5,9 @@ import pytest
 from proofmine.cli import main
 from proofmine.corpus import load
 
-from conftest import FIXTURES, HINT, HINT_LIBS
+from conftest import FIXTURES, GOLDENS, HINT, HINT_LIBS
+
+FIXTURE_LIBS = [f"--lib={p.stem}:{p}" for p in sorted(FIXTURES.glob("*.v"))]
 
 
 def extract_args(out, libs=None):
@@ -200,9 +202,30 @@ def test_report_on_bare_digest_exits_2(tmp_path, capsys):
     assert "malformed digest" in capsys.readouterr().err
 
 
+def test_extract_without_lemmas_exits_2(tmp_path):
+    source = tmp_path / "none.v"
+    source.write_text("Definition one := 1.\n")
+    assert main(["extract", "--lib", f"t:{source}", "--out", str(tmp_path / "c")]) == 2
+
 def test_extract_ill_typed_trace_exits_2(tmp_path):
     trace = tmp_path / "lib.jsonl"
     trace.write_text(json.dumps({"lemma": ["x"], "library": "l", "step_index": 1,
                                  "tactic_line": "by [].", "goal_before": "a = b",
                                  "subgoals_after": 0}) + "\n")
     assert main(["extract", "--lib", f"l:{trace}", "--out", str(tmp_path / "c")]) == 2
+
+
+def test_extract_feature_dump_matches_golden(tmp_path, capsys):
+    dump = tmp_path / "features.jsonl"
+    assert main(["extract", *FIXTURE_LIBS, "--out", str(tmp_path / "c"),
+                 "--features", str(dump)]) == 0
+    assert dump.read_bytes() == (GOLDENS / "extract_features.jsonl").read_bytes()
+
+
+def test_cluster_report_matches_golden(tmp_path, capsys):
+    corpus = tmp_path / "c"
+    assert main(["extract", *FIXTURE_LIBS, "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    assert main(["cluster", "--corpus", str(corpus), "--out", str(tmp_path / "d"),
+                 "--runs", "3", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == (GOLDENS / "cluster_runs3_seed7.txt").read_text()

@@ -1,11 +1,20 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from proofmine.corpus import (CorruptFile, VersionMismatch, database_with_query, ingest,
-                              load, save)
+from proofmine.cli import main
+from proofmine.corpus import (CORPUS_FORMAT, CorruptFile, VersionMismatch, database_with_query,
+                              ingest, load, save)
+from proofmine.features import EncodingTable
 from proofmine.script import DuplicateLemmaName, parse_partial
 
-from conftest import FIXTURES, random_corpus, random_library_source
+from conftest import FIXTURES, HINT, random_corpus, random_library_source
+
+# written by the v1 code: `extract --lib ssrbool:ssr_bool.v --lib matrix:matrix_trace.jsonl`
+# run inside tests/fixtures, so its source spans name the files relatively
+V1_CORPUS = FIXTURES / "ssr_bool_matrix_v1.corpus"
 
 
 def test_ingest_counts_and_tags():
@@ -41,28 +50,31 @@ def test_ingest_order_independent(tmp_path):
         ab = ingest([pa, pb], ["ta", "tb"])
         ba = ingest([pb, pa], ["tb", "ta"])
         assert ab.table == ba.table
-        assert ab.features == ba.features
+        assert ab.names == ba.names
+        assert np.array_equal(ab.raw, ba.raw)
         assert ab == ba
 
 
 def test_incremental_ingest_rebuilds_table(tmp_path):
     corpus = ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"])
-    before = dict(corpus.features)
+    before = list(corpus.names)
     grown = ingest([FIXTURES / "ssr_seq.v"], ["seq"], corpus)
     assert grown.lemma_count() == corpus.lemma_count() + 9
     combined = ingest([FIXTURES / "ssr_bool.v", FIXTURES / "ssr_seq.v"], ["ssrbool", "seq"])
-    assert grown.features == combined.features
+    assert grown.names == combined.names
+    assert np.array_equal(grown.raw, combined.raw)
     assert grown.table == combined.table
-    # vocabulary grew, so stored vectors were re-extracted
-    assert before.keys() <= grown.features.keys()
+    # vocabulary grew, so the earlier lemmas' vectors were re-extracted
+    assert set(before) <= set(grown.names)
 
 
 def test_features_cover_each_lemma_once():
     corpus = ingest([FIXTURES / "ssr_nat.v"], ["ssrnat"])
-    names = [r.name for r in corpus.all_lemmas()]
-    assert sorted(corpus.features) == sorted(names)
+    records = [r for recs in corpus.libraries.values() for r in recs]
+    assert corpus.names == sorted(r.name for r in records)
+    assert corpus.raw.shape == (len(records), 40)
     table = corpus.table
-    for record in corpus.all_lemmas():
+    for record in records:
         for step in record.steps:
             for app in step.tactics:
                 assert table.tactic_code(app.name) > 0
@@ -134,8 +146,9 @@ def test_flipped_byte_rejected(tmp_path):
     path = tmp_path / "c.corpus"
     save(corpus, path)
     data = bytearray(path.read_bytes())
-    # flip a digit inside the stored feature payload
-    target = data.find(b'"raw"')
+    # flip a digit inside the payload line, past the header and its checksum
+    target = data.find(b'"line_start"', data.index(b"\n"))
+    assert target > 0
     probe = target
     while not chr(data[probe]).isdigit():
         probe += 1
@@ -153,3 +166,94 @@ def test_database_with_query_appends_scaled_row():
     assert len(db.names) == corpus.lemma_count() + 1
     assert db.matrix.shape == (len(db.names), 40)
     assert db.matrix.min() >= 0.0 and db.matrix.max() <= 1.0
+
+
+def test_save_writes_header_line_then_checksummed_payload(tmp_path):
+    corpus = ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"])
+    path = tmp_path / "c.corpus"
+    save(corpus, path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    assert json.loads(header) == {"format": CORPUS_FORMAT,
+                                  "checksum": hashlib.sha256(payload).hexdigest()}
+    assert set(json.loads(payload)) == {"libraries", "patch_len"}
+
+
+def test_v1_corpus_loads_as_ingested(monkeypatch):
+    monkeypatch.chdir(FIXTURES)
+    old = load(V1_CORPUS)
+    fresh = ingest(["ssr_bool.v", "matrix_trace.jsonl"], ["ssrbool", "matrix"])
+    assert old == fresh
+    assert old.table == fresh.table
+    assert np.array_equal(old.raw, fresh.raw)
+    # the table and vectors the v1 file stored are the ones derived on load
+    stored = json.loads(V1_CORPUS.read_text())["payload"]
+    assert EncodingTable.from_dict(stored["table"]) == old.table
+    assert [stored["features"][n]["raw"] for n in old.names] == old.raw.tolist()
+    scaled = [stored["features"][n]["scaled"] for n in old.names]
+    assert scaled == old.feature_database().matrix.tolist()
+
+
+def test_v1_corpus_with_changed_payload_digit_rejected(tmp_path):
+    data = bytearray(V1_CORPUS.read_bytes())
+    probe = data.index(b'"line_start": ') + len(b'"line_start": ')
+    data[probe] = ord("7") if data[probe] != ord("7") else ord("3")
+    path = tmp_path / "v1.corpus"
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptFile):
+        load(path)
+
+
+def _write_checked(path, body: bytes) -> None:
+    """A v2 corpus file whose header checksum matches body."""
+    header = {"format": CORPUS_FORMAT, "checksum": hashlib.sha256(body).hexdigest()}
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+
+
+_RECORDS = [r.to_dict() for r in ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"]).libraries["ssrbool"]]
+
+
+def _payload(**changes) -> dict:
+    return {"patch_len": 5, "libraries": {"ssrbool": _RECORDS}, **changes}
+
+
+def _first_record(**changes) -> dict:
+    """The first record with changes applied; a change to None drops the field."""
+    record = {**_RECORDS[0], **changes}
+    return {k: v for k, v in record.items() if v is not None}
+
+
+def _json(payload) -> bytes:
+    return json.dumps(payload).encode("utf-8")
+
+
+MALFORMED_PAYLOADS = {
+    "record without statement": _json(_payload(
+        libraries={"ssrbool": [_first_record(statement=None)]})),
+    "record with no steps": _json(_payload(libraries={"ssrbool": [_first_record(steps=[])]})),
+    "libraries is a list": _json(_payload(libraries=[])),
+    "payload is a list": _json([_payload()]),
+    "patch_len is a string": _json(_payload(patch_len="5")),
+    "unknown argument kind": _json(_payload(libraries={"ssrbool": [_first_record(steps=[
+        {"index": 1, "tactics": [{"name": "by", "arguments": [{"text": "x", "kind": "?"}]}]}])]})),
+    "payload is not JSON": b'{"patch_len": 5, "libraries": ',
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED_PAYLOADS.values(), ids=MALFORMED_PAYLOADS.keys())
+def test_checksum_valid_malformed_payload_is_corrupt(tmp_path, body):
+    path = tmp_path / "c.corpus"
+    _write_checked(path, body)
+    with pytest.raises(CorruptFile):
+        load(path)
+    assert main(["cluster", "--corpus", str(path), "--out", str(tmp_path / "d")]) == 3
+    assert main(["hint", "--corpus", str(path), "--query", str(HINT / "hint_query.v")]) == 3
+
+
+def test_empty_corpus_is_insufficient_data(tmp_path):
+    path = tmp_path / "c.corpus"
+    _write_checked(path, _json(_payload(libraries={})))
+    corpus = load(path)
+    assert corpus.lemma_count() == 0
+    assert corpus.feature_database().matrix.shape == (0, 40)
+    assert main(["cluster", "--corpus", str(path), "--out", str(tmp_path / "d")]) == 4
+    assert main(["hint", "--corpus", str(path), "--query", str(HINT / "hint_query.v")]) == 4

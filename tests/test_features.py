@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from proofmine.features import (EmptyCorpus, EncodingTable, KIND_CODES, NoProofBody,
                                 build_encoding_table, encode_step, extract_features,
-                                min_max_scale, read_feature_records, write_feature_records)
+                                min_max_scale, write_feature_records)
 from proofmine.script import ArgumentKind, parse_library, parse_trace
 
 from conftest import FIXTURES
@@ -186,12 +188,12 @@ def test_feature_records_round_trip(tmp_path):
     from proofmine.corpus import ingest
     corpus = ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"])
     path = tmp_path / "features.jsonl"
-    names = sorted(corpus.features)
-    count = write_feature_records(path, names, corpus.library_tags(),
-                                  corpus.features, corpus.table)
-    assert count == len(names)
-    records = read_feature_records(path)
-    assert [r["name"] for r in records] == names
+    db = corpus.feature_database()
+    count = write_feature_records(path, db.names, db.libraries, corpus.raw, db.matrix,
+                                  corpus.table)
+    assert count == len(corpus.names)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["name"] for r in records] == corpus.names
     version = corpus.table.version_hash()
     for record in records:
         assert record["table_version"] == version
