@@ -236,6 +236,7 @@ MALFORMED_PAYLOADS = {
     "unknown argument kind": _json(_payload(libraries={"ssrbool": [_first_record(steps=[
         {"index": 1, "tactics": [{"name": "by", "arguments": [{"text": "x", "kind": "?"}]}]}])]})),
     "payload is not JSON": b'{"patch_len": 5, "libraries": ',
+    "payload is not UTF-8": b'{"patch_len": 5, "libraries": {"\xff": []}}',
 }
 
 
