@@ -9,7 +9,7 @@ from .features import (EmptyCorpus, EncodingTable, FeatureDatabase, NoProofBody,
                        build_encoding_table, encode_step, extract_features, min_max_scale)
 from .script import (ArgumentKind, ArgumentToken, DuplicateLemmaName, EmptyStep, LemmaRecord,
                      MalformedStatement, ParseError, ProofStep, TacticApplication,
-                     UnterminatedProof, classify_argument, parse_library, parse_partial,
+                     UnterminatedProof, parse_library, parse_partial,
                      parse_trace, split_steps)
 from .terms import EmptyStatement, TermTree, UnbalancedDelimiters, format_term, parse_term_tree
 

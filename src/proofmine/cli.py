@@ -60,6 +60,13 @@ def _digest_config(args: argparse.Namespace) -> DigestConfig:
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proofmine",
@@ -72,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--out", required=True, help="corpus file to write")
     p_extract.add_argument("--features", default=None,
                            help="also dump the feature database as JSON Lines")
-    p_extract.add_argument("--patch-len", type=int, default=5,
+    p_extract.add_argument("--patch-len", type=_positive_int, default=5,
                            help="steps per feature patch (default 5)")
 
     p_cluster = sub.add_parser("cluster", help="digest a corpus and print the cluster report")

@@ -95,6 +95,16 @@ def _update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray)
     return new
 
 
+def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows, compared bytewise, and the index of each row among them."""
+    if not pts.size:  # no columns: every row is the same empty row
+        return pts[:1], np.zeros(len(pts), dtype=np.intp)
+    # one opaque key per row sorts as bytes, far faster than np.unique's structured row dtype
+    keys = np.ascontiguousarray(pts).view(np.dtype((np.void, pts.itemsize * pts.shape[1])))
+    _, first, inverse = np.unique(keys.reshape(len(pts)), return_index=True, return_inverse=True)
+    return pts[first], inverse
+
+
 def kmeans(points, n: int, seed: int) -> ClusterAssignment:
     """Lloyd iteration from n seeded distinct starting points.
 
@@ -108,8 +118,7 @@ def kmeans(points, n: int, seed: int) -> ClusterAssignment:
     _check_n(n, m)
     rng = np.random.default_rng(seed)
     init = rng.choice(m, size=n, replace=False)
-    distinct, inverse = np.unique(pts, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it as a column
+    distinct, inverse = _distinct_rows(pts)
 
     def assign(centers: np.ndarray) -> np.ndarray:
         return np.argmin(_sq_distances(distinct, centers), axis=1)[inverse]

@@ -1,12 +1,20 @@
 """Persistent corpora: the parsed lemmas are the only state.
 
-A corpus file ("proofmine corpus v2") is a JSON header line holding the format
+A corpus file ("proofmine corpus v3") is a JSON header line holding the format
 tag and the sha256 checksum of the payload bytes, then the canonical JSON
-payload: the patch length and the lemma records of each library.  The encoding
-table and the raw feature matrix are derived from the records whenever a
-corpus is built or loaded, so they always match them.  Version 1 files (one
-JSON document whose payload also stored the table and the feature vectors) are
-still read; their table and features are ignored.
+payload: the patch length, a term table and the lemma records of each library.
+The term table lists each distinct term subtree once as [symbol, child_id, ...],
+children before parents; an id is a position in that list.  A record's
+statement and step goals are ids (a goal may be null), and loading builds one
+shared tree per table entry.  Every id must be an int (not a bool), a child id
+must be below its own entry's position and a record's id below the table
+length; anything else is a corrupt file.  The encoding table and the raw
+feature matrix are derived from the records whenever a corpus is built or
+loaded, so they always match them.
+
+Older files are still read.  Version 2 payloads store each term as a nested
+{"symbol", "children"} tree.  Version 1 files are one JSON document whose
+payload also stored the table and the feature vectors; those are ignored.
 """
 
 from __future__ import annotations
@@ -21,8 +29,10 @@ import numpy as np
 from .features import (EmptyCorpus, EncodingTable, FeatureDatabase, build_encoding_table,
                        extract_features, min_max_scale, PATCH_LEN, SLOTS_PER_STEP)
 from .script import DuplicateLemmaName, LemmaRecord, looks_like_trace, parse_library, parse_trace
+from .terms import TermTable, TermTree, read_term_table
 
-CORPUS_FORMAT = "proofmine corpus v2"
+CORPUS_FORMAT = "proofmine corpus v3"
+CORPUS_FORMAT_V2 = "proofmine corpus v2"
 CORPUS_FORMAT_V1 = "proofmine corpus v1"
 QUERY_NAME = "?query"
 
@@ -47,6 +57,8 @@ class Corpus:
     raw: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.patch_len) is not int or self.patch_len < 1:  # bool is not a length
+            raise ValueError(f"patch_len must be a positive integer, got {self.patch_len!r}")
         records = sorted((r for recs in self.libraries.values() for r in recs), key=lambda r: r.name)
         # an empty corpus gets an empty vocabulary, so every query token encodes as 0
         self.table = build_encoding_table(records) if records else EncodingTable({}, {})
@@ -125,10 +137,9 @@ def _canonical(payload) -> bytes:
 
 
 def save(corpus: Corpus, path: str | Path) -> None:
-    payload = _canonical({
-        "patch_len": corpus.patch_len,
-        "libraries": {tag: [r.to_dict() for r in records] for tag, records in corpus.libraries.items()},
-    })
+    terms = TermTable()
+    libraries = {tag: [r.to_dict(terms.add) for r in records] for tag, records in corpus.libraries.items()}
+    payload = _canonical({"patch_len": corpus.patch_len, "terms": terms.entries, "libraries": libraries})
     header = {"format": CORPUS_FORMAT, "checksum": hashlib.sha256(payload).hexdigest()}
     Path(path).write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
@@ -141,18 +152,20 @@ def load(path: str | Path) -> Corpus:
         raise CorruptFile(f"{path}: not parseable as JSON ({exc})") from exc
     if not isinstance(header, dict) or "format" not in header:
         raise CorruptFile(f"{path}: missing format header")
-    if header["format"] == CORPUS_FORMAT:
+    version = header["format"]
+    if version in (CORPUS_FORMAT, CORPUS_FORMAT_V2):
         payload = rest
-    elif header["format"] == CORPUS_FORMAT_V1:
+    elif version == CORPUS_FORMAT_V1:
         # the whole v1 document is one line; its checksum covers the canonical payload
         payload = _canonical(header.get("payload"))
     else:
-        raise VersionMismatch(f"{path}: expected {CORPUS_FORMAT!r}, found {header['format']!r}")
+        raise VersionMismatch(f"{path}: expected {CORPUS_FORMAT!r}, found {version!r}")
     if hashlib.sha256(payload).hexdigest() != header.get("checksum"):
         raise CorruptFile(f"{path}: checksum mismatch")
     try:
         data = json.loads(payload)
-        libraries = {tag: [LemmaRecord.from_dict(r) for r in records]
+        term = read_term_table(data["terms"]) if version == CORPUS_FORMAT else TermTree.from_dict
+        libraries = {tag: [LemmaRecord.from_dict(r, term) for r in records]
                      for tag, records in data["libraries"].items()}
         return Corpus(libraries, data.get("patch_len", PATCH_LEN))
     except (LookupError, TypeError, ValueError, AttributeError, RecursionError) as exc:

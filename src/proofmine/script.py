@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -88,21 +89,21 @@ class ProofStep:
     goal_before: TermTree | None = None
     subgoals_after: int | None = None
 
-    def to_dict(self) -> dict:
+    def to_dict(self, encode_term: Callable[[TermTree], object]) -> dict:
         return {
             "index": self.index,
             "tactics": [t.to_dict() for t in self.tactics],
-            "goal_before": self.goal_before.to_dict() if self.goal_before else None,
+            "goal_before": None if self.goal_before is None else encode_term(self.goal_before),
             "subgoals_after": self.subgoals_after,
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ProofStep":
+    def from_dict(cls, data: dict, decode_term: Callable[[object], TermTree]) -> "ProofStep":
         goal = data.get("goal_before")
         return cls(
             index=data["index"],
             tactics=tuple(TacticApplication.from_dict(t) for t in data["tactics"]),
-            goal_before=TermTree.from_dict(goal) if goal else None,
+            goal_before=None if goal is None else decode_term(goal),
             subgoals_after=data.get("subgoals_after"),
         )
 
@@ -129,21 +130,23 @@ class LemmaRecord:
     library: str
     source_span: SourceSpan
 
-    def to_dict(self) -> dict:
+    def to_dict(self, encode_term: Callable[[TermTree], object]) -> dict:
+        """A JSON-ready dict; encode_term gives the stored form of each term tree."""
         return {
             "name": self.name,
-            "statement": self.statement.to_dict(),
-            "steps": [s.to_dict() for s in self.steps],
+            "statement": encode_term(self.statement),
+            "steps": [s.to_dict(encode_term) for s in self.steps],
             "library": self.library,
             "source_span": self.source_span.to_dict(),
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "LemmaRecord":
+    def from_dict(cls, data: dict, decode_term: Callable[[object], TermTree]) -> "LemmaRecord":
+        """Inverse of to_dict; decode_term turns a stored term back into a tree."""
         return cls(
             name=data["name"],
-            statement=TermTree.from_dict(data["statement"]),
-            steps=tuple(ProofStep.from_dict(s) for s in data["steps"]),
+            statement=decode_term(data["statement"]),
+            steps=tuple(ProofStep.from_dict(s, decode_term) for s in data["steps"]),
             library=data["library"],
             source_span=SourceSpan.from_dict(data["source_span"]),
         )
@@ -469,17 +472,6 @@ def split_steps(proof_body: str, *, file: str = "<input>") -> list[ProofStep]:
     """Parse a proof body (without `Proof.`/`Qed.`) into classified steps."""
     sentences = split_sentences(proof_body)
     return _steps_from_sentences(sentences, _ProofContext(), file)
-
-
-def classify_argument(token: str, lemma: LemmaRecord, step_index: int) -> ArgumentToken:
-    """Classify one lexed argument against the context built through step_index."""
-    ctx = _ProofContext()
-    for step in lemma.steps:
-        if step.index > step_index:
-            break
-        for app in step.tactics:
-            _register_introductions(app, ctx)
-    return ArgumentToken(token, _classify_token(token, ctx, intro_zone=False))
 
 
 # ---------------------------------------------------------------------------

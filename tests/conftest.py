@@ -90,6 +90,27 @@ def random_library_source(rng, count: int, prefix: str) -> str:
     return "\n".join(chunks)
 
 
+_TRACE_TACTICS = [
+    "by case.", "move=> a b.", "rewrite rew{k} comm{k}.", "elim: s => //= x s IH.",
+    "apply helper{k}.", "exists (probe x).", "split; trivial.",
+]
+
+
+def random_trace_source(rng, count: int, prefix: str, library: str) -> str:
+    """Synthesizes a trace file with `count` lemmas of 1-4 steps over the statement templates."""
+    lines = []
+    for i in range(count):
+        k = int(rng.integers(0, 7))
+        for step in range(1, int(rng.integers(1, 5)) + 1):
+            goal = _STATEMENT_TEMPLATES[int(rng.integers(len(_STATEMENT_TEMPLATES)))]
+            tactic = _TRACE_TACTICS[int(rng.integers(len(_TRACE_TACTICS)))]
+            lines.append(json.dumps({
+                "lemma": f"{prefix}_{i:03d}", "library": library, "step_index": step,
+                "tactic_line": tactic.format(k=k), "goal_before": goal.format(k=k),
+                "subgoals_after": int(rng.integers(0, 3))}))
+    return "\n".join(lines) + "\n"
+
+
 def random_corpus(rng, tmp_path, *, max_lemmas=12, libraries=2, tag_prefix="lib") -> Corpus:
     paths, tags = [], []
     for lib in range(libraries):

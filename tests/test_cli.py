@@ -207,6 +207,16 @@ def test_extract_without_lemmas_exits_2(tmp_path):
     source.write_text("Definition one := 1.\n")
     assert main(["extract", "--lib", f"t:{source}", "--out", str(tmp_path / "c")]) == 2
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_extract_nonpositive_patch_len_is_usage_error(tmp_path, capsys, value):
+    out = tmp_path / "c.corpus"
+    with pytest.raises(SystemExit) as exc:
+        main(extract_args(out, [("ssrnat", FIXTURES / "ssr_nat.v")]) + ["--patch-len", value])
+    assert exc.value.code == 2
+    assert "--patch-len" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_ill_typed_trace_exits_2(tmp_path):
     trace = tmp_path / "lib.jsonl"
     trace.write_text(json.dumps({"lemma": ["x"], "library": "l", "step_index": 1,

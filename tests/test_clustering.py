@@ -220,6 +220,34 @@ def test_kmeans_matches_oracle_on_gaussian_data():
         assert got.objective_history == want.objective_history
 
 
+def unique_rows_oracle(pts):
+    """The distinct-row step as np.unique over a structured row dtype."""
+    distinct, inverse = np.unique(pts, axis=0, return_inverse=True)
+    return distinct, inverse.reshape(-1)  # numpy 2.0.0 returns it as a column
+
+
+def test_kmeans_distinct_rows_match_unique_oracle(template_matrix, monkeypatch):
+    rng = np.random.default_rng(5)
+    strided = np.repeat(template_matrix, 2, axis=1)[:, ::2]
+    assert not strided.flags.c_contiguous and np.array_equal(strided, template_matrix)
+    # rounding makes duplicate rows, and signed zeros that compare equal but differ bytewise
+    rounded = np.round(rng.normal(scale=0.6, size=(60, 2)))
+    assert len(unique_rows_oracle(rounded)[0]) < len({row.tobytes() for row in rounded}) < 60
+    cases = [(template_matrix, distinct_rows(template_matrix) + 1), (strided, 9), (rounded, 12)]
+    for points, _ in cases:
+        distinct, inverse = clustering._distinct_rows(points)
+        assert np.array_equal(distinct[inverse], points)
+        keys = {row.tobytes() for row in points}
+        assert len(distinct) == len(keys) and {row.tobytes() for row in distinct} == keys
+    got = [[kmeans(points, n, seed) for seed in range(4)] for points, n in cases]
+    monkeypatch.setattr(clustering, "_distinct_rows", unique_rows_oracle)
+    for (points, n), runs in zip(cases, got):
+        for seed, result in enumerate(runs):
+            want = kmeans(points, n, seed)
+            assert_same_run(result, want)
+            assert result.objective_history == want.objective_history
+
+
 def test_kmeans_capped_case_ends_on_repeated_labelling(template_matrix):
     n = distinct_rows(template_matrix) + 1
     for seed in range(6):

@@ -9,12 +9,14 @@ from proofmine.corpus import (CORPUS_FORMAT, CorruptFile, VersionMismatch, datab
                               ingest, load, save)
 from proofmine.features import EncodingTable
 from proofmine.script import DuplicateLemmaName, parse_partial
+from proofmine.terms import TermTable
 
-from conftest import FIXTURES, HINT, random_corpus, random_library_source
+from conftest import FIXTURES, HINT, random_corpus, random_library_source, random_trace_source
 
-# written by the v1 code: `extract --lib ssrbool:ssr_bool.v --lib matrix:matrix_trace.jsonl`
-# run inside tests/fixtures, so its source spans name the files relatively
+# written by the v1 and v2 code: `extract --lib ssrbool:ssr_bool.v --lib matrix:matrix_trace.jsonl`
+# run inside tests/fixtures, so their source spans name the files relatively
 V1_CORPUS = FIXTURES / "ssr_bool_matrix_v1.corpus"
+V2_CORPUS = FIXTURES / "ssr_bool_matrix_v2.corpus"
 
 
 def test_ingest_counts_and_tags():
@@ -112,13 +114,23 @@ def test_save_load_round_trip(tmp_path):
     assert load(path) == corpus
 
 
+def assert_same_corpus(got, want) -> None:
+    assert got == want
+    assert got.table == want.table
+    assert got.names == want.names
+    assert np.array_equal(got.raw, want.raw)
+
+
 def test_round_trip_random_corpora(tmp_path):
     rng = np.random.default_rng(77)
     for trial in range(6):
         corpus = random_corpus(rng, tmp_path, max_lemmas=8)
+        trace = tmp_path / f"t{trial}.jsonl"
+        trace.write_text(random_trace_source(rng, int(rng.integers(1, 6)), f"tr{trial}", "traced"))
+        corpus = ingest([trace], ["ignored"], corpus)
         path = tmp_path / f"t{trial}.corpus"
         save(corpus, path)
-        assert load(path) == corpus
+        assert_same_corpus(load(path), corpus)
 
 
 def test_version_mismatch(tmp_path):
@@ -175,22 +187,52 @@ def test_save_writes_header_line_then_checksummed_payload(tmp_path):
     header, payload = path.read_bytes().split(b"\n", 1)
     assert json.loads(header) == {"format": CORPUS_FORMAT,
                                   "checksum": hashlib.sha256(payload).hexdigest()}
-    assert set(json.loads(payload)) == {"libraries", "patch_len"}
+    assert set(json.loads(payload)) == {"libraries", "patch_len", "terms"}
+
+
+def test_term_table_stores_each_subtree_once_and_load_shares_it(tmp_path):
+    corpus = ingest([FIXTURES / "ssr_bool.v", FIXTURES / "ssr_nat.v", FIXTURES / "matrix_trace.jsonl"],
+                    ["ssrbool", "ssrnat", "matrix"])
+    path = tmp_path / "c.corpus"
+    save(corpus, path)
+    terms = json.loads(path.read_bytes().split(b"\n", 1)[1])["terms"]
+    assert len({tuple(entry) for entry in terms}) == len(terms)
+    loaded = load(path)
+    assert_same_corpus(loaded, corpus)
+    records = [r for recs in loaded.libraries.values() for r in recs]
+    for record in loaded.libraries["ssrbool"] + loaded.libraries["ssrnat"]:
+        assert record.steps[0].goal_before is record.statement
+    # equal subtrees anywhere in the corpus are one object
+    trees = [r.statement for r in records] + [s.goal_before for r in records for s in r.steps]
+    objects: dict = {}
+    for tree in trees:
+        for node in tree.iter_nodes():
+            objects.setdefault(node, set()).add(id(node))
+    assert len(objects) == len(terms)
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
 def test_v1_corpus_loads_as_ingested(monkeypatch):
     monkeypatch.chdir(FIXTURES)
     old = load(V1_CORPUS)
     fresh = ingest(["ssr_bool.v", "matrix_trace.jsonl"], ["ssrbool", "matrix"])
-    assert old == fresh
-    assert old.table == fresh.table
-    assert np.array_equal(old.raw, fresh.raw)
+    assert_same_corpus(old, fresh)
     # the table and vectors the v1 file stored are the ones derived on load
     stored = json.loads(V1_CORPUS.read_text())["payload"]
     assert EncodingTable.from_dict(stored["table"]) == old.table
     assert [stored["features"][n]["raw"] for n in old.names] == old.raw.tolist()
     scaled = [stored["features"][n]["scaled"] for n in old.names]
     assert scaled == old.feature_database().matrix.tolist()
+
+
+def test_v2_corpus_loads_as_ingested(monkeypatch, tmp_path):
+    monkeypatch.chdir(FIXTURES)
+    old = load(V2_CORPUS)
+    fresh = ingest(["ssr_bool.v", "matrix_trace.jsonl"], ["ssrbool", "matrix"])
+    assert_same_corpus(old, fresh)
+    # saving rewrites it as the current format
+    save(old, tmp_path / "v3.corpus")
+    assert_same_corpus(load(tmp_path / "v3.corpus"), fresh)
 
 
 def test_v1_corpus_with_changed_payload_digit_rejected(tmp_path):
@@ -204,16 +246,19 @@ def test_v1_corpus_with_changed_payload_digit_rejected(tmp_path):
 
 
 def _write_checked(path, body: bytes) -> None:
-    """A v2 corpus file whose header checksum matches body."""
+    """A corpus file whose header checksum matches body."""
     header = {"format": CORPUS_FORMAT, "checksum": hashlib.sha256(body).hexdigest()}
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
 
 
-_RECORDS = [r.to_dict() for r in ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"]).libraries["ssrbool"]]
+_TERMS = TermTable()
+_RECORDS = [r.to_dict(_TERMS.add)
+            for r in ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"]).libraries["ssrbool"]]
+_ENTRIES = [list(entry) for entry in _TERMS.entries]
 
 
 def _payload(**changes) -> dict:
-    return {"patch_len": 5, "libraries": {"ssrbool": _RECORDS}, **changes}
+    return {"patch_len": 5, "terms": _ENTRIES, "libraries": {"ssrbool": _RECORDS}, **changes}
 
 
 def _first_record(**changes) -> dict:
@@ -233,10 +278,27 @@ MALFORMED_PAYLOADS = {
     "libraries is a list": _json(_payload(libraries=[])),
     "payload is a list": _json([_payload()]),
     "patch_len is a string": _json(_payload(patch_len="5")),
+    "patch_len is zero": _json(_payload(patch_len=0)),
+    "patch_len is negative": _json(_payload(patch_len=-2)),
+    "patch_len is true": _json(_payload(patch_len=True)),
     "unknown argument kind": _json(_payload(libraries={"ssrbool": [_first_record(steps=[
         {"index": 1, "tactics": [{"name": "by", "arguments": [{"text": "x", "kind": "?"}]}]}])]})),
     "payload is not JSON": b'{"patch_len": 5, "libraries": ',
     "payload is not UTF-8": b'{"patch_len": 5, "libraries": {"\xff": []}}',
+    "term id out of range": _json(_payload(libraries={"ssrbool": [
+        _first_record(statement=len(_ENTRIES))]})),
+    "negative term id": _json(_payload(libraries={"ssrbool": [_first_record(statement=-1)]})),
+    "term id is true": _json(_payload(libraries={"ssrbool": [_first_record(statement=True)]})),
+    "goal id out of range": _json(_payload(libraries={"ssrbool": [_first_record(steps=[
+        {"index": 1, "tactics": [], "goal_before": len(_ENTRIES)}])]})),
+    "child id not below its entry": _json(_payload(terms=_ENTRIES + [["x", len(_ENTRIES)]])),
+    "negative child id": _json(_payload(terms=_ENTRIES + [["x", -1]])),
+    "child id is true": _json(_payload(terms=_ENTRIES + [["x", True]])),
+    "empty symbol": _json(_payload(terms=_ENTRIES + [[""]])),
+    "non-string symbol": _json(_payload(terms=_ENTRIES + [[5]])),
+    "empty term entry": _json(_payload(terms=_ENTRIES + [[]])),
+    "terms is not a list": _json(_payload(terms={"0": ["x"]})),
+    "terms missing": _json({"patch_len": 5, "libraries": {"ssrbool": _RECORDS}}),
 }
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from proofmine.script import (ArgumentKind, DuplicateLemmaName, EmptyStep, MalformedStatement,
-                              ParseError, UnterminatedProof, classify_argument, parse_library,
+                              ParseError, UnterminatedProof, parse_library,
                               parse_partial, parse_trace, split_sentences, split_steps)
 
 from conftest import GOLDEN_SOURCES, compare_with_golden, load_golden
@@ -91,41 +91,44 @@ def test_view_application_splits_leading_identifier():
 # classification
 
 
+DEMO_PROOF = "by move=> m1 m2 n; elim: m1 => //= m1 IHm; rewrite -addnA -IHm."
+
+
 def demo_lemma():
-    src = (
-        "Lemma mulnDl : left_distributive muln addn.\n"
-        "Proof. by move=> m1 m2 n; elim: m1 => //= m1 IHm; rewrite -addnA -IHm. Qed.\n"
-    )
+    src = f"Lemma mulnDl : left_distributive muln addn.\nProof. {DEMO_PROOF} Qed.\n"
     return parse_library(src, "nat")[0]
 
 
+def kinds_after_demo(step: str) -> dict[str, ArgumentKind]:
+    """Argument kinds of one step run after the demo proof's introductions."""
+    last = split_steps(f"{DEMO_PROOF} {step}")[-1]
+    return {a.text: a.kind for app in last.tactics for a in app.arguments}
+
+
 def test_classify_inductive_hypothesis_after_elim():
-    lemma = demo_lemma()
-    token = classify_argument("IHm", lemma, 1)
-    assert token.kind is ArgumentKind.INDUCTIVE_HYPOTHESIS
+    rewrite = demo_lemma().steps[0].tactics[-1]
+    assert [(a.text, a.kind) for a in rewrite.arguments] == [
+        ("-addnA", ArgumentKind.EXTERNAL_LEMMA), ("-IHm", ArgumentKind.INDUCTIVE_HYPOTHESIS)]
+    assert kinds_after_demo("rewrite IHm.") == {"IHm": ArgumentKind.INDUCTIVE_HYPOTHESIS}
 
 
 def test_classify_wildcard():
-    lemma = demo_lemma()
-    assert classify_argument("_", lemma, 1).kind is ArgumentKind.WILDCARD
-    assert classify_argument("//=", lemma, 1).kind is ArgumentKind.WILDCARD
+    assert kinds_after_demo("rewrite _ //=.") == {"_": ArgumentKind.WILDCARD,
+                                                 "//=": ArgumentKind.WILDCARD}
 
 
 def test_classify_flagged_external_lemma():
-    lemma = demo_lemma()
-    assert classify_argument("-!addnA", lemma, 1).kind is ArgumentKind.EXTERNAL_LEMMA
-    assert classify_argument("addnA", lemma, 1).kind is ArgumentKind.EXTERNAL_LEMMA
+    assert kinds_after_demo("rewrite -!addnA addnA.") == {"-!addnA": ArgumentKind.EXTERNAL_LEMMA,
+                                                          "addnA": ArgumentKind.EXTERNAL_LEMMA}
 
 
 def test_classify_numeric_and_term():
-    lemma = demo_lemma()
-    assert classify_argument("42", lemma, 1).kind is ArgumentKind.NUMERIC_CONSTANT
-    assert classify_argument("(addnC n)", lemma, 1).kind is ArgumentKind.TERM_EXPR
+    assert kinds_after_demo("exists 42.") == {"42": ArgumentKind.NUMERIC_CONSTANT}
+    assert kinds_after_demo("rewrite (addnC n).") == {"(addnC n)": ArgumentKind.TERM_EXPR}
 
 
 def test_classify_is_deterministic():
-    lemma = demo_lemma()
-    kinds = {classify_argument("IHm", lemma, 1).kind for _ in range(5)}
+    kinds = {kinds_after_demo("rewrite IHm.")["IHm"] for _ in range(5)}
     assert len(kinds) == 1
 
 

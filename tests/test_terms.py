@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
-from proofmine.terms import (EmptyStatement, TermTree, UnbalancedDelimiters, format_term,
-                             parse_term_tree)
+from proofmine.terms import (EmptyStatement, TermTable, TermTree, UnbalancedDelimiters,
+                             format_term, parse_term_tree, read_term_table)
 
 
 def leaf(sym):
@@ -124,7 +126,7 @@ def test_node_count_bounded_by_length():
         "x",
     ]
     for text in samples:
-        assert parse_term_tree(text).node_count() <= len(text)
+        assert sum(1 for _ in parse_term_tree(text).iter_nodes()) <= len(text)
 
 
 REPRINT_SAMPLES = [
@@ -153,4 +155,10 @@ def test_parse_format_parse_is_identity(text):
 
 def test_serialization_round_trip():
     tree = parse_term_tree("forall g, exists s, BI s /\\ g = s2g s")
-    assert TermTree.from_dict(tree.to_dict()) == tree
+    table = TermTable()
+    tid = table.add(tree)
+    entries = json.loads(json.dumps(table.entries))
+    assert read_term_table(entries)(tid) == tree
+    # the nested form that corpus formats v1 and v2 stored
+    nested = {"symbol": "forall", "children": [{"symbol": "g"}]}
+    assert TermTree.from_dict(nested) == TermTree("forall", (TermTree("g"),))
