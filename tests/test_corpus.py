@@ -254,7 +254,7 @@ def _write_checked(path, body: bytes) -> None:
 _TERMS = TermTable()
 _RECORDS = [r.to_dict(_TERMS.add)
             for r in ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"]).libraries["ssrbool"]]
-_ENTRIES = [list(entry) for entry in _TERMS.entries]
+_ENTRIES = _TERMS.entries
 
 
 def _payload(**changes) -> dict:
