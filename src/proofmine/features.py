@@ -93,14 +93,24 @@ def build_encoding_table(records: list[LemmaRecord]) -> EncodingTable:
     if not records:
         raise EmptyCorpus("cannot build an encoding table from an empty corpus")
     tactics: set[str] = set()
-    symbols: set[str] = set()
+    trees = []
     for record in records:
-        symbols.update(node.symbol for node in record.statement.iter_nodes())
+        trees.append(record.statement)
         for step in record.steps:
             for app in step.tactics:
                 tactics.add(app.name)
             if step.goal_before is not None:
-                symbols.update(node.symbol for node in step.goal_before.iter_nodes())
+                trees.append(step.goal_before)
+    # equal subtrees are often one object, so each is walked once; the records
+    # keep every node alive, so an id() is not reused during the walk
+    symbols: set[str] = set()
+    seen: set[int] = set()
+    while trees:
+        node = trees.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            symbols.add(node.symbol)
+            trees.extend(node.children)
     return EncodingTable(
         tactic_codes={name: i for i, name in enumerate(sorted(tactics), start=1)},
         symbol_codes={sym: i for i, sym in enumerate(sorted(symbols), start=1)},

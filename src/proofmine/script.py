@@ -18,7 +18,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .terms import TermError, TermTree, UnbalancedDelimiters, parse_term_tree
+from .terms import TermError, TermTree, UnbalancedDelimiters, group_end, parse_term_tree
 
 
 class ParseError(ValueError):
@@ -263,26 +263,6 @@ class _Tok:
     text: str
 
 
-_GROUP_CLOSERS = {"(": ")", "[": "]", "{": "}"}
-
-
-def _scan_group(text: str, start: int, *, file: str, line: int) -> int:
-    stack: list[str] = []
-    i = start
-    while i < len(text):
-        c = text[i]
-        if c in _GROUP_CLOSERS:
-            stack.append(_GROUP_CLOSERS[c])
-        elif c in ")]}":
-            if not stack or stack[-1] != c:
-                raise UnbalancedDelimiters(f"mismatched {c!r} at {file}:{line}")
-            stack.pop()
-            if not stack:
-                return i + 1
-        i += 1
-    raise UnbalancedDelimiters(f"unclosed {text[start]!r} at {file}:{line}")
-
-
 def _lex_step_tokens(text: str, *, file: str, line: int) -> list[_Tok]:
     tokens: list[_Tok] = []
     i, n = 0, len(text)
@@ -308,8 +288,8 @@ def _lex_step_tokens(text: str, *, file: str, line: int) -> list[_Tok]:
         j = i
         while j < n:
             cj = text[j]
-            if cj in _GROUP_CLOSERS:
-                j = _scan_group(text, j, file=file, line=line)
+            if cj in "([{":
+                j = group_end(text, j, f" at {file}:{line}")
                 continue
             if cj.isspace() or cj in ";:)]}":
                 break
@@ -344,10 +324,10 @@ class _ProofContext:
 
 
 def _is_whole_group(text: str) -> bool:
-    if not text or text[0] not in _GROUP_CLOSERS:
+    if not text or text[0] not in "([{":
         return False
     try:
-        return _scan_group(text, 0, file="<token>", line=0) == len(text)
+        return group_end(text, 0) == len(text)
     except UnbalancedDelimiters:
         return False
 
@@ -364,7 +344,7 @@ def _strip_argument_flags(text: str) -> str:
             continue
         if out[0] in "{[":
             try:
-                end = _scan_group(out, 0, file="<token>", line=0)
+                end = group_end(out, 0)
             except UnbalancedDelimiters:
                 break
             if end < len(out):
@@ -507,9 +487,9 @@ def _parse_header(sentence: Sentence, file: str) -> tuple[str, str]:
     raise MalformedStatement(f"missing ':' in statement of {name}", file=file, line=sentence.line_start)
 
 
-def _statement_tree(name: str, statement_text: str, *, file: str, line: int) -> TermTree:
+def _statement_tree(name: str, statement_text: str, intern: dict, *, file: str, line: int) -> TermTree:
     try:
-        return parse_term_tree(statement_text)
+        return parse_term_tree(statement_text, intern)
     except TermError as exc:
         raise MalformedStatement(f"bad statement for {name}: {exc}", file=file, line=line) from exc
 
@@ -525,6 +505,7 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>") 
     sentences = split_sentences(source)
     records: list[LemmaRecord] = []
     seen: set[str] = set()
+    intern: dict = {}  # one per file, so equal subterms of its statements are shared
     i = 0
     while i < len(sentences):
         sen = sentences[i]
@@ -534,7 +515,7 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>") 
         name, statement_text = _parse_header(sen, filename)
         if name in seen:
             raise DuplicateLemmaName(f"duplicate lemma {name}", file=filename, line=sen.line_start)
-        statement = _statement_tree(name, statement_text, file=filename, line=sen.line_start)
+        statement = _statement_tree(name, statement_text, intern, file=filename, line=sen.line_start)
         i += 1
         if i < len(sentences) and _first_word(sentences[i].text) == "Proof":
             i += 1
@@ -579,7 +560,7 @@ def parse_partial(source: str, *, filename: str = "<query>", library_tag: str = 
         raise MalformedStatement("no lemma statement found", file=filename)
     sen = sentences[i]
     name, statement_text = _parse_header(sen, filename)
-    statement = _statement_tree(name, statement_text, file=filename, line=sen.line_start)
+    statement = _statement_tree(name, statement_text, {}, file=filename, line=sen.line_start)
     i += 1
     if i < len(sentences) and _first_word(sentences[i].text) == "Proof":
         i += 1
@@ -613,8 +594,7 @@ _TRACE_FIELDS = {"lemma": str, "library": str, "step_index": int, "tactic_line":
 
 def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
     """Read per-step trace records with goal text and subgoal counts."""
-    per_lemma: dict[str, dict] = {}
-    order: list[str] = []
+    per_lemma: dict[str, dict] = {}  # in first-seen order
     for line_no, raw in enumerate(source.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -643,12 +623,10 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
             raise ParseError(f"duplicate step {idx} for {name}", file=filename, line=line_no)
         entry["steps"][idx] = (obj["tactic_line"], obj["goal_before"], obj["subgoals_after"], line_no)
         entry["lines"].append(line_no)
-        if name not in order:
-            order.append(name)
 
     records: list[LemmaRecord] = []
-    for name in order:
-        entry = per_lemma[name]
+    intern: dict = {}  # one per file, so equal subterms of its goals are shared
+    for name, entry in per_lemma.items():
         ctx = _ProofContext()
         steps: list[ProofStep] = []
         statement: TermTree | None = None
@@ -665,7 +643,7 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
                 if not segment:
                     raise EmptyStep("empty tactic between ';'", file=filename, line=line_no)
                 apps.extend(_parse_segment(segment, ctx, file=filename, line=line_no))
-            goal = _statement_tree(name, goal_text, file=filename, line=line_no)
+            goal = _statement_tree(name, goal_text, intern, file=filename, line=line_no)
             if statement is None:
                 statement = goal
             steps.append(ProofStep(new_index, tuple(apps), goal_before=goal, subgoals_after=subgoals))

@@ -29,11 +29,6 @@ class TermTree:
         if not self.symbol:
             raise ValueError("term symbol must be non-empty")
 
-    def iter_nodes(self):
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
-
     def top_symbols(self) -> tuple[str, str | None, str | None]:
         """Head symbol plus the heads of the first two children."""
         first = self.children[0].symbol if self.children else None
@@ -117,27 +112,27 @@ _OP_LEVEL = {op: lvl for lvl, ops in enumerate(OPERATOR_LEVELS) for op in ops}
 _OP_ASSOC = {op: assoc for ops in OPERATOR_LEVELS for op, assoc in ops.items()}
 _PREFIX = ("-", "~")
 
-_TWO_CHAR_OPS = ("=>", "->", "||", "&&", "==", "!=", "<=", ">=", "<>", "++", "\\/", "/\\", "::")
-_GROUP_OPENERS = {"[": "]", "{": "}"}
+_TWO_CHAR_OPS = frozenset(("=>", "->", "||", "&&", "==", "!=", "<=", ">=", "<>", "++", "\\/", "/\\", "::"))
+_CLOSERS = {"(": ")", "[": "]", "{": "}"}
 
 
-def _group_end(text: str, start: int) -> int:
-    """End index (exclusive) of the balanced group opening at start."""
+def group_end(text: str, start: int, where: str = "") -> int:
+    """End index (exclusive) of the balanced group opening at start.
+
+    where is appended to the error message, for example " at FILE:LINE".
+    """
     stack = []
-    closers = {"(": ")", "[": "]", "{": "}"}
-    i = start
-    while i < len(text):
+    for i in range(start, len(text)):
         c = text[i]
-        if c in closers:
-            stack.append(closers[c])
+        if c in _CLOSERS:
+            stack.append(_CLOSERS[c])
         elif c in ")]}":
             if not stack or stack[-1] != c:
-                raise UnbalancedDelimiters(f"mismatched {c!r}")
+                raise UnbalancedDelimiters(f"mismatched {c!r}{where}")
             stack.pop()
             if not stack:
                 return i + 1
-        i += 1
-    raise UnbalancedDelimiters(f"unclosed {text[start]!r}")
+    raise UnbalancedDelimiters(f"unclosed {text[start]!r}{where}")
 
 
 def _word_end(text: str, start: int) -> int:
@@ -182,8 +177,8 @@ def _lex(text: str) -> list[tuple[str, str]]:
             tokens.append((")", ")"))
             i += 1
             continue
-        if c in _GROUP_OPENERS:
-            j = _group_end(text, i)
+        if c in "[{":
+            j = group_end(text, i)
             tokens.append(("atom", " ".join(text[i:j].split())))
             i = j
             continue
@@ -206,7 +201,8 @@ def _lex(text: str) -> list[tuple[str, str]]:
             tokens.append((":", ":"))
             i += 1
             continue
-        if text.startswith("\\in", i) and not (text[i + 3:i + 4].isalnum() or text[i + 3:i + 4] in ("_", "'")):
+        if (c == "\\" and text.startswith("\\in", i)
+                and not (text[i + 3:i + 4].isalnum() or text[i + 3:i + 4] in ("_", "'"))):
             tokens.append(("op", "\\in"))
             i += 3
             continue
@@ -235,129 +231,121 @@ def _lex(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+_END = ("end", "")  # appended to every token list, so indexing never runs off it
+
+
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]]):
+    """Precedence climbing over the tokens of one text; every node comes from `intern`.
+
+    intern maps (symbol, *child ids) to the one tree built for it.  Keying on
+    ids is sound because the dict holds every node it has returned, so no id
+    is reused while it lives, and equal subterms become one object.
+    """
+
+    def __init__(self, tokens: list[tuple[str, str]], intern: dict):
         self.tokens = tokens
         self.pos = 0
+        self.intern = intern
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def node(self, symbol: str, children: tuple[TermTree, ...] = ()) -> TermTree:
+        key = (symbol, *map(id, children))
+        tree = self.intern.get(key)
+        if tree is None:
+            tree = self.intern[key] = TermTree(symbol, children)
+        return tree
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse_expr(self, level: int = 0) -> TermTree:
-        if level >= _APP_LEVEL:
-            return self.parse_application()
-        node = self.parse_expr(level + 1)
+    def parse_expr(self, min_level: int = 0) -> TermTree:
+        """An application, then binary operators binding at min_level or tighter."""
+        node = self.parse_application()
         while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op":
-                break
-            op = tok[1]
-            if _OP_LEVEL.get(op) != level:
-                break
-            self.advance()
-            if _OP_ASSOC[op] == "right":
-                rhs = self.parse_expr(level)
-            else:
-                rhs = self.parse_expr(level + 1)
-            node = TermTree(op, (node, rhs))
-        return node
+            kind, op = self.tokens[self.pos]
+            level = _OP_LEVEL.get(op) if kind == "op" else None
+            if level is None or level < min_level:
+                return node
+            self.pos += 1
+            rhs = self.parse_expr(level if _OP_ASSOC[op] == "right" else level + 1)
+            node = self.node(op, (node, rhs))
 
     def parse_application(self) -> TermTree:
-        parts = [self.parse_atom()]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[0] in ("(", "atom"):
-                parts.append(self.parse_atom())
-            else:
-                break
-        if len(parts) == 1:
-            return parts[0]
-        head = parts[0]
+        head = self.parse_atom()
+        args = []
+        while self.tokens[self.pos][0] in ("(", "atom"):
+            args.append(self.parse_atom())
+        if not args:
+            return head
         if not head.children:
-            return TermTree(head.symbol, tuple(parts[1:]))
-        return TermTree("@", tuple(parts))
+            return self.node(head.symbol, tuple(args))
+        return self.node("@", (head, *args))
 
     def parse_atom(self) -> TermTree:
-        tok = self.peek()
-        if tok is None:
-            raise UnbalancedDelimiters("unexpected end of statement")
-        kind, text = tok
+        tokens = self.tokens
+        kind, text = tokens[self.pos]
         if kind == "atom":
             if text in BINDERS:
                 return self.parse_binder()
-            self.advance()
-            return TermTree(text)
+            self.pos += 1
+            return self.node(text)
         if kind == "(":
-            self.advance()
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == ")":
-                self.advance()
-                return TermTree("()")
-            node = self.parse_expr(0)
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == ":":
-                self.advance()
-                node = TermTree(":", (node, self.parse_expr(0)))
-                nxt = self.peek()
-            if nxt is not None and nxt[0] == ",":
+            self.pos += 1
+            if tokens[self.pos][0] == ")":
+                self.pos += 1
+                return self.node("()")
+            node = self.parse_expr()
+            if tokens[self.pos][0] == ":":
+                self.pos += 1
+                node = self.node(":", (node, self.parse_expr()))
+            if tokens[self.pos][0] == ",":
                 items = [node]
-                while self.peek() is not None and self.peek()[0] == ",":
-                    self.advance()
-                    items.append(self.parse_expr(0))
-                node = TermTree(",", tuple(items))
-            closing = self.peek()
-            if closing is None or closing[0] != ")":
+                while tokens[self.pos][0] == ",":
+                    self.pos += 1
+                    items.append(self.parse_expr())
+                node = self.node(",", tuple(items))
+            if tokens[self.pos][0] != ")":
                 raise UnbalancedDelimiters("missing ')'")
-            self.advance()
+            self.pos += 1
             return node
         if kind == "op" and text in _PREFIX:
-            self.advance()
-            return TermTree(text, (self.parse_expr(_APP_LEVEL),))
+            self.pos += 1
+            return self.node(text, (self.parse_application(),))
+        if kind == "end":
+            raise UnbalancedDelimiters("unexpected end of statement")
         raise UnbalancedDelimiters(f"unexpected {text!r}")
 
     def parse_binder(self) -> TermTree:
-        kw = self.advance()[1]
-        stop_arrow = kw == "fun"
+        tokens = self.tokens
+        kw = tokens[self.pos][1]
+        sep = ("op", "=>") if kw == "fun" else (",", ",")
         depth = 0
-        while True:
-            tok = self.peek()
-            if tok is None:
-                sep = "'=>'" if stop_arrow else "','"
-                raise UnbalancedDelimiters(f"{kw} binder without {sep}")
-            kind, text = tok
-            if depth == 0:
-                if stop_arrow and kind == "op" and text == "=>":
-                    self.advance()
-                    break
-                if not stop_arrow and kind == ",":
-                    self.advance()
-                    break
+        self.pos += 1
+        while (tok := tokens[self.pos]) != sep or depth:
+            kind = tok[0]
+            if kind == "end":
+                raise UnbalancedDelimiters(f"{kw} binder without '{sep[1]}'")
             if kind == "(":
                 depth += 1
             elif kind == ")":
                 if depth == 0:
                     raise UnbalancedDelimiters("unexpected ')' in binder")
                 depth -= 1
-            self.advance()
-        body = self.parse_expr(0)
-        return TermTree(kw, (body,))
+            self.pos += 1
+        self.pos += 1
+        return self.node(kw, (self.parse_expr(),))
 
 
-def parse_term_tree(text: str) -> TermTree:
-    """Parse statement or goal text into a term tree."""
+def parse_term_tree(text: str, intern: dict | None = None) -> TermTree:
+    """Parse statement or goal text into a term tree.
+
+    Trees parsed with the same intern dict share every equal subtree.
+    """
     tokens = _lex(text)
     if not tokens:
         raise EmptyStatement("empty statement")
-    parser = _Parser(tokens)
-    node = parser.parse_expr(0)
-    leftover = parser.peek()
-    if leftover is not None:
-        raise UnbalancedDelimiters(f"trailing {leftover[1]!r} in statement")
+    tokens.append(_END)
+    parser = _Parser(tokens, {} if intern is None else intern)
+    node = parser.parse_expr()
+    kind, leftover = tokens[parser.pos]
+    if kind != "end":
+        raise UnbalancedDelimiters(f"trailing {leftover!r} in statement")
     return node
 
 

@@ -30,6 +30,13 @@ HINT_LIBS = [
 ]
 
 
+def iter_nodes(tree):
+    """Every node of a term tree in preorder, a shared subtree once per reference."""
+    yield tree
+    for child in tree.children:
+        yield from iter_nodes(child)
+
+
 def load_golden(name: str) -> dict:
     return json.loads((GOLDENS / f"{name}.json").read_text())
 

@@ -11,12 +11,14 @@ from proofmine.features import EncodingTable
 from proofmine.script import DuplicateLemmaName, parse_partial
 from proofmine.terms import TermTable
 
-from conftest import FIXTURES, HINT, random_corpus, random_library_source, random_trace_source
+from conftest import (FIXTURES, HINT, iter_nodes, random_corpus, random_library_source,
+                      random_trace_source)
 
-# written by the v1 and v2 code: `extract --lib ssrbool:ssr_bool.v --lib matrix:matrix_trace.jsonl`
+# written by the v1, v2 and v3 code: `extract --lib ssrbool:ssr_bool.v --lib matrix:matrix_trace.jsonl`
 # run inside tests/fixtures, so their source spans name the files relatively
 V1_CORPUS = FIXTURES / "ssr_bool_matrix_v1.corpus"
 V2_CORPUS = FIXTURES / "ssr_bool_matrix_v2.corpus"
+V3_CORPUS = FIXTURES / "ssr_bool_matrix_v3.corpus"
 
 
 def test_ingest_counts_and_tags():
@@ -80,7 +82,7 @@ def test_features_cover_each_lemma_once():
         for step in record.steps:
             for app in step.tactics:
                 assert table.tactic_code(app.name) > 0
-        for node in record.statement.iter_nodes():
+        for node in iter_nodes(record.statement):
             assert table.symbol_code(node.symbol) > 0
 
 
@@ -206,7 +208,7 @@ def test_term_table_stores_each_subtree_once_and_load_shares_it(tmp_path):
     trees = [r.statement for r in records] + [s.goal_before for r in records for s in r.steps]
     objects: dict = {}
     for tree in trees:
-        for node in tree.iter_nodes():
+        for node in iter_nodes(tree):
             objects.setdefault(node, set()).add(id(node))
     assert len(objects) == len(terms)
     assert all(len(ids) == 1 for ids in objects.values())
@@ -233,6 +235,14 @@ def test_v2_corpus_loads_as_ingested(monkeypatch, tmp_path):
     # saving rewrites it as the current format
     save(old, tmp_path / "v3.corpus")
     assert_same_corpus(load(tmp_path / "v3.corpus"), fresh)
+
+
+def test_v3_corpus_loads_as_ingested_and_saves_to_the_same_bytes(monkeypatch, tmp_path):
+    monkeypatch.chdir(FIXTURES)
+    fresh = ingest(["ssr_bool.v", "matrix_trace.jsonl"], ["ssrbool", "matrix"])
+    assert_same_corpus(load(V3_CORPUS), fresh)
+    save(fresh, tmp_path / "v3.corpus")
+    assert (tmp_path / "v3.corpus").read_bytes() == V3_CORPUS.read_bytes()
 
 
 def test_v1_corpus_with_changed_payload_digit_rejected(tmp_path):

@@ -6,9 +6,10 @@ import pytest
 from proofmine.features import (EmptyCorpus, EncodingTable, KIND_CODES, NoProofBody,
                                 build_encoding_table, encode_step, extract_features,
                                 min_max_scale, write_feature_records)
+from proofmine.corpus import load
 from proofmine.script import ArgumentKind, parse_library, parse_trace
 
-from conftest import FIXTURES
+from conftest import FIXTURES, iter_nodes, random_corpus, random_trace_source
 
 PAIR_SRC = (
     "Lemma andbb : idempotent andb.\nProof. by case. Qed.\n"
@@ -53,6 +54,41 @@ def test_table_serialization_preserves_codes():
     clone = EncodingTable.from_dict(table.to_dict())
     assert clone == table
     assert clone.version_hash() == table.version_hash()
+
+
+def build_encoding_table_oracle(records):
+    """The vocabulary walk that visits every node reference, shared or not."""
+    tactics: set[str] = set()
+    symbols: set[str] = set()
+    for record in records:
+        symbols.update(node.symbol for node in iter_nodes(record.statement))
+        for step in record.steps:
+            for app in step.tactics:
+                tactics.add(app.name)
+            if step.goal_before is not None:
+                symbols.update(node.symbol for node in iter_nodes(step.goal_before))
+    return EncodingTable(
+        tactic_codes={name: i for i, name in enumerate(sorted(tactics), start=1)},
+        symbol_codes={sym: i for i, sym in enumerate(sorted(symbols), start=1)},
+    )
+
+
+def corpus_records(corpus):
+    return [r for recs in corpus.libraries.values() for r in recs]
+
+
+def test_table_matches_per_reference_walk_on_random_corpora(tmp_path):
+    rng = np.random.default_rng(11)
+    for trial in range(6):
+        records = corpus_records(random_corpus(rng, tmp_path, tag_prefix=f"t{trial}"))
+        records += parse_trace(random_trace_source(rng, 8, f"q{trial}", "traced"))
+        assert build_encoding_table(records) == build_encoding_table_oracle(records)
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_table_matches_per_reference_walk_on_loaded_fixtures(version):
+    records = corpus_records(load(FIXTURES / f"ssr_bool_matrix_v{version}.corpus"))
+    assert build_encoding_table(records) == build_encoding_table_oracle(records)
 
 
 def test_empty_corpus_rejected():

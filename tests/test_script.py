@@ -6,6 +6,8 @@ from proofmine.script import (ArgumentKind, DuplicateLemmaName, EmptyStep, Malfo
                               ParseError, UnterminatedProof, parse_library,
                               parse_partial, parse_trace, split_sentences, split_steps)
 
+from proofmine.terms import UnbalancedDelimiters, parse_term_tree
+
 from conftest import GOLDEN_SOURCES, compare_with_golden, load_golden
 
 
@@ -344,3 +346,29 @@ def test_trace_rejects_bad_records():
     dup = good + good
     with pytest.raises(ParseError):
         parse_trace(dup)
+
+
+def test_trace_records_keep_first_seen_lemma_order():
+    lines = []
+    for name, idx in [("b", 2), ("a", 1), ("b", 1), ("c", 1), ("a", 2)]:
+        lines.append(json.dumps({"lemma": name, "library": "l", "step_index": idx, "tactic_line": "by [].",
+                                 "goal_before": f"{name}{idx} = x", "subgoals_after": 0}))
+    records = parse_trace("\n".join(lines))
+    assert [r.name for r in records] == ["b", "a", "c"]
+    assert [r.statement.children[0].symbol for r in records] == ["b1", "a1", "c1"]
+    assert [r.source_span.line_start for r in records] == [1, 2, 4]
+
+
+@pytest.mark.parametrize("parse, text, error, message", [
+    (lambda t: split_steps(t, file="a.v"), "move=> x.\nrewrite (foo].", UnbalancedDelimiters,
+     "mismatched ']' at a.v:2"),
+    (lambda t: split_steps(t, file="a.v"), "rewrite {foo.", UnbalancedDelimiters, "unclosed '{' at a.v:1"),
+    (parse_term_tree, "f [a", UnbalancedDelimiters, "unclosed '['"),
+    (parse_term_tree, "f [a)]", UnbalancedDelimiters, "mismatched ')'"),
+    (lambda t: parse_library(t, "l", filename="b.v"), "Lemma x : f [a.\nProof. by []. Qed.",
+     MalformedStatement, "b.v:1: bad statement for x: unclosed '['"),
+])
+def test_unbalanced_group_messages(parse, text, error, message):
+    with pytest.raises(error) as err:
+        parse(text)
+    assert str(err.value) == message

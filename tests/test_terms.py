@@ -1,9 +1,16 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from proofmine.terms import (EmptyStatement, TermTable, TermTree, UnbalancedDelimiters,
+from proofmine.script import (LEMMA_KEYWORDS, _first_word, _parse_header, parse_library, parse_partial,
+                              parse_trace, split_sentences)
+from proofmine.terms import (_APP_LEVEL, _OP_ASSOC, _OP_LEVEL, _PREFIX, BINDERS, OPERATOR_LEVELS,
+                             EmptyStatement, TermError, TermTable, TermTree, UnbalancedDelimiters, _lex,
                              format_term, parse_term_tree, read_term_table)
+
+from conftest import FIXTURES, HINT, iter_nodes, random_library_source, random_trace_source
 
 
 def leaf(sym):
@@ -126,7 +133,7 @@ def test_node_count_bounded_by_length():
         "x",
     ]
     for text in samples:
-        assert sum(1 for _ in parse_term_tree(text).iter_nodes()) <= len(text)
+        assert sum(1 for _ in iter_nodes(parse_term_tree(text))) <= len(text)
 
 
 REPRINT_SAMPLES = [
@@ -162,3 +169,232 @@ def test_serialization_round_trip():
     # the nested form that corpus formats v1 and v2 stored
     nested = {"symbol": "forall", "children": [{"symbol": "g"}]}
     assert TermTree.from_dict(nested) == TermTree("forall", (TermTree("g"),))
+
+
+# ---------------------------------------------------------------------------
+# the parser against the eight-level recursive descent it replaced
+
+
+class _OracleParser:
+    def __init__(self, tokens: list[tuple[str, str]]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def parse_expr(self, level: int = 0) -> TermTree:
+        if level >= _APP_LEVEL:
+            return self.parse_application()
+        node = self.parse_expr(level + 1)
+        while True:
+            tok = self.peek()
+            if tok is None or tok[0] != "op":
+                break
+            op = tok[1]
+            if _OP_LEVEL.get(op) != level:
+                break
+            self.advance()
+            if _OP_ASSOC[op] == "right":
+                rhs = self.parse_expr(level)
+            else:
+                rhs = self.parse_expr(level + 1)
+            node = TermTree(op, (node, rhs))
+        return node
+
+    def parse_application(self) -> TermTree:
+        parts = [self.parse_atom()]
+        while True:
+            tok = self.peek()
+            if tok is not None and tok[0] in ("(", "atom"):
+                parts.append(self.parse_atom())
+            else:
+                break
+        if len(parts) == 1:
+            return parts[0]
+        head = parts[0]
+        if not head.children:
+            return TermTree(head.symbol, tuple(parts[1:]))
+        return TermTree("@", tuple(parts))
+
+    def parse_atom(self) -> TermTree:
+        tok = self.peek()
+        if tok is None:
+            raise UnbalancedDelimiters("unexpected end of statement")
+        kind, text = tok
+        if kind == "atom":
+            if text in BINDERS:
+                return self.parse_binder()
+            self.advance()
+            return TermTree(text)
+        if kind == "(":
+            self.advance()
+            nxt = self.peek()
+            if nxt is not None and nxt[0] == ")":
+                self.advance()
+                return TermTree("()")
+            node = self.parse_expr(0)
+            nxt = self.peek()
+            if nxt is not None and nxt[0] == ":":
+                self.advance()
+                node = TermTree(":", (node, self.parse_expr(0)))
+                nxt = self.peek()
+            if nxt is not None and nxt[0] == ",":
+                items = [node]
+                while self.peek() is not None and self.peek()[0] == ",":
+                    self.advance()
+                    items.append(self.parse_expr(0))
+                node = TermTree(",", tuple(items))
+            closing = self.peek()
+            if closing is None or closing[0] != ")":
+                raise UnbalancedDelimiters("missing ')'")
+            self.advance()
+            return node
+        if kind == "op" and text in _PREFIX:
+            self.advance()
+            return TermTree(text, (self.parse_expr(_APP_LEVEL),))
+        raise UnbalancedDelimiters(f"unexpected {text!r}")
+
+    def parse_binder(self) -> TermTree:
+        kw = self.advance()[1]
+        stop_arrow = kw == "fun"
+        depth = 0
+        while True:
+            tok = self.peek()
+            if tok is None:
+                sep = "'=>'" if stop_arrow else "','"
+                raise UnbalancedDelimiters(f"{kw} binder without {sep}")
+            kind, text = tok
+            if depth == 0:
+                if stop_arrow and kind == "op" and text == "=>":
+                    self.advance()
+                    break
+                if not stop_arrow and kind == ",":
+                    self.advance()
+                    break
+            if kind == "(":
+                depth += 1
+            elif kind == ")":
+                if depth == 0:
+                    raise UnbalancedDelimiters("unexpected ')' in binder")
+                depth -= 1
+            self.advance()
+        body = self.parse_expr(0)
+        return TermTree(kw, (body,))
+
+
+def oracle_parse_term_tree(text: str) -> TermTree:
+    """The parser before precedence climbing and interning."""
+    tokens = _lex(text)
+    if not tokens:
+        raise EmptyStatement("empty statement")
+    parser = _OracleParser(tokens)
+    node = parser.parse_expr(0)
+    leftover = parser.peek()
+    if leftover is not None:
+        raise UnbalancedDelimiters(f"trailing {leftover[1]!r} in statement")
+    return node
+
+
+def outcome(parse, text):
+    """The tree parse returns for text, or the class and message of the error it raises."""
+    try:
+        return parse(text)
+    except TermError as exc:
+        return type(exc), str(exc)
+
+
+def assert_parses_like_oracle(texts):
+    intern: dict = {}  # shared, as a file's texts share one
+    for text in texts:
+        got = outcome(lambda t: parse_term_tree(t, intern), text)
+        assert got == outcome(oracle_parse_term_tree, text), text
+
+
+def statement_texts(source):
+    return [_parse_header(sen, "<source>")[1] for sen in split_sentences(source)
+            if _first_word(sen.text) in LEMMA_KEYWORDS]
+
+
+def goal_texts(trace):
+    return [json.loads(line)["goal_before"] for line in trace.splitlines() if line.strip()]
+
+
+SOURCES = sorted(FIXTURES.glob("*.v")) + sorted(HINT.glob("*.v"))
+TRACES = sorted(FIXTURES.glob("*.jsonl"))
+
+
+def test_parser_matches_oracle_on_fixture_statements_and_goals():
+    texts = [t for p in SOURCES for t in statement_texts(p.read_text())]
+    texts += [t for p in TRACES for t in goal_texts(p.read_text())]
+    assert len(texts) > 80
+    assert_parses_like_oracle(texts)
+
+
+def test_parser_matches_oracle_on_random_sources():
+    rng = np.random.default_rng(5)
+    for trial in range(4):
+        assert_parses_like_oracle(statement_texts(random_library_source(rng, 12, f"r{trial}")))
+        assert_parses_like_oracle(goal_texts(random_trace_source(rng, 12, f"t{trial}", "lib")))
+
+
+SOUP = st.sampled_from(
+    ["a", "f", "x1", "n`!", "m.+1", "0%Z", "Finite.axiom", "[:: a; b]", "{x}", "_",
+     "(", ")", "()", ",", ":", ":=", "=>", "~", "@", "]", "}", "[", "{", "\\in", "*m", ";"]
+    + list(BINDERS) + [op for ops in OPERATOR_LEVELS for op in ops])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(SOUP, max_size=30).map(" ".join), min_size=1, max_size=4))
+def test_parser_matches_oracle_on_token_soup(texts):
+    assert_parses_like_oracle(texts)
+
+
+ATOMS = st.sampled_from(["a", "b", "f", "n`!", "m.+1", "0%Z", "[:: a; b]", "_"])
+WELL_FORMED = st.recursive(ATOMS, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from([op for ops in OPERATOR_LEVELS for op in ops]), inner).map(" ".join),
+    st.lists(inner, min_size=2, max_size=3).map(" ".join),
+    st.lists(inner, min_size=1, max_size=3).map(lambda items: "(" + ", ".join(items) + ")"),
+    st.tuples(inner, inner).map(lambda pair: f"({pair[0]} : {pair[1]})"),
+    st.sampled_from(["forall x y, ", "exists (x : T), ", "fun x => ", "- ", "~ "]).flatmap(
+        lambda prefix: inner.map(lambda body: prefix + body)),
+), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(WELL_FORMED, min_size=1, max_size=4))
+def test_parser_matches_oracle_on_well_formed_terms(texts):
+    assert_parses_like_oracle(texts)
+
+
+def assert_equal_subtrees_shared(records):
+    trees = [r.statement for r in records] + [s.goal_before for r in records for s in r.steps
+                                              if s.goal_before is not None]
+    objects: dict = {}
+    for tree in trees:
+        for node in iter_nodes(tree):
+            objects.setdefault(node, node)
+            assert objects[node] is node
+
+
+@pytest.mark.parametrize("path", SOURCES + TRACES, ids=lambda p: p.name)
+def test_equal_subtrees_of_one_file_are_one_object(path):
+    source = path.read_text()
+    if path.suffix == ".jsonl":
+        records = parse_trace(source)
+    elif path.name.startswith("hint_query"):
+        records = [parse_partial(source)]
+    else:
+        records = parse_library(source, "lib")
+    assert_equal_subtrees_shared(records)
+
+
+def test_equal_subtrees_of_random_sources_are_one_object():
+    rng = np.random.default_rng(6)
+    assert_equal_subtrees_shared(parse_library(random_library_source(rng, 20, "s"), "lib"))
+    assert_equal_subtrees_shared(parse_trace(random_trace_source(rng, 20, "t", "lib")))
