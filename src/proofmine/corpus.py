@@ -3,6 +3,9 @@
 A corpus file ("proofmine corpus v3") is a JSON header line holding the format
 tag and the sha256 checksum of the payload bytes, then the canonical JSON
 payload: the patch length, a term table and the lemma records of each library.
+A record is {name, statement, steps, library, source_span: {file, line_start,
+line_end}}; a step is {index, tactics, goal_before, subgoals_after} and a tactic
+{name, arguments: [{text, kind}]}.
 The term table lists each distinct term subtree once as [symbol, child_id, ...],
 children before parents; an id is a position in that list.  A record's
 statement and step goals are ids (a goal may be null), and loading builds one
@@ -21,15 +24,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .features import (EmptyCorpus, EncodingTable, FeatureDatabase, build_encoding_table,
-                       extract_features, min_max_scale, PATCH_LEN, SLOTS_PER_STEP)
-from .script import DuplicateLemmaName, LemmaRecord, looks_like_trace, parse_library, parse_trace
-from .terms import TermTable, TermTree, read_term_table
+from .features import (EncodingTable, FeatureDatabase, build_encoding_table, extract_features,
+                       min_max_scale, PATCH_LEN, SLOTS_PER_STEP)
+from .script import (ArgumentKind, ArgumentToken, DuplicateLemmaName, LemmaRecord, ProofStep,
+                     SourceSpan, TacticApplication, looks_like_trace, parse_library, parse_trace)
+from .terms import TermTree
 
 CORPUS_FORMAT = "proofmine corpus v3"
 CORPUS_FORMAT_V2 = "proofmine corpus v2"
@@ -42,6 +47,10 @@ class VersionMismatch(ValueError):
 
 
 class CorruptFile(ValueError):
+    pass
+
+
+class EmptyCorpus(ValueError):
     pass
 
 
@@ -61,7 +70,7 @@ class Corpus:
             raise ValueError(f"patch_len must be a positive integer, got {self.patch_len!r}")
         records = sorted((r for recs in self.libraries.values() for r in recs), key=lambda r: r.name)
         # an empty corpus gets an empty vocabulary, so every query token encodes as 0
-        self.table = build_encoding_table(records) if records else EncodingTable({}, {})
+        self.table = build_encoding_table(records)
         self.names = [r.name for r in records]
         rows = [extract_features(r, self.table, self.patch_len) for r in records]
         self.raw = np.array(rows, dtype=np.float64).reshape(len(rows), SLOTS_PER_STEP * self.patch_len)
@@ -132,13 +141,105 @@ def database_with_query(corpus: Corpus, query: LemmaRecord) -> FeatureDatabase:
 # persistence
 
 
+class TermTable:
+    """Each distinct subtree once, children before parents, as format v3 stores it.
+
+    An entry is (symbol, child_id, ...) and an id is a position in `entries`.
+    Trees are memoised by object identity, so they must outlive the table.
+    """
+
+    def __init__(self) -> None:
+        self.entries: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+        self._seen: dict[int, int] = {}
+
+    def add(self, tree: TermTree) -> int:
+        """The id of tree's entry, adding entries for it and its subtrees as needed."""
+        tid = self._seen.get(id(tree))
+        if tid is None:
+            # keyed on child ids: hashing a TermTree would recurse through it
+            key = (tree.symbol, *map(self.add, tree.children))
+            tid = self._ids.setdefault(key, len(self.entries))
+            if tid == len(self.entries):
+                self.entries.append(key)
+            self._seen[id(tree)] = tid
+        return tid
+
+
+def read_term_table(entries) -> Callable[[object], TermTree]:
+    """Decode a stored term table into a lookup from id to one shared tree per entry.
+
+    Ids are ints (not bools); a child id must be below its entry's position and
+    a looked-up id below the table length.  Anything else raises ValueError.
+    """
+    if not isinstance(entries, list):
+        raise ValueError("term table must be a list")
+    trees: list[TermTree] = []
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, list) or not entry or not isinstance(entry[0], str):
+            raise ValueError(f"term {pos} is not [symbol, child_id, ...]")
+        kids = entry[1:]
+        for k in kids:
+            if type(k) is not int or not 0 <= k < pos:
+                raise ValueError(f"term {pos} has child id {k!r} outside 0..{pos - 1}")
+        trees.append(TermTree(entry[0], tuple(map(trees.__getitem__, kids))))
+
+    def lookup(tid) -> TermTree:
+        if type(tid) is not int or not 0 <= tid < len(trees):
+            raise ValueError(f"term id {tid!r} outside 0..{len(trees) - 1}")
+        return trees[tid]
+
+    return lookup
+
+
+def read_nested_term(data: dict) -> TermTree:
+    """Decode the nested {"symbol", "children"} term of formats v1 and v2."""
+    return TermTree(data["symbol"], tuple(map(read_nested_term, data.get("children", ()))))
+
+
+def encode_record(record: LemmaRecord, term: Callable[[TermTree], object]) -> dict:
+    """A JSON-ready dict; term gives the stored form of each term tree."""
+    return {
+        "name": record.name,
+        "statement": term(record.statement),
+        "steps": [{
+            "index": step.index,
+            "tactics": [{"name": app.name,
+                         "arguments": [{"text": arg.text, "kind": arg.kind.value} for arg in app.arguments]}
+                        for app in step.tactics],
+            "goal_before": None if step.goal_before is None else term(step.goal_before),
+            "subgoals_after": step.subgoals_after,
+        } for step in record.steps],
+        "library": record.library,
+        "source_span": {"file": record.source_span.file, "line_start": record.source_span.line_start,
+                        "line_end": record.source_span.line_end},
+    }
+
+
+def decode_record(data: dict, term: Callable[[object], TermTree]) -> LemmaRecord:
+    """Inverse of encode_record; term turns a stored term back into a tree."""
+    span = data["source_span"]
+    steps = tuple(ProofStep(
+        index=step["index"],
+        tactics=tuple(TacticApplication(app["name"], tuple(
+            ArgumentToken(arg["text"], ArgumentKind(arg["kind"])) for arg in app.get("arguments", ())))
+            for app in step["tactics"]),
+        goal_before=None if step.get("goal_before") is None else term(step["goal_before"]),
+        subgoals_after=step.get("subgoals_after"),
+    ) for step in data["steps"])
+    return LemmaRecord(name=data["name"], statement=term(data["statement"]), steps=steps,
+                       library=data["library"],
+                       source_span=SourceSpan(span["file"], span["line_start"], span["line_end"]))
+
+
 def _canonical(payload) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def save(corpus: Corpus, path: str | Path) -> None:
     terms = TermTable()
-    libraries = {tag: [r.to_dict(terms.add) for r in records] for tag, records in corpus.libraries.items()}
+    libraries = {tag: [encode_record(r, terms.add) for r in records]
+                 for tag, records in corpus.libraries.items()}
     payload = _canonical({"patch_len": corpus.patch_len, "terms": terms.entries, "libraries": libraries})
     header = {"format": CORPUS_FORMAT, "checksum": hashlib.sha256(payload).hexdigest()}
     Path(path).write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
@@ -164,8 +265,8 @@ def load(path: str | Path) -> Corpus:
         raise CorruptFile(f"{path}: checksum mismatch")
     try:
         data = json.loads(payload)
-        term = read_term_table(data["terms"]) if version == CORPUS_FORMAT else TermTree.from_dict
-        libraries = {tag: [LemmaRecord.from_dict(r, term) for r in records]
+        term = read_term_table(data["terms"]) if version == CORPUS_FORMAT else read_nested_term
+        libraries = {tag: [decode_record(r, term) for r in records]
                      for tag, records in data["libraries"].items()}
         return Corpus(libraries, data.get("patch_len", PATCH_LEN))
     except (LookupError, TypeError, ValueError, AttributeError, RecursionError) as exc:

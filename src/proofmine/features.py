@@ -36,10 +36,6 @@ _RELATED_KINDS = (ArgumentKind.HYPOTHESIS, ArgumentKind.EXTERNAL_LEMMA)
 _MAX_FOLDED_ARGS = 6
 
 
-class EmptyCorpus(ValueError):
-    pass
-
-
 class NoProofBody(ValueError):
     pass
 
@@ -70,14 +66,6 @@ class EncodingTable:
             "kind_codes": dict(self.kind_codes),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EncodingTable":
-        return cls(
-            tactic_codes=dict(data["tactic_codes"]),
-            symbol_codes=dict(data["symbol_codes"]),
-            kind_codes=dict(data["kind_codes"]),
-        )
-
 
 @dataclass
 class FeatureDatabase:
@@ -89,9 +77,7 @@ class FeatureDatabase:
 
 
 def build_encoding_table(records: list[LemmaRecord]) -> EncodingTable:
-    """Collect tactic and goal-symbol vocabularies over a whole corpus."""
-    if not records:
-        raise EmptyCorpus("cannot build an encoding table from an empty corpus")
+    """Collect tactic and goal-symbol vocabularies over a whole corpus (empty for no records)."""
     tactics: set[str] = set()
     trees = []
     for record in records:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -60,26 +60,11 @@ class ArgumentToken:
     text: str
     kind: ArgumentKind
 
-    def to_dict(self) -> dict:
-        return {"text": self.text, "kind": self.kind.value}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArgumentToken":
-        return cls(data["text"], ArgumentKind(data["kind"]))
-
 
 @dataclass(frozen=True)
 class TacticApplication:
     name: str
     arguments: tuple[ArgumentToken, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "arguments": [a.to_dict() for a in self.arguments]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TacticApplication":
-        args = tuple(ArgumentToken.from_dict(a) for a in data.get("arguments", ()))
-        return cls(data["name"], args)
 
 
 @dataclass(frozen=True)
@@ -89,37 +74,12 @@ class ProofStep:
     goal_before: TermTree | None = None
     subgoals_after: int | None = None
 
-    def to_dict(self, encode_term: Callable[[TermTree], object]) -> dict:
-        return {
-            "index": self.index,
-            "tactics": [t.to_dict() for t in self.tactics],
-            "goal_before": None if self.goal_before is None else encode_term(self.goal_before),
-            "subgoals_after": self.subgoals_after,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, decode_term: Callable[[object], TermTree]) -> "ProofStep":
-        goal = data.get("goal_before")
-        return cls(
-            index=data["index"],
-            tactics=tuple(TacticApplication.from_dict(t) for t in data["tactics"]),
-            goal_before=None if goal is None else decode_term(goal),
-            subgoals_after=data.get("subgoals_after"),
-        )
-
 
 @dataclass(frozen=True)
 class SourceSpan:
     file: str
     line_start: int
     line_end: int
-
-    def to_dict(self) -> dict:
-        return {"file": self.file, "line_start": self.line_start, "line_end": self.line_end}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SourceSpan":
-        return cls(data["file"], data["line_start"], data["line_end"])
 
 
 @dataclass(frozen=True)
@@ -129,27 +89,6 @@ class LemmaRecord:
     steps: tuple[ProofStep, ...]
     library: str
     source_span: SourceSpan
-
-    def to_dict(self, encode_term: Callable[[TermTree], object]) -> dict:
-        """A JSON-ready dict; encode_term gives the stored form of each term tree."""
-        return {
-            "name": self.name,
-            "statement": encode_term(self.statement),
-            "steps": [s.to_dict(encode_term) for s in self.steps],
-            "library": self.library,
-            "source_span": self.source_span.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, decode_term: Callable[[object], TermTree]) -> "LemmaRecord":
-        """Inverse of to_dict; decode_term turns a stored term back into a tree."""
-        return cls(
-            name=data["name"],
-            statement=decode_term(data["statement"]),
-            steps=tuple(ProofStep.from_dict(s, decode_term) for s in data["steps"]),
-            library=data["library"],
-            source_span=SourceSpan.from_dict(data["source_span"]),
-        )
 
 
 LEMMA_KEYWORDS = frozenset({"Lemma", "Theorem", "Corollary", "Fact"})
@@ -433,29 +372,64 @@ def _parse_segment(tokens: list[_Tok], ctx: _ProofContext, *, file: str, line: i
     return [app]
 
 
-def _steps_from_sentences(sentences: list[Sentence], ctx: _ProofContext, file: str) -> list[ProofStep]:
-    steps: list[ProofStep] = []
-    for idx, sen in enumerate(sentences, start=1):
-        tokens = _lex_step_tokens(sen.text, file=file, line=sen.line_start)
-        if not tokens:
-            raise EmptyStep("proof step without tokens", file=file, line=sen.line_start)
-        apps: list[TacticApplication] = []
-        for segment in _split_on_semis(tokens):
-            if not segment:
-                raise EmptyStep("empty tactic between ';'", file=file, line=sen.line_start)
-            apps.extend(_parse_segment(segment, ctx, file=file, line=sen.line_start))
-        steps.append(ProofStep(index=idx, tactics=tuple(apps)))
-    return steps
+def _tactics(text: str, ctx: _ProofContext, empty_message: str, *,
+             file: str, line: int) -> tuple[TacticApplication, ...]:
+    """The tactic applications of one command line; empty_message if it has no tokens."""
+    tokens = _lex_step_tokens(text, file=file, line=line)
+    if not tokens:
+        raise EmptyStep(empty_message, file=file, line=line)
+    apps: list[TacticApplication] = []
+    for segment in _split_on_semis(tokens):
+        if not segment:
+            raise EmptyStep("empty tactic between ';'", file=file, line=line)
+        apps.extend(_parse_segment(segment, ctx, file=file, line=line))
+    return tuple(apps)
+
+
+def _steps_from_sentences(sentences: list[Sentence], file: str) -> list[ProofStep]:
+    ctx = _ProofContext()
+    return [ProofStep(idx, _tactics(sen.text, ctx, "proof step without tokens",
+                                    file=file, line=sen.line_start))
+            for idx, sen in enumerate(sentences, start=1)]
 
 
 def split_steps(proof_body: str, *, file: str = "<input>") -> list[ProofStep]:
     """Parse a proof body (without `Proof.`/`Qed.`) into classified steps."""
-    sentences = split_sentences(proof_body)
-    return _steps_from_sentences(sentences, _ProofContext(), file)
+    return _steps_from_sentences(split_sentences(proof_body), file)
 
 
 # ---------------------------------------------------------------------------
 # vernacular files
+
+
+def _lemmas(sentences: list[Sentence]) -> Iterator[tuple[Sentence, list[Sentence], Sentence | None]]:
+    """Each lemma sentence with its body and its closing sentence, or None if it has none.
+
+    A body runs up to a closer or the next lemma sentence; a `Proof.` right
+    after the lemma sentence is not part of it.  Sentences outside lemmas
+    (imports, definitions, ...) are skipped.
+    """
+    i, n = 0, len(sentences)
+    while i < n:
+        sen = sentences[i]
+        i += 1
+        if _first_word(sen.text) not in LEMMA_KEYWORDS:
+            continue
+        if i < n and _first_word(sentences[i].text) == "Proof":
+            i += 1
+        body: list[Sentence] = []
+        closer = None
+        while i < n:
+            nxt = sentences[i]
+            word = _first_word(nxt.text)
+            if word in LEMMA_KEYWORDS:
+                break
+            i += 1
+            if word in PROOF_CLOSERS and word == nxt.text:
+                closer = nxt
+                break
+            body.append(nxt)
+        yield sen, body, closer
 
 
 def _parse_header(sentence: Sentence, file: str) -> tuple[str, str]:
@@ -494,6 +468,15 @@ def _statement_tree(name: str, statement_text: str, intern: dict, *, file: str, 
         raise MalformedStatement(f"bad statement for {name}: {exc}", file=file, line=line) from exc
 
 
+def _record(name: str, statement: TermTree, body: list[Sentence], library: str, file: str,
+            line_start: int, line_end: int) -> LemmaRecord:
+    """A lemma record whose first step's goal is the statement."""
+    steps = _steps_from_sentences(body, file)
+    if steps:
+        steps[0] = replace(steps[0], goal_before=statement)
+    return LemmaRecord(name, statement, tuple(steps), library, SourceSpan(file, line_start, line_end))
+
+
 def parse_library(source: str, library_tag: str, *, filename: str = "<string>") -> list[LemmaRecord]:
     """Extract every proved lemma from vernacular source text.
 
@@ -502,87 +485,32 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>") 
     """
     if not library_tag:
         raise ValueError("library_tag must be non-empty")
-    sentences = split_sentences(source)
     records: list[LemmaRecord] = []
     seen: set[str] = set()
     intern: dict = {}  # one per file, so equal subterms of its statements are shared
-    i = 0
-    while i < len(sentences):
-        sen = sentences[i]
-        if _first_word(sen.text) not in LEMMA_KEYWORDS:
-            i += 1
-            continue
+    for sen, body, closer in _lemmas(split_sentences(source)):
         name, statement_text = _parse_header(sen, filename)
         if name in seen:
             raise DuplicateLemmaName(f"duplicate lemma {name}", file=filename, line=sen.line_start)
-        statement = _statement_tree(name, statement_text, intern, file=filename, line=sen.line_start)
-        i += 1
-        if i < len(sentences) and _first_word(sentences[i].text) == "Proof":
-            i += 1
-        body: list[Sentence] = []
-        end_line = sen.line_end
-        closed = False
-        while i < len(sentences):
-            nxt = sentences[i]
-            word = _first_word(nxt.text)
-            if word in PROOF_CLOSERS and word == nxt.text:
-                closed = True
-                end_line = nxt.line_end
-                i += 1
-                break
-            if word in LEMMA_KEYWORDS:
-                break
-            body.append(nxt)
-            i += 1
-        if not closed:
-            raise UnterminatedProof(f"proof of {name} never closed", file=filename, line=sen.line_start)
-        steps = _steps_from_sentences(body, _ProofContext(), filename)
-        if steps:
-            steps[0] = replace(steps[0], goal_before=statement)
-        records.append(LemmaRecord(
-            name=name,
-            statement=statement,
-            steps=tuple(steps),
-            library=library_tag,
-            source_span=SourceSpan(filename, sen.line_start, end_line),
-        ))
         seen.add(name)
+        statement = _statement_tree(name, statement_text, intern, file=filename, line=sen.line_start)
+        if closer is None:
+            raise UnterminatedProof(f"proof of {name} never closed", file=filename, line=sen.line_start)
+        records.append(_record(name, statement, body, library_tag, filename, sen.line_start, closer.line_end))
     return records
 
 
 def parse_partial(source: str, *, filename: str = "<query>", library_tag: str = "query") -> LemmaRecord:
-    """Lenient parse of an unfinished proof: statement plus at least one step; no closer needed."""
-    sentences = split_sentences(source)
-    i = 0
-    while i < len(sentences) and _first_word(sentences[i].text) not in LEMMA_KEYWORDS:
-        i += 1
-    if i == len(sentences):
+    """Lenient parse of an unfinished proof: its first lemma with at least one step; no closer needed."""
+    lemma = next(_lemmas(split_sentences(source)), None)
+    if lemma is None:
         raise MalformedStatement("no lemma statement found", file=filename)
-    sen = sentences[i]
+    sen, body, _ = lemma
     name, statement_text = _parse_header(sen, filename)
     statement = _statement_tree(name, statement_text, {}, file=filename, line=sen.line_start)
-    i += 1
-    if i < len(sentences) and _first_word(sentences[i].text) == "Proof":
-        i += 1
-    body: list[Sentence] = []
-    end_line = sen.line_end
-    for nxt in sentences[i:]:
-        word = _first_word(nxt.text)
-        if word in PROOF_CLOSERS and word == nxt.text:
-            break
-        body.append(nxt)
-        end_line = nxt.line_end
     if not body:
         raise MalformedStatement(f"partial proof of {name} has no steps", file=filename, line=sen.line_start)
-    steps = _steps_from_sentences(body, _ProofContext(), filename)
-    steps[0] = replace(steps[0], goal_before=statement)
-    return LemmaRecord(
-        name=name,
-        statement=statement,
-        steps=tuple(steps),
-        library=library_tag,
-        source_span=SourceSpan(filename, sen.line_start, end_line),
-    )
+    return _record(name, statement, body, library_tag, filename, sen.line_start, body[-1].line_end)
 
 
 # ---------------------------------------------------------------------------
@@ -635,18 +563,11 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
             text = tactic_line.strip()
             if text.endswith("."):
                 text = text[:-1]
-            tokens = _lex_step_tokens(text, file=filename, line=line_no)
-            if not tokens:
-                raise EmptyStep(f"empty tactic_line for {name}", file=filename, line=line_no)
-            apps: list[TacticApplication] = []
-            for segment in _split_on_semis(tokens):
-                if not segment:
-                    raise EmptyStep("empty tactic between ';'", file=filename, line=line_no)
-                apps.extend(_parse_segment(segment, ctx, file=filename, line=line_no))
+            apps = _tactics(text, ctx, f"empty tactic_line for {name}", file=filename, line=line_no)
             goal = _statement_tree(name, goal_text, intern, file=filename, line=line_no)
             if statement is None:
                 statement = goal
-            steps.append(ProofStep(new_index, tuple(apps), goal_before=goal, subgoals_after=subgoals))
+            steps.append(ProofStep(new_index, apps, goal_before=goal, subgoals_after=subgoals))
         records.append(LemmaRecord(
             name=name,
             statement=statement,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 
@@ -34,63 +33,6 @@ class TermTree:
         first = self.children[0].symbol if self.children else None
         second = self.children[1].symbol if len(self.children) > 1 else None
         return self.symbol, first, second
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TermTree":
-        """Decode the nested {"symbol", "children"} form of corpus formats v1 and v2."""
-        kids = tuple(cls.from_dict(c) for c in data.get("children", ()))
-        return cls(data["symbol"], kids)
-
-
-class TermTable:
-    """Each distinct subtree once, children before parents, as corpus format v3 stores it.
-
-    An entry is (symbol, child_id, ...) and an id is a position in `entries`.
-    Trees are memoised by object identity, so they must outlive the table.
-    """
-
-    def __init__(self) -> None:
-        self.entries: list[tuple] = []
-        self._ids: dict[tuple, int] = {}
-        self._seen: dict[int, int] = {}
-
-    def add(self, tree: TermTree) -> int:
-        """The id of tree's entry, adding entries for it and its subtrees as needed."""
-        tid = self._seen.get(id(tree))
-        if tid is None:
-            # keyed on child ids: hashing a TermTree would recurse through it
-            key = (tree.symbol, *map(self.add, tree.children))
-            tid = self._ids.setdefault(key, len(self.entries))
-            if tid == len(self.entries):
-                self.entries.append(key)
-            self._seen[id(tree)] = tid
-        return tid
-
-
-def read_term_table(entries) -> Callable[[object], TermTree]:
-    """Decode a stored term table into a lookup from id to one shared tree per entry.
-
-    Ids are ints (not bools); a child id must be below its entry's position and
-    a looked-up id below the table length.  Anything else raises ValueError.
-    """
-    if not isinstance(entries, list):
-        raise ValueError("term table must be a list")
-    trees: list[TermTree] = []
-    for pos, entry in enumerate(entries):
-        if not isinstance(entry, list) or not entry or not isinstance(entry[0], str):
-            raise ValueError(f"term {pos} is not [symbol, child_id, ...]")
-        kids = entry[1:]
-        for k in kids:
-            if type(k) is not int or not 0 <= k < pos:
-                raise ValueError(f"term {pos} has child id {k!r} outside 0..{pos - 1}")
-        trees.append(TermTree(entry[0], tuple(map(trees.__getitem__, kids))))
-
-    def lookup(tid) -> TermTree:
-        if type(tid) is not int or not 0 <= tid < len(trees):
-            raise ValueError(f"term id {tid!r} outside 0..{len(trees) - 1}")
-        return trees[tid]
-
-    return lookup
 
 
 BINDERS = ("forall", "exists", "fun")
@@ -342,7 +284,11 @@ def parse_term_tree(text: str, intern: dict | None = None) -> TermTree:
         raise EmptyStatement("empty statement")
     tokens.append(_END)
     parser = _Parser(tokens, {} if intern is None else intern)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        # a few hundred nesting levels exhaust the interpreter stack
+        raise TermError("statement nested too deeply") from None
     kind, leftover = tokens[parser.pos]
     if kind != "end":
         raise UnbalancedDelimiters(f"trailing {leftover!r} in statement")

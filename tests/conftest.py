@@ -2,8 +2,13 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings, strategies as st
 
 from proofmine import Corpus, ingest
+
+# every run tries the same examples, so a failure reproduces without a saved database
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = FIXTURES / "goldens"
@@ -135,3 +140,43 @@ def paper_corpus() -> Corpus:
     paths = [GOLDEN_SOURCES[k] for k in ("ssr_bool", "ssr_fintype", "ssr_nat", "ssr_seq")]
     tags = ["ssrbool", "fintype", "ssrnat", "seq"]
     return ingest(paths, tags)
+
+
+# every input file the parsers read, grouped as libraries, the trace and the hint queries
+PARSER_INPUT_GROUPS = (
+    sorted(FIXTURES.glob("*.v")) + [p for _, p in HINT_LIBS],
+    [FIXTURES / "matrix_trace.jsonl"],
+    sorted(HINT.glob("hint_query*.v")),
+)
+PARSER_INPUTS = [path for group in PARSER_INPUT_GROUPS for path in group]
+
+_SNIPPETS = [
+    ".", ". ", "\n", " ", "Qed.", "Defined.", "Proof.", "Lemma dup : x = x.", "Theorem", ":", ";",
+    "=>", "(", ")", "[", "]", "{", "}", "(*", "*)", '"', ",", "->", "forall", "by", "elim", "0",
+    "-1", "true", "null", '"step_index": 0', "\\", "\u00e9",
+]
+
+
+@st.composite
+def mutated(draw, source: str) -> str:
+    """source after one to four deletions, insertions, replacements or duplications of a slice."""
+    text = source
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 40)))
+        op = draw(st.sampled_from(("delete", "insert", "replace", "duplicate")))
+        if op == "delete":
+            text = text[:i] + text[j:]
+        elif op == "insert":
+            text = text[:i] + draw(st.sampled_from(_SNIPPETS)) + text[i:]
+        elif op == "replace":
+            text = text[:i] + draw(st.sampled_from(_SNIPPETS)) + text[j:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+def mutated_inputs():
+    """(path, mutated text) for a fixture input file; each group is drawn equally often."""
+    paths = st.one_of(*map(st.sampled_from, PARSER_INPUT_GROUPS))
+    return paths.flatmap(lambda path: st.tuples(st.just(path), mutated(path.read_text(encoding="utf-8"))))

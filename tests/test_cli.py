@@ -1,11 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from proofmine.cli import main
 from proofmine.corpus import load
 
-from conftest import FIXTURES, GOLDENS, HINT, HINT_LIBS
+from conftest import FIXTURES, GOLDENS, HINT, HINT_LIBS, mutated_inputs
 
 FIXTURE_LIBS = [f"--lib={p.stem}:{p}" for p in sorted(FIXTURES.glob("*.v"))]
 
@@ -239,3 +240,29 @@ def test_cluster_report_matches_golden(tmp_path, capsys):
     assert main(["cluster", "--corpus", str(corpus), "--out", str(tmp_path / "d"),
                  "--runs", "3", "--seed", "7"]) == 0
     assert capsys.readouterr().out == (GOLDENS / "cluster_runs3_seed7.txt").read_text()
+
+
+@pytest.mark.parametrize("depth, code", [(300, 0), (400, 2), (2000, 2)])
+def test_deeply_nested_statement_is_a_parse_error(corpus_file, tmp_path, depth, code):
+    statement = "(" * depth + "x" + ")" * depth
+    library = tmp_path / "deep.v"
+    library.write_text(f"Lemma deep : {statement}.\nProof. by []. Qed.\n")
+    assert main(extract_args(tmp_path / "c.corpus", [("deep", library)])) == code
+    query = tmp_path / "query.v"
+    query.write_text(f"Lemma deep : {statement}.\nProof. by [].\n")
+    assert main(["hint", "--corpus", str(corpus_file), "--query", str(query), "--runs", "2"]) == code
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_inputs())
+def test_mutated_inputs_end_in_a_documented_exit_code(corpus_file, fuzz_dir, case):
+    path, text = case
+    mutant = fuzz_dir / f"mutant{path.suffix}"
+    mutant.write_text(text, encoding="utf-8")
+    assert main(extract_args(fuzz_dir / "c.corpus", [("fuzz", mutant)])) in (0, 2, 3, 4)
+    assert main(["hint", "--corpus", str(corpus_file), "--query", str(mutant), "--runs", "2"]) in (0, 2, 3, 4)

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from proofmine.cli import main
-from proofmine.corpus import (CORPUS_FORMAT, CorruptFile, VersionMismatch, database_with_query,
-                              ingest, load, save)
-from proofmine.features import EncodingTable
+from proofmine.corpus import (CORPUS_FORMAT, CorruptFile, TermTable, VersionMismatch,
+                              database_with_query, encode_record, ingest, load, save)
 from proofmine.script import DuplicateLemmaName, parse_partial
-from proofmine.terms import TermTable
 
 from conftest import (FIXTURES, HINT, iter_nodes, random_corpus, random_library_source,
                       random_trace_source)
@@ -221,7 +219,7 @@ def test_v1_corpus_loads_as_ingested(monkeypatch):
     assert_same_corpus(old, fresh)
     # the table and vectors the v1 file stored are the ones derived on load
     stored = json.loads(V1_CORPUS.read_text())["payload"]
-    assert EncodingTable.from_dict(stored["table"]) == old.table
+    assert stored["table"] == old.table.to_dict()
     assert [stored["features"][n]["raw"] for n in old.names] == old.raw.tolist()
     scaled = [stored["features"][n]["scaled"] for n in old.names]
     assert scaled == old.feature_database().matrix.tolist()
@@ -262,7 +260,7 @@ def _write_checked(path, body: bytes) -> None:
 
 
 _TERMS = TermTable()
-_RECORDS = [r.to_dict(_TERMS.add)
+_RECORDS = [encode_record(r, _TERMS.add)
             for r in ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"]).libraries["ssrbool"]]
 _ENTRIES = _TERMS.entries
 

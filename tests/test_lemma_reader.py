@@ -1,0 +1,290 @@
+"""The three parsers against the lemma walks they replaced.
+
+The parsers before the shared lemma reader are copied below verbatim (renamed
+with an `oracle` prefix) and share the module's sentence, header and tactic
+helpers.  Every input must give equal records, or the same exception class
+and message.  The one intended difference: in `parse_partial` a lemma sentence
+after the first lemma and before any closer now ends the body, where the old
+walk read it as a tactic named after its keyword.
+"""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from proofmine.script import (_TRACE_FIELDS, LEMMA_KEYWORDS, PROOF_CLOSERS, DuplicateLemmaName,
+                              EmptyStep, LemmaRecord, MalformedStatement, ParseError, ProofStep,
+                              Sentence, SourceSpan, TacticApplication, UnterminatedProof, _first_word,
+                              _lex_step_tokens, _parse_header, _parse_segment, _ProofContext,
+                              _split_on_semis, _statement_tree, parse_library, parse_partial,
+                              parse_trace, split_sentences)
+from proofmine.terms import TermTree
+
+from conftest import PARSER_INPUTS, mutated_inputs, random_library_source, random_trace_source
+
+
+def oracle_steps_from_sentences(sentences: list[Sentence], ctx: _ProofContext, file: str) -> list[ProofStep]:
+    steps: list[ProofStep] = []
+    for idx, sen in enumerate(sentences, start=1):
+        tokens = _lex_step_tokens(sen.text, file=file, line=sen.line_start)
+        if not tokens:
+            raise EmptyStep("proof step without tokens", file=file, line=sen.line_start)
+        apps: list[TacticApplication] = []
+        for segment in _split_on_semis(tokens):
+            if not segment:
+                raise EmptyStep("empty tactic between ';'", file=file, line=sen.line_start)
+            apps.extend(_parse_segment(segment, ctx, file=file, line=sen.line_start))
+        steps.append(ProofStep(index=idx, tactics=tuple(apps)))
+    return steps
+
+
+def oracle_parse_library(source: str, library_tag: str, *, filename: str = "<string>") -> list[LemmaRecord]:
+    """Extract every proved lemma from vernacular source text.
+
+    Sentences that are not lemma statements, proof steps, or proof delimiters
+    (imports, definitions, ...) are skipped.
+    """
+    if not library_tag:
+        raise ValueError("library_tag must be non-empty")
+    sentences = split_sentences(source)
+    records: list[LemmaRecord] = []
+    seen: set[str] = set()
+    intern: dict = {}  # one per file, so equal subterms of its statements are shared
+    i = 0
+    while i < len(sentences):
+        sen = sentences[i]
+        if _first_word(sen.text) not in LEMMA_KEYWORDS:
+            i += 1
+            continue
+        name, statement_text = _parse_header(sen, filename)
+        if name in seen:
+            raise DuplicateLemmaName(f"duplicate lemma {name}", file=filename, line=sen.line_start)
+        statement = _statement_tree(name, statement_text, intern, file=filename, line=sen.line_start)
+        i += 1
+        if i < len(sentences) and _first_word(sentences[i].text) == "Proof":
+            i += 1
+        body: list[Sentence] = []
+        end_line = sen.line_end
+        closed = False
+        while i < len(sentences):
+            nxt = sentences[i]
+            word = _first_word(nxt.text)
+            if word in PROOF_CLOSERS and word == nxt.text:
+                closed = True
+                end_line = nxt.line_end
+                i += 1
+                break
+            if word in LEMMA_KEYWORDS:
+                break
+            body.append(nxt)
+            i += 1
+        if not closed:
+            raise UnterminatedProof(f"proof of {name} never closed", file=filename, line=sen.line_start)
+        steps = oracle_steps_from_sentences(body, _ProofContext(), filename)
+        if steps:
+            steps[0] = replace(steps[0], goal_before=statement)
+        records.append(LemmaRecord(
+            name=name,
+            statement=statement,
+            steps=tuple(steps),
+            library=library_tag,
+            source_span=SourceSpan(filename, sen.line_start, end_line),
+        ))
+        seen.add(name)
+    return records
+
+
+def oracle_parse_partial(source: str, *, filename: str = "<query>", library_tag: str = "query") -> LemmaRecord:
+    """Lenient parse of an unfinished proof: statement plus at least one step; no closer needed."""
+    sentences = split_sentences(source)
+    i = 0
+    while i < len(sentences) and _first_word(sentences[i].text) not in LEMMA_KEYWORDS:
+        i += 1
+    if i == len(sentences):
+        raise MalformedStatement("no lemma statement found", file=filename)
+    sen = sentences[i]
+    name, statement_text = _parse_header(sen, filename)
+    statement = _statement_tree(name, statement_text, {}, file=filename, line=sen.line_start)
+    i += 1
+    if i < len(sentences) and _first_word(sentences[i].text) == "Proof":
+        i += 1
+    body: list[Sentence] = []
+    end_line = sen.line_end
+    for nxt in sentences[i:]:
+        word = _first_word(nxt.text)
+        if word in PROOF_CLOSERS and word == nxt.text:
+            break
+        body.append(nxt)
+        end_line = nxt.line_end
+    if not body:
+        raise MalformedStatement(f"partial proof of {name} has no steps", file=filename, line=sen.line_start)
+    steps = oracle_steps_from_sentences(body, _ProofContext(), filename)
+    steps[0] = replace(steps[0], goal_before=statement)
+    return LemmaRecord(
+        name=name,
+        statement=statement,
+        steps=tuple(steps),
+        library=library_tag,
+        source_span=SourceSpan(filename, sen.line_start, end_line),
+    )
+
+
+def oracle_parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
+    """Read per-step trace records with goal text and subgoal counts."""
+    per_lemma: dict[str, dict] = {}  # in first-seen order
+    for line_no, raw in enumerate(source.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad trace record: {exc}", file=filename, line=line_no)
+        if not isinstance(obj, dict):
+            raise ParseError("trace record must be a JSON object", file=filename, line=line_no)
+        for field, kind in _TRACE_FIELDS.items():
+            if field not in obj:
+                raise ParseError(f"trace record missing {field!r}", file=filename, line=line_no)
+            # bool is an int subclass; true must not read as step 1
+            if not isinstance(obj[field], kind) or isinstance(obj[field], bool):
+                raise ParseError(f"{field} must be of type {kind.__name__}", file=filename, line=line_no)
+        name = obj["lemma"]
+        idx = obj["step_index"]
+        if idx < 1:
+            raise ParseError("step_index must be a positive integer", file=filename, line=line_no)
+        if obj["subgoals_after"] < 0:
+            raise ParseError("subgoals_after must be a non-negative integer", file=filename, line=line_no)
+        entry = per_lemma.setdefault(name, {"library": obj["library"], "steps": {}, "lines": []})
+        if obj["library"] != entry["library"]:
+            raise ParseError(f"conflicting library tags for {name}", file=filename, line=line_no)
+        if idx in entry["steps"]:
+            raise ParseError(f"duplicate step {idx} for {name}", file=filename, line=line_no)
+        entry["steps"][idx] = (obj["tactic_line"], obj["goal_before"], obj["subgoals_after"], line_no)
+        entry["lines"].append(line_no)
+
+    records: list[LemmaRecord] = []
+    intern: dict = {}  # one per file, so equal subterms of its goals are shared
+    for name, entry in per_lemma.items():
+        ctx = _ProofContext()
+        steps: list[ProofStep] = []
+        statement: TermTree | None = None
+        for new_index, idx in enumerate(sorted(entry["steps"]), start=1):
+            tactic_line, goal_text, subgoals, line_no = entry["steps"][idx]
+            text = tactic_line.strip()
+            if text.endswith("."):
+                text = text[:-1]
+            tokens = _lex_step_tokens(text, file=filename, line=line_no)
+            if not tokens:
+                raise EmptyStep(f"empty tactic_line for {name}", file=filename, line=line_no)
+            apps: list[TacticApplication] = []
+            for segment in _split_on_semis(tokens):
+                if not segment:
+                    raise EmptyStep("empty tactic between ';'", file=filename, line=line_no)
+                apps.extend(_parse_segment(segment, ctx, file=filename, line=line_no))
+            goal = _statement_tree(name, goal_text, intern, file=filename, line=line_no)
+            if statement is None:
+                statement = goal
+            steps.append(ProofStep(new_index, tuple(apps), goal_before=goal, subgoals_after=subgoals))
+        records.append(LemmaRecord(
+            name=name,
+            statement=statement,
+            steps=tuple(steps),
+            library=entry["library"],
+            source_span=SourceSpan(filename, min(entry["lines"]), max(entry["lines"])),
+        ))
+    return records
+
+
+def outcome(parse, *args, **kwargs):
+    """The records parse returns, or the class and message of what it raises."""
+    try:
+        return parse(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def continues_into_next_lemma(source: str) -> bool:
+    """Whether a lemma sentence follows the first lemma before any closer."""
+    words = [(_first_word(sen.text), sen.text) for sen in split_sentences(source)]
+    starts = [i for i, (word, _) in enumerate(words) if word in LEMMA_KEYWORDS]
+    for word, text in words[starts[0] + 1:] if starts else ():
+        if word in PROOF_CLOSERS and word == text:
+            return False
+        if word in LEMMA_KEYWORDS:
+            return True
+    return False
+
+
+def assert_parsers_match_oracles(source: str, filename: str) -> None:
+    assert (outcome(parse_library, source, "lib", filename=filename)
+            == outcome(oracle_parse_library, source, "lib", filename=filename))
+    assert (outcome(parse_trace, source, filename=filename)
+            == outcome(oracle_parse_trace, source, filename=filename))
+    if not continues_into_next_lemma(source):
+        assert (outcome(parse_partial, source, filename=filename)
+                == outcome(oracle_parse_partial, source, filename=filename))
+
+
+@pytest.mark.parametrize("path", PARSER_INPUTS, ids=lambda p: p.name)
+def test_parsers_match_oracles_on_fixtures(path):
+    assert_parsers_match_oracles(path.read_text(encoding="utf-8"), str(path))
+
+
+def _trace_line(**changes) -> str:
+    record = {"lemma": "t", "library": "l", "step_index": 1, "tactic_line": "by [].",
+              "goal_before": "x = x", "subgoals_after": 0, **changes}
+    return json.dumps(record) + "\n"
+
+
+EDGE_SOURCES = {
+    "duplicate with a bad statement": "Lemma a : x.\nProof. by []. Qed.\nLemma a : (x.\nProof. by []. Qed.\n",
+    "duplicate never closed": "Lemma a : x.\nProof. by []. Qed.\nLemma a : x.\nProof. by [].\n",
+    "bad statement never closed": "Lemma a : (x.\nProof. by [].\n",
+    "closer right after the statement": "Lemma a : x. Qed.\nLemma b : y.\nby []. Defined.\n",
+    "closer with an argument": "Lemma a : x.\nProof. by []. Qed foo. Qed.\n",
+    "empty step": "Lemma a : x.\nProof. by []. . Qed.\n",
+    "empty tactic between semicolons": "Lemma a : x.\nProof. move=> H;; by []. Qed.\n",
+    "two Proof sentences": "Lemma a : x.\nProof. Proof. by []. Qed.\n",
+    "no lemma": "Definition d := 1.\nQed.\n",
+    "nameless lemma": "Lemma : x.\nProof. by []. Qed.\n",
+    "empty trace tactic line": _trace_line(tactic_line=" . "),
+    "trace semicolons": _trace_line(tactic_line="move=> H; ; by []."),
+    "trace bad goal": _trace_line(goal_before="(x"),
+    "trace empty goal": _trace_line(tactic_line="by []", goal_before=""),
+    "trace two steps": _trace_line(step_index=2, tactic_line="elim: n => [|n IH].") + _trace_line(),
+}
+
+
+@pytest.mark.parametrize("source", EDGE_SOURCES.values(), ids=EDGE_SOURCES.keys())
+def test_parsers_match_oracles_on_edge_sources(source):
+    assert_parsers_match_oracles(source, "edge.v")
+
+
+def test_parsers_match_oracles_on_random_sources():
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        assert_parsers_match_oracles(random_library_source(rng, 12, f"r{trial}"), "r.v")
+        assert_parsers_match_oracles(random_trace_source(rng, 12, f"t{trial}", "traced"), "t.jsonl")
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_inputs())
+def test_parsers_match_oracles_on_mutated_sources(case):
+    path, source = case
+    assert_parsers_match_oracles(source, path.name)
+
+
+def test_partial_body_ends_at_the_next_lemma_sentence():
+    source = "Lemma first : a = a.\nProof. by [].\nLemma second : b = b.\nProof. by case. Qed.\n"
+    assert continues_into_next_lemma(source)
+    record = parse_partial(source)
+    assert [[app.name for app in step.tactics] for step in record.steps] == [["by"]]
+    assert record.source_span.line_end == 2
+    # the old walk read the next lemma sentence as a step
+    old = oracle_parse_partial(source)
+    assert [[app.name for app in step.tactics] for step in old.steps] == [
+        ["by"], ["Lemma"], ["Proof"], ["by", "case"]]
+    with pytest.raises(MalformedStatement, match="partial proof of first has no steps"):
+        parse_partial("Lemma first : a = a.\nLemma second : b = b.\nProof. by []. Qed.\n")

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from proofmine.script import (LEMMA_KEYWORDS, _first_word, _parse_header, parse_library, parse_partial,
                               parse_trace, split_sentences)
+from proofmine.corpus import TermTable, read_nested_term, read_term_table
 from proofmine.terms import (_APP_LEVEL, _OP_ASSOC, _OP_LEVEL, _PREFIX, BINDERS, OPERATOR_LEVELS,
-                             EmptyStatement, TermError, TermTable, TermTree, UnbalancedDelimiters, _lex,
-                             format_term, parse_term_tree, read_term_table)
+                             EmptyStatement, TermError, TermTree, UnbalancedDelimiters, _lex,
+                             format_term, parse_term_tree)
 
 from conftest import FIXTURES, HINT, iter_nodes, random_library_source, random_trace_source
 
@@ -168,7 +169,7 @@ def test_serialization_round_trip():
     assert read_term_table(entries)(tid) == tree
     # the nested form that corpus formats v1 and v2 stored
     nested = {"symbol": "forall", "children": [{"symbol": "g"}]}
-    assert TermTree.from_dict(nested) == TermTree("forall", (TermTree("g"),))
+    assert read_nested_term(nested) == TermTree("forall", (TermTree("g"),))
 
 
 # ---------------------------------------------------------------------------
