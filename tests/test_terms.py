@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proofmine.corpus import TermTable, read_nested_term, read_term_table
 from proofmine.script import (LEMMA_KEYWORDS, _first_word, _parse_header, parse_library, parse_partial,
                               parse_trace, split_sentences)
-from proofmine.corpus import TermTable, read_nested_term, read_term_table
 from proofmine.terms import (_APP_LEVEL, _OP_ASSOC, _OP_LEVEL, _PREFIX, BINDERS, OPERATOR_LEVELS,
                              EmptyStatement, TermError, TermTree, UnbalancedDelimiters, _lex,
                              format_term, parse_term_tree)
