@@ -144,13 +144,13 @@ def database_with_query(corpus: Corpus, query: LemmaRecord) -> FeatureDatabase:
 class TermTable:
     """Each distinct subtree once, children before parents, as format v3 stores it.
 
-    An entry is (symbol, child_id, ...) and an id is a position in `entries`.
-    Trees are memoised by object identity, so they must outlive the table.
+    `ids` maps each entry (symbol, child_id, ...) to its id, its position in
+    the dict's insertion order, so `list(ids)` is the stored table.  Trees are
+    memoised by object identity, so they must outlive the table.
     """
 
     def __init__(self) -> None:
-        self.entries: list[tuple] = []
-        self._ids: dict[tuple, int] = {}
+        self.ids: dict[tuple, int] = {}
         self._seen: dict[int, int] = {}
 
     def add(self, tree: TermTree) -> int:
@@ -159,10 +159,7 @@ class TermTable:
         if tid is None:
             # keyed on child ids: hashing a TermTree would recurse through it
             key = (tree.symbol, *map(self.add, tree.children))
-            tid = self._ids.setdefault(key, len(self.entries))
-            if tid == len(self.entries):
-                self.entries.append(key)
-            self._seen[id(tree)] = tid
+            tid = self._seen[id(tree)] = self.ids.setdefault(key, len(self.ids))
         return tid
 
 
@@ -240,7 +237,7 @@ def save(corpus: Corpus, path: str | Path) -> None:
     terms = TermTable()
     libraries = {tag: [encode_record(r, terms.add) for r in records]
                  for tag, records in corpus.libraries.items()}
-    payload = _canonical({"patch_len": corpus.patch_len, "terms": terms.entries, "libraries": libraries})
+    payload = _canonical({"patch_len": corpus.patch_len, "terms": list(terms.ids), "libraries": libraries})
     header = {"format": CORPUS_FORMAT, "checksum": hashlib.sha256(payload).hexdigest()}
     Path(path).write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
@@ -249,7 +246,7 @@ def load(path: str | Path) -> Corpus:
     first, _, rest = Path(path).read_bytes().partition(b"\n")
     try:
         header = json.loads(first)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise CorruptFile(f"{path}: not parseable as JSON ({exc})") from exc
     if not isinstance(header, dict) or "format" not in header:
         raise CorruptFile(f"{path}: missing format header")
@@ -269,5 +266,5 @@ def load(path: str | Path) -> Corpus:
         libraries = {tag: [decode_record(r, term) for r in records]
                      for tag, records in data["libraries"].items()}
         return Corpus(libraries, data.get("patch_len", PATCH_LEN))
-    except (LookupError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError, RecursionError, OverflowError) as exc:
         raise CorruptFile(f"{path}: malformed payload ({exc!r})") from exc

@@ -160,17 +160,17 @@ def run_digest(db: FeatureDatabase, cfg: DigestConfig) -> list[ConsensusCluster]
     for component in components_at(co_matrix, cfg.frequency_threshold):
         if len(component) < 2:
             continue
-        pair_rates = [co_matrix[a, b] for pos, a in enumerate(component)
-                      for b in component[pos + 1:]]
+        frequency = float(np.mean([co_matrix[a, b] for pos, a in enumerate(component)
+                                   for b in component[pos + 1:]]))
         # loosely chained components can average below the threshold even
         # though every edge clears it; those are not frequent enough to show
-        if float(np.mean(pair_rates)) < cfg.frequency_threshold - 1e-12:
+        if frequency < cfg.frequency_threshold - 1e-12:
             continue
         proximities = _member_proximities(component, labels_runs, proximity_runs)
         members = tuple(sorted(db.names[i] for i in component))
         clusters.append(ConsensusCluster(
             members=members,
-            frequency=float(np.mean(pair_rates)),
+            frequency=frequency,
             member_proximity={db.names[i]: proximities[i] for i in component},
             homogeneity=classify_homogeneity(members, db.libraries),
         ))
@@ -214,7 +214,10 @@ def write_digest(path: str | Path, doc: dict) -> None:
 
 def read_digest(path: str | Path) -> dict:
     """Load a digest file, checking the fields a report reads and their types."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: not a {DIGEST_FORMAT} file (nested too deeply)") from None
     if not isinstance(doc, dict) or doc.get("format") != DIGEST_FORMAT:
         raise ValueError(f"{path}: not a {DIGEST_FORMAT} file")
 

@@ -3,8 +3,10 @@
 Covered forms: `Lemma|Theorem|Corollary|Fact <name> <binders> : <statement>.`
 followed by an optional `Proof.` sentinel, dot-terminated tactic command lines,
 and a `Qed.`/`Defined.` closer.  Command lines may compose tactics with `;`,
-`by tac` closers, `=>` intro patterns, and `:` discharge lists.  Tactics outside
-the known set parse as opaque applications with best-effort argument lexing.
+`by tac` closers, `=>` intro patterns, and `:` discharge lists.  Every tactic
+name parses the same way: a leading identifier, then arguments lexed into
+words and bracket groups and classified by their shape and the names the
+proof has introduced so far.
 
 A second input format carries one JSON object per line with per-step goal text
 and subgoal counts ("proofmine trace v1"); see parse_trace.
@@ -94,12 +96,6 @@ class LemmaRecord:
 LEMMA_KEYWORDS = frozenset({"Lemma", "Theorem", "Corollary", "Fact"})
 PROOF_CLOSERS = frozenset({"Qed", "Defined"})
 WILDCARD_TOKENS = frozenset({"_", "//", "//=", "/="})
-
-KNOWN_TACTICS = frozenset({
-    "move", "case", "elim", "apply", "rewrite", "exists", "exact", "intro",
-    "intros", "split", "by", "unfold", "induction", "destruct", "simpl",
-    "trivial", "tauto", "contradiction", "auto",
-})
 
 _INDUCTION_TACTICS = frozenset({"elim", "induction"})
 _INTRO_TACTICS = frozenset({"intro", "intros"})
@@ -196,57 +192,44 @@ def _first_word(text: str) -> str | None:
 # tactic command-line lexer
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "unit" | "semi" | "colon" | "arrow"
-    text: str
+def _lex_segments(text: str, *, file: str, line: int) -> list[list[tuple[str, str]]]:
+    """The ';'-separated segments of a command line, as (kind, text) tokens.
 
-
-def _lex_step_tokens(text: str, *, file: str, line: int) -> list[_Tok]:
-    tokens: list[_Tok] = []
+    Kinds: ':', '=>' and 'unit', a run of other characters that keeps each
+    bracket group whole.  The whole line is lexed before any segment is read,
+    so a delimiter error anywhere in it wins over every other error.
+    """
+    segments: list[list[tuple[str, str]]] = [[]]
     i, n = 0, len(text)
     while i < n:
         c = text[i]
         if c.isspace():
             i += 1
-            continue
-        if c == ";":
-            tokens.append(_Tok("semi", ";"))
-            i += 1
-            continue
-        if c == ":":
-            tokens.append(_Tok("colon", ":"))
-            i += 1
-            continue
-        if c == "=" and text[i + 1:i + 2] == ">":
-            tokens.append(_Tok("arrow", "=>"))
-            i += 2
-            continue
-        if c in ")]}":
-            raise UnbalancedDelimiters(f"stray {c!r} at {file}:{line}")
-        j = i
-        while j < n:
-            cj = text[j]
-            if cj in "([{":
-                j = group_end(text, j, f" at {file}:{line}")
-                continue
-            if cj.isspace() or cj in ";:)]}":
-                break
-            if cj == "=" and text[j + 1:j + 2] == ">":
-                break
-            j += 1
-        tokens.append(_Tok("unit", text[i:j]))
-        i = j
-    return tokens
-
-
-def _split_on_semis(tokens: list[_Tok]) -> list[list[_Tok]]:
-    segments: list[list[_Tok]] = [[]]
-    for tok in tokens:
-        if tok.kind == "semi":
+        elif c == ";":
             segments.append([])
+            i += 1
+        elif c == ":":
+            segments[-1].append((":", ":"))
+            i += 1
+        elif c == "=" and text[i + 1:i + 2] == ">":
+            segments[-1].append(("=>", "=>"))
+            i += 2
+        elif c in ")]}":
+            raise UnbalancedDelimiters(f"stray {c!r} at {file}:{line}")
         else:
-            segments[-1].append(tok)
+            j = i
+            while j < n:
+                cj = text[j]
+                if cj in "([{":
+                    j = group_end(text, j, f" at {file}:{line}")
+                    continue
+                if cj.isspace() or cj in ";:)]}":
+                    break
+                if cj == "=" and text[j + 1:j + 2] == ">":
+                    break
+                j += 1
+            segments[-1].append(("unit", text[i:j]))
+            i = j
     return segments
 
 
@@ -324,65 +307,43 @@ def _intro_names(texts: list[str]) -> list[str]:
     return names
 
 
-def _register_introductions(app: TacticApplication, ctx: _ProofContext) -> None:
-    intro_texts = [a.text for a in app.arguments if a.kind is ArgumentKind.INTRO_PATTERN]
-    if not intro_texts:
-        return
-    target = ctx.inductive_names if app.name in _INDUCTION_TACTICS else ctx.hypothesis_names
-    target.update(_intro_names(intro_texts))
-
-
-def _build_arguments(name: str, tokens: list[_Tok], ctx: _ProofContext) -> tuple[ArgumentToken, ...]:
+def _arguments(name: str, tokens: list[tuple[str, str]], ctx: _ProofContext) -> tuple[ArgumentToken, ...]:
+    """Classify a tactic's argument tokens, then register the names its intro patterns bind."""
     args: list[ArgumentToken] = []
     zone = name in _INTRO_TACTICS
-    for tok in tokens:
-        if tok.kind == "colon":
-            continue
-        if tok.kind == "arrow":
+    for kind, text in tokens:
+        if kind == "=>":
             zone = True
-            continue
-        if tok.kind != "unit":
-            continue
-        if not zone and tok.text in _CONNECTIVE_WORDS:
-            continue
-        kind = _classify_token(tok.text, ctx, intro_zone=zone)
-        args.append(ArgumentToken(tok.text, kind))
+        elif kind == "unit" and (zone or text not in _CONNECTIVE_WORDS):
+            args.append(ArgumentToken(text, _classify_token(text, ctx, intro_zone=zone)))
+    target = ctx.inductive_names if name in _INDUCTION_TACTICS else ctx.hypothesis_names
+    target.update(_intro_names([a.text for a in args if a.kind is ArgumentKind.INTRO_PATTERN]))
     return tuple(args)
-
-
-def _parse_segment(tokens: list[_Tok], ctx: _ProofContext, *, file: str, line: int) -> list[TacticApplication]:
-    first = tokens[0]
-    if first.kind != "unit":
-        raise MalformedStatement(f"tactic expected, got {first.text!r}", file=file, line=line)
-    if first.text == "by":
-        rest = tokens[1:]
-        if rest and rest[0].kind == "unit" and _IDENT_RE.match(rest[0].text) and rest[0].text != "by":
-            return [TacticApplication("by")] + _parse_segment(rest, ctx, file=file, line=line)
-        app = TacticApplication("by", _build_arguments("by", rest, ctx))
-        _register_introductions(app, ctx)
-        return [app]
-    m = _IDENT_RE.match(first.text)
-    if not m:
-        raise MalformedStatement(f"tactic expected, got {first.text!r}", file=file, line=line)
-    name = m.group(0)
-    leftover = first.text[m.end():]
-    arg_tokens = ([_Tok("unit", leftover)] if leftover else []) + tokens[1:]
-    app = TacticApplication(name, _build_arguments(name, arg_tokens, ctx))
-    _register_introductions(app, ctx)
-    return [app]
 
 
 def _tactics(text: str, ctx: _ProofContext, empty_message: str, *,
              file: str, line: int) -> tuple[TacticApplication, ...]:
     """The tactic applications of one command line; empty_message if it has no tokens."""
-    tokens = _lex_step_tokens(text, file=file, line=line)
-    if not tokens:
+    segments = _lex_segments(text, file=file, line=line)
+    if segments == [[]]:
         raise EmptyStep(empty_message, file=file, line=line)
     apps: list[TacticApplication] = []
-    for segment in _split_on_semis(tokens):
-        if not segment:
+    for tokens in segments:
+        if not tokens:
             raise EmptyStep("empty tactic between ';'", file=file, line=line)
-        apps.extend(_parse_segment(segment, ctx, file=file, line=line))
+        # `by tac args` reads as a bare `by`, then `tac args`
+        while (tokens[0] == ("unit", "by") and len(tokens) > 1 and tokens[1][0] == "unit"
+               and tokens[1][1] != "by" and _IDENT_RE.match(tokens[1][1])):
+            apps.append(TacticApplication("by"))
+            tokens = tokens[1:]
+        kind, first = tokens[0]
+        m = _IDENT_RE.match(first) if kind == "unit" else None
+        if m is None:
+            raise MalformedStatement(f"tactic expected, got {first!r}", file=file, line=line)
+        name, rest = m.group(0), tokens[1:]
+        if m.end() < len(first):  # `apply/view` is `apply` with the argument `/view`
+            rest = [("unit", first[m.end():])] + rest
+        apps.append(TacticApplication(name, _arguments(name, rest, ctx)))
     return tuple(apps)
 
 
@@ -391,11 +352,6 @@ def _steps_from_sentences(sentences: list[Sentence], file: str) -> list[ProofSte
     return [ProofStep(idx, _tactics(sen.text, ctx, "proof step without tokens",
                                     file=file, line=sen.line_start))
             for idx, sen in enumerate(sentences, start=1)]
-
-
-def split_steps(proof_body: str, *, file: str = "<input>") -> list[ProofStep]:
-    """Parse a proof body (without `Proof.`/`Qed.`) into classified steps."""
-    return _steps_from_sentences(split_sentences(proof_body), file)
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +478,13 @@ _TRACE_FIELDS = {"lemma": str, "library": str, "step_index": int, "tactic_line":
 
 def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
     """Read per-step trace records with goal text and subgoal counts."""
-    per_lemma: dict[str, dict] = {}  # in first-seen order
+    per_lemma: dict[str, tuple[str, dict]] = {}  # name -> (library, steps by index), in first-seen order
     for line_no, raw in enumerate(source.splitlines(), start=1):
         if not raw.strip():
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ParseError(f"bad trace record: {exc}", file=filename, line=line_no)
         if not isinstance(obj, dict):
             raise ParseError("trace record must be a JSON object", file=filename, line=line_no)
@@ -544,22 +500,21 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
             raise ParseError("step_index must be a positive integer", file=filename, line=line_no)
         if obj["subgoals_after"] < 0:
             raise ParseError("subgoals_after must be a non-negative integer", file=filename, line=line_no)
-        entry = per_lemma.setdefault(name, {"library": obj["library"], "steps": {}, "lines": []})
-        if obj["library"] != entry["library"]:
+        library, by_index = per_lemma.setdefault(name, (obj["library"], {}))
+        if obj["library"] != library:
             raise ParseError(f"conflicting library tags for {name}", file=filename, line=line_no)
-        if idx in entry["steps"]:
+        if idx in by_index:
             raise ParseError(f"duplicate step {idx} for {name}", file=filename, line=line_no)
-        entry["steps"][idx] = (obj["tactic_line"], obj["goal_before"], obj["subgoals_after"], line_no)
-        entry["lines"].append(line_no)
+        by_index[idx] = (obj["tactic_line"], obj["goal_before"], obj["subgoals_after"], line_no)
 
     records: list[LemmaRecord] = []
     intern: dict = {}  # one per file, so equal subterms of its goals are shared
-    for name, entry in per_lemma.items():
+    for name, (library, by_index) in per_lemma.items():
         ctx = _ProofContext()
         steps: list[ProofStep] = []
         statement: TermTree | None = None
-        for new_index, idx in enumerate(sorted(entry["steps"]), start=1):
-            tactic_line, goal_text, subgoals, line_no = entry["steps"][idx]
+        for new_index, idx in enumerate(sorted(by_index), start=1):
+            tactic_line, goal_text, subgoals, line_no = by_index[idx]
             text = tactic_line.strip()
             if text.endswith("."):
                 text = text[:-1]
@@ -568,13 +523,9 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
             if statement is None:
                 statement = goal
             steps.append(ProofStep(new_index, apps, goal_before=goal, subgoals_after=subgoals))
-        records.append(LemmaRecord(
-            name=name,
-            statement=statement,
-            steps=tuple(steps),
-            library=entry["library"],
-            source_span=SourceSpan(filename, min(entry["lines"]), max(entry["lines"])),
-        ))
+        lines = [line_no for *_, line_no in by_index.values()]
+        records.append(LemmaRecord(name, statement, tuple(steps), library,
+                                   SourceSpan(filename, min(lines), max(lines))))
     return records
 
 

@@ -48,8 +48,6 @@ OPERATOR_LEVELS: tuple[dict[str, str], ...] = (
     {"*": "left", "*m": "left", "/": "left"},
     {"^": "right"},
 )
-_APP_LEVEL = len(OPERATOR_LEVELS)
-_ATOM_LEVEL = _APP_LEVEL + 1
 _OP_LEVEL = {op: lvl for lvl, ops in enumerate(OPERATOR_LEVELS) for op in ops}
 _OP_ASSOC = {op: assoc for ops in OPERATOR_LEVELS for op, assoc in ops.items()}
 _PREFIX = ("-", "~")
@@ -293,58 +291,3 @@ def parse_term_tree(text: str, intern: dict | None = None) -> TermTree:
     if kind != "end":
         raise UnbalancedDelimiters(f"trailing {leftover!r} in statement")
     return node
-
-
-def _node_level(node: TermTree) -> int:
-    if node.symbol in BINDERS and len(node.children) == 1:
-        return -1
-    if node.symbol == "," and node.children:
-        return _ATOM_LEVEL
-    if node.symbol == ":" and len(node.children) == 2:
-        return _ATOM_LEVEL
-    if node.symbol in _PREFIX and len(node.children) == 1:
-        return _APP_LEVEL
-    if node.symbol in _OP_LEVEL and len(node.children) == 2:
-        return _OP_LEVEL[node.symbol]
-    if node.children:
-        return _APP_LEVEL
-    return _ATOM_LEVEL
-
-
-def _app_operand(node: TermTree) -> str:
-    rendered = format_term(node)
-    return rendered if _node_level(node) >= _ATOM_LEVEL else f"({rendered})"
-
-
-def format_term(node: TermTree) -> str:
-    """Render a tree so that parse(format(t)) == t; binder names print as '_'."""
-    sym = node.symbol
-    if sym in BINDERS and len(node.children) == 1:
-        body = format_term(node.children[0])
-        return f"fun _ => {body}" if sym == "fun" else f"{sym} _, {body}"
-    if sym == "," and node.children:
-        return "(" + ", ".join(format_term(c) for c in node.children) + ")"
-    if sym == ":" and len(node.children) == 2:
-        return f"({format_term(node.children[0])} : {format_term(node.children[1])})"
-    if sym in _PREFIX and len(node.children) == 1:
-        child = node.children[0]
-        inner = format_term(child)
-        if _node_level(child) < _APP_LEVEL:
-            inner = f"({inner})"
-        return f"{sym} {inner}"
-    if sym in _OP_LEVEL and len(node.children) == 2:
-        lvl = _OP_LEVEL[sym]
-        assoc = _OP_ASSOC[sym]
-        left, right = node.children
-        rendered_l = format_term(left)
-        rendered_r = format_term(right)
-        if _node_level(left) < lvl or (_node_level(left) == lvl and assoc == "right"):
-            rendered_l = f"({rendered_l})"
-        if _node_level(right) < lvl or (_node_level(right) == lvl and assoc == "left"):
-            rendered_r = f"({rendered_r})"
-        return f"{rendered_l} {sym} {rendered_r}"
-    if node.children:
-        if sym == "@":
-            return " ".join(_app_operand(c) for c in node.children)
-        return " ".join([sym] + [_app_operand(c) for c in node.children])
-    return sym

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from proofmine import Corpus, ingest
+from proofmine.terms import _OP_ASSOC, _OP_LEVEL, _PREFIX, BINDERS, OPERATOR_LEVELS, TermTree
 
 # every run tries the same examples, so a failure reproduces without a saved database
 settings.register_profile("deterministic", derandomize=True)
@@ -40,6 +41,68 @@ def iter_nodes(tree):
     yield tree
     for child in tree.children:
         yield from iter_nodes(child)
+
+
+# ---------------------------------------------------------------------------
+# term printing, for parse/print round trips
+
+_APP_LEVEL = len(OPERATOR_LEVELS)
+_ATOM_LEVEL = _APP_LEVEL + 1
+
+
+def _node_level(node: TermTree) -> int:
+    if node.symbol in BINDERS and len(node.children) == 1:
+        return -1
+    if node.symbol == "," and node.children:
+        return _ATOM_LEVEL
+    if node.symbol == ":" and len(node.children) == 2:
+        return _ATOM_LEVEL
+    if node.symbol in _PREFIX and len(node.children) == 1:
+        return _APP_LEVEL
+    if node.symbol in _OP_LEVEL and len(node.children) == 2:
+        return _OP_LEVEL[node.symbol]
+    if node.children:
+        return _APP_LEVEL
+    return _ATOM_LEVEL
+
+
+def _app_operand(node: TermTree) -> str:
+    rendered = format_term(node)
+    return rendered if _node_level(node) >= _ATOM_LEVEL else f"({rendered})"
+
+
+def format_term(node: TermTree) -> str:
+    """Render a tree so that parse(format(t)) == t; binder names print as '_'."""
+    sym = node.symbol
+    if sym in BINDERS and len(node.children) == 1:
+        body = format_term(node.children[0])
+        return f"fun _ => {body}" if sym == "fun" else f"{sym} _, {body}"
+    if sym == "," and node.children:
+        return "(" + ", ".join(format_term(c) for c in node.children) + ")"
+    if sym == ":" and len(node.children) == 2:
+        return f"({format_term(node.children[0])} : {format_term(node.children[1])})"
+    if sym in _PREFIX and len(node.children) == 1:
+        child = node.children[0]
+        inner = format_term(child)
+        if _node_level(child) < _APP_LEVEL:
+            inner = f"({inner})"
+        return f"{sym} {inner}"
+    if sym in _OP_LEVEL and len(node.children) == 2:
+        lvl = _OP_LEVEL[sym]
+        assoc = _OP_ASSOC[sym]
+        left, right = node.children
+        rendered_l = format_term(left)
+        rendered_r = format_term(right)
+        if _node_level(left) < lvl or (_node_level(left) == lvl and assoc == "right"):
+            rendered_l = f"({rendered_l})"
+        if _node_level(right) < lvl or (_node_level(right) == lvl and assoc == "left"):
+            rendered_r = f"({rendered_r})"
+        return f"{rendered_l} {sym} {rendered_r}"
+    if node.children:
+        if sym == "@":
+            return " ".join(_app_operand(c) for c in node.children)
+        return " ".join([sym] + [_app_operand(c) for c in node.children])
+    return sym
 
 
 def load_golden(name: str) -> dict:
@@ -158,7 +221,7 @@ _SNIPPETS = [
 
 
 @st.composite
-def mutated(draw, source: str) -> str:
+def mutated(draw, source: str, snippets: list[str] = _SNIPPETS) -> str:
     """source after one to four deletions, insertions, replacements or duplications of a slice."""
     text = source
     for _ in range(draw(st.integers(1, 4))):
@@ -168,9 +231,9 @@ def mutated(draw, source: str) -> str:
         if op == "delete":
             text = text[:i] + text[j:]
         elif op == "insert":
-            text = text[:i] + draw(st.sampled_from(_SNIPPETS)) + text[i:]
+            text = text[:i] + draw(st.sampled_from(snippets)) + text[i:]
         elif op == "replace":
-            text = text[:i] + draw(st.sampled_from(_SNIPPETS)) + text[j:]
+            text = text[:i] + draw(st.sampled_from(snippets)) + text[j:]
         else:
             text = text[:j] + text[i:j] + text[j:]
     return text

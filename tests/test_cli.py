@@ -1,12 +1,18 @@
+import contextlib
+import functools
+import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from proofmine.cli import main
-from proofmine.corpus import load
+from proofmine.corpus import CORPUS_FORMAT, load
 
-from conftest import FIXTURES, GOLDENS, HINT, HINT_LIBS, mutated_inputs
+from conftest import FIXTURES, GOLDENS, HINT, HINT_LIBS, mutated, mutated_inputs
 
 FIXTURE_LIBS = [f"--lib={p.stem}:{p}" for p in sorted(FIXTURES.glob("*.v"))]
 
@@ -266,3 +272,61 @@ def test_mutated_inputs_end_in_a_documented_exit_code(corpus_file, fuzz_dir, cas
     mutant.write_text(text, encoding="utf-8")
     assert main(extract_args(fuzz_dir / "c.corpus", [("fuzz", mutant)])) in (0, 2, 3, 4)
     assert main(["hint", "--corpus", str(corpus_file), "--query", str(mutant), "--runs", "2"]) in (0, 2, 3, 4)
+
+
+# JSON nested far deeper than the interpreter's recursion limit
+_DEEP = "[" * 100_000
+
+
+@pytest.mark.parametrize("name, text, command, code", [
+    ("c.corpus", _DEEP, "cluster", 3),
+    ("d.json", _DEEP, "report", 2),
+    ("t.jsonl", '{"lemma": ' + _DEEP, "extract", 2),
+], ids=["corpus header", "digest", "trace line"])
+def test_deeply_nested_json_is_a_documented_error(tmp_path, capsys, name, text, command, code):
+    path = tmp_path / name
+    path.write_text(text + "\n")
+    args = {"cluster": ["cluster", "--corpus", str(path), "--out", str(tmp_path / "d")],
+            "report": ["report", str(path)],
+            "extract": extract_args(tmp_path / "c", [("t", path)])}[command]
+    assert main(args) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_JSON_SNIPPETS = ['"', ",", ":", "[", "]", "{", "}", "[]", "{}", '""', '"x"', "null", "true", "0", "-1",
+                  "1e400", "1" * 400, "\n", _DEEP]
+
+
+@functools.cache
+def saved_file_text(kind: str) -> str:
+    """The text of a corpus file saved from the hint libraries, or of a digest written from it."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        corpus, digest = Path(tmp) / "c.corpus", Path(tmp) / "d.json"
+        assert main(extract_args(corpus)) == 0
+        assert main(["cluster", "--corpus", str(corpus), "--out", str(digest), "--runs", "2"]) == 0
+        return {"corpus": corpus, "digest": digest}[kind].read_text(encoding="utf-8")
+
+
+def mutated_saved_files():
+    """(kind, mutated text) of a saved corpus or digest file; the files are written on first draw."""
+    return st.sampled_from(("corpus", "digest")).flatmap(
+        lambda kind: st.tuples(st.just(kind), mutated(saved_file_text(kind), _JSON_SNIPPETS)))
+
+
+@settings(max_examples=200, deadline=None)
+@example(case=("corpus", _DEEP), reseal=False)
+@example(case=("corpus", "\n" + _DEEP), reseal=True)
+@example(case=("digest", _DEEP), reseal=False)
+@given(case=mutated_saved_files(), reseal=st.booleans())
+def test_mutated_corpus_and_digest_end_in_a_documented_exit_code(fuzz_dir, case, reseal):
+    kind, text = case
+    if reseal and kind == "corpus":  # a checksum that matches the mutated payload, so it gets decoded
+        payload = text.partition("\n")[2]
+        header = {"format": CORPUS_FORMAT, "checksum": hashlib.sha256(payload.encode("utf-8")).hexdigest()}
+        text = json.dumps(header) + "\n" + payload
+    mutant = fuzz_dir / "mutant"
+    mutant.write_text(text, encoding="utf-8")
+    for args in (["cluster", "--corpus", str(mutant), "--out", str(fuzz_dir / "d.json"), "--runs", "2"],
+                 ["hint", "--corpus", str(mutant), "--query", str(HINT / "hint_query.v"), "--runs", "2"],
+                 ["report", str(mutant)]):
+        assert main(args) in (0, 2, 3, 4)

@@ -262,7 +262,7 @@ def _write_checked(path, body: bytes) -> None:
 _TERMS = TermTable()
 _RECORDS = [encode_record(r, _TERMS.add)
             for r in ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"]).libraries["ssrbool"]]
-_ENTRIES = _TERMS.entries
+_ENTRIES = list(_TERMS.ids)
 
 
 def _payload(**changes) -> dict:
@@ -307,6 +307,8 @@ MALFORMED_PAYLOADS = {
     "empty term entry": _json(_payload(terms=_ENTRIES + [[]])),
     "terms is not a list": _json(_payload(terms={"0": ["x"]})),
     "terms missing": _json({"patch_len": 5, "libraries": {"ssrbool": _RECORDS}}),
+    "subgoal count too large for a float": _json(_payload(libraries={"ssrbool": [_first_record(steps=[
+        {"index": 1, "tactics": [], "subgoals_after": 10 ** 400}])]})),
 }
 
 

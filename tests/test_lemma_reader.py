@@ -1,29 +1,142 @@
-"""The three parsers against the lemma walks they replaced.
+"""The three parsers against the lemma walks and the tactic-line layer they replaced.
 
 The parsers before the shared lemma reader are copied below verbatim (renamed
-with an `oracle` prefix) and share the module's sentence, header and tactic
-helpers.  Every input must give equal records, or the same exception class
-and message.  The one intended difference: in `parse_partial` a lemma sentence
-after the first lemma and before any closer now ends the body, where the old
-walk read it as a tactic named after its keyword.
+with an `oracle` prefix), and so are the tactic-line helpers before the lexer
+returned `;`-separated segments (`_Tok` to `_parse_segment`, names unchanged).
+They share the module's sentence, header and argument classification helpers.
+Every input must give equal records, or the same exception class and message.
+The one intended difference: in `parse_partial` a lemma sentence after the
+first lemma and before any closer now ends the body, where the old walk read
+it as a tactic named after its keyword.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from proofmine.script import (_TRACE_FIELDS, LEMMA_KEYWORDS, PROOF_CLOSERS, DuplicateLemmaName,
-                              EmptyStep, LemmaRecord, MalformedStatement, ParseError, ProofStep,
-                              Sentence, SourceSpan, TacticApplication, UnterminatedProof, _first_word,
-                              _lex_step_tokens, _parse_header, _parse_segment, _ProofContext,
-                              _split_on_semis, _statement_tree, parse_library, parse_partial,
-                              parse_trace, split_sentences)
-from proofmine.terms import TermTree
+from proofmine.script import (_CONNECTIVE_WORDS, _IDENT_RE, _INDUCTION_TACTICS, _INTRO_TACTICS,
+                              _TRACE_FIELDS, LEMMA_KEYWORDS, PROOF_CLOSERS, ArgumentKind,
+                              ArgumentToken, DuplicateLemmaName, EmptyStep, LemmaRecord,
+                              MalformedStatement, ParseError, ProofStep, Sentence, SourceSpan,
+                              TacticApplication, UnterminatedProof, _classify_token, _first_word,
+                              _intro_names, _parse_header, _ProofContext, _statement_tree,
+                              parse_library, parse_partial, parse_trace, split_sentences)
+from proofmine.terms import TermTree, UnbalancedDelimiters, group_end
 
 from conftest import PARSER_INPUTS, mutated_inputs, random_library_source, random_trace_source
+
+
+# ---------------------------------------------------------------------------
+# the tactic-line helpers before segments were lexed directly
+
+
+@dataclass(frozen=True)
+class _Tok:
+    kind: str  # "unit" | "semi" | "colon" | "arrow"
+    text: str
+
+
+def _lex_step_tokens(text: str, *, file: str, line: int) -> list[_Tok]:
+    tokens: list[_Tok] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == ";":
+            tokens.append(_Tok("semi", ";"))
+            i += 1
+            continue
+        if c == ":":
+            tokens.append(_Tok("colon", ":"))
+            i += 1
+            continue
+        if c == "=" and text[i + 1:i + 2] == ">":
+            tokens.append(_Tok("arrow", "=>"))
+            i += 2
+            continue
+        if c in ")]}":
+            raise UnbalancedDelimiters(f"stray {c!r} at {file}:{line}")
+        j = i
+        while j < n:
+            cj = text[j]
+            if cj in "([{":
+                j = group_end(text, j, f" at {file}:{line}")
+                continue
+            if cj.isspace() or cj in ";:)]}":
+                break
+            if cj == "=" and text[j + 1:j + 2] == ">":
+                break
+            j += 1
+        tokens.append(_Tok("unit", text[i:j]))
+        i = j
+    return tokens
+
+
+def _split_on_semis(tokens: list[_Tok]) -> list[list[_Tok]]:
+    segments: list[list[_Tok]] = [[]]
+    for tok in tokens:
+        if tok.kind == "semi":
+            segments.append([])
+        else:
+            segments[-1].append(tok)
+    return segments
+
+
+def _register_introductions(app: TacticApplication, ctx: _ProofContext) -> None:
+    intro_texts = [a.text for a in app.arguments if a.kind is ArgumentKind.INTRO_PATTERN]
+    if not intro_texts:
+        return
+    target = ctx.inductive_names if app.name in _INDUCTION_TACTICS else ctx.hypothesis_names
+    target.update(_intro_names(intro_texts))
+
+
+def _build_arguments(name: str, tokens: list[_Tok], ctx: _ProofContext) -> tuple[ArgumentToken, ...]:
+    args: list[ArgumentToken] = []
+    zone = name in _INTRO_TACTICS
+    for tok in tokens:
+        if tok.kind == "colon":
+            continue
+        if tok.kind == "arrow":
+            zone = True
+            continue
+        if tok.kind != "unit":
+            continue
+        if not zone and tok.text in _CONNECTIVE_WORDS:
+            continue
+        kind = _classify_token(tok.text, ctx, intro_zone=zone)
+        args.append(ArgumentToken(tok.text, kind))
+    return tuple(args)
+
+
+def _parse_segment(tokens: list[_Tok], ctx: _ProofContext, *, file: str, line: int) -> list[TacticApplication]:
+    first = tokens[0]
+    if first.kind != "unit":
+        raise MalformedStatement(f"tactic expected, got {first.text!r}", file=file, line=line)
+    if first.text == "by":
+        rest = tokens[1:]
+        if rest and rest[0].kind == "unit" and _IDENT_RE.match(rest[0].text) and rest[0].text != "by":
+            return [TacticApplication("by")] + _parse_segment(rest, ctx, file=file, line=line)
+        app = TacticApplication("by", _build_arguments("by", rest, ctx))
+        _register_introductions(app, ctx)
+        return [app]
+    m = _IDENT_RE.match(first.text)
+    if not m:
+        raise MalformedStatement(f"tactic expected, got {first.text!r}", file=file, line=line)
+    name = m.group(0)
+    leftover = first.text[m.end():]
+    arg_tokens = ([_Tok("unit", leftover)] if leftover else []) + tokens[1:]
+    app = TacticApplication(name, _build_arguments(name, arg_tokens, ctx))
+    _register_introductions(app, ctx)
+    return [app]
+
+
+# ---------------------------------------------------------------------------
+# the parsers before the shared lemma reader
 
 
 def oracle_steps_from_sentences(sentences: list[Sentence], ctx: _ProofContext, file: str) -> list[ProofStep]:
@@ -247,6 +360,8 @@ EDGE_SOURCES = {
     "empty step": "Lemma a : x.\nProof. by []. . Qed.\n",
     "empty tactic between semicolons": "Lemma a : x.\nProof. move=> H;; by []. Qed.\n",
     "two Proof sentences": "Lemma a : x.\nProof. Proof. by []. Qed.\n",
+    "connective words": "Lemma a : x.\nProof. move=> in H; rewrite H in at. elim: n => [|n IH] with. Qed.\n",
+    "by before by": "Lemma a : x.\nProof. by by move. by; by :. Qed.\n",
     "no lemma": "Definition d := 1.\nQed.\n",
     "nameless lemma": "Lemma : x.\nProof. by []. Qed.\n",
     "empty trace tactic line": _trace_line(tactic_line=" . "),
@@ -274,6 +389,27 @@ def test_parsers_match_oracles_on_random_sources():
 def test_parsers_match_oracles_on_mutated_sources(case):
     path, source = case
     assert_parsers_match_oracles(source, path.name)
+
+
+_TACTIC_WORDS = [
+    "by", "move", "elim", "intro", "intros", "induction", "case", "rewrite", "apply/foo", "exists",
+    "H", "IH", "n", "x", "_", "//", "//=", "/=", "-addnA", "!mulnC", "{2}foo", "[]", "[|n IH]",
+    "(addnC n)", "42", "in", "at", "with", "as", "=>", "=", ">", ":", ";", "->", "<-", "(", ")",
+    "[", "]", "{", "}", "{n}", "by[]", "move=>", "by:", "7x", ".", "",
+]
+
+# words drawn from _TACTIC_WORDS, joined by spaces or glued together
+tactic_lines = st.tuples(st.lists(st.sampled_from(_TACTIC_WORDS), max_size=8),
+                         st.sampled_from((" ", ""))).map(lambda t: t[1].join(t[0]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(tactic_lines, min_size=1, max_size=3))
+def test_parsers_match_oracles_on_random_tactic_lines(lines):
+    body = "".join(f"{line}.\n" for line in lines)
+    assert_parsers_match_oracles(f"Lemma a : x.\nProof.\n{body}Qed.\n", "lines.v")
+    trace = "".join(_trace_line(step_index=i, tactic_line=line) for i, line in enumerate(lines, 1))
+    assert_parsers_match_oracles(trace, "lines.jsonl")
 
 
 def test_partial_body_ends_at_the_next_lemma_sentence():

@@ -3,16 +3,21 @@ import json
 import pytest
 
 from proofmine.script import (ArgumentKind, DuplicateLemmaName, EmptyStep, MalformedStatement,
-                              ParseError, UnterminatedProof, parse_library,
-                              parse_partial, parse_trace, split_sentences, split_steps)
+                              ParseError, ProofStep, UnterminatedProof, parse_library,
+                              parse_partial, parse_trace, split_sentences)
 
 from proofmine.terms import UnbalancedDelimiters, parse_term_tree
 
-from conftest import GOLDEN_SOURCES, compare_with_golden, load_golden
+from conftest import GOLDEN_SOURCES, compare_with_golden, format_term, load_golden
 
 
 # ---------------------------------------------------------------------------
 # step splitting
+
+
+def proof_steps(proof_body: str, *, file: str = "<input>") -> tuple[ProofStep, ...]:
+    """The steps of a proof body, read as the body of a lemma on its first line."""
+    return parse_library(f"Lemma body : x. {proof_body} Qed.", "t", filename=file)[0].steps
 
 
 def count_top_level_semis(text: str) -> int:
@@ -30,7 +35,7 @@ def count_top_level_semis(text: str) -> int:
 
 
 def test_move_intro_patterns():
-    steps = split_steps("move => M m nilpotent.")
+    steps = proof_steps("move => M m nilpotent.")
     assert len(steps) == 1
     assert [t.name for t in steps[0].tactics] == ["move"]
     args = steps[0].tactics[0].arguments
@@ -39,7 +44,7 @@ def test_move_intro_patterns():
 
 
 def test_by_rewrite_normalization():
-    steps = split_steps("by rewrite big_distrr mulmxBr mul1mx.")
+    steps = proof_steps("by rewrite big_distrr mulmxBr mul1mx.")
     assert len(steps) == 1
     assert [t.name for t in steps[0].tactics] == ["by", "rewrite"]
     assert len(steps[0].tactics[1].arguments) == 3
@@ -48,7 +53,7 @@ def test_by_rewrite_normalization():
 def test_semicolon_composition_matches_oracle():
     line = "rewrite A; elim: s => //= x."
     expected_apps = count_top_level_semis(line.rstrip(".")) + 1
-    steps = split_steps(line)
+    steps = proof_steps(line)
     assert len(steps) == 1
     assert len(steps[0].tactics) == expected_apps
 
@@ -56,12 +61,12 @@ def test_semicolon_composition_matches_oracle():
 def test_bracketed_semicolons_do_not_split():
     line = "exists [:: a; b; c]."
     assert count_top_level_semis(line.rstrip(".")) == 0
-    steps = split_steps(line)
+    steps = proof_steps(line)
     assert len(steps[0].tactics) == 1
 
 
 def test_by_with_empty_brackets():
-    steps = split_steps("by [].")
+    steps = proof_steps("by [].")
     (app,) = steps[0].tactics
     assert app.name == "by"
     assert [(a.text, a.kind) for a in app.arguments] == [("[]", ArgumentKind.TERM_EXPR)]
@@ -69,20 +74,20 @@ def test_by_with_empty_brackets():
 
 def test_empty_step_rejected():
     with pytest.raises(EmptyStep):
-        split_steps("rewrite foo. . rewrite bar.")
+        proof_steps("rewrite foo. . rewrite bar.")
     with pytest.raises(EmptyStep):
-        split_steps("rewrite foo;; rewrite bar.")
+        proof_steps("rewrite foo;; rewrite bar.")
 
 
 def test_unknown_tactic_parses_opaque():
-    steps = split_steps("deskolem_apply BI_fctExists.")
+    steps = proof_steps("deskolem_apply BI_fctExists.")
     (app,) = steps[0].tactics
     assert app.name == "deskolem_apply"
     assert app.arguments[0].kind is ArgumentKind.EXTERNAL_LEMMA
 
 
 def test_view_application_splits_leading_identifier():
-    steps = split_steps("apply/invmx_uniq.")
+    steps = proof_steps("apply/invmx_uniq.")
     (app,) = steps[0].tactics
     assert app.name == "apply"
     assert app.arguments[0].text == "/invmx_uniq"
@@ -103,7 +108,7 @@ def demo_lemma():
 
 def kinds_after_demo(step: str) -> dict[str, ArgumentKind]:
     """Argument kinds of one step run after the demo proof's introductions."""
-    last = split_steps(f"{DEMO_PROOF} {step}")[-1]
+    last = proof_steps(f"{DEMO_PROOF} {step}")[-1]
     return {a.text: a.kind for app in last.tactics for a in app.arguments}
 
 
@@ -188,7 +193,6 @@ def test_unterminated_proof_before_next_lemma():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SOURCES))
 def test_fixture_statements_reprint_identically(name):
-    from proofmine.terms import format_term, parse_term_tree
     for record in parse_library(GOLDEN_SOURCES[name].read_text(), name):
         assert parse_term_tree(format_term(record.statement)) == record.statement
 
@@ -360,9 +364,9 @@ def test_trace_records_keep_first_seen_lemma_order():
 
 
 @pytest.mark.parametrize("parse, text, error, message", [
-    (lambda t: split_steps(t, file="a.v"), "move=> x.\nrewrite (foo].", UnbalancedDelimiters,
+    (lambda t: proof_steps(t, file="a.v"), "move=> x.\nrewrite (foo].", UnbalancedDelimiters,
      "mismatched ']' at a.v:2"),
-    (lambda t: split_steps(t, file="a.v"), "rewrite {foo.", UnbalancedDelimiters, "unclosed '{' at a.v:1"),
+    (lambda t: proof_steps(t, file="a.v"), "rewrite {foo.", UnbalancedDelimiters, "unclosed '{' at a.v:1"),
     (parse_term_tree, "f [a", UnbalancedDelimiters, "unclosed '['"),
     (parse_term_tree, "f [a)]", UnbalancedDelimiters, "mismatched ')'"),
     (lambda t: parse_library(t, "l", filename="b.v"), "Lemma x : f [a.\nProof. by []. Qed.",

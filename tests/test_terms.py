@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from proofmine.corpus import TermTable, read_nested_term, read_term_table
 from proofmine.script import (LEMMA_KEYWORDS, _first_word, _parse_header, parse_library, parse_partial,
                               parse_trace, split_sentences)
-from proofmine.terms import (_APP_LEVEL, _OP_ASSOC, _OP_LEVEL, _PREFIX, BINDERS, OPERATOR_LEVELS,
-                             EmptyStatement, TermError, TermTree, UnbalancedDelimiters, _lex,
-                             format_term, parse_term_tree)
+from proofmine.terms import (_OP_ASSOC, _OP_LEVEL, _PREFIX, BINDERS, OPERATOR_LEVELS, EmptyStatement,
+                             TermError, TermTree, UnbalancedDelimiters, _lex, parse_term_tree)
 
-from conftest import FIXTURES, HINT, iter_nodes, random_library_source, random_trace_source
+from conftest import (_APP_LEVEL, FIXTURES, HINT, format_term, iter_nodes, random_library_source,
+                      random_trace_source)
 
 
 def leaf(sym):
@@ -165,7 +165,7 @@ def test_serialization_round_trip():
     tree = parse_term_tree("forall g, exists s, BI s /\\ g = s2g s")
     table = TermTable()
     tid = table.add(tree)
-    entries = json.loads(json.dumps(table.entries))
+    entries = json.loads(json.dumps(list(table.ids)))
     assert read_term_table(entries)(tid) == tree
     # the nested form that corpus formats v1 and v2 stored
     nested = {"symbol": "forall", "children": [{"symbol": "g"}]}
