@@ -1,7 +1,10 @@
 """Command-line driver: extract | cluster | hint | report.
 
 Exit codes: 0 success (including an empty hint), 2 parse errors,
-3 I/O or corpus-file errors, 4 insufficient data.
+3 I/O or corpus-file errors, 4 insufficient data.  Exit 2 also covers usage
+errors: a bad flag, or a digest setting out of range (`--runs 0`,
+`--freq-threshold 2`, a non-integer PROOFMINE_SEED), which is reported before
+any file is read.
 """
 
 from __future__ import annotations
@@ -148,8 +151,8 @@ def render_report(doc: dict) -> str:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    corpus = load(args.corpus)
     cfg = _digest_config(args)
+    corpus = load(args.corpus)
     db = corpus.feature_database()
     clusters = run_digest(db, cfg)
     n = choose_n(GranularityConfig(cfg.granularity, len(db.names)))
@@ -161,10 +164,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_hint(args: argparse.Namespace) -> int:
+    cfg = _digest_config(args)
     corpus = load(args.corpus)
     query_path = Path(args.query)
     record = parse_partial(query_path.read_text(encoding="utf-8"), filename=str(query_path))
-    cfg = _digest_config(args)
     db = database_with_query(corpus, record)
     clusters = run_digest(db, cfg)
     chosen = select_reliable(clusters, QUERY_NAME)

@@ -1,23 +1,30 @@
 """Persistent corpora: the parsed lemmas are the only state.
 
-A corpus file ("proofmine corpus v3") is a JSON header line holding the format
+A corpus file ("proofmine corpus v4") is a JSON header line holding the format
 tag and the sha256 checksum of the payload bytes, then the canonical JSON
-payload: the patch length, a term table and the lemma records of each library.
-A record is {name, statement, steps, library, source_span: {file, line_start,
-line_end}}; a step is {index, tactics, goal_before, subgoals_after} and a tactic
-{name, arguments: [{text, kind}]}.
-The term table lists each distinct term subtree once as [symbol, child_id, ...],
-children before parents; an id is a position in that list.  A record's
-statement and step goals are ids (a goal may be null), and loading builds one
-shared tree per table entry.  Every id must be an int (not a bool), a child id
-must be below its own entry's position and a record's id below the table
-length; anything else is a corrupt file.  The encoding table and the raw
-feature matrix are derived from the records whenever a corpus is built or
-loaded, so they always match them.
+payload: the patch length, three tables and the lemma records of each library.
+`terms` lists each distinct term subtree once as [symbol, child_id, ...],
+children before parents; `arguments` each distinct argument once as
+[text, kind]; `tactics` each distinct tactic application once as
+[name, argument_id, ...].  An id is a position in its table.  `libraries`
+maps each tag to positional records
+[name, statement_id, file, line_start, line_end, steps], and a step is
+[goal_id | null, subgoals_after | null, tactic_id, ...].  A record's library
+is its tag and a step's index its position, counted from 1, as the parsers
+guarantee.  Loading builds one shared tree, argument and application per
+table entry.  Every id must be an int (not a bool) within its table, a child
+id below its own entry's position, and subgoals_after null or a non-negative
+int; anything else is a corrupt file.  The encoding table and the raw feature
+matrix are derived from the records whenever a corpus is built or loaded, so
+they always match them.
 
-Older files are still read.  Version 2 payloads store each term as a nested
-{"symbol", "children"} tree.  Version 1 files are one JSON document whose
-payload also stored the table and the feature vectors; those are ignored.
+Older files are still read.  Their records are dicts {name, statement, steps,
+library, source_span: {file, line_start, line_end}}, a step {index, tactics,
+goal_before, subgoals_after} and a tactic {name, arguments: [{text, kind}]}.
+Version 3 payloads hold the term table and store term ids; version 2 payloads
+store each term as a nested {"symbol", "children"} tree.  Version 1 files are
+one JSON document whose payload also stored the table and the feature vectors;
+those are ignored.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ from .script import (ArgumentKind, ArgumentToken, DuplicateLemmaName, LemmaRecor
                      SourceSpan, TacticApplication, looks_like_trace, parse_library, parse_trace)
 from .terms import TermTree
 
-CORPUS_FORMAT = "proofmine corpus v3"
+CORPUS_FORMAT = "proofmine corpus v4"
+CORPUS_FORMAT_V3 = "proofmine corpus v3"
 CORPUS_FORMAT_V2 = "proofmine corpus v2"
 CORPUS_FORMAT_V1 = "proofmine corpus v1"
 QUERY_NAME = "?query"
@@ -142,7 +150,7 @@ def database_with_query(corpus: Corpus, query: LemmaRecord) -> FeatureDatabase:
 
 
 class TermTable:
-    """Each distinct subtree once, children before parents, as format v3 stores it.
+    """Each distinct subtree once, children before parents, as formats v3 and v4 store it.
 
     `ids` maps each entry (symbol, child_id, ...) to its id, its position in
     the dict's insertion order, so `list(ids)` is the stored table.  Trees are
@@ -154,13 +162,43 @@ class TermTable:
         self._seen: dict[int, int] = {}
 
     def add(self, tree: TermTree) -> int:
-        """The id of tree's entry, adding entries for it and its subtrees as needed."""
-        tid = self._seen.get(id(tree))
-        if tid is None:
-            # keyed on child ids: hashing a TermTree would recurse through it
-            key = (tree.symbol, *map(self.add, tree.children))
-            tid = self._seen[id(tree)] = self.ids.setdefault(key, len(self.ids))
+        """The id of tree's entry, adding entries for it and its subtrees as needed.
+
+        A post-order walk on an explicit stack, one frame per node still being
+        keyed: children get their ids left to right before their parent, so
+        ids follow the order of a recursive walk.
+        """
+        seen, ids = self._seen, self.ids
+        tid = seen.get(id(tree))
+        if tid is not None:
+            return tid
+        # a frame is (node, its key so far, its children not yet visited); the key
+        # holds child ids, since hashing a TermTree would recurse through it
+        stack = [(tree, [tree.symbol], iter(tree.children))]
+        while stack:
+            node, key, children = stack[-1]
+            for child in children:
+                cid = seen.get(id(child))
+                if cid is None:
+                    stack.append((child, [child.symbol], iter(child.children)))
+                    break
+                key.append(cid)
+            else:
+                stack.pop()
+                tid = seen[id(node)] = ids.setdefault(tuple(key), len(ids))
+                if stack:
+                    stack[-1][1].append(tid)
         return tid
+
+
+def _lookup(table: list, what: str) -> Callable[[object], object]:
+    """table[i] for a stored id i, which must be an int (not a bool) within range."""
+    def lookup(i):
+        if type(i) is not int or not 0 <= i < len(table):
+            raise ValueError(f"{what} id {i!r} outside 0..{len(table) - 1}")
+        return table[i]
+
+    return lookup
 
 
 def read_term_table(entries) -> Callable[[object], TermTree]:
@@ -180,13 +218,7 @@ def read_term_table(entries) -> Callable[[object], TermTree]:
             if type(k) is not int or not 0 <= k < pos:
                 raise ValueError(f"term {pos} has child id {k!r} outside 0..{pos - 1}")
         trees.append(TermTree(entry[0], tuple(map(trees.__getitem__, kids))))
-
-    def lookup(tid) -> TermTree:
-        if type(tid) is not int or not 0 <= tid < len(trees):
-            raise ValueError(f"term id {tid!r} outside 0..{len(trees) - 1}")
-        return trees[tid]
-
-    return lookup
+    return _lookup(trees, "term")
 
 
 def read_nested_term(data: dict) -> TermTree:
@@ -194,27 +226,15 @@ def read_nested_term(data: dict) -> TermTree:
     return TermTree(data["symbol"], tuple(map(read_nested_term, data.get("children", ()))))
 
 
-def encode_record(record: LemmaRecord, term: Callable[[TermTree], object]) -> dict:
-    """A JSON-ready dict; term gives the stored form of each term tree."""
-    return {
-        "name": record.name,
-        "statement": term(record.statement),
-        "steps": [{
-            "index": step.index,
-            "tactics": [{"name": app.name,
-                         "arguments": [{"text": arg.text, "kind": arg.kind.value} for arg in app.arguments]}
-                        for app in step.tactics],
-            "goal_before": None if step.goal_before is None else term(step.goal_before),
-            "subgoals_after": step.subgoals_after,
-        } for step in record.steps],
-        "library": record.library,
-        "source_span": {"file": record.source_span.file, "line_start": record.source_span.line_start,
-                        "line_end": record.source_span.line_end},
-    }
+def _subgoal_count(value):
+    """A stored subgoals_after: null or a non-negative int (not a bool), as the parsers give it."""
+    if value is not None and (type(value) is not int or value < 0):
+        raise ValueError(f"subgoals_after {value!r} is not null or a non-negative integer")
+    return value
 
 
 def decode_record(data: dict, term: Callable[[object], TermTree]) -> LemmaRecord:
-    """Inverse of encode_record; term turns a stored term back into a tree."""
+    """A record of formats v1 to v3, a dict; term turns a stored term back into a tree."""
     span = data["source_span"]
     steps = tuple(ProofStep(
         index=step["index"],
@@ -222,11 +242,55 @@ def decode_record(data: dict, term: Callable[[object], TermTree]) -> LemmaRecord
             ArgumentToken(arg["text"], ArgumentKind(arg["kind"])) for arg in app.get("arguments", ())))
             for app in step["tactics"]),
         goal_before=None if step.get("goal_before") is None else term(step["goal_before"]),
-        subgoals_after=step.get("subgoals_after"),
+        subgoals_after=_subgoal_count(step.get("subgoals_after")),
     ) for step in data["steps"])
     return LemmaRecord(name=data["name"], statement=term(data["statement"]), steps=steps,
                        library=data["library"],
                        source_span=SourceSpan(span["file"], span["line_start"], span["line_end"]))
+
+
+def _list(value, what: str) -> list:
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
+def _read_v4(data: dict) -> dict[str, list[LemmaRecord]]:
+    """Decode a v4 payload's tables and positional records into records by library tag."""
+    term = read_term_table(data["terms"])
+    arguments = []
+    for entry in _list(data["arguments"], "arguments"):
+        if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not str:
+            raise ValueError(f"argument {len(arguments)} is not [text, kind]")
+        arguments.append(ArgumentToken(entry[0], ArgumentKind(entry[1])))
+    argument = _lookup(arguments, "argument")
+    tactics = []
+    for entry in _list(data["tactics"], "tactics"):
+        if type(entry) is not list or not entry or type(entry[0]) is not str:
+            raise ValueError(f"tactic {len(tactics)} is not [name, argument_id, ...]")
+        tactics.append(TacticApplication(entry[0], tuple(map(argument, entry[1:]))))
+    tactic = _lookup(tactics, "tactic")
+
+    def step(index: int, row) -> ProofStep:
+        if type(row) is not list or len(row) < 3:
+            raise ValueError(f"step {index} is not [goal_id, subgoals_after, tactic_id, ...]")
+        goal = row[0]
+        return ProofStep(index, tuple(map(tactic, row[2:])), None if goal is None else term(goal),
+                         _subgoal_count(row[1]))
+
+    def record(tag: str, row) -> LemmaRecord:
+        if type(row) is not list or len(row) != 6:
+            raise ValueError(f"a record in {tag!r} is not [name, statement_id, file, lines, steps]")
+        name, statement, file, line_start, line_end, steps = row
+        if (type(name) is not str or type(file) is not str or type(line_start) is not int
+                or type(line_end) is not int):
+            raise ValueError(f"record {name!r} in {tag!r} has an ill-typed name, file or line")
+        return LemmaRecord(name, term(statement),
+                           tuple(step(i, s) for i, s in enumerate(_list(steps, "steps"), start=1)),
+                           tag, SourceSpan(file, line_start, line_end))
+
+    return {tag: [record(tag, row) for row in _list(rows, "records")]
+            for tag, rows in data["libraries"].items()}
 
 
 def _canonical(payload) -> bytes:
@@ -234,10 +298,32 @@ def _canonical(payload) -> bytes:
 
 
 def save(corpus: Corpus, path: str | Path) -> None:
+    """Write the corpus as format v4; equal corpora give equal bytes, since tags are visited in order."""
     terms = TermTable()
-    libraries = {tag: [encode_record(r, terms.add) for r in records]
-                 for tag, records in corpus.libraries.items()}
-    payload = _canonical({"patch_len": corpus.patch_len, "terms": list(terms.ids), "libraries": libraries})
+    applications: dict[TacticApplication, int] = {}
+    libraries: dict[str, list] = {}
+    for tag in sorted(corpus.libraries):
+        rows = libraries[tag] = []
+        for record in corpus.libraries[tag]:
+            # positions stand for a record's library and a step's index, so they must agree
+            if record.library != tag:
+                raise ValueError(f"lemma {record.name} of library {record.library!r} is filed under {tag!r}")
+            steps = []
+            for index, step in enumerate(record.steps, start=1):
+                if step.index != index:
+                    raise ValueError(f"step {step.index} of lemma {record.name} is at position {index}")
+                steps.append([None if step.goal_before is None else terms.add(step.goal_before),
+                              step.subgoals_after,
+                              *[applications.setdefault(app, len(applications)) for app in step.tactics]])
+            span = record.source_span
+            rows.append([record.name, terms.add(record.statement), span.file, span.line_start,
+                         span.line_end, steps])
+    arguments: dict[ArgumentToken, int] = {}
+    tactics = [[app.name, *[arguments.setdefault(arg, len(arguments)) for arg in app.arguments]]
+               for app in applications]
+    payload = _canonical({"patch_len": corpus.patch_len, "terms": list(terms.ids),
+                          "arguments": [[arg.text, arg.kind.value] for arg in arguments],
+                          "tactics": tactics, "libraries": libraries})
     header = {"format": CORPUS_FORMAT, "checksum": hashlib.sha256(payload).hexdigest()}
     Path(path).write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
@@ -251,7 +337,7 @@ def load(path: str | Path) -> Corpus:
     if not isinstance(header, dict) or "format" not in header:
         raise CorruptFile(f"{path}: missing format header")
     version = header["format"]
-    if version in (CORPUS_FORMAT, CORPUS_FORMAT_V2):
+    if version in (CORPUS_FORMAT, CORPUS_FORMAT_V3, CORPUS_FORMAT_V2):
         payload = rest
     elif version == CORPUS_FORMAT_V1:
         # the whole v1 document is one line; its checksum covers the canonical payload
@@ -262,9 +348,12 @@ def load(path: str | Path) -> Corpus:
         raise CorruptFile(f"{path}: checksum mismatch")
     try:
         data = json.loads(payload)
-        term = read_term_table(data["terms"]) if version == CORPUS_FORMAT else read_nested_term
-        libraries = {tag: [decode_record(r, term) for r in records]
-                     for tag, records in data["libraries"].items()}
+        if version == CORPUS_FORMAT:
+            libraries = _read_v4(data)
+        else:
+            term = read_term_table(data["terms"]) if version == CORPUS_FORMAT_V3 else read_nested_term
+            libraries = {tag: [decode_record(r, term) for r in records]
+                         for tag, records in data["libraries"].items()}
         return Corpus(libraries, data.get("patch_len", PATCH_LEN))
     except (LookupError, TypeError, ValueError, AttributeError, RecursionError, OverflowError) as exc:
         raise CorruptFile(f"{path}: malformed payload ({exc!r})") from exc

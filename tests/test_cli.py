@@ -196,6 +196,21 @@ def test_seed_env_fallback(corpus_file, tmp_path, capsys, monkeypatch):
     assert out_env.read_bytes() == out_flag.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["cluster", "hint"])
+@pytest.mark.parametrize("flags, seed_env", [
+    (["--runs", "0"], None), (["--freq-threshold", "2"], None), ([], "abc")],
+    ids=["runs 0", "freq-threshold 2", "bad PROOFMINE_SEED"])
+def test_bad_digest_setting_is_a_usage_error_before_the_corpus_is_read(
+        tmp_path, capsys, monkeypatch, command, flags, seed_env):
+    if seed_env is not None:
+        monkeypatch.setenv("PROOFMINE_SEED", seed_env)
+    missing = str(tmp_path / "missing.corpus")  # reading it would be exit 3
+    args = {"cluster": ["cluster", "--corpus", missing, "--out", str(tmp_path / "d")],
+            "hint": ["hint", "--corpus", missing, "--query", str(HINT / "hint_query.v")]}[command]
+    assert main(args + flags) == 2
+    assert "i/o error" not in capsys.readouterr().err
+
+
 def test_corrupt_corpus_exits_3(tmp_path):
     bogus = tmp_path / "x.corpus"
     bogus.write_text("{not json")

@@ -1,22 +1,25 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from proofmine.cli import main
-from proofmine.corpus import (CORPUS_FORMAT, CorruptFile, TermTable, VersionMismatch,
-                              database_with_query, encode_record, ingest, load, save)
+from proofmine.corpus import (CORPUS_FORMAT, CORPUS_FORMAT_V3, Corpus, CorruptFile, TermTable,
+                              VersionMismatch, database_with_query, ingest, load, save)
 from proofmine.script import DuplicateLemmaName, parse_partial
+from proofmine.terms import TermTree
 
-from conftest import (FIXTURES, HINT, iter_nodes, random_corpus, random_library_source,
-                      random_trace_source)
+from conftest import (FIXTURES, HINT, PARSER_INPUT_GROUPS, encode_record, iter_nodes, random_corpus,
+                      random_library_source, random_trace_source)
 
-# written by the v1, v2 and v3 code: `extract --lib ssrbool:ssr_bool.v --lib matrix:matrix_trace.jsonl`
+# written by the v1 to v4 code: `extract --lib ssrbool:ssr_bool.v --lib matrix:matrix_trace.jsonl`
 # run inside tests/fixtures, so their source spans name the files relatively
 V1_CORPUS = FIXTURES / "ssr_bool_matrix_v1.corpus"
 V2_CORPUS = FIXTURES / "ssr_bool_matrix_v2.corpus"
 V3_CORPUS = FIXTURES / "ssr_bool_matrix_v3.corpus"
+V4_CORPUS = FIXTURES / "ssr_bool_matrix_v4.corpus"
 
 
 def test_ingest_counts_and_tags():
@@ -159,7 +162,7 @@ def test_flipped_byte_rejected(tmp_path):
     save(corpus, path)
     data = bytearray(path.read_bytes())
     # flip a digit inside the payload line, past the header and its checksum
-    target = data.find(b'"line_start"', data.index(b"\n"))
+    target = data.find(b'"patch_len"', data.index(b"\n"))
     assert target > 0
     probe = target
     while not chr(data[probe]).isdigit():
@@ -187,7 +190,7 @@ def test_save_writes_header_line_then_checksummed_payload(tmp_path):
     header, payload = path.read_bytes().split(b"\n", 1)
     assert json.loads(header) == {"format": CORPUS_FORMAT,
                                   "checksum": hashlib.sha256(payload).hexdigest()}
-    assert set(json.loads(payload)) == {"libraries", "patch_len", "terms"}
+    assert set(json.loads(payload)) == {"arguments", "libraries", "patch_len", "tactics", "terms"}
 
 
 def test_term_table_stores_each_subtree_once_and_load_shares_it(tmp_path):
@@ -212,7 +215,91 @@ def test_term_table_stores_each_subtree_once_and_load_shares_it(tmp_path):
     assert all(len(ids) == 1 for ids in objects.values())
 
 
-def test_v1_corpus_loads_as_ingested(monkeypatch):
+def _applications(corpus) -> list:
+    return [app for records in corpus.libraries.values() for record in records
+            for step in record.steps for app in step.tactics]
+
+
+def test_arguments_and_applications_are_stored_once_and_shared_on_load(tmp_path):
+    corpus = ingest([FIXTURES / "ssr_bool.v", FIXTURES / "ssr_nat.v", FIXTURES / "matrix_trace.jsonl"],
+                    ["ssrbool", "ssrnat", "matrix"])
+    path = tmp_path / "c.corpus"
+    save(corpus, path)
+    payload = json.loads(path.read_bytes().split(b"\n", 1)[1])
+    apps = _applications(corpus)
+    assert len(payload["tactics"]) == len(set(apps)) < len(apps)
+    assert len(payload["arguments"]) == len({arg for app in apps for arg in app.arguments})
+    for table in ("arguments", "tactics"):
+        assert len({tuple(entry) for entry in payload[table]}) == len(payload[table])
+    loaded = load(path)
+    assert_same_corpus(loaded, corpus)
+    # equal applications and arguments anywhere in the corpus are one object
+    apps = _applications(loaded)
+    for items, table in ((apps, "tactics"), ([arg for app in apps for arg in app.arguments], "arguments")):
+        objects: dict = {}
+        for item in items:
+            objects.setdefault(item, set()).add(id(item))
+        assert len(objects) == len(payload[table])
+        assert all(len(ids) == 1 for ids in objects.values())
+
+
+def test_save_rejects_positions_that_would_misstate_a_record(tmp_path):
+    record = ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"]).libraries["ssrbool"][0]
+    renumbered = replace(record, steps=tuple(replace(s, index=s.index + 1) for s in record.steps))
+    for libraries in ({"elsewhere": [record]}, {"ssrbool": [renumbered]}):
+        with pytest.raises(ValueError):
+            save(Corpus(libraries), tmp_path / "c.corpus")
+
+
+class RecursiveTermTable:
+    """The recursive TermTable.add that the explicit-stack walk replaced, kept as its oracle."""
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {}
+        self._seen: dict[int, int] = {}
+
+    def add(self, tree: TermTree) -> int:
+        tid = self._seen.get(id(tree))
+        if tid is None:
+            key = (tree.symbol, *map(self.add, tree.children))
+            tid = self._seen[id(tree)] = self.ids.setdefault(key, len(self.ids))
+        return tid
+
+
+def _term_trees(corpus) -> list[TermTree]:
+    records = [record for tag in sorted(corpus.libraries) for record in corpus.libraries[tag]]
+    return [tree for record in records
+            for tree in [record.statement, *(s.goal_before for s in record.steps)] if tree is not None]
+
+
+def test_term_table_ids_match_the_recursive_oracle(tmp_path):
+    leaf = TermTree("x")
+    chain = leaf
+    for depth in range(600):
+        chain = TermTree("s", (chain, TermTree(f"c{depth % 7}")))
+    rng = np.random.default_rng(41)
+    corpora = [ingest([path], ["lib"]) for group in PARSER_INPUT_GROUPS[:2] for path in group]
+    corpora += [random_corpus(rng, tmp_path, max_lemmas=10, tag_prefix=f"r{trial}") for trial in range(6)]
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(random_trace_source(rng, 8, "tr", "traced"))
+    corpora.append(ingest([trace], ["ignored"]))
+    # one table across every corpus, so later trees meet entries and objects seen before
+    fast, slow = TermTable(), RecursiveTermTable()
+    trees = [TermTree("f", (leaf, leaf, TermTree("x"))), chain]
+    trees += [tree for corpus in corpora for tree in _term_trees(corpus)]
+    for tree in trees:
+        assert fast.add(tree) == slow.add(tree)
+    assert list(fast.ids.items()) == list(slow.ids.items())
+
+
+def assert_saves_like(old, fresh, tmp_path) -> None:
+    """old and fresh save to the same bytes."""
+    save(old, tmp_path / "old.corpus")
+    save(fresh, tmp_path / "fresh.corpus")
+    assert (tmp_path / "old.corpus").read_bytes() == (tmp_path / "fresh.corpus").read_bytes()
+
+
+def test_v1_corpus_loads_as_ingested(monkeypatch, tmp_path):
     monkeypatch.chdir(FIXTURES)
     old = load(V1_CORPUS)
     fresh = ingest(["ssr_bool.v", "matrix_trace.jsonl"], ["ssrbool", "matrix"])
@@ -223,6 +310,7 @@ def test_v1_corpus_loads_as_ingested(monkeypatch):
     assert [stored["features"][n]["raw"] for n in old.names] == old.raw.tolist()
     scaled = [stored["features"][n]["scaled"] for n in old.names]
     assert scaled == old.feature_database().matrix.tolist()
+    assert_saves_like(old, fresh, tmp_path)
 
 
 def test_v2_corpus_loads_as_ingested(monkeypatch, tmp_path):
@@ -231,16 +319,23 @@ def test_v2_corpus_loads_as_ingested(monkeypatch, tmp_path):
     fresh = ingest(["ssr_bool.v", "matrix_trace.jsonl"], ["ssrbool", "matrix"])
     assert_same_corpus(old, fresh)
     # saving rewrites it as the current format
-    save(old, tmp_path / "v3.corpus")
-    assert_same_corpus(load(tmp_path / "v3.corpus"), fresh)
+    assert_saves_like(old, fresh, tmp_path)
 
 
 def test_v3_corpus_loads_as_ingested_and_saves_to_the_same_bytes(monkeypatch, tmp_path):
     monkeypatch.chdir(FIXTURES)
+    old = load(V3_CORPUS)
     fresh = ingest(["ssr_bool.v", "matrix_trace.jsonl"], ["ssrbool", "matrix"])
-    assert_same_corpus(load(V3_CORPUS), fresh)
-    save(fresh, tmp_path / "v3.corpus")
-    assert (tmp_path / "v3.corpus").read_bytes() == V3_CORPUS.read_bytes()
+    assert_same_corpus(old, fresh)
+    assert_saves_like(old, fresh, tmp_path)
+
+
+def test_v4_corpus_loads_as_ingested_and_saves_to_the_same_bytes(monkeypatch, tmp_path):
+    monkeypatch.chdir(FIXTURES)
+    fresh = ingest(["ssr_bool.v", "matrix_trace.jsonl"], ["ssrbool", "matrix"])
+    assert_same_corpus(load(V4_CORPUS), fresh)
+    save(fresh, tmp_path / "v4.corpus")
+    assert (tmp_path / "v4.corpus").read_bytes() == V4_CORPUS.read_bytes()
 
 
 def test_v1_corpus_with_changed_payload_digit_rejected(tmp_path):
@@ -253,12 +348,17 @@ def test_v1_corpus_with_changed_payload_digit_rejected(tmp_path):
         load(path)
 
 
-def _write_checked(path, body: bytes) -> None:
+def _write_checked(path, body: bytes, version: str = CORPUS_FORMAT) -> None:
     """A corpus file whose header checksum matches body."""
-    header = {"format": CORPUS_FORMAT, "checksum": hashlib.sha256(body).hexdigest()}
+    header = {"format": version, "checksum": hashlib.sha256(body).hexdigest()}
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
 
 
+def _json(payload) -> bytes:
+    return json.dumps(payload).encode("utf-8")
+
+
+# format v3 payloads, built from dict records
 _TERMS = TermTable()
 _RECORDS = [encode_record(r, _TERMS.add)
             for r in ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"]).libraries["ssrbool"]]
@@ -275,8 +375,30 @@ def _first_record(**changes) -> dict:
     return {k: v for k, v in record.items() if v is not None}
 
 
-def _json(payload) -> bytes:
-    return json.dumps(payload).encode("utf-8")
+# format v4 payloads, built from the v4 fixture
+_V4 = json.loads(V4_CORPUS.read_bytes().partition(b"\n")[2])
+_V4_RECORD = _V4["libraries"]["ssrbool"][0]  # [name, statement_id, file, line_start, line_end, steps]
+
+
+def _v4(**changes) -> bytes:
+    """The v4 fixture's payload with changes; a change to None drops the key."""
+    return _json({k: v for k, v in {**_V4, **changes}.items() if v is not None})
+
+
+def _v4_record(record: list) -> bytes:
+    return _v4(libraries={"ssrbool": [record]})
+
+
+def _v4_step(step: list) -> bytes:
+    return _v4_record(_V4_RECORD[:5] + [[step]])
+
+
+# JSON numbers that no Python value dumps as, spliced into the payload in place of a marker
+_SUBGOALS = {"1e400": b"1e400", "-1": b"-1", "true": b"true", "1.5": b"1.5"}
+
+
+def _with_subgoals(body: bytes, text: bytes) -> bytes:
+    return body.replace(b'"SUBGOALS"', text)
 
 
 MALFORMED_PAYLOADS = {
@@ -309,13 +431,47 @@ MALFORMED_PAYLOADS = {
     "terms missing": _json({"patch_len": 5, "libraries": {"ssrbool": _RECORDS}}),
     "subgoal count too large for a float": _json(_payload(libraries={"ssrbool": [_first_record(steps=[
         {"index": 1, "tactics": [], "subgoals_after": 10 ** 400}])]})),
+    **{f"subgoals_after {name}": _with_subgoals(_json(_payload(libraries={"ssrbool": [_first_record(steps=[
+        {"index": 1, "tactics": [], "subgoals_after": "SUBGOALS"}])]})), text)
+       for name, text in _SUBGOALS.items()},
 }
+MALFORMED_PAYLOADS = {name: (CORPUS_FORMAT_V3, body) for name, body in MALFORMED_PAYLOADS.items()}
+MALFORMED_PAYLOADS.update({f"v4 {name}": (CORPUS_FORMAT, body) for name, body in {
+    "argument id out of range": _v4(tactics=_V4["tactics"] + [["apply", len(_V4["arguments"])]]),
+    "negative argument id": _v4(tactics=_V4["tactics"] + [["apply", -1]]),
+    "argument id is true": _v4(tactics=_V4["tactics"] + [["apply", True]]),
+    "tactic id out of range": _v4_step([None, None, len(_V4["tactics"])]),
+    "negative tactic id": _v4_step([None, None, -1]),
+    "tactic id is true": _v4_step([None, None, True]),
+    "unknown argument kind": _v4(arguments=_V4["arguments"] + [["x", "?"]]),
+    "argument entry of the wrong length": _v4(arguments=_V4["arguments"] + [["x"]]),
+    "non-string argument text": _v4(arguments=_V4["arguments"] + [[5, "wildcard"]]),
+    "tactic entry without a name": _v4(tactics=_V4["tactics"] + [[]]),
+    "record list too short": _v4_record(_V4_RECORD[:5]),
+    "record list too long": _v4_record(_V4_RECORD + [0]),
+    "record is a dict": _v4_record(dict(enumerate(_V4_RECORD))),
+    "non-string lemma name": _v4_record([7] + _V4_RECORD[1:]),
+    "line number is true": _v4_record(_V4_RECORD[:3] + [True] + _V4_RECORD[4:]),
+    "record with no steps": _v4_record(_V4_RECORD[:5] + [[]]),
+    "steps is not a list": _v4_record(_V4_RECORD[:5] + [{}]),
+    "step list too short": _v4_step([None, None]),
+    "step is not a list": _v4_step("abc"),
+    "statement id out of range": _v4_record(_V4_RECORD[:1] + [len(_V4["terms"])] + _V4_RECORD[2:]),
+    "goal id out of range": _v4_step([len(_V4["terms"]), None, 0]),
+    "arguments missing": _v4(arguments=None),
+    "tactics missing": _v4(tactics=None),
+    "terms missing": _v4(terms=None),
+    "tactics is not a list": _v4(tactics={"0": ["by"]}),
+    "records is not a list": _v4(libraries={"ssrbool": {"0": _V4_RECORD}}),
+    **{f"subgoals_after {name}": _with_subgoals(_v4_step([None, "SUBGOALS", 0]), text)
+       for name, text in _SUBGOALS.items()},
+}.items()})
 
 
-@pytest.mark.parametrize("body", MALFORMED_PAYLOADS.values(), ids=MALFORMED_PAYLOADS.keys())
-def test_checksum_valid_malformed_payload_is_corrupt(tmp_path, body):
+@pytest.mark.parametrize("version, body", MALFORMED_PAYLOADS.values(), ids=MALFORMED_PAYLOADS.keys())
+def test_checksum_valid_malformed_payload_is_corrupt(tmp_path, version, body):
     path = tmp_path / "c.corpus"
-    _write_checked(path, body)
+    _write_checked(path, body, version)
     with pytest.raises(CorruptFile):
         load(path)
     assert main(["cluster", "--corpus", str(path), "--out", str(tmp_path / "d")]) == 3
@@ -324,7 +480,7 @@ def test_checksum_valid_malformed_payload_is_corrupt(tmp_path, body):
 
 def test_empty_corpus_is_insufficient_data(tmp_path):
     path = tmp_path / "c.corpus"
-    _write_checked(path, _json(_payload(libraries={})))
+    _write_checked(path, _v4(terms=[], arguments=[], tactics=[], libraries={}))
     corpus = load(path)
     assert corpus.lemma_count() == 0
     assert corpus.feature_database().matrix.shape == (0, 40)
