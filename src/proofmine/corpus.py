@@ -24,7 +24,8 @@ goal_before, subgoals_after} and a tactic {name, arguments: [{text, kind}]}.
 Version 3 payloads hold the term table and store term ids; version 2 payloads
 store each term as a nested {"symbol", "children"} tree.  Version 1 files are
 one JSON document whose payload also stored the table and the feature vectors;
-those are ignored.
+those are ignored.  In every format a lemma name that appears twice, in one
+library or in two, makes the file corrupt, as it would make `ingest` fail.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ class Corpus:
         if type(self.patch_len) is not int or self.patch_len < 1:  # bool is not a length
             raise ValueError(f"patch_len must be a positive integer, got {self.patch_len!r}")
         records = sorted((r for recs in self.libraries.values() for r in recs), key=lambda r: r.name)
+        repeated = sorted({a.name for a, b in zip(records, records[1:]) if a.name == b.name})
+        if repeated:  # members, proximities and tags are all keyed by name
+            raise ValueError(f"lemma names must be unique across libraries, repeated: {', '.join(repeated)}")
         # an empty corpus gets an empty vocabulary, so every query token encodes as 0
         self.table = build_encoding_table(records)
         self.names = [r.name for r in records]

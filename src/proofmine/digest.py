@@ -4,6 +4,14 @@ Run i uses seed master_seed + i.  Two lemmas "co-occur" when a run gives them
 the same label; consensus clusters are connected components of the graph whose
 edges are co-occurrence rates >= the frequency threshold.  Singleton components
 carry no hint value and are dropped.
+
+The graph is built over label classes: lemmas with the same label in every run
+are one class.  Class-mates co-occur at rate 1.0 and the rate between two
+lemmas depends only on their classes, so every lemma component is a union of
+class components and counting over the k distinct label columns loses
+nothing.  A component's frequency is still the mean of its lemma pair rates in
+the lemma-level order, and class-mates share the runs their proximity averages
+over, so the digest is the one a lemma-level graph gives.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ALGORITHMS, GranularityConfig, choose_n
+from .clustering import ALGORITHMS, GranularityConfig, _distinct_rows, choose_n
 from .features import FeatureDatabase
 
 DIGEST_FORMAT = "proofmine digest v1"
@@ -123,19 +131,26 @@ def components_at(co_matrix: np.ndarray, threshold: float) -> list[list[int]]:
     return components
 
 
-def _member_proximities(component: list[int], labels_runs: np.ndarray,
-                        proximity_runs: np.ndarray) -> dict[int, float]:
+def _member_proximities(classes: list[np.ndarray], class_labels: np.ndarray,
+                        proximity: np.ndarray) -> dict[int, float]:
     """Mean proximity over the runs where a member is co-labeled with the
-    majority of the other members; 0 when no run qualifies."""
-    sub = labels_runs[:, component]
-    # per run, how many other members share each member's label
-    keys = sub + np.arange(len(sub))[:, None] * (int(sub.max()) + 1)
-    agree = np.bincount(keys.ravel())[keys] - 1
-    qualifying = agree * 2 >= len(component) - 1
+    majority of the other members; 0 when no run qualifies.
+
+    The component is the union of label classes: classes[j] holds the lemma
+    indices of class j and class_labels[:, j] its label in each run.  Class-mates
+    share every label, so they share the qualifying runs.  proximity is
+    (lemmas, runs), so each class's means are one last-axis reduction, which
+    sums each row exactly as a one-row mean would.
+    """
+    sizes = np.array([len(members) for members in classes])
+    # per run, how many other members share each class's label
+    keys = class_labels + np.arange(len(class_labels))[:, None] * (int(class_labels.max()) + 1)
+    agree = np.bincount(keys.ravel(), weights=np.tile(sizes, len(keys)))[keys] - 1
+    qualifying = agree * 2 >= sizes.sum() - 1
     out: dict[int, float] = {}
-    for pos, x in enumerate(component):
-        runs = qualifying[:, pos]
-        out[x] = float(proximity_runs[runs, x].mean()) if runs.any() else 0.0
+    for members, runs in zip(classes, qualifying.T):
+        means = proximity[np.ix_(members, runs)].mean(axis=1) if runs.any() else np.zeros(len(members))
+        out.update(zip(members.tolist(), means.tolist()))
     return out
 
 
@@ -150,28 +165,42 @@ def classify_homogeneity(members: tuple[str, ...] | list[str],
 
 
 def run_digest(db: FeatureDatabase, cfg: DigestConfig) -> list[ConsensusCluster]:
-    """Consensus clusters over cfg.runs seeded runs, sorted by falling frequency."""
+    """Consensus clusters over cfg.runs seeded runs, sorted by falling frequency.
+
+    The graph is built over label classes; each class component expands to
+    the lemmas of its classes.
+    """
     m = len(db.names)
     if m < 2:
         raise TooFewLemmas(f"need at least 2 lemmas, have {m}")
     labels_runs, proximity_runs, _ = run_partitions(db.matrix, cfg)
-    co_matrix = co_occurrence_counts(labels_runs) / cfg.runs
+    columns, lemma_class = _distinct_rows(labels_runs.T)
+    class_labels = np.ascontiguousarray(columns.T)
+    class_co = co_occurrence_counts(class_labels) / cfg.runs
+    # each class's lemma indices, ascending
+    class_members = np.split(np.argsort(lemma_class, kind="stable"),
+                             np.cumsum(np.bincount(lemma_class))[:-1])
+    proximity = np.ascontiguousarray(proximity_runs.T)
     clusters: list[ConsensusCluster] = []
-    for component in components_at(co_matrix, cfg.frequency_threshold):
+    for class_component in components_at(class_co, cfg.frequency_threshold):
+        component = np.sort(np.concatenate([class_members[c] for c in class_component]))
         if len(component) < 2:
             continue
-        frequency = float(np.mean([co_matrix[a, b] for pos, a in enumerate(component)
-                                   for b in component[pos + 1:]]))
+        # the mean of the lemma pair rates (a, b), a < b, taken in row-major order
+        in_class = lemma_class[component]
+        order = np.arange(len(component))
+        frequency = float(class_co[in_class][:, in_class][order[:, None] < order].mean())
         # loosely chained components can average below the threshold even
         # though every edge clears it; those are not frequent enough to show
         if frequency < cfg.frequency_threshold - 1e-12:
             continue
-        proximities = _member_proximities(component, labels_runs, proximity_runs)
+        proximities = _member_proximities([class_members[c] for c in class_component],
+                                          class_labels[:, class_component], proximity)
         members = tuple(sorted(db.names[i] for i in component))
         clusters.append(ConsensusCluster(
             members=members,
             frequency=frequency,
-            member_proximity={db.names[i]: proximities[i] for i in component},
+            member_proximity={db.names[i]: proximities[i] for i in component.tolist()},
             homogeneity=classify_homogeneity(members, db.libraries),
         ))
     clusters.sort(key=lambda c: (-c.frequency, c.members[0]))

@@ -217,6 +217,20 @@ def test_corrupt_corpus_exits_3(tmp_path):
     assert main(["cluster", "--corpus", str(bogus), "--out", str(tmp_path / "d")]) == 3
 
 
+def test_corpus_repeating_lemma_names_exits_3(tmp_path, capsys):
+    # the v4 fixture resealed with three ssrbool records stored twice: a valid checksum
+    payload = json.loads((FIXTURES / "ssr_bool_matrix_v4.corpus").read_bytes().partition(b"\n")[2])
+    payload["libraries"]["ssrbool"] += payload["libraries"]["ssrbool"][:3]
+    body = json.dumps(payload).encode("utf-8")
+    header = {"format": CORPUS_FORMAT, "checksum": hashlib.sha256(body).hexdigest()}
+    path = tmp_path / "repeated.corpus"
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    assert main(["cluster", "--corpus", str(path), "--out", str(tmp_path / "d"), "--runs", "3"]) == 3
+    assert main(["hint", "--corpus", str(path), "--query", str(HINT / "hint_query.v"), "--runs", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "repeated: altP, andbb, orbb" in err and not (tmp_path / "d").exists()
+
+
 def test_report_on_bare_digest_exits_2(tmp_path, capsys):
     path = tmp_path / "bare.json"
     path.write_text('{"format": "proofmine digest v1"}')

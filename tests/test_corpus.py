@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from proofmine.cli import main
-from proofmine.corpus import (CORPUS_FORMAT, CORPUS_FORMAT_V3, Corpus, CorruptFile, TermTable,
-                              VersionMismatch, database_with_query, ingest, load, save)
+from proofmine.corpus import (CORPUS_FORMAT, CORPUS_FORMAT_V1, CORPUS_FORMAT_V2, CORPUS_FORMAT_V3,
+                              Corpus, CorruptFile, TermTable, VersionMismatch, database_with_query,
+                              ingest, load, save)
 from proofmine.script import DuplicateLemmaName, parse_partial
 from proofmine.terms import TermTree
 
@@ -251,6 +252,14 @@ def test_save_rejects_positions_that_would_misstate_a_record(tmp_path):
             save(Corpus(libraries), tmp_path / "c.corpus")
 
 
+def test_corpus_rejects_a_repeated_lemma_name():
+    record = ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"]).libraries["ssrbool"][0]
+    other = replace(record, library="other")
+    for libraries in ({"ssrbool": [record, record]}, {"ssrbool": [record], "other": [other]}):
+        with pytest.raises(ValueError, match=record.name):
+            Corpus(libraries)
+
+
 class RecursiveTermTable:
     """The recursive TermTable.add that the explicit-stack walk replaced, kept as its oracle."""
 
@@ -352,6 +361,10 @@ def _write_checked(path, body: bytes, version: str = CORPUS_FORMAT) -> None:
     """A corpus file whose header checksum matches body."""
     header = {"format": version, "checksum": hashlib.sha256(body).hexdigest()}
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+
+
+def _canonical(payload) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def _json(payload) -> bytes:
@@ -466,6 +479,41 @@ MALFORMED_PAYLOADS.update({f"v4 {name}": (CORPUS_FORMAT, body) for name, body in
     **{f"subgoals_after {name}": _with_subgoals(_v4_step([None, "SUBGOALS", 0]), text)
        for name, text in _SUBGOALS.items()},
 }.items()})
+
+
+def _repeated_name(payload: dict, across: bool, copy) -> dict:
+    """The payload with ssrbool's first record stored once more, in ssrbool or under a new tag."""
+    tag = "other" if across else "ssrbool"
+    record = copy(payload["libraries"]["ssrbool"][0], tag)
+    return {**payload, "libraries": {**payload["libraries"],
+                                     tag: payload["libraries"].get(tag, []) + [record]}}
+
+
+def _repeated_name_file(path, version: str, across: bool) -> None:
+    """A checksum-valid fixture of the given format that stores one lemma name twice."""
+    if version == CORPUS_FORMAT:  # positional records; the tag is the library
+        _write_checked(path, _json(_repeated_name(_V4, across, lambda record, tag: record)))
+        return
+    copy = lambda record, tag: {**record, "library": tag}  # noqa: E731
+    if version == CORPUS_FORMAT_V1:  # one line; the checksum covers the canonical payload
+        header = json.loads(V1_CORPUS.read_bytes())
+        payload = _repeated_name(header["payload"], across, copy)
+        header.update(payload=payload, checksum=hashlib.sha256(_canonical(payload)).hexdigest())
+        path.write_text(json.dumps(header))
+        return
+    fixture = {CORPUS_FORMAT_V2: V2_CORPUS, CORPUS_FORMAT_V3: V3_CORPUS}[version]
+    payload = json.loads(fixture.read_bytes().partition(b"\n")[2])
+    _write_checked(path, _json(_repeated_name(payload, across, copy)), version)
+
+
+@pytest.mark.parametrize("across", [False, True], ids=["in one library", "across libraries"])
+@pytest.mark.parametrize("version", [CORPUS_FORMAT_V1, CORPUS_FORMAT_V2, CORPUS_FORMAT_V3, CORPUS_FORMAT])
+def test_repeated_lemma_name_is_corrupt_in_every_format(tmp_path, version, across):
+    path = tmp_path / "c.corpus"
+    _repeated_name_file(path, version, across)
+    with pytest.raises(CorruptFile, match="repeated: andbb"):
+        load(path)
+    assert main(["cluster", "--corpus", str(path), "--out", str(tmp_path / "d")]) == 3
 
 
 @pytest.mark.parametrize("version, body", MALFORMED_PAYLOADS.values(), ids=MALFORMED_PAYLOADS.keys())

@@ -3,12 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from proofmine import digest
+from proofmine.clustering import _distinct_rows
+from proofmine.corpus import database_with_query
 from proofmine.digest import (ConsensusCluster, DigestConfig, Homogeneity, TooFewLemmas,
                               UnknownLemma, _member_proximities, classify_homogeneity,
                               co_occurrence_counts,
                               components_at, digest_to_dict, read_digest, run_digest,
                               run_partitions, select_reliable, write_digest)
 from proofmine.features import FeatureDatabase
+from proofmine.script import parse_partial
+
+from conftest import HINT, random_corpus
 
 
 def make_db(matrix, tags=None):
@@ -148,13 +154,23 @@ def test_co_occurrence_matches_oracle():
     assert np.array_equal(co_occurrence_counts(labels), co_occurrence_oracle(labels))
 
 
+def label_classes(component, labels):
+    """The component's lemmas grouped by label column, and each group's column."""
+    columns, inverse = _distinct_rows(labels[:, component].T)
+    component = np.asarray(component)
+    return [component[inverse == j] for j in range(len(columns))], columns.T
+
+
 def test_member_proximities_match_oracle():
     rng = np.random.default_rng(12)
-    for _ in range(30):
+    for case in range(30):
         labels, proximity = random_runs(rng)
         m = labels.shape[1]
+        if case % 2:  # planted duplicate columns: lemmas that share every label
+            labels = labels[:, rng.integers(0, m, size=m)]
         component = sorted(rng.choice(m, size=int(rng.integers(2, m + 1)), replace=False).tolist())
-        assert (_member_proximities(component, labels, proximity)
+        classes, class_labels = label_classes(component, labels)
+        assert (_member_proximities(classes, class_labels, proximity.T)
                 == member_proximities_oracle(component, labels, proximity))
 
 
@@ -195,6 +211,158 @@ def test_too_few_lemmas():
     db = make_db(np.zeros((1, 40)))
     with pytest.raises(TooFewLemmas):
         run_digest(db, DigestConfig(runs=2))
+
+
+# ---------------------------------------------------------------------------
+# the consensus over label classes against the lemma-level loop it replaced
+
+
+def lemma_member_proximities(component: list[int], labels_runs: np.ndarray,
+                             proximity_runs: np.ndarray) -> dict[int, float]:
+    """The lemma-level _member_proximities that the per-class means replaced:
+    one mean per member over the runs where it is co-labeled with the
+    majority of the other members; 0 when no run qualifies."""
+    sub = labels_runs[:, component]
+    # per run, how many other members share each member's label
+    keys = sub + np.arange(len(sub))[:, None] * (int(sub.max()) + 1)
+    agree = np.bincount(keys.ravel())[keys] - 1
+    qualifying = agree * 2 >= len(component) - 1
+    out: dict[int, float] = {}
+    for pos, x in enumerate(component):
+        runs = qualifying[:, pos]
+        out[x] = float(proximity_runs[runs, x].mean()) if runs.any() else 0.0
+    return out
+
+
+def run_digest_oracle(db: FeatureDatabase, cfg: DigestConfig) -> list[ConsensusCluster]:
+    """The lemma-level run_digest that the label-class consensus replaced:
+    m x m rates, one component walk per lemma, a Python list of pair rates."""
+    m = len(db.names)
+    if m < 2:
+        raise TooFewLemmas(f"need at least 2 lemmas, have {m}")
+    labels_runs, proximity_runs, _ = run_partitions(db.matrix, cfg)
+    co_matrix = co_occurrence_counts(labels_runs) / cfg.runs
+    clusters: list[ConsensusCluster] = []
+    for component in components_at(co_matrix, cfg.frequency_threshold):
+        if len(component) < 2:
+            continue
+        frequency = float(np.mean([co_matrix[a, b] for pos, a in enumerate(component)
+                                   for b in component[pos + 1:]]))
+        # loosely chained components can average below the threshold even
+        # though every edge clears it; those are not frequent enough to show
+        if frequency < cfg.frequency_threshold - 1e-12:
+            continue
+        proximities = lemma_member_proximities(component, labels_runs, proximity_runs)
+        members = tuple(sorted(db.names[i] for i in component))
+        clusters.append(ConsensusCluster(
+            members=members,
+            frequency=frequency,
+            member_proximity={db.names[i]: proximities[i] for i in component},
+            homogeneity=classify_homogeneity(members, db.libraries),
+        ))
+    clusters.sort(key=lambda c: (-c.frequency, c.members[0]))
+    return clusters
+
+
+def assert_digest_matches_oracle(db, cfg):
+    def doc(clusters):
+        return repr(digest_to_dict(clusters, cfg, objects=len(db.names), clusters_per_run=1,
+                                   libraries=db.libraries))
+
+    clusters = run_digest(db, cfg)
+    assert doc(clusters) == doc(run_digest_oracle(db, cfg))
+    return clusters
+
+
+def planted_partitions(monkeypatch, labels, proximity):
+    """Make every digest run see these label and proximity matrices."""
+    def planted(matrix, cfg):
+        return labels, proximity, 1
+
+    monkeypatch.setattr(digest, "run_partitions", planted)
+    monkeypatch.setitem(globals(), "run_partitions", planted)
+
+
+def planted_db(m, rng):
+    return make_db(np.zeros((m, 40)), tags=[f"lib{int(t)}" for t in rng.integers(0, 3, size=m)])
+
+
+@pytest.mark.parametrize("runs", [1, 2, 7, 8, 9, 25, 200])
+@pytest.mark.parametrize("threshold", [0.3, 0.6, 1.0])
+def test_digest_matches_oracle_on_template_corpora(tmp_path, runs, threshold):
+    rng = np.random.default_rng(runs * 10 + int(threshold * 10))
+    db = random_corpus(rng, tmp_path, max_lemmas=30, libraries=3).feature_database()
+    assert len(_distinct_rows(db.matrix)[0]) < len(db.names)  # duplicate rows
+    algorithms = {1: ("kmeans", "farthest-first", "em"), 2: ("kmeans", "farthest-first", "em"),
+                  200: ("kmeans",)}.get(runs, ("kmeans", "farthest-first"))
+    for algorithm in algorithms:
+        cfg = DigestConfig(runs=runs, frequency_threshold=threshold, algorithm=algorithm,
+                           granularity=int(rng.integers(1, 6)), master_seed=runs)
+        assert_digest_matches_oracle(db, cfg)
+
+
+@pytest.mark.parametrize("threshold", [0.3, 0.6, 1.0])
+def test_digest_matches_oracle_on_planted_duplicate_columns(monkeypatch, threshold):
+    rng = np.random.default_rng(int(threshold * 10))
+    for _ in range(25):
+        runs, m = int(rng.integers(1, 30)), int(rng.integers(2, 60))
+        classes = int(rng.integers(1, m + 1))
+        labels = rng.integers(0, int(rng.integers(1, 8)), size=(runs, classes))
+        labels = labels[:, rng.integers(0, classes, size=m)]
+        planted_partitions(monkeypatch, labels, rng.uniform(size=(runs, m)))
+        assert_digest_matches_oracle(planted_db(m, rng), DigestConfig(runs=runs, frequency_threshold=threshold))
+
+
+def test_chained_component_averaging_below_the_threshold_is_dropped(monkeypatch):
+    # classes a, b, c of two lemmas each: a-b and b-c co-occur in 3 of 5 runs,
+    # a-c in 1, so every edge clears 0.6 but the 15 pairs average 8.6 / 15
+    a, b, c = [0, 0, 0, 0, 0], [0, 0, 0, 1, 1], [0, 1, 1, 1, 1]
+    labels = np.array([a, a, b, b, c, c, [2, 2, 2, 2, 2], [3, 3, 3, 3, 3]]).T
+    planted_partitions(monkeypatch, labels, np.random.default_rng(1).uniform(size=labels.shape))
+    db = make_db(np.zeros((8, 40)))
+    cfg = DigestConfig(runs=5, frequency_threshold=0.6)
+    assert components_at(co_occurrence_counts(labels) / 5, 0.6)[0] == [0, 1, 2, 3, 4, 5]
+    assert assert_digest_matches_oracle(db, cfg) == []
+    assert len(assert_digest_matches_oracle(db, DigestConfig(runs=5, frequency_threshold=0.5))) == 1
+
+
+@pytest.mark.parametrize("runs", [1, 9])
+def test_digest_matches_oracle_with_all_distinct_columns_or_one_class(monkeypatch, runs):
+    rng = np.random.default_rng(runs)
+    m = 12
+    distinct = np.tile(np.arange(m), (runs, 1))
+    distinct[0] = rng.integers(0, 3, size=m)  # one shared run; the other runs keep columns apart
+    for labels in (distinct, np.zeros((runs, m), dtype=np.int64)):
+        planted_partitions(monkeypatch, labels, rng.uniform(size=(runs, m)))
+        for threshold in (0.3, 0.6, 1.0):
+            assert_digest_matches_oracle(planted_db(m, rng),
+                                         DigestConfig(runs=runs, frequency_threshold=threshold))
+
+
+@pytest.mark.parametrize("runs", [2, 8, 25])
+def test_digest_matches_oracle_on_a_hint_database(hint_corpus, runs):
+    query = HINT / "hint_query.v"
+    db = database_with_query(hint_corpus, parse_partial(query.read_text(), filename=str(query)))
+    for threshold in (0.3, 0.6, 1.0):
+        assert_digest_matches_oracle(db, DigestConfig(runs=runs, frequency_threshold=threshold,
+                                                      master_seed=runs))
+
+
+def test_co_occurrence_is_counted_over_distinct_label_columns(tmp_path, monkeypatch):
+    db = random_corpus(np.random.default_rng(5), tmp_path, max_lemmas=60, libraries=3).feature_database()
+    cfg = DigestConfig(runs=6, master_seed=3)
+    labels, _, _ = run_partitions(db.matrix, cfg)
+    columns = len(np.unique(labels.T, axis=0))
+    assert columns < len(db.names) // 2
+    shapes = []
+
+    def spy(labels_runs):
+        shapes.append(labels_runs.shape)
+        return co_occurrence_counts(labels_runs)
+
+    monkeypatch.setattr(digest, "co_occurrence_counts", spy)
+    run_digest(db, cfg)
+    assert shapes == [(cfg.runs, columns)]
 
 
 # ---------------------------------------------------------------------------
