@@ -13,19 +13,14 @@ maps each tag to positional records
 is its tag and a step's index its position, counted from 1, as the parsers
 guarantee.  Loading builds one shared tree, argument and application per
 table entry.  Every id must be an int (not a bool) within its table, a child
-id below its own entry's position, and subgoals_after null or a non-negative
-int; anything else is a corrupt file.  The encoding table and the raw feature
-matrix are derived from the records whenever a corpus is built or loaded, so
-they always match them.
+id below its own entry's position, subgoals_after null or a non-negative
+int, and a lemma name may appear once across all libraries, as `ingest`
+requires; anything else is a corrupt file.  The encoding table and the raw
+feature matrix are derived from the records whenever a corpus is built or
+loaded, so they always match them.
 
-Older files are still read.  Their records are dicts {name, statement, steps,
-library, source_span: {file, line_start, line_end}}, a step {index, tactics,
-goal_before, subgoals_after} and a tactic {name, arguments: [{text, kind}]}.
-Version 3 payloads hold the term table and store term ids; version 2 payloads
-store each term as a nested {"symbol", "children"} tree.  Version 1 files are
-one JSON document whose payload also stored the table and the feature vectors;
-those are ignored.  In every format a lemma name that appears twice, in one
-library or in two, makes the file corrupt, as it would make `ingest` fail.
+A corpus is a cache of its parsed sources, so a file with any other format
+tag, older ones included, is refused: `extract` rebuilds it.
 """
 
 from __future__ import annotations
@@ -45,9 +40,6 @@ from .script import (ArgumentKind, ArgumentToken, DuplicateLemmaName, LemmaRecor
 from .terms import TermTree
 
 CORPUS_FORMAT = "proofmine corpus v4"
-CORPUS_FORMAT_V3 = "proofmine corpus v3"
-CORPUS_FORMAT_V2 = "proofmine corpus v2"
-CORPUS_FORMAT_V1 = "proofmine corpus v1"
 QUERY_NAME = "?query"
 
 
@@ -133,7 +125,7 @@ def ingest(paths: list[str | Path], tags: list[str], corpus: Corpus | None = Non
             names[record.name] = record.library
             libraries.setdefault(record.library, []).append(record)
     if not names:
-        raise EmptyCorpus("cannot build an encoding table from an empty corpus")
+        raise EmptyCorpus(f"the given libraries hold no proved lemma: {', '.join(map(str, paths))}")
     return Corpus(libraries, patch_len)
 
 
@@ -154,7 +146,7 @@ def database_with_query(corpus: Corpus, query: LemmaRecord) -> FeatureDatabase:
 
 
 class TermTable:
-    """Each distinct subtree once, children before parents, as formats v3 and v4 store it.
+    """Each distinct subtree once, children before parents, as a corpus file stores it.
 
     `ids` maps each entry (symbol, child_id, ...) to its id, its position in
     the dict's insertion order, so `list(ids)` is the stored table.  Trees are
@@ -225,32 +217,11 @@ def read_term_table(entries) -> Callable[[object], TermTree]:
     return _lookup(trees, "term")
 
 
-def read_nested_term(data: dict) -> TermTree:
-    """Decode the nested {"symbol", "children"} term of formats v1 and v2."""
-    return TermTree(data["symbol"], tuple(map(read_nested_term, data.get("children", ()))))
-
-
 def _subgoal_count(value):
     """A stored subgoals_after: null or a non-negative int (not a bool), as the parsers give it."""
     if value is not None and (type(value) is not int or value < 0):
         raise ValueError(f"subgoals_after {value!r} is not null or a non-negative integer")
     return value
-
-
-def decode_record(data: dict, term: Callable[[object], TermTree]) -> LemmaRecord:
-    """A record of formats v1 to v3, a dict; term turns a stored term back into a tree."""
-    span = data["source_span"]
-    steps = tuple(ProofStep(
-        index=step["index"],
-        tactics=tuple(TacticApplication(app["name"], tuple(
-            ArgumentToken(arg["text"], ArgumentKind(arg["kind"])) for arg in app.get("arguments", ())))
-            for app in step["tactics"]),
-        goal_before=None if step.get("goal_before") is None else term(step["goal_before"]),
-        subgoals_after=_subgoal_count(step.get("subgoals_after")),
-    ) for step in data["steps"])
-    return LemmaRecord(name=data["name"], statement=term(data["statement"]), steps=steps,
-                       library=data["library"],
-                       source_span=SourceSpan(span["file"], span["line_start"], span["line_end"]))
 
 
 def _list(value, what: str) -> list:
@@ -340,24 +311,13 @@ def load(path: str | Path) -> Corpus:
         raise CorruptFile(f"{path}: not parseable as JSON ({exc})") from exc
     if not isinstance(header, dict) or "format" not in header:
         raise CorruptFile(f"{path}: missing format header")
-    version = header["format"]
-    if version in (CORPUS_FORMAT, CORPUS_FORMAT_V3, CORPUS_FORMAT_V2):
-        payload = rest
-    elif version == CORPUS_FORMAT_V1:
-        # the whole v1 document is one line; its checksum covers the canonical payload
-        payload = _canonical(header.get("payload"))
-    else:
-        raise VersionMismatch(f"{path}: expected {CORPUS_FORMAT!r}, found {version!r}")
-    if hashlib.sha256(payload).hexdigest() != header.get("checksum"):
+    if header["format"] != CORPUS_FORMAT:
+        raise VersionMismatch(f"{path}: expected {CORPUS_FORMAT!r}, found {header['format']!r}; "
+                              "run `proofmine extract` on its sources to rebuild it")
+    if hashlib.sha256(rest).hexdigest() != header.get("checksum"):
         raise CorruptFile(f"{path}: checksum mismatch")
     try:
-        data = json.loads(payload)
-        if version == CORPUS_FORMAT:
-            libraries = _read_v4(data)
-        else:
-            term = read_term_table(data["terms"]) if version == CORPUS_FORMAT_V3 else read_nested_term
-            libraries = {tag: [decode_record(r, term) for r in records]
-                         for tag, records in data["libraries"].items()}
-        return Corpus(libraries, data.get("patch_len", PATCH_LEN))
+        data = json.loads(rest)
+        return Corpus(_read_v4(data), data["patch_len"])
     except (LookupError, TypeError, ValueError, AttributeError, RecursionError, OverflowError) as exc:
         raise CorruptFile(f"{path}: malformed payload ({exc!r})") from exc

@@ -208,16 +208,8 @@ def run_digest(db: FeatureDatabase, cfg: DigestConfig) -> list[ConsensusCluster]
 
 
 def select_reliable(clusters: list[ConsensusCluster], lemma: str) -> ConsensusCluster | None:
-    """The single best cluster containing the lemma: max frequency x mean proximity."""
-    candidates = [c for c in clusters if lemma in c.members]
-    if not candidates:
-        return None
-
-    def score(cluster: ConsensusCluster) -> float:
-        return cluster.frequency * float(np.mean(list(cluster.member_proximity.values())))
-
-    candidates.sort(key=lambda c: (-score(c), -c.frequency, c.members[0]))
-    return candidates[0]
+    """The cluster holding the lemma, if any; consensus clusters are disjoint, so there is at most one."""
+    return next((c for c in clusters if lemma in c.members), None)
 
 
 # ---------------------------------------------------------------------------

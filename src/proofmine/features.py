@@ -171,9 +171,6 @@ def min_max_scale(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-FEATURES_FORMAT = "proofmine features v1"
-
-
 def write_feature_records(path: str | Path, names: list[str], libraries: dict[str, str],
                           raw: np.ndarray, scaled: np.ndarray, table: EncodingTable) -> int:
     """Dump one JSON record per lemma ("proofmine features v1", JSON Lines).

@@ -105,29 +105,6 @@ def format_term(node: TermTree) -> str:
     return sym
 
 
-# ---------------------------------------------------------------------------
-# the dict records of corpus formats v1 to v3, for writing old-format payloads
-
-
-def encode_record(record, term) -> dict:
-    """A record as formats v1 to v3 store it; term gives the stored form of each term tree."""
-    return {
-        "name": record.name,
-        "statement": term(record.statement),
-        "steps": [{
-            "index": step.index,
-            "tactics": [{"name": app.name,
-                         "arguments": [{"text": arg.text, "kind": arg.kind.value} for arg in app.arguments]}
-                        for app in step.tactics],
-            "goal_before": None if step.goal_before is None else term(step.goal_before),
-            "subgoals_after": step.subgoals_after,
-        } for step in record.steps],
-        "library": record.library,
-        "source_span": {"file": record.source_span.file, "line_start": record.source_span.line_start,
-                        "line_end": record.source_span.line_end},
-    }
-
-
 def load_golden(name: str) -> dict:
     return json.loads((GOLDENS / f"{name}.json").read_text())
 

@@ -238,10 +238,15 @@ def test_report_on_bare_digest_exits_2(tmp_path, capsys):
     assert "malformed digest" in capsys.readouterr().err
 
 
-def test_extract_without_lemmas_exits_2(tmp_path):
-    source = tmp_path / "none.v"
-    source.write_text("Definition one := 1.\n")
-    assert main(["extract", "--lib", f"t:{source}", "--out", str(tmp_path / "c")]) == 2
+def test_extract_without_lemmas_exits_2(tmp_path, capsys):
+    definition, empty = tmp_path / "none.v", tmp_path / "empty.v"
+    definition.write_text("Definition one := 1.\n")
+    empty.write_text("")
+    out = tmp_path / "c"
+    assert main(["extract", "--lib", f"t:{definition}", "--lib", f"u:{empty}", "--out", str(out)]) == 2
+    assert f"hold no proved lemma: {definition}, {empty}" in capsys.readouterr().err
+    assert not out.exists()
+
 
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_extract_nonpositive_patch_len_is_usage_error(tmp_path, capsys, value):

@@ -6,20 +6,16 @@ import numpy as np
 import pytest
 
 from proofmine.cli import main
-from proofmine.corpus import (CORPUS_FORMAT, CORPUS_FORMAT_V1, CORPUS_FORMAT_V2, CORPUS_FORMAT_V3,
-                              Corpus, CorruptFile, TermTable, VersionMismatch, database_with_query,
-                              ingest, load, save)
+from proofmine.corpus import (CORPUS_FORMAT, Corpus, CorruptFile, TermTable, VersionMismatch,
+                              database_with_query, ingest, load, save)
 from proofmine.script import DuplicateLemmaName, parse_partial
 from proofmine.terms import TermTree
 
-from conftest import (FIXTURES, HINT, PARSER_INPUT_GROUPS, encode_record, iter_nodes, random_corpus,
+from conftest import (FIXTURES, HINT, PARSER_INPUT_GROUPS, iter_nodes, random_corpus,
                       random_library_source, random_trace_source)
 
-# written by the v1 to v4 code: `extract --lib ssrbool:ssr_bool.v --lib matrix:matrix_trace.jsonl`
-# run inside tests/fixtures, so their source spans name the files relatively
-V1_CORPUS = FIXTURES / "ssr_bool_matrix_v1.corpus"
-V2_CORPUS = FIXTURES / "ssr_bool_matrix_v2.corpus"
-V3_CORPUS = FIXTURES / "ssr_bool_matrix_v3.corpus"
+# written by `extract --lib ssrbool:ssr_bool.v --lib matrix:matrix_trace.jsonl` run inside
+# tests/fixtures, so its source spans name the files relatively
 V4_CORPUS = FIXTURES / "ssr_bool_matrix_v4.corpus"
 
 
@@ -135,13 +131,6 @@ def test_round_trip_random_corpora(tmp_path):
         path = tmp_path / f"t{trial}.corpus"
         save(corpus, path)
         assert_same_corpus(load(path), corpus)
-
-
-def test_version_mismatch(tmp_path):
-    path = tmp_path / "old.corpus"
-    path.write_text('{"format": "proofmine corpus v0", "checksum": "", "payload": {}}')
-    with pytest.raises(VersionMismatch):
-        load(path)
 
 
 def test_truncated_file_rejected(tmp_path):
@@ -301,44 +290,6 @@ def test_term_table_ids_match_the_recursive_oracle(tmp_path):
     assert list(fast.ids.items()) == list(slow.ids.items())
 
 
-def assert_saves_like(old, fresh, tmp_path) -> None:
-    """old and fresh save to the same bytes."""
-    save(old, tmp_path / "old.corpus")
-    save(fresh, tmp_path / "fresh.corpus")
-    assert (tmp_path / "old.corpus").read_bytes() == (tmp_path / "fresh.corpus").read_bytes()
-
-
-def test_v1_corpus_loads_as_ingested(monkeypatch, tmp_path):
-    monkeypatch.chdir(FIXTURES)
-    old = load(V1_CORPUS)
-    fresh = ingest(["ssr_bool.v", "matrix_trace.jsonl"], ["ssrbool", "matrix"])
-    assert_same_corpus(old, fresh)
-    # the table and vectors the v1 file stored are the ones derived on load
-    stored = json.loads(V1_CORPUS.read_text())["payload"]
-    assert stored["table"] == old.table.to_dict()
-    assert [stored["features"][n]["raw"] for n in old.names] == old.raw.tolist()
-    scaled = [stored["features"][n]["scaled"] for n in old.names]
-    assert scaled == old.feature_database().matrix.tolist()
-    assert_saves_like(old, fresh, tmp_path)
-
-
-def test_v2_corpus_loads_as_ingested(monkeypatch, tmp_path):
-    monkeypatch.chdir(FIXTURES)
-    old = load(V2_CORPUS)
-    fresh = ingest(["ssr_bool.v", "matrix_trace.jsonl"], ["ssrbool", "matrix"])
-    assert_same_corpus(old, fresh)
-    # saving rewrites it as the current format
-    assert_saves_like(old, fresh, tmp_path)
-
-
-def test_v3_corpus_loads_as_ingested_and_saves_to_the_same_bytes(monkeypatch, tmp_path):
-    monkeypatch.chdir(FIXTURES)
-    old = load(V3_CORPUS)
-    fresh = ingest(["ssr_bool.v", "matrix_trace.jsonl"], ["ssrbool", "matrix"])
-    assert_same_corpus(old, fresh)
-    assert_saves_like(old, fresh, tmp_path)
-
-
 def test_v4_corpus_loads_as_ingested_and_saves_to_the_same_bytes(monkeypatch, tmp_path):
     monkeypatch.chdir(FIXTURES)
     fresh = ingest(["ssr_bool.v", "matrix_trace.jsonl"], ["ssrbool", "matrix"])
@@ -347,48 +298,17 @@ def test_v4_corpus_loads_as_ingested_and_saves_to_the_same_bytes(monkeypatch, tm
     assert (tmp_path / "v4.corpus").read_bytes() == V4_CORPUS.read_bytes()
 
 
-def test_v1_corpus_with_changed_payload_digit_rejected(tmp_path):
-    data = bytearray(V1_CORPUS.read_bytes())
-    probe = data.index(b'"line_start": ') + len(b'"line_start": ')
-    data[probe] = ord("7") if data[probe] != ord("7") else ord("3")
-    path = tmp_path / "v1.corpus"
-    path.write_bytes(bytes(data))
-    with pytest.raises(CorruptFile):
-        load(path)
-
-
 def _write_checked(path, body: bytes, version: str = CORPUS_FORMAT) -> None:
     """A corpus file whose header checksum matches body."""
     header = {"format": version, "checksum": hashlib.sha256(body).hexdigest()}
     path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
 
 
-def _canonical(payload) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def _json(payload) -> bytes:
     return json.dumps(payload).encode("utf-8")
 
 
-# format v3 payloads, built from dict records
-_TERMS = TermTable()
-_RECORDS = [encode_record(r, _TERMS.add)
-            for r in ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"]).libraries["ssrbool"]]
-_ENTRIES = list(_TERMS.ids)
-
-
-def _payload(**changes) -> dict:
-    return {"patch_len": 5, "terms": _ENTRIES, "libraries": {"ssrbool": _RECORDS}, **changes}
-
-
-def _first_record(**changes) -> dict:
-    """The first record with changes applied; a change to None drops the field."""
-    record = {**_RECORDS[0], **changes}
-    return {k: v for k, v in record.items() if v is not None}
-
-
-# format v4 payloads, built from the v4 fixture
+# payloads built from the v4 fixture's, for files with a valid checksum
 _V4 = json.loads(V4_CORPUS.read_bytes().partition(b"\n")[2])
 _V4_RECORD = _V4["libraries"]["ssrbool"][0]  # [name, statement_id, file, line_start, line_end, steps]
 
@@ -415,115 +335,96 @@ def _with_subgoals(body: bytes, text: bytes) -> bytes:
 
 
 MALFORMED_PAYLOADS = {
-    "record without statement": _json(_payload(
-        libraries={"ssrbool": [_first_record(statement=None)]})),
-    "record with no steps": _json(_payload(libraries={"ssrbool": [_first_record(steps=[])]})),
-    "libraries is a list": _json(_payload(libraries=[])),
-    "payload is a list": _json([_payload()]),
-    "patch_len is a string": _json(_payload(patch_len="5")),
-    "patch_len is zero": _json(_payload(patch_len=0)),
-    "patch_len is negative": _json(_payload(patch_len=-2)),
-    "patch_len is true": _json(_payload(patch_len=True)),
-    "unknown argument kind": _json(_payload(libraries={"ssrbool": [_first_record(steps=[
-        {"index": 1, "tactics": [{"name": "by", "arguments": [{"text": "x", "kind": "?"}]}]}])]})),
-    "payload is not JSON": b'{"patch_len": 5, "libraries": ',
-    "payload is not UTF-8": b'{"patch_len": 5, "libraries": {"\xff": []}}',
-    "term id out of range": _json(_payload(libraries={"ssrbool": [
-        _first_record(statement=len(_ENTRIES))]})),
-    "negative term id": _json(_payload(libraries={"ssrbool": [_first_record(statement=-1)]})),
-    "term id is true": _json(_payload(libraries={"ssrbool": [_first_record(statement=True)]})),
-    "goal id out of range": _json(_payload(libraries={"ssrbool": [_first_record(steps=[
-        {"index": 1, "tactics": [], "goal_before": len(_ENTRIES)}])]})),
-    "child id not below its entry": _json(_payload(terms=_ENTRIES + [["x", len(_ENTRIES)]])),
-    "negative child id": _json(_payload(terms=_ENTRIES + [["x", -1]])),
-    "child id is true": _json(_payload(terms=_ENTRIES + [["x", True]])),
-    "empty symbol": _json(_payload(terms=_ENTRIES + [[""]])),
-    "non-string symbol": _json(_payload(terms=_ENTRIES + [[5]])),
-    "empty term entry": _json(_payload(terms=_ENTRIES + [[]])),
-    "terms is not a list": _json(_payload(terms={"0": ["x"]})),
-    "terms missing": _json({"patch_len": 5, "libraries": {"ssrbool": _RECORDS}}),
-    "subgoal count too large for a float": _json(_payload(libraries={"ssrbool": [_first_record(steps=[
-        {"index": 1, "tactics": [], "subgoals_after": 10 ** 400}])]})),
-    **{f"subgoals_after {name}": _with_subgoals(_json(_payload(libraries={"ssrbool": [_first_record(steps=[
-        {"index": 1, "tactics": [], "subgoals_after": "SUBGOALS"}])]})), text)
-       for name, text in _SUBGOALS.items()},
+    "libraries is a list": _v4(libraries=[]),
+    "payload is a list": _json([_V4]),
+    "patch_len is a string": _v4(patch_len="5"),
+    "patch_len is zero": _v4(patch_len=0),
+    "patch_len is negative": _v4(patch_len=-2),
+    "patch_len is true": _v4(patch_len=True),
+    "patch_len missing": _v4(patch_len=None),
+    "payload is not JSON": _v4()[:-1],
+    "payload is not UTF-8": _v4().replace(b'"ssrbool"', b'"ssr\xffbool"'),
+    "record without statement": _v4_record(_V4_RECORD[:1] + [None] + _V4_RECORD[2:]),
+    "negative term id": _v4_record(_V4_RECORD[:1] + [-1] + _V4_RECORD[2:]),
+    "term id is true": _v4_record(_V4_RECORD[:1] + [True] + _V4_RECORD[2:]),
+    "child id not below its entry": _v4(terms=_V4["terms"] + [["x", len(_V4["terms"])]]),
+    "negative child id": _v4(terms=_V4["terms"] + [["x", -1]]),
+    "child id is true": _v4(terms=_V4["terms"] + [["x", True]]),
+    "empty symbol": _v4(terms=_V4["terms"] + [[""]]),
+    "non-string symbol": _v4(terms=_V4["terms"] + [[5]]),
+    "empty term entry": _v4(terms=_V4["terms"] + [[]]),
+    "terms is not a list": _v4(terms={"0": ["x"]}),
+    # a JSON integer that passes the subgoal check but overflows a float in the features
+    "subgoal count too large for a float": _v4_step([None, 10 ** 400, 0]),
+    **{f"v4 {name}": body for name, body in {
+        "argument id out of range": _v4(tactics=_V4["tactics"] + [["apply", len(_V4["arguments"])]]),
+        "negative argument id": _v4(tactics=_V4["tactics"] + [["apply", -1]]),
+        "argument id is true": _v4(tactics=_V4["tactics"] + [["apply", True]]),
+        "tactic id out of range": _v4_step([None, None, len(_V4["tactics"])]),
+        "negative tactic id": _v4_step([None, None, -1]),
+        "tactic id is true": _v4_step([None, None, True]),
+        "unknown argument kind": _v4(arguments=_V4["arguments"] + [["x", "?"]]),
+        "argument entry of the wrong length": _v4(arguments=_V4["arguments"] + [["x"]]),
+        "non-string argument text": _v4(arguments=_V4["arguments"] + [[5, "wildcard"]]),
+        "tactic entry without a name": _v4(tactics=_V4["tactics"] + [[]]),
+        "record list too short": _v4_record(_V4_RECORD[:5]),
+        "record list too long": _v4_record(_V4_RECORD + [0]),
+        "record is a dict": _v4_record(dict(enumerate(_V4_RECORD))),
+        "non-string lemma name": _v4_record([7] + _V4_RECORD[1:]),
+        "line number is true": _v4_record(_V4_RECORD[:3] + [True] + _V4_RECORD[4:]),
+        "record with no steps": _v4_record(_V4_RECORD[:5] + [[]]),
+        "steps is not a list": _v4_record(_V4_RECORD[:5] + [{}]),
+        "step list too short": _v4_step([None, None]),
+        "step is not a list": _v4_step("abc"),
+        "statement id out of range": _v4_record(_V4_RECORD[:1] + [len(_V4["terms"])] + _V4_RECORD[2:]),
+        "goal id out of range": _v4_step([len(_V4["terms"]), None, 0]),
+        "arguments missing": _v4(arguments=None),
+        "tactics missing": _v4(tactics=None),
+        "terms missing": _v4(terms=None),
+        "tactics is not a list": _v4(tactics={"0": ["by"]}),
+        "records is not a list": _v4(libraries={"ssrbool": {"0": _V4_RECORD}}),
+        **{f"subgoals_after {name}": _with_subgoals(_v4_step([None, "SUBGOALS", 0]), text)
+           for name, text in _SUBGOALS.items()},
+    }.items()},
 }
-MALFORMED_PAYLOADS = {name: (CORPUS_FORMAT_V3, body) for name, body in MALFORMED_PAYLOADS.items()}
-MALFORMED_PAYLOADS.update({f"v4 {name}": (CORPUS_FORMAT, body) for name, body in {
-    "argument id out of range": _v4(tactics=_V4["tactics"] + [["apply", len(_V4["arguments"])]]),
-    "negative argument id": _v4(tactics=_V4["tactics"] + [["apply", -1]]),
-    "argument id is true": _v4(tactics=_V4["tactics"] + [["apply", True]]),
-    "tactic id out of range": _v4_step([None, None, len(_V4["tactics"])]),
-    "negative tactic id": _v4_step([None, None, -1]),
-    "tactic id is true": _v4_step([None, None, True]),
-    "unknown argument kind": _v4(arguments=_V4["arguments"] + [["x", "?"]]),
-    "argument entry of the wrong length": _v4(arguments=_V4["arguments"] + [["x"]]),
-    "non-string argument text": _v4(arguments=_V4["arguments"] + [[5, "wildcard"]]),
-    "tactic entry without a name": _v4(tactics=_V4["tactics"] + [[]]),
-    "record list too short": _v4_record(_V4_RECORD[:5]),
-    "record list too long": _v4_record(_V4_RECORD + [0]),
-    "record is a dict": _v4_record(dict(enumerate(_V4_RECORD))),
-    "non-string lemma name": _v4_record([7] + _V4_RECORD[1:]),
-    "line number is true": _v4_record(_V4_RECORD[:3] + [True] + _V4_RECORD[4:]),
-    "record with no steps": _v4_record(_V4_RECORD[:5] + [[]]),
-    "steps is not a list": _v4_record(_V4_RECORD[:5] + [{}]),
-    "step list too short": _v4_step([None, None]),
-    "step is not a list": _v4_step("abc"),
-    "statement id out of range": _v4_record(_V4_RECORD[:1] + [len(_V4["terms"])] + _V4_RECORD[2:]),
-    "goal id out of range": _v4_step([len(_V4["terms"]), None, 0]),
-    "arguments missing": _v4(arguments=None),
-    "tactics missing": _v4(tactics=None),
-    "terms missing": _v4(terms=None),
-    "tactics is not a list": _v4(tactics={"0": ["by"]}),
-    "records is not a list": _v4(libraries={"ssrbool": {"0": _V4_RECORD}}),
-    **{f"subgoals_after {name}": _with_subgoals(_v4_step([None, "SUBGOALS", 0]), text)
-       for name, text in _SUBGOALS.items()},
-}.items()})
 
 
-def _repeated_name(payload: dict, across: bool, copy) -> dict:
-    """The payload with ssrbool's first record stored once more, in ssrbool or under a new tag."""
+def _repeated_name(across: bool) -> bytes:
+    """The v4 fixture's payload with ssrbool's first record stored once more, in ssrbool or under a new tag."""
     tag = "other" if across else "ssrbool"
-    record = copy(payload["libraries"]["ssrbool"][0], tag)
-    return {**payload, "libraries": {**payload["libraries"],
-                                     tag: payload["libraries"].get(tag, []) + [record]}}
-
-
-def _repeated_name_file(path, version: str, across: bool) -> None:
-    """A checksum-valid fixture of the given format that stores one lemma name twice."""
-    if version == CORPUS_FORMAT:  # positional records; the tag is the library
-        _write_checked(path, _json(_repeated_name(_V4, across, lambda record, tag: record)))
-        return
-    copy = lambda record, tag: {**record, "library": tag}  # noqa: E731
-    if version == CORPUS_FORMAT_V1:  # one line; the checksum covers the canonical payload
-        header = json.loads(V1_CORPUS.read_bytes())
-        payload = _repeated_name(header["payload"], across, copy)
-        header.update(payload=payload, checksum=hashlib.sha256(_canonical(payload)).hexdigest())
-        path.write_text(json.dumps(header))
-        return
-    fixture = {CORPUS_FORMAT_V2: V2_CORPUS, CORPUS_FORMAT_V3: V3_CORPUS}[version]
-    payload = json.loads(fixture.read_bytes().partition(b"\n")[2])
-    _write_checked(path, _json(_repeated_name(payload, across, copy)), version)
+    return _v4(libraries={**_V4["libraries"], tag: _V4["libraries"].get(tag, []) + [_V4_RECORD]})
 
 
 @pytest.mark.parametrize("across", [False, True], ids=["in one library", "across libraries"])
-@pytest.mark.parametrize("version", [CORPUS_FORMAT_V1, CORPUS_FORMAT_V2, CORPUS_FORMAT_V3, CORPUS_FORMAT])
-def test_repeated_lemma_name_is_corrupt_in_every_format(tmp_path, version, across):
+def test_repeated_lemma_name_is_corrupt(tmp_path, across):
     path = tmp_path / "c.corpus"
-    _repeated_name_file(path, version, across)
+    _write_checked(path, _repeated_name(across))
     with pytest.raises(CorruptFile, match="repeated: andbb"):
         load(path)
     assert main(["cluster", "--corpus", str(path), "--out", str(tmp_path / "d")]) == 3
 
 
-@pytest.mark.parametrize("version, body", MALFORMED_PAYLOADS.values(), ids=MALFORMED_PAYLOADS.keys())
-def test_checksum_valid_malformed_payload_is_corrupt(tmp_path, version, body):
+@pytest.mark.parametrize("body", MALFORMED_PAYLOADS.values(), ids=MALFORMED_PAYLOADS.keys())
+def test_checksum_valid_malformed_payload_is_corrupt(tmp_path, body):
     path = tmp_path / "c.corpus"
-    _write_checked(path, body, version)
+    _write_checked(path, body)
     with pytest.raises(CorruptFile):
         load(path)
     assert main(["cluster", "--corpus", str(path), "--out", str(tmp_path / "d")]) == 3
     assert main(["hint", "--corpus", str(path), "--query", str(HINT / "hint_query.v")]) == 3
+
+
+@pytest.mark.parametrize("tag", [f"proofmine corpus v{n}" for n in range(4)])
+def test_version_mismatch(tmp_path, capsys, tag):
+    """A corpus in any other format, older ones included, is refused; `extract` rebuilds it."""
+    path = tmp_path / "c.corpus"
+    _write_checked(path, _v4(), tag)
+    with pytest.raises(VersionMismatch, match=tag):
+        load(path)
+    for argv in (["cluster", "--corpus", str(path), "--out", str(tmp_path / "d")],
+                 ["hint", "--corpus", str(path), "--query", str(HINT / "hint_query.v")]):
+        assert main(argv) == 3
+        assert "extract" in capsys.readouterr().err
 
 
 def test_empty_corpus_is_insufficient_data(tmp_path):

@@ -78,9 +78,8 @@ def test_table_matches_per_reference_walk_on_random_corpora(tmp_path):
         assert build_encoding_table(records) == build_encoding_table_oracle(records)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
-def test_table_matches_per_reference_walk_on_loaded_fixtures(version):
-    records = corpus_records(load(FIXTURES / f"ssr_bool_matrix_v{version}.corpus"))
+def test_table_matches_per_reference_walk_on_loaded_fixtures():
+    records = corpus_records(load(FIXTURES / "ssr_bool_matrix_v4.corpus"))
     assert build_encoding_table(records) == build_encoding_table_oracle(records)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proofmine.corpus import TermTable, read_nested_term, read_term_table
+from proofmine.corpus import TermTable, read_term_table
 from proofmine.script import (LEMMA_KEYWORDS, _first_word, _parse_header, parse_library, parse_partial,
                               parse_trace, split_sentences)
 from proofmine.terms import (_OP_ASSOC, _OP_LEVEL, _PREFIX, BINDERS, OPERATOR_LEVELS, EmptyStatement,
@@ -167,9 +167,6 @@ def test_serialization_round_trip():
     tid = table.add(tree)
     entries = json.loads(json.dumps(list(table.ids)))
     assert read_term_table(entries)(tid) == tree
-    # the nested form that corpus formats v1 and v2 stored
-    nested = {"symbol": "forall", "children": [{"symbol": "g"}]}
-    assert read_nested_term(nested) == TermTree("forall", (TermTree("g"),))
 
 
 # ---------------------------------------------------------------------------
