@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .clustering import GranularityConfig, choose_n
@@ -112,9 +113,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     pairs = [_parse_lib_flag(v) for v in args.lib]
     corpus = ingest([p for _, p in pairs], [t for t, _ in pairs], patch_len=args.patch_len)
     save(corpus, args.out)
-    for tag in sorted(corpus.libraries):
-        print(f"{tag}: {len(corpus.libraries[tag])} lemmas")
-    print(f"corpus written to {args.out} ({corpus.lemma_count()} lemmas)")
+    for tag, count in sorted(Counter(corpus.libraries.values()).items()):
+        print(f"{tag}: {count} lemmas")
+    print(f"corpus written to {args.out} ({len(corpus.names)} lemmas)")
     if args.features:
         db = corpus.feature_database()
         write_feature_records(args.features, db.names, db.libraries, corpus.raw, db.matrix,

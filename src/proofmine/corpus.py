@@ -1,45 +1,38 @@
-"""Persistent corpora: the parsed lemmas are the only state.
+"""Persistent corpora: each lemma's encoded row and the vocabulary.
 
-A corpus file ("proofmine corpus v4") is a JSON header line holding the format
+A corpus file ("proofmine corpus v5") is a JSON header line holding the format
 tag and the sha256 checksum of the payload bytes, then the canonical JSON
-payload: the patch length, three tables and the lemma records of each library.
-`terms` lists each distinct term subtree once as [symbol, child_id, ...],
-children before parents; `arguments` each distinct argument once as
-[text, kind]; `tactics` each distinct tactic application once as
-[name, argument_id, ...].  An id is a position in its table.  `libraries`
-maps each tag to positional records
-[name, statement_id, file, line_start, line_end, steps], and a step is
-[goal_id | null, subgoals_after | null, tactic_id, ...].  A record's library
-is its tag and a step's index its position, counted from 1, as the parsers
-guarantee.  Loading builds one shared tree, argument and application per
-table entry.  Every id must be an int (not a bool) within its table, a child
-id below its own entry's position, subgoals_after null or a non-negative
-int, and a lemma name may appear once across all libraries, as `ingest`
-requires; anything else is a corrupt file.  The encoding table and the raw
-feature matrix are derived from the records whenever a corpus is built or
-loaded, so they always match them.
+payload {"patch_len", "tactics", "symbols", "rows", "libraries"}.  `tactics`
+and `symbols` are the vocabularies in strictly ascending order, a word's code
+being its position plus one, as `build_encoding_table` assigns them.  `rows`
+holds each distinct raw feature row once, 8 * patch_len finite numbers, and
+`libraries` maps each tag to records [name, row_id], where row_id is an int
+(not a bool) within `rows`.  A lemma name may appear once across all
+libraries, as `ingest` requires; anything else is a corrupt file.
 
-A corpus is a cache of its parsed sources, so a file with any other format
-tag, older ones included, is refused: `extract` rebuilds it.
+The rows are stored, not derived on load, so they hold the feature encoding
+that `extract` used.  Any change to that encoding or to the vocabulary rule
+must bump CORPUS_FORMAT.  A corpus is a cache of its parsed sources, so a file
+with any other format tag, older ones included, is refused: `extract`
+rebuilds it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .clustering import _distinct_rows
 from .features import (EncodingTable, FeatureDatabase, build_encoding_table, extract_features,
                        min_max_scale, PATCH_LEN, SLOTS_PER_STEP)
-from .script import (ArgumentKind, ArgumentToken, DuplicateLemmaName, LemmaRecord, ProofStep,
-                     SourceSpan, TacticApplication, looks_like_trace, parse_library, parse_trace)
-from .terms import TermTree
+from .script import DuplicateLemmaName, LemmaRecord, looks_like_trace, parse_library, parse_trace
 
-CORPUS_FORMAT = "proofmine corpus v4"
+# Rows are stored: a change to the feature encoding or the vocabulary rule must bump this tag.
+CORPUS_FORMAT = "proofmine corpus v5"
 QUERY_NAME = "?query"
 
 
@@ -57,76 +50,51 @@ class EmptyCorpus(ValueError):
 
 @dataclass
 class Corpus:
-    """Lemma records by library tag, and what is derived from them at construction."""
+    """What clustering and queries read of a set of libraries."""
 
-    libraries: dict[str, list[LemmaRecord]] = field(default_factory=dict)
+    names: list[str]  # sorted
+    libraries: dict[str, str]  # lemma name -> library tag
+    raw: np.ndarray  # one unscaled feature row per name
+    table: EncodingTable
     patch_len: int = PATCH_LEN
-    # derived from the records: vocabulary codes, sorted lemma names, one raw row per name
-    table: EncodingTable = field(init=False, compare=False)
-    names: list[str] = field(init=False, compare=False)
-    raw: np.ndarray = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if type(self.patch_len) is not int or self.patch_len < 1:  # bool is not a length
-            raise ValueError(f"patch_len must be a positive integer, got {self.patch_len!r}")
-        records = sorted((r for recs in self.libraries.values() for r in recs), key=lambda r: r.name)
-        repeated = sorted({a.name for a, b in zip(records, records[1:]) if a.name == b.name})
-        if repeated:  # members, proximities and tags are all keyed by name
-            raise ValueError(f"lemma names must be unique across libraries, repeated: {', '.join(repeated)}")
-        # an empty corpus gets an empty vocabulary, so every query token encodes as 0
-        self.table = build_encoding_table(records)
-        self.names = [r.name for r in records]
-        rows = [extract_features(r, self.table, self.patch_len) for r in records]
-        self.raw = np.array(rows, dtype=np.float64).reshape(len(rows), SLOTS_PER_STEP * self.patch_len)
-
-    def lemma_count(self) -> int:
-        return len(self.names)
-
-    def library_tags(self) -> dict[str, str]:
-        return {r.name: tag for tag, records in self.libraries.items() for r in records}
 
     def feature_database(self) -> FeatureDatabase:
         matrix = min_max_scale(self.raw) if self.names else self.raw
-        return FeatureDatabase(names=list(self.names), libraries=self.library_tags(), matrix=matrix)
+        return FeatureDatabase(names=list(self.names), libraries=dict(self.libraries), matrix=matrix)
 
 
-def ingest(paths: list[str | Path], tags: list[str], corpus: Corpus | None = None, *,
-           patch_len: int | None = None) -> Corpus:
-    """Parse each file under its tag and return the enlarged corpus.
+def ingest(paths: list[str | Path], tags: list[str], *, patch_len: int = PATCH_LEN) -> Corpus:
+    """Parse each file under its tag, then encode every lemma against the whole corpus's vocabulary.
 
     Trace files carry their own per-record library field, which wins over the
-    supplied tag.  Lemma names must stay unique across all libraries.
+    supplied tag.  Lemma names must be unique across all libraries.
     """
-    if corpus is None:
-        corpus = Corpus()
     if len(paths) != len(tags):
         raise ValueError("paths and tags must be parallel lists")
     if any(not t for t in tags):
         raise ValueError("library tags must be non-empty")
-    if patch_len is None:
-        patch_len = corpus.patch_len
-    if not paths:
-        return corpus
-
-    libraries: dict[str, list[LemmaRecord]] = {tag: list(recs) for tag, recs in corpus.libraries.items()}
-    names = {r.name: r.library for recs in libraries.values() for r in recs}
+    records: dict[str, LemmaRecord] = {}
     for path, tag in zip(paths, tags):
         path = Path(path)
         source = path.read_text(encoding="utf-8")
         if looks_like_trace(source):
-            records = parse_trace(source, filename=str(path))
+            parsed = parse_trace(source, filename=str(path))
         else:
-            records = parse_library(source, tag, filename=str(path))
-        for record in records:
-            if record.name in names:
+            parsed = parse_library(source, tag, filename=str(path))
+        for record in parsed:
+            if record.name in records:
                 raise DuplicateLemmaName(
-                    f"lemma {record.name} already ingested under library {names[record.name]!r}",
+                    f"lemma {record.name} already ingested under library {records[record.name].library!r}",
                     file=str(path))
-            names[record.name] = record.library
-            libraries.setdefault(record.library, []).append(record)
-    if not names:
+            records[record.name] = record
+    if not records:
         raise EmptyCorpus(f"the given libraries hold no proved lemma: {', '.join(map(str, paths))}")
-    return Corpus(libraries, patch_len)
+    names = sorted(records)
+    ordered = [records[name] for name in names]
+    table = build_encoding_table(ordered)
+    rows = [extract_features(r, table, patch_len) for r in ordered]
+    raw = np.array(rows, dtype=np.float64).reshape(len(rows), SLOTS_PER_STEP * patch_len)
+    return Corpus(names, {r.name: r.library for r in ordered}, raw, table, patch_len)
 
 
 def database_with_query(corpus: Corpus, query: LemmaRecord) -> FeatureDatabase:
@@ -136,8 +104,7 @@ def database_with_query(corpus: Corpus, query: LemmaRecord) -> FeatureDatabase:
     """
     row = extract_features(query, corpus.table, corpus.patch_len)
     matrix = min_max_scale(np.vstack([corpus.raw, row]))
-    libraries = corpus.library_tags()
-    libraries[QUERY_NAME] = query.library
+    libraries = {**corpus.libraries, QUERY_NAME: query.library}
     return FeatureDatabase(names=corpus.names + [QUERY_NAME], libraries=libraries, matrix=matrix)
 
 
@@ -145,162 +112,80 @@ def database_with_query(corpus: Corpus, query: LemmaRecord) -> FeatureDatabase:
 # persistence
 
 
-class TermTable:
-    """Each distinct subtree once, children before parents, as a corpus file stores it.
-
-    `ids` maps each entry (symbol, child_id, ...) to its id, its position in
-    the dict's insertion order, so `list(ids)` is the stored table.  Trees are
-    memoised by object identity, so they must outlive the table.
-    """
-
-    def __init__(self) -> None:
-        self.ids: dict[tuple, int] = {}
-        self._seen: dict[int, int] = {}
-
-    def add(self, tree: TermTree) -> int:
-        """The id of tree's entry, adding entries for it and its subtrees as needed.
-
-        A post-order walk on an explicit stack, one frame per node still being
-        keyed: children get their ids left to right before their parent, so
-        ids follow the order of a recursive walk.
-        """
-        seen, ids = self._seen, self.ids
-        tid = seen.get(id(tree))
-        if tid is not None:
-            return tid
-        # a frame is (node, its key so far, its children not yet visited); the key
-        # holds child ids, since hashing a TermTree would recurse through it
-        stack = [(tree, [tree.symbol], iter(tree.children))]
-        while stack:
-            node, key, children = stack[-1]
-            for child in children:
-                cid = seen.get(id(child))
-                if cid is None:
-                    stack.append((child, [child.symbol], iter(child.children)))
-                    break
-                key.append(cid)
-            else:
-                stack.pop()
-                tid = seen[id(node)] = ids.setdefault(tuple(key), len(ids))
-                if stack:
-                    stack[-1][1].append(tid)
-        return tid
-
-
-def _lookup(table: list, what: str) -> Callable[[object], object]:
-    """table[i] for a stored id i, which must be an int (not a bool) within range."""
-    def lookup(i):
-        if type(i) is not int or not 0 <= i < len(table):
-            raise ValueError(f"{what} id {i!r} outside 0..{len(table) - 1}")
-        return table[i]
-
-    return lookup
-
-
-def read_term_table(entries) -> Callable[[object], TermTree]:
-    """Decode a stored term table into a lookup from id to one shared tree per entry.
-
-    Ids are ints (not bools); a child id must be below its entry's position and
-    a looked-up id below the table length.  Anything else raises ValueError.
-    """
-    if not isinstance(entries, list):
-        raise ValueError("term table must be a list")
-    trees: list[TermTree] = []
-    for pos, entry in enumerate(entries):
-        if not isinstance(entry, list) or not entry or not isinstance(entry[0], str):
-            raise ValueError(f"term {pos} is not [symbol, child_id, ...]")
-        kids = entry[1:]
-        for k in kids:
-            if type(k) is not int or not 0 <= k < pos:
-                raise ValueError(f"term {pos} has child id {k!r} outside 0..{pos - 1}")
-        trees.append(TermTree(entry[0], tuple(map(trees.__getitem__, kids))))
-    return _lookup(trees, "term")
-
-
-def _subgoal_count(value):
-    """A stored subgoals_after: null or a non-negative int (not a bool), as the parsers give it."""
-    if value is not None and (type(value) is not int or value < 0):
-        raise ValueError(f"subgoals_after {value!r} is not null or a non-negative integer")
-    return value
-
-
-def _list(value, what: str) -> list:
-    if type(value) is not list:
-        raise ValueError(f"{what} must be a list")
-    return value
-
-
-def _read_v4(data: dict) -> dict[str, list[LemmaRecord]]:
-    """Decode a v4 payload's tables and positional records into records by library tag."""
-    term = read_term_table(data["terms"])
-    arguments = []
-    for entry in _list(data["arguments"], "arguments"):
-        if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not str:
-            raise ValueError(f"argument {len(arguments)} is not [text, kind]")
-        arguments.append(ArgumentToken(entry[0], ArgumentKind(entry[1])))
-    argument = _lookup(arguments, "argument")
-    tactics = []
-    for entry in _list(data["tactics"], "tactics"):
-        if type(entry) is not list or not entry or type(entry[0]) is not str:
-            raise ValueError(f"tactic {len(tactics)} is not [name, argument_id, ...]")
-        tactics.append(TacticApplication(entry[0], tuple(map(argument, entry[1:]))))
-    tactic = _lookup(tactics, "tactic")
-
-    def step(index: int, row) -> ProofStep:
-        if type(row) is not list or len(row) < 3:
-            raise ValueError(f"step {index} is not [goal_id, subgoals_after, tactic_id, ...]")
-        goal = row[0]
-        return ProofStep(index, tuple(map(tactic, row[2:])), None if goal is None else term(goal),
-                         _subgoal_count(row[1]))
-
-    def record(tag: str, row) -> LemmaRecord:
-        if type(row) is not list or len(row) != 6:
-            raise ValueError(f"a record in {tag!r} is not [name, statement_id, file, lines, steps]")
-        name, statement, file, line_start, line_end, steps = row
-        if (type(name) is not str or type(file) is not str or type(line_start) is not int
-                or type(line_end) is not int):
-            raise ValueError(f"record {name!r} in {tag!r} has an ill-typed name, file or line")
-        return LemmaRecord(name, term(statement),
-                           tuple(step(i, s) for i, s in enumerate(_list(steps, "steps"), start=1)),
-                           tag, SourceSpan(file, line_start, line_end))
-
-    return {tag: [record(tag, row) for row in _list(rows, "records")]
-            for tag, rows in data["libraries"].items()}
-
-
 def _canonical(payload) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def save(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus as format v4; equal corpora give equal bytes, since tags are visited in order."""
-    terms = TermTable()
-    applications: dict[TacticApplication, int] = {}
+    """Write the corpus as format v5; equal corpora give equal bytes."""
+    distinct, row_ids = _distinct_rows(corpus.raw)
     libraries: dict[str, list] = {}
-    for tag in sorted(corpus.libraries):
-        rows = libraries[tag] = []
-        for record in corpus.libraries[tag]:
-            # positions stand for a record's library and a step's index, so they must agree
-            if record.library != tag:
-                raise ValueError(f"lemma {record.name} of library {record.library!r} is filed under {tag!r}")
-            steps = []
-            for index, step in enumerate(record.steps, start=1):
-                if step.index != index:
-                    raise ValueError(f"step {step.index} of lemma {record.name} is at position {index}")
-                steps.append([None if step.goal_before is None else terms.add(step.goal_before),
-                              step.subgoals_after,
-                              *[applications.setdefault(app, len(applications)) for app in step.tactics]])
-            span = record.source_span
-            rows.append([record.name, terms.add(record.statement), span.file, span.line_start,
-                         span.line_end, steps])
-    arguments: dict[ArgumentToken, int] = {}
-    tactics = [[app.name, *[arguments.setdefault(arg, len(arguments)) for arg in app.arguments]]
-               for app in applications]
-    payload = _canonical({"patch_len": corpus.patch_len, "terms": list(terms.ids),
-                          "arguments": [[arg.text, arg.kind.value] for arg in arguments],
-                          "tactics": tactics, "libraries": libraries})
+    for name, row_id in zip(corpus.names, row_ids.tolist()):
+        libraries.setdefault(corpus.libraries[name], []).append([name, row_id])
+    payload = _canonical({"patch_len": corpus.patch_len, "tactics": sorted(corpus.table.tactic_codes),
+                          "symbols": sorted(corpus.table.symbol_codes), "rows": distinct.tolist(),
+                          "libraries": libraries})
     header = {"format": CORPUS_FORMAT, "checksum": hashlib.sha256(payload).hexdigest()}
     Path(path).write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
+
+
+def _codes(words, what: str) -> dict[str, int]:
+    """A stored vocabulary's codes: non-empty strings in strictly ascending order, coded from 1."""
+    if type(words) is not list:
+        raise ValueError(f"{what} is not a list")
+    for pos, word in enumerate(words):
+        if type(word) is not str or not word or (pos and words[pos - 1] >= word):
+            raise ValueError(f"{what} entry {pos} is not a non-empty string above the one before it")
+    return {word: code for code, word in enumerate(words, start=1)}
+
+
+def _rows(rows, width: int) -> np.ndarray:
+    """The stored distinct rows: lists of width finite numbers, int or float but not bool."""
+    if type(rows) is not list:
+        raise ValueError("rows is not a list")
+    for pos, row in enumerate(rows):
+        if type(row) is not list or len(row) != width:
+            raise ValueError(f"row {pos} is not a list of {width} numbers")
+        if not all(type(v) is float or type(v) is int for v in row):
+            raise ValueError(f"row {pos} holds a value that is not a number")
+    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))} holds a value that is not finite")
+    return matrix
+
+
+def _read_v5(data: dict) -> Corpus:
+    """Check a v5 payload and build the corpus it stores."""
+    if type(data) is not dict:
+        raise ValueError("payload is not an object")
+    patch_len = data["patch_len"]
+    if type(patch_len) is not int or patch_len < 1:  # bool is not a length
+        raise ValueError("patch_len is not a positive integer")
+    table = EncodingTable(_codes(data["tactics"], "tactics"), _codes(data["symbols"], "symbols"))
+    rows = _rows(data["rows"], SLOTS_PER_STEP * patch_len)
+    stored = data["libraries"]
+    if type(stored) is not dict:
+        raise ValueError("libraries is not an object")
+    row_of: dict[str, int] = {}
+    libraries: dict[str, str] = {}
+    repeated = set()
+    for tag, records in stored.items():
+        if type(records) is not list:
+            raise ValueError("the records of a library are not a list")
+        for pos, record in enumerate(records):
+            if (type(record) is not list or len(record) != 2 or type(record[0]) is not str
+                    or type(record[1]) is not int or not 0 <= record[1] < len(rows)):
+                raise ValueError(f"record {pos} of a library is not [name, row_id] within rows")
+            name, row_id = record
+            if name in libraries:
+                repeated.add(name)
+            row_of[name], libraries[name] = row_id, tag
+    if repeated:  # members, proximities and tags are all keyed by name
+        raise ValueError(f"lemma names must be unique across libraries, repeated: {', '.join(sorted(repeated))}")
+    names = sorted(libraries)
+    raw = rows[np.array([row_of[name] for name in names], dtype=np.intp)]
+    return Corpus(names, libraries, raw, table, patch_len)
 
 
 def load(path: str | Path) -> Corpus:
@@ -317,7 +202,7 @@ def load(path: str | Path) -> Corpus:
     if hashlib.sha256(rest).hexdigest() != header.get("checksum"):
         raise CorruptFile(f"{path}: checksum mismatch")
     try:
-        data = json.loads(rest)
-        return Corpus(_read_v4(data), data["patch_len"])
-    except (LookupError, TypeError, ValueError, AttributeError, RecursionError, OverflowError) as exc:
-        raise CorruptFile(f"{path}: malformed payload ({exc!r})") from exc
+        return _read_v5(json.loads(rest))
+    except (LookupError, ValueError, RecursionError, OverflowError) as exc:
+        # the type and message only: the repr of a decoding error holds every byte it read
+        raise CorruptFile(f"{path}: malformed payload ({type(exc).__name__}: {exc})") from exc

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -500,6 +501,8 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
             raise ParseError("step_index must be a positive integer", file=filename, line=line_no)
         if obj["subgoals_after"] < 0:
             raise ParseError("subgoals_after must be a non-negative integer", file=filename, line=line_no)
+        if obj["subgoals_after"] > sys.float_info.max:  # the feature encoding holds it as a float
+            raise ParseError("subgoals_after is too large to encode", file=filename, line=line_no)
         library, by_index = per_lemma.setdefault(name, (obj["library"], {}))
         if obj["library"] != library:
             raise ParseError(f"conflicting library tags for {name}", file=filename, line=line_no)

@@ -219,11 +219,17 @@ def test_acceptance_7_parser_goldens():
 def test_acceptance_8_persistence_round_trip(tmp_path):
     started = time.perf_counter()
     rng = np.random.default_rng(88)
+    query = parse_partial((HINT / "hint_query.v").read_text())
     for trial in range(50):
         corpus = random_corpus(rng, tmp_path, max_lemmas=6)
         path = tmp_path / f"round_{trial}.corpus"
         save(corpus, path)
-        assert load(path) == corpus
+        loaded = load(path)
+        assert (loaded.names, loaded.libraries, loaded.table, loaded.patch_len) == (
+            corpus.names, corpus.libraries, corpus.table, corpus.patch_len)
+        assert loaded.raw.shape == corpus.raw.shape and loaded.raw.tobytes() == corpus.raw.tobytes()
+        assert (database_with_query(loaded, query).matrix.tobytes()
+                == database_with_query(corpus, query).matrix.tobytes())
         if trial % 10 == 0:
             data = path.read_bytes()
             cut = int(rng.integers(0, len(data) - 1))

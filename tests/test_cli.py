@@ -40,7 +40,7 @@ def test_extract_writes_corpus_and_counts(tmp_path, capsys):
     assert out.exists()
     assert "ssrbool: 6 lemmas" in captured
     corpus = load(out)
-    assert set(corpus.libraries) == {"ssrbool"}
+    assert set(corpus.libraries.values()) == {"ssrbool"}
 
 
 def test_extract_two_lib_flags(tmp_path):
@@ -48,7 +48,7 @@ def test_extract_two_lib_flags(tmp_path):
     code = main(extract_args(out, [("ssrbool", FIXTURES / "ssr_bool.v"),
                                    ("seq", FIXTURES / "ssr_seq.v")]))
     assert code == 0
-    assert set(load(out).libraries) == {"ssrbool", "seq"}
+    assert set(load(out).libraries.values()) == {"ssrbool", "seq"}
 
 
 def test_extract_missing_file_exits_3(tmp_path):
@@ -218,9 +218,10 @@ def test_corrupt_corpus_exits_3(tmp_path):
 
 
 def test_corpus_repeating_lemma_names_exits_3(tmp_path, capsys):
-    # the v4 fixture resealed with three ssrbool records stored twice: a valid checksum
-    payload = json.loads((FIXTURES / "ssr_bool_matrix_v4.corpus").read_bytes().partition(b"\n")[2])
-    payload["libraries"]["ssrbool"] += payload["libraries"]["ssrbool"][:3]
+    # the v5 fixture resealed with three ssrbool records stored twice: a valid checksum
+    payload = json.loads((FIXTURES / "ssr_bool_matrix_v5.corpus").read_bytes().partition(b"\n")[2])
+    records = payload["libraries"]["ssrbool"]
+    records += [r for r in records if r[0] in ("altP", "andbb", "orbb")]
     body = json.dumps(payload).encode("utf-8")
     header = {"format": CORPUS_FORMAT, "checksum": hashlib.sha256(body).hexdigest()}
     path = tmp_path / "repeated.corpus"
@@ -229,6 +230,17 @@ def test_corpus_repeating_lemma_names_exits_3(tmp_path, capsys):
     assert main(["hint", "--corpus", str(path), "--query", str(HINT / "hint_query.v"), "--runs", "3"]) == 3
     err = capsys.readouterr().err
     assert "repeated: altP, andbb, orbb" in err and not (tmp_path / "d").exists()
+
+
+def test_extract_subgoal_count_too_large_for_a_float_exits_2(tmp_path, capsys):
+    step = json.loads((FIXTURES / "matrix_trace.jsonl").read_text().splitlines()[0])
+    step["subgoals_after"] = 10 ** 400
+    trace = tmp_path / "huge.jsonl"
+    trace.write_text(json.dumps(step) + "\n")
+    out = tmp_path / "c"
+    assert main(["extract", "--lib", f"m:{trace}", "--out", str(out)]) == 2
+    assert f"{trace}:1: subgoals_after is too large" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_on_bare_digest_exits_2(tmp_path, capsys):

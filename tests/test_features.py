@@ -6,10 +6,9 @@ import pytest
 from proofmine.features import (EncodingTable, KIND_CODES, NoProofBody,
                                 build_encoding_table, encode_step, extract_features,
                                 min_max_scale, write_feature_records)
-from proofmine.corpus import load
 from proofmine.script import ArgumentKind, parse_library, parse_trace
 
-from conftest import FIXTURES, iter_nodes, random_corpus, random_trace_source
+from conftest import FIXTURES, iter_nodes, random_library_source, random_trace_source
 
 PAIR_SRC = (
     "Lemma andbb : idempotent andb.\nProof. by case. Qed.\n"
@@ -66,20 +65,19 @@ def build_encoding_table_oracle(records):
     )
 
 
-def corpus_records(corpus):
-    return [r for recs in corpus.libraries.values() for r in recs]
-
-
-def test_table_matches_per_reference_walk_on_random_corpora(tmp_path):
+def test_table_matches_per_reference_walk_on_random_corpora():
     rng = np.random.default_rng(11)
     for trial in range(6):
-        records = corpus_records(random_corpus(rng, tmp_path, tag_prefix=f"t{trial}"))
+        records = [r for lib in range(2)
+                   for r in parse_library(random_library_source(rng, int(rng.integers(2, 13)), f"t{trial}{lib}"),
+                                          f"t{trial}{lib}")]
         records += parse_trace(random_trace_source(rng, 8, f"q{trial}", "traced"))
         assert build_encoding_table(records) == build_encoding_table_oracle(records)
 
 
-def test_table_matches_per_reference_walk_on_loaded_fixtures():
-    records = corpus_records(load(FIXTURES / "ssr_bool_matrix_v4.corpus"))
+def test_table_matches_per_reference_walk_on_fixtures():
+    records = parse_library((FIXTURES / "ssr_bool.v").read_text(), "ssrbool")
+    records += parse_trace((FIXTURES / "matrix_trace.jsonl").read_text())
     assert build_encoding_table(records) == build_encoding_table_oracle(records)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proofmine.corpus import TermTable, read_term_table
 from proofmine.script import (LEMMA_KEYWORDS, _first_word, _parse_header, parse_library, parse_partial,
                               parse_trace, split_sentences)
 from proofmine.terms import (_OP_ASSOC, _OP_LEVEL, _PREFIX, BINDERS, OPERATOR_LEVELS, EmptyStatement,
@@ -159,14 +158,6 @@ REPRINT_SAMPLES = [
 def test_parse_format_parse_is_identity(text):
     tree = parse_term_tree(text)
     assert parse_term_tree(format_term(tree)) == tree
-
-
-def test_serialization_round_trip():
-    tree = parse_term_tree("forall g, exists s, BI s /\\ g = s2g s")
-    table = TermTable()
-    tid = table.add(tree)
-    entries = json.loads(json.dumps(list(table.ids)))
-    assert read_term_table(entries)(tid) == tree
 
 
 # ---------------------------------------------------------------------------
