@@ -118,6 +118,10 @@ def _canonical(payload) -> bytes:
 
 def save(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus as format v5; equal corpora give equal bytes."""
+    # a record is stored as its row's position, so rows must line up with the sorted names
+    if (corpus.raw.shape != (len(corpus.names), SLOTS_PER_STEP * corpus.patch_len)
+            or sorted(corpus.libraries) != corpus.names):
+        raise ValueError("the corpus rows, sorted names and library tags do not line up")
     distinct, row_ids = _distinct_rows(corpus.raw)
     libraries: dict[str, list] = {}
     for name, row_id in zip(corpus.names, row_ids.tolist()):

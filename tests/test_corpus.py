@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from proofmine.cli import main
 from proofmine.corpus import (CORPUS_FORMAT, CorruptFile, EmptyCorpus, VersionMismatch,
                               database_with_query, ingest, load, save)
+from proofmine.features import SLOTS_PER_STEP, build_encoding_table, extract_features
 from proofmine.script import DuplicateLemmaName, parse_library, parse_partial
 
 from conftest import FIXTURES, HINT, HINT_LIBS, iter_nodes, random_library_source, random_trace_source
@@ -33,6 +35,23 @@ def test_ingest_same_file_twice_duplicates():
 def test_ingest_of_no_paths_is_an_empty_corpus():
     with pytest.raises(EmptyCorpus):
         ingest([], [])
+
+
+def test_incremental_ingest_rebuilds_table():
+    """Adding a library means ingesting again: the vocabulary is rebuilt over every library and
+    the earlier lemmas are re-encoded against it."""
+    corpus = ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"])
+    grown = ingest([FIXTURES / "ssr_bool.v", FIXTURES / "ssr_seq.v"], ["ssrbool", "seq"])
+    assert len(grown.names) == len(corpus.names) + 9 and set(corpus.names) <= set(grown.names)
+    earlier = parse_library((FIXTURES / "ssr_bool.v").read_text(), "ssrbool")
+    records = earlier + parse_library((FIXTURES / "ssr_seq.v").read_text(), "seq")
+    assert grown.table == build_encoding_table(records) != corpus.table
+    changed = 0
+    for record in earlier:
+        row = grown.raw[grown.names.index(record.name)]
+        assert row.tolist() == list(extract_features(record, grown.table))
+        changed += row.tolist() != corpus.raw[corpus.names.index(record.name)].tolist()
+    assert changed  # the grown vocabulary shifted codes that earlier rows hold
 
 
 def test_ingest_order_independent(tmp_path):
@@ -157,6 +176,32 @@ def test_database_with_query_appends_scaled_row():
     assert db.matrix.min() >= 0.0 and db.matrix.max() <= 1.0
 
 
+def test_save_rejects_positions_that_would_misstate_a_record(tmp_path):
+    """A record is stored as its row's position, so save refuses rows that do not line up with the names."""
+    corpus = ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"])
+    path = tmp_path / "c.corpus"
+    for misaligned in (replace(corpus, raw=corpus.raw[:-1]),  # the last lemma would have no row
+                       replace(corpus, raw=corpus.raw[:, :-SLOTS_PER_STEP]),  # rows one step short
+                       replace(corpus, names=corpus.names[::-1]),  # rows would go to other names
+                       replace(corpus, libraries={**corpus.libraries, "extra": "ssrbool"})):
+        with pytest.raises(ValueError, match="do not line up"):
+            save(misaligned, path)
+        assert not path.exists()
+    save(corpus, path)
+    assert_same_corpus(load(path), corpus)
+
+
+def test_corpus_rejects_a_repeated_lemma_name(tmp_path):
+    """A lemma name repeated within one library or across two is refused, naming the lemma."""
+    twice = tmp_path / "twice.v"
+    twice.write_text("Lemma andbb : idempotent andb.\nProof. by case. Qed.\n" * 2)
+    other = tmp_path / "other.v"
+    other.write_text("Lemma andbb : idempotent andb.\nProof. by case. Qed.\n")
+    for paths, tags in (([twice], ["twice"]), ([FIXTURES / "ssr_bool.v", other], ["ssrbool", "other"])):
+        with pytest.raises(DuplicateLemmaName, match="andbb"):
+            ingest(paths, tags)
+
+
 def test_save_writes_header_line_then_checksummed_payload(tmp_path):
     corpus = ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"])
     path = tmp_path / "c.corpus"
@@ -259,7 +304,8 @@ MALFORMED_PAYLOADS = {
     "Infinity in a row": _v5_row(_V5_ROW[:-1] + [math.inf]),
     "-Infinity in a row": _v5_row(_V5_ROW[:-1] + [-math.inf]),
     "1e400 in a row": _v5_row_value(b"1e400"),
-    "integer too large for a float in a row": _v5_row(_V5_ROW[:-1] + [10 ** 400]),
+    # a JSON integer in the last slot of a step's block, its subgoal count, that overflows a float
+    "subgoal count too large for a float": _v5_row(_V5_ROW[:-1] + [10 ** 400]),
     "true in a row": _v5_row(_V5_ROW[:-1] + [True]),
     "null in a row": _v5_row(_V5_ROW[:-1] + [None]),
     "string in a row": _v5_row(_V5_ROW[:-1] + ["0"]),

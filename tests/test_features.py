@@ -6,6 +6,7 @@ import pytest
 from proofmine.features import (EncodingTable, KIND_CODES, NoProofBody,
                                 build_encoding_table, encode_step, extract_features,
                                 min_max_scale, write_feature_records)
+from proofmine.corpus import load
 from proofmine.script import ArgumentKind, parse_library, parse_trace
 
 from conftest import FIXTURES, iter_nodes, random_library_source, random_trace_source
@@ -75,10 +76,13 @@ def test_table_matches_per_reference_walk_on_random_corpora():
         assert build_encoding_table(records) == build_encoding_table_oracle(records)
 
 
-def test_table_matches_per_reference_walk_on_fixtures():
+def test_table_matches_per_reference_walk_on_loaded_fixtures():
     records = parse_library((FIXTURES / "ssr_bool.v").read_text(), "ssrbool")
     records += parse_trace((FIXTURES / "matrix_trace.jsonl").read_text())
-    assert build_encoding_table(records) == build_encoding_table_oracle(records)
+    oracle = build_encoding_table_oracle(records)
+    assert build_encoding_table(records) == oracle
+    # the corpus that `extract` wrote from the same two sources stores the same vocabulary
+    assert load(FIXTURES / "ssr_bool_matrix_v5.corpus").table == oracle
 
 
 def test_empty_records_give_empty_vocabularies():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proofmine.corpus import ingest, load, save
 from proofmine.script import (LEMMA_KEYWORDS, _first_word, _parse_header, parse_library, parse_partial,
                               parse_trace, split_sentences)
 from proofmine.terms import (_OP_ASSOC, _OP_LEVEL, _PREFIX, BINDERS, OPERATOR_LEVELS, EmptyStatement,
@@ -158,6 +159,22 @@ REPRINT_SAMPLES = [
 def test_parse_format_parse_is_identity(text):
     tree = parse_term_tree(text)
     assert parse_term_tree(format_term(tree)) == tree
+
+
+def test_serialization_round_trip(tmp_path):
+    """A corpus stores a statement as its symbols' codes: every code survives save and load, and the
+    statement's top symbols fill the goal slots of its lemma's first step."""
+    text = "forall g, exists s, BI s /\\ g = s2g s"
+    source = tmp_path / "game.v"
+    source.write_text(f"Lemma game : {text}.\nProof. by case. Qed.\n")
+    corpus = ingest([source], ["game"])
+    save(corpus, tmp_path / "c.corpus")
+    loaded = load(tmp_path / "c.corpus")
+    tree = parse_term_tree(text)
+    for node in iter_nodes(tree):
+        assert loaded.table.symbol_code(node.symbol) == corpus.table.symbol_code(node.symbol) > 0
+    top = [loaded.table.symbol_code(s) if s else 0 for s in tree.top_symbols()]
+    assert loaded.raw[0, 4:7].tolist() == top
 
 
 # ---------------------------------------------------------------------------
