@@ -3,8 +3,8 @@
 Exit codes: 0 success (including an empty hint), 2 parse errors,
 3 I/O or corpus-file errors, 4 insufficient data.  Exit 2 also covers usage
 errors: a bad flag, or a digest setting out of range (`--runs 0`,
-`--freq-threshold 2`, a non-integer PROOFMINE_SEED), which is reported before
-any file is read.
+`--freq-threshold 2`, a negative `--seed`, a non-integer or negative
+PROOFMINE_SEED), which is reported before any file is read.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .clustering import GranularityConfig, choose_n
+from .clustering import choose_n
 from .corpus import (CorruptFile, QUERY_NAME, VersionMismatch, database_with_query,
                      ingest, load, save)
-from .digest import (DigestConfig, TooFewLemmas, digest_to_dict, read_digest, run_digest,
-                     select_reliable, write_digest)
+from .digest import (HOMOGENEITY, DigestConfig, TooFewLemmas, digest_to_dict, read_digest,
+                     run_digest, select_reliable, write_digest)
 from .features import write_feature_records
 from .script import ParseError, parse_partial
 from .terms import TermError
@@ -134,11 +134,10 @@ def render_report(doc: dict) -> str:
         f"objects clustered: {doc['objects']}; consensus clusters: {len(clusters)}",
     ]
     libraries = doc.get("libraries", {})
-    for title, key in (("Homogeneous clusters", "homogeneous"),
-                       ("Heterogeneous clusters", "heterogeneous")):
+    for key in HOMOGENEITY:
         group = [c for c in clusters if c["homogeneity"] == key]
         lines.append("")
-        lines.append(f"{title} ({len(group)}):")
+        lines.append(f"{key.capitalize()} clusters ({len(group)}):")
         if not group:
             lines.append("  none")
         for i, cluster in enumerate(group, start=1):
@@ -156,7 +155,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     corpus = load(args.corpus)
     db = corpus.feature_database()
     clusters = run_digest(db, cfg)
-    n = choose_n(GranularityConfig(cfg.granularity, len(db.names)))
+    n = choose_n(len(db.names), cfg.granularity)
     doc = digest_to_dict(clusters, cfg, objects=len(db.names), clusters_per_run=n,
                          libraries=db.libraries)
     write_digest(args.out, doc)

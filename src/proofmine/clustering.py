@@ -21,21 +21,9 @@ class TooFewPoints(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GranularityConfig:
-    g: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.g <= 5:
-            raise ValueError(f"granularity must be in 1..5, got {self.g}")
-        if self.m < 1:
-            raise ValueError(f"object count must be positive, got {self.m}")
-
-
-def choose_n(cfg: GranularityConfig) -> int:
-    """Cluster count for m objects at granularity g."""
-    return max(1, cfg.m // (10 - cfg.g))
+def choose_n(m: int, g: int) -> int:
+    """Cluster count for m objects at granularity g; callers keep g in 1..5."""
+    return max(1, m // (10 - g))
 
 
 @dataclass

@@ -201,7 +201,10 @@ def load(path: str | Path) -> Corpus:
     if not isinstance(header, dict) or "format" not in header:
         raise CorruptFile(f"{path}: missing format header")
     if header["format"] != CORPUS_FORMAT:
-        raise VersionMismatch(f"{path}: expected {CORPUS_FORMAT!r}, found {header['format']!r}; "
+        found = repr(header["format"])
+        if len(found) > 80:  # a format tag is short; do not echo a long value whole
+            found = found[:80] + "... (cut)"
+        raise VersionMismatch(f"{path}: expected {CORPUS_FORMAT!r}, found {found}; "
                               "run `proofmine extract` on its sources to rebuild it")
     if hashlib.sha256(rest).hexdigest() != header.get("checksum"):
         raise CorruptFile(f"{path}: checksum mismatch")

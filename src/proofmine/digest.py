@@ -18,28 +18,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .clustering import ALGORITHMS, GranularityConfig, _distinct_rows, choose_n
+from .clustering import ALGORITHMS, _distinct_rows, choose_n
 from .features import FeatureDatabase
 
 DIGEST_FORMAT = "proofmine digest v1"
+# a cluster's members share one library tag, or they do not
+HOMOGENEITY = ("homogeneous", "heterogeneous")
 
 
 class TooFewLemmas(ValueError):
     pass
-
-
-class UnknownLemma(KeyError):
-    pass
-
-
-class Homogeneity(str, Enum):
-    HOMOGENEOUS = "homogeneous"
-    HETEROGENEOUS = "heterogeneous"
 
 
 @dataclass(frozen=True)
@@ -59,6 +51,8 @@ class DigestConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not 1 <= self.granularity <= 5:
             raise ValueError(f"granularity must be in 1..5, got {self.granularity}")
+        if self.master_seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.master_seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -75,21 +69,21 @@ class ConsensusCluster:
     members: tuple[str, ...]  # sorted lemma names, len >= 2
     frequency: float
     member_proximity: dict[str, float]
-    homogeneity: Homogeneity
+    homogeneity: str  # one of HOMOGENEITY
 
     def to_dict(self) -> dict:
         return {
             "members": list(self.members),
             "frequency": self.frequency,
             "member_proximity": dict(self.member_proximity),
-            "homogeneity": self.homogeneity.value,
+            "homogeneity": self.homogeneity,
         }
 
 
-def run_partitions(matrix: np.ndarray, cfg: DigestConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """Labels and proximities for every run; also returns the per-run cluster count."""
+def run_partitions(matrix: np.ndarray, cfg: DigestConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and proximities for every run, one row per run."""
     m = len(matrix)
-    n = choose_n(GranularityConfig(cfg.granularity, m))
+    n = choose_n(m, cfg.granularity)
     algorithm = ALGORITHMS[cfg.algorithm]
     labels = np.empty((cfg.runs, m), dtype=np.int64)
     proximity = np.empty((cfg.runs, m))
@@ -97,7 +91,7 @@ def run_partitions(matrix: np.ndarray, cfg: DigestConfig) -> tuple[np.ndarray, n
         result = algorithm(matrix, n, cfg.master_seed + i)
         labels[i] = result.labels
         proximity[i] = result.proximity
-    return labels, proximity, n
+    return labels, proximity
 
 
 def co_occurrence_counts(labels_runs: np.ndarray) -> np.ndarray:
@@ -154,16 +148,6 @@ def _member_proximities(classes: list[np.ndarray], class_labels: np.ndarray,
     return out
 
 
-def classify_homogeneity(members: tuple[str, ...] | list[str],
-                         library_tags: dict[str, str]) -> Homogeneity:
-    tags = set()
-    for name in members:
-        if name not in library_tags:
-            raise UnknownLemma(name)
-        tags.add(library_tags[name])
-    return Homogeneity.HOMOGENEOUS if len(tags) == 1 else Homogeneity.HETEROGENEOUS
-
-
 def run_digest(db: FeatureDatabase, cfg: DigestConfig) -> list[ConsensusCluster]:
     """Consensus clusters over cfg.runs seeded runs, sorted by falling frequency.
 
@@ -173,7 +157,7 @@ def run_digest(db: FeatureDatabase, cfg: DigestConfig) -> list[ConsensusCluster]
     m = len(db.names)
     if m < 2:
         raise TooFewLemmas(f"need at least 2 lemmas, have {m}")
-    labels_runs, proximity_runs, _ = run_partitions(db.matrix, cfg)
+    labels_runs, proximity_runs = run_partitions(db.matrix, cfg)
     columns, lemma_class = _distinct_rows(labels_runs.T)
     class_labels = np.ascontiguousarray(columns.T)
     class_co = co_occurrence_counts(class_labels) / cfg.runs
@@ -201,7 +185,7 @@ def run_digest(db: FeatureDatabase, cfg: DigestConfig) -> list[ConsensusCluster]
             members=members,
             frequency=frequency,
             member_proximity={db.names[i]: proximities[i] for i in component.tolist()},
-            homogeneity=classify_homogeneity(members, db.libraries),
+            homogeneity=HOMOGENEITY[len({db.libraries[name] for name in members}) > 1],
         ))
     clusters.sort(key=lambda c: (-c.frequency, c.members[0]))
     return clusters
@@ -255,7 +239,7 @@ def read_digest(path: str | Path) -> dict:
     need(isinstance(doc.get("clusters"), list), "clusters")
     for cluster in doc["clusters"]:
         need(isinstance(cluster, dict) and isinstance(cluster.get("frequency"), number)
-             and isinstance(cluster.get("homogeneity"), str)
+             and cluster.get("homogeneity") in HOMOGENEITY
              and isinstance(cluster.get("members"), list)
              and isinstance(cluster.get("member_proximity"), dict), "cluster fields")
         for name in cluster["members"]:

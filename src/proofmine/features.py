@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .script import ArgumentKind, LemmaRecord, ProofStep
-from .terms import TermTree
 
 PATCH_LEN = 5
 SLOTS_PER_STEP = 8
@@ -46,8 +45,6 @@ class EncodingTable:
 
     tactic_codes: dict[str, int]
     symbol_codes: dict[str, int]
-    kind_codes: dict[str, int] = field(
-        default_factory=lambda: {k.value: v for k, v in KIND_CODES.items()})
 
     def tactic_code(self, name: str) -> int:
         return self.tactic_codes.get(name, 0)
@@ -56,15 +53,11 @@ class EncodingTable:
         return self.symbol_codes.get(symbol, 0)
 
     def version_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Digest of both vocabularies and the fixed argument-kind codes."""
+        blob = json.dumps({"tactic_codes": self.tactic_codes, "symbol_codes": self.symbol_codes,
+                           "kind_codes": {k.value: v for k, v in KIND_CODES.items()}},
+                          sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        return {
-            "tactic_codes": dict(self.tactic_codes),
-            "symbol_codes": dict(self.symbol_codes),
-            "kind_codes": dict(self.kind_codes),
-        }
 
 
 @dataclass
@@ -120,16 +113,12 @@ def _relation_code(kinds: list[ArgumentKind]) -> float:
     return 3.0
 
 
-def encode_step(step: ProofStep, table: EncodingTable, statement: TermTree | None = None) -> tuple[float, ...]:
+def encode_step(step: ProofStep, table: EncodingTable) -> tuple[float, ...]:
     """Eight slot values for one parsed step; unknown names map to code 0."""
     tactic_codes = [table.tactic_code(app.name) for app in step.tactics]
-    args = [arg for app in step.tactics for arg in app.arguments]
-    kinds = [arg.kind for arg in args]
-    goal = step.goal_before
-    if goal is None and step.index == 1:
-        goal = statement
-    if goal is not None:
-        root, first, second = goal.top_symbols()
+    kinds = [arg.kind for app in step.tactics for arg in app.arguments]
+    if step.goal_before is not None:
+        root, first, second = step.goal_before.top_symbols()
         s5 = float(table.symbol_code(root))
         s6 = float(table.symbol_code(first)) if first else 0.0
         s7 = float(table.symbol_code(second)) if second else 0.0
@@ -154,7 +143,7 @@ def extract_features(lemma: LemmaRecord, table: EncodingTable, patch_len: int = 
         raise NoProofBody(f"lemma {lemma.name} has no proof steps")
     blocks: list[float] = []
     for step in lemma.steps[:patch_len]:
-        blocks.extend(encode_step(step, table, lemma.statement))
+        blocks.extend(encode_step(step, table))
     missing = patch_len - min(len(lemma.steps), patch_len)
     blocks.extend([0.0] * (SLOTS_PER_STEP * missing))
     return tuple(blocks)

@@ -72,17 +72,9 @@ class TacticApplication:
 
 @dataclass(frozen=True)
 class ProofStep:
-    index: int
     tactics: tuple[TacticApplication, ...]
     goal_before: TermTree | None = None
     subgoals_after: int | None = None
-
-
-@dataclass(frozen=True)
-class SourceSpan:
-    file: str
-    line_start: int
-    line_end: int
 
 
 @dataclass(frozen=True)
@@ -91,7 +83,6 @@ class LemmaRecord:
     statement: TermTree
     steps: tuple[ProofStep, ...]
     library: str
-    source_span: SourceSpan
 
 
 LEMMA_KEYWORDS = frozenset({"Lemma", "Theorem", "Corollary", "Fact"})
@@ -113,7 +104,6 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 class Sentence:
     text: str
     line_start: int
-    line_end: int
 
 
 def split_sentences(source: str) -> list[Sentence]:
@@ -169,7 +159,7 @@ def split_sentences(source: str) -> list[Sentence]:
             nxt = source[i + 1] if i + 1 < n else None
             if nxt is None or nxt.isspace():
                 text = "".join(buf).strip()
-                sentences.append(Sentence(text, start_line if start_line else line, line))
+                sentences.append(Sentence(text, start_line if start_line else line))
                 buf = []
                 start_line = None
                 i += 1
@@ -180,7 +170,7 @@ def split_sentences(source: str) -> list[Sentence]:
         i += 1
     trailing = "".join(buf).strip()
     if trailing:
-        sentences.append(Sentence(trailing, start_line if start_line else line, line))
+        sentences.append(Sentence(trailing, start_line if start_line else line))
     return sentences
 
 
@@ -350,17 +340,16 @@ def _tactics(text: str, ctx: _ProofContext, empty_message: str, *,
 
 def _steps_from_sentences(sentences: list[Sentence], file: str) -> list[ProofStep]:
     ctx = _ProofContext()
-    return [ProofStep(idx, _tactics(sen.text, ctx, "proof step without tokens",
-                                    file=file, line=sen.line_start))
-            for idx, sen in enumerate(sentences, start=1)]
+    return [ProofStep(_tactics(sen.text, ctx, "proof step without tokens", file=file, line=sen.line_start))
+            for sen in sentences]
 
 
 # ---------------------------------------------------------------------------
 # vernacular files
 
 
-def _lemmas(sentences: list[Sentence]) -> Iterator[tuple[Sentence, list[Sentence], Sentence | None]]:
-    """Each lemma sentence with its body and its closing sentence, or None if it has none.
+def _lemmas(sentences: list[Sentence]) -> Iterator[tuple[Sentence, list[Sentence], bool]]:
+    """Each lemma sentence with its body and whether a closing sentence ends it.
 
     A body runs up to a closer or the next lemma sentence; a `Proof.` right
     after the lemma sentence is not part of it.  Sentences outside lemmas
@@ -375,7 +364,7 @@ def _lemmas(sentences: list[Sentence]) -> Iterator[tuple[Sentence, list[Sentence
         if i < n and _first_word(sentences[i].text) == "Proof":
             i += 1
         body: list[Sentence] = []
-        closer = None
+        closed = False
         while i < n:
             nxt = sentences[i]
             word = _first_word(nxt.text)
@@ -383,10 +372,10 @@ def _lemmas(sentences: list[Sentence]) -> Iterator[tuple[Sentence, list[Sentence
                 break
             i += 1
             if word in PROOF_CLOSERS and word == nxt.text:
-                closer = nxt
+                closed = True
                 break
             body.append(nxt)
-        yield sen, body, closer
+        yield sen, body, closed
 
 
 def _parse_header(sentence: Sentence, file: str) -> tuple[str, str]:
@@ -425,13 +414,12 @@ def _statement_tree(name: str, statement_text: str, intern: dict, *, file: str, 
         raise MalformedStatement(f"bad statement for {name}: {exc}", file=file, line=line) from exc
 
 
-def _record(name: str, statement: TermTree, body: list[Sentence], library: str, file: str,
-            line_start: int, line_end: int) -> LemmaRecord:
+def _record(name: str, statement: TermTree, body: list[Sentence], library: str, file: str) -> LemmaRecord:
     """A lemma record whose first step's goal is the statement."""
     steps = _steps_from_sentences(body, file)
     if steps:
         steps[0] = replace(steps[0], goal_before=statement)
-    return LemmaRecord(name, statement, tuple(steps), library, SourceSpan(file, line_start, line_end))
+    return LemmaRecord(name, statement, tuple(steps), library)
 
 
 def parse_library(source: str, library_tag: str, *, filename: str = "<string>") -> list[LemmaRecord]:
@@ -445,20 +433,20 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>") 
     records: list[LemmaRecord] = []
     seen: set[str] = set()
     intern: dict = {}  # one per file, so equal subterms of its statements are shared
-    for sen, body, closer in _lemmas(split_sentences(source)):
+    for sen, body, closed in _lemmas(split_sentences(source)):
         name, statement_text = _parse_header(sen, filename)
         if name in seen:
             raise DuplicateLemmaName(f"duplicate lemma {name}", file=filename, line=sen.line_start)
         seen.add(name)
         statement = _statement_tree(name, statement_text, intern, file=filename, line=sen.line_start)
-        if closer is None:
+        if not closed:
             raise UnterminatedProof(f"proof of {name} never closed", file=filename, line=sen.line_start)
-        records.append(_record(name, statement, body, library_tag, filename, sen.line_start, closer.line_end))
+        records.append(_record(name, statement, body, library_tag, filename))
     return records
 
 
-def parse_partial(source: str, *, filename: str = "<query>", library_tag: str = "query") -> LemmaRecord:
-    """Lenient parse of an unfinished proof: its first lemma with at least one step; no closer needed."""
+def parse_partial(source: str, *, filename: str = "<query>") -> LemmaRecord:
+    """Lenient parse of an unfinished proof, tagged "query": its first lemma with a step; no closer needed."""
     lemma = next(_lemmas(split_sentences(source)), None)
     if lemma is None:
         raise MalformedStatement("no lemma statement found", file=filename)
@@ -467,7 +455,7 @@ def parse_partial(source: str, *, filename: str = "<query>", library_tag: str = 
     statement = _statement_tree(name, statement_text, {}, file=filename, line=sen.line_start)
     if not body:
         raise MalformedStatement(f"partial proof of {name} has no steps", file=filename, line=sen.line_start)
-    return _record(name, statement, body, library_tag, filename, sen.line_start, body[-1].line_end)
+    return _record(name, statement, body, "query", filename)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +504,7 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
         ctx = _ProofContext()
         steps: list[ProofStep] = []
         statement: TermTree | None = None
-        for new_index, idx in enumerate(sorted(by_index), start=1):
+        for idx in sorted(by_index):
             tactic_line, goal_text, subgoals, line_no = by_index[idx]
             text = tactic_line.strip()
             if text.endswith("."):
@@ -525,10 +513,8 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
             goal = _statement_tree(name, goal_text, intern, file=filename, line=line_no)
             if statement is None:
                 statement = goal
-            steps.append(ProofStep(new_index, apps, goal_before=goal, subgoals_after=subgoals))
-        lines = [line_no for *_, line_no in by_index.values()]
-        records.append(LemmaRecord(name, statement, tuple(steps), library,
-                                   SourceSpan(filename, min(lines), max(lines))))
+            steps.append(ProofStep(apps, goal_before=goal, subgoals_after=subgoals))
+        records.append(LemmaRecord(name, statement, tuple(steps), library))
     return records
 
 

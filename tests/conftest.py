@@ -117,15 +117,15 @@ def compare_with_golden(records, golden):
     for entry in golden["lemmas"]:
         record = by_name[entry["name"]]
         assert len(record.steps) == len(entry["steps"]), entry["name"]
-        for step, want in zip(record.steps, entry["steps"]):
+        for index, (step, want) in enumerate(zip(record.steps, entry["steps"]), start=1):
             got_tactics = [t.name for t in step.tactics]
             want_tactics = [t["name"] for t in want["tactics"]]
-            assert got_tactics == want_tactics, (entry["name"], step.index)
+            assert got_tactics == want_tactics, (entry["name"], index)
             for tac, wtac in zip(step.tactics, want["tactics"]):
                 got_args = [[a.text, a.kind.value] for a in tac.arguments]
-                assert got_args == wtac["args"], (entry["name"], step.index, tac.name)
+                assert got_args == wtac["args"], (entry["name"], index, tac.name)
             if "subgoals_after" in want:
-                assert step.subgoals_after == want["subgoals_after"], (entry["name"], step.index)
+                assert step.subgoals_after == want["subgoals_after"], (entry["name"], index)
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proofmine.clustering import (GranularityConfig, choose_n, em_gaussian, farthest_first,
-                                  kmeans)
+from proofmine.clustering import choose_n, em_gaussian, farthest_first, kmeans
 from proofmine.corpus import (CorruptFile, QUERY_NAME, database_with_query, ingest, load, save)
 from proofmine.digest import (DigestConfig, co_occurrence_counts, components_at, run_digest,
                               run_partitions, select_reliable)
@@ -41,7 +40,7 @@ PUBLISHED_PAIRS = [
 def test_acceptance_1_granularity_formula():
     started = time.perf_counter()
     for m, g, n in PUBLISHED_PAIRS:
-        assert choose_n(GranularityConfig(g=g, m=m)) == n
+        assert choose_n(m, g) == n
     _report(1, "granularity formula reproduction", started, 0.001)
 
 
@@ -75,7 +74,7 @@ def test_acceptance_3_synthetic_family_recovery():
     assert within <= 0.01 and across >= 0.5
     names = [f"lm{i:02d}" for i in range(families * per)]
     db = FeatureDatabase(names=names, libraries={n: "synthetic" for n in names}, matrix=matrix)
-    assert choose_n(GranularityConfig(g=5, m=len(names))) == families
+    assert choose_n(len(names), 5) == families
     cfg = DigestConfig(runs=200, frequency_threshold=0.6, algorithm="kmeans",
                        granularity=5, master_seed=1)
     clusters = run_digest(db, cfg)
@@ -180,7 +179,7 @@ def test_acceptance_6_digest_properties():
             granularity=int(rng.integers(1, 6)),
             master_seed=int(rng.integers(10_000)),
         )
-        labels, _, _ = run_partitions(db.matrix, cfg)
+        labels, _ = run_partitions(db.matrix, cfg)
         counts = co_occurrence_counts(labels)
         co = counts / cfg.runs
         assert np.array_equal(co, co.T)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from proofmine.cli import main
 from proofmine.corpus import CORPUS_FORMAT, load
+from proofmine.digest import DigestConfig
 
 from conftest import FIXTURES, GOLDENS, HINT, HINT_LIBS, mutated, mutated_inputs
 
@@ -197,24 +198,38 @@ def test_seed_env_fallback(corpus_file, tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["cluster", "hint"])
-@pytest.mark.parametrize("flags, seed_env", [
-    (["--runs", "0"], None), (["--freq-threshold", "2"], None), ([], "abc")],
-    ids=["runs 0", "freq-threshold 2", "bad PROOFMINE_SEED"])
+@pytest.mark.parametrize("flags, seed_env, message", [
+    (["--runs", "0"], None, "runs must be >= 1"),
+    (["--freq-threshold", "2"], None, "frequency threshold must be in (0, 1]"),
+    ([], "abc", "PROOFMINE_SEED must be an integer"),
+    (["--seed", "-1"], None, "seed must be a non-negative integer, got -1"),
+    ([], "-4", "seed must be a non-negative integer, got -4")],
+    ids=["runs 0", "freq-threshold 2", "bad PROOFMINE_SEED", "negative seed", "negative PROOFMINE_SEED"])
 def test_bad_digest_setting_is_a_usage_error_before_the_corpus_is_read(
-        tmp_path, capsys, monkeypatch, command, flags, seed_env):
+        tmp_path, capsys, monkeypatch, command, flags, seed_env, message):
     if seed_env is not None:
         monkeypatch.setenv("PROOFMINE_SEED", seed_env)
     missing = str(tmp_path / "missing.corpus")  # reading it would be exit 3
     args = {"cluster": ["cluster", "--corpus", missing, "--out", str(tmp_path / "d")],
             "hint": ["hint", "--corpus", missing, "--query", str(HINT / "hint_query.v")]}[command]
     assert main(args + flags) == 2
-    assert "i/o error" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "i/o error" not in err and message in err
 
 
 def test_corrupt_corpus_exits_3(tmp_path):
     bogus = tmp_path / "x.corpus"
     bogus.write_text("{not json")
     assert main(["cluster", "--corpus", str(bogus), "--out", str(tmp_path / "d")]) == 3
+
+
+def test_long_corpus_format_tag_is_not_echoed_whole(tmp_path, capsys):
+    path = tmp_path / "long.corpus"
+    path.write_bytes(json.dumps({"format": "x" * 200_000, "checksum": ""}).encode("utf-8") + b"\n{}")
+    assert main(["cluster", "--corpus", str(path), "--out", str(tmp_path / "d")]) == 3
+    err = capsys.readouterr().err
+    assert len(err) < 1000
+    assert "(cut)" in err and "run `proofmine extract` on its sources" in err
 
 
 def test_corpus_repeating_lemma_names_exits_3(tmp_path, capsys):
@@ -246,6 +261,18 @@ def test_extract_subgoal_count_too_large_for_a_float_exits_2(tmp_path, capsys):
 def test_report_on_bare_digest_exits_2(tmp_path, capsys):
     path = tmp_path / "bare.json"
     path.write_text('{"format": "proofmine digest v1"}')
+    assert main(["report", str(path)]) == 2
+    assert "malformed digest" in capsys.readouterr().err
+
+
+def test_report_on_unknown_homogeneity_exits_2(tmp_path, capsys):
+    cluster = {"members": ["a", "b"], "frequency": 1.0, "member_proximity": {"a": 1.0, "b": 1.0}}
+    doc = {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
+           "clusters_per_run": 1, "libraries": {"a": "u", "b": "u"}, "clusters": [cluster]}
+    path = tmp_path / "digest.json"
+    path.write_text(json.dumps({**doc, "clusters": [{**cluster, "homogeneity": "homogeneous"}]}))
+    assert main(["report", str(path)]) == 0
+    path.write_text(json.dumps({**doc, "clusters": [{**cluster, "homogeneity": "mixed"}]}))
     assert main(["report", str(path)]) == 2
     assert "malformed digest" in capsys.readouterr().err
 

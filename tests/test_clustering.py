@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from proofmine import clustering, ingest
-from proofmine.clustering import (KMEANS_MAX_ITER, ClusterAssignment, GranularityConfig,
-                                  TooFewPoints, choose_n, em_gaussian, farthest_first, kmeans)
+from proofmine.clustering import (KMEANS_MAX_ITER, ClusterAssignment, TooFewPoints, choose_n,
+                                  em_gaussian, farthest_first, kmeans)
 
 from conftest import random_library_source
 
@@ -21,16 +21,12 @@ GRANULARITY_TABLE = [
 
 @pytest.mark.parametrize("m,g,n", GRANULARITY_TABLE)
 def test_choose_n_reproduces_published_values(m, g, n):
-    assert choose_n(GranularityConfig(g=g, m=m)) == n
+    assert choose_n(m, g) == n
 
 
 def test_choose_n_floor_and_clamp():
-    assert choose_n(GranularityConfig(g=1, m=9)) == 1
-    assert choose_n(GranularityConfig(g=1, m=5)) == 1  # formula would give 0
-    with pytest.raises(ValueError):
-        GranularityConfig(g=0, m=10)
-    with pytest.raises(ValueError):
-        GranularityConfig(g=3, m=0)
+    assert choose_n(9, 1) == 1
+    assert choose_n(5, 1) == 1  # formula would give 0
 
 
 def _pad(points, dim=40):

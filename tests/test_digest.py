@@ -6,11 +6,9 @@ import pytest
 from proofmine import digest
 from proofmine.clustering import _distinct_rows
 from proofmine.corpus import database_with_query
-from proofmine.digest import (ConsensusCluster, DigestConfig, Homogeneity, TooFewLemmas,
-                              UnknownLemma, _member_proximities, classify_homogeneity,
-                              co_occurrence_counts,
-                              components_at, digest_to_dict, read_digest, run_digest,
-                              run_partitions, select_reliable, write_digest)
+from proofmine.digest import (ConsensusCluster, DigestConfig, TooFewLemmas, _member_proximities,
+                              co_occurrence_counts, components_at, digest_to_dict, read_digest,
+                              run_digest, run_partitions, select_reliable, write_digest)
 from proofmine.features import FeatureDatabase
 from proofmine.script import parse_partial
 
@@ -53,7 +51,7 @@ def test_identical_pair_has_unit_frequency():
 def test_single_run_digest_is_that_partition_minus_singletons():
     db = make_db(family_matrix(families=3, per=3))
     cfg = DigestConfig(runs=1, frequency_threshold=0.6, granularity=5, master_seed=5)
-    labels, _, _ = run_partitions(db.matrix, cfg)
+    labels, _ = run_partitions(db.matrix, cfg)
     counts = co_occurrence_counts(labels)
     assert set(np.unique(counts)) <= {0, 1}
     clusters = run_digest(db, cfg)
@@ -108,7 +106,7 @@ def test_four_jittered_families_recovered():
 def test_co_occurrence_symmetric_unit_diagonal():
     db = make_db(family_matrix(families=2, per=4, jitter=0.05, seed=2))
     cfg = DigestConfig(runs=12, granularity=4, master_seed=3)
-    labels, _, _ = run_partitions(db.matrix, cfg)
+    labels, _ = run_partitions(db.matrix, cfg)
     matrix = co_occurrence_counts(labels) / cfg.runs
     assert np.array_equal(matrix, matrix.T)
     assert np.all(np.diag(matrix) == 1.0)
@@ -149,7 +147,7 @@ def test_co_occurrence_matches_oracle():
     for _ in range(30):
         labels, _ = random_runs(rng)
         assert np.array_equal(co_occurrence_counts(labels), co_occurrence_oracle(labels))
-    labels, _, _ = run_partitions(family_matrix(jitter=0.2),
+    labels, _ = run_partitions(family_matrix(jitter=0.2),
                                   DigestConfig(runs=12, granularity=5, master_seed=4))
     assert np.array_equal(co_occurrence_counts(labels), co_occurrence_oracle(labels))
 
@@ -178,7 +176,7 @@ def test_threshold_monotonicity():
     rng = np.random.default_rng(8)
     db = make_db(rng.uniform(size=(12, 40)))
     cfg = DigestConfig(runs=15, granularity=4, master_seed=7)
-    labels, _, _ = run_partitions(db.matrix, cfg)
+    labels, _ = run_partitions(db.matrix, cfg)
     matrix = co_occurrence_counts(labels) / cfg.runs
     low = components_at(matrix, 0.4)
     high = components_at(matrix, 0.8)
@@ -191,7 +189,7 @@ def test_digest_deterministic_and_order_independent():
     db = make_db(rng.uniform(size=(10, 40)))
     cfg = DigestConfig(runs=20, granularity=4, master_seed=11)
     assert run_digest(db, cfg) == run_digest(db, cfg)
-    labels, _, _ = run_partitions(db.matrix, cfg)
+    labels, _ = run_partitions(db.matrix, cfg)
     shuffled = labels[::-1].copy()
     assert np.array_equal(co_occurrence_counts(labels), co_occurrence_counts(shuffled))
 
@@ -217,6 +215,13 @@ def test_too_few_lemmas():
     db = make_db(np.zeros((1, 40)))
     with pytest.raises(TooFewLemmas):
         run_digest(db, DigestConfig(runs=2))
+
+
+def test_digest_config_rejects_granularity_outside_1_to_5():
+    # choose_n trusts its caller to keep g in range; DigestConfig is that caller's check
+    for granularity in (0, 6):
+        with pytest.raises(ValueError, match="granularity must be in 1..5"):
+            DigestConfig(granularity=granularity)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +251,7 @@ def run_digest_oracle(db: FeatureDatabase, cfg: DigestConfig) -> list[ConsensusC
     m = len(db.names)
     if m < 2:
         raise TooFewLemmas(f"need at least 2 lemmas, have {m}")
-    labels_runs, proximity_runs, _ = run_partitions(db.matrix, cfg)
+    labels_runs, proximity_runs = run_partitions(db.matrix, cfg)
     co_matrix = co_occurrence_counts(labels_runs) / cfg.runs
     clusters: list[ConsensusCluster] = []
     for component in components_at(co_matrix, cfg.frequency_threshold):
@@ -264,7 +269,7 @@ def run_digest_oracle(db: FeatureDatabase, cfg: DigestConfig) -> list[ConsensusC
             members=members,
             frequency=frequency,
             member_proximity={db.names[i]: proximities[i] for i in component},
-            homogeneity=classify_homogeneity(members, db.libraries),
+            homogeneity="homogeneous" if len({db.libraries[n] for n in members}) == 1 else "heterogeneous",
         ))
     clusters.sort(key=lambda c: (-c.frequency, c.members[0]))
     return clusters
@@ -283,7 +288,7 @@ def assert_digest_matches_oracle(db, cfg):
 def planted_partitions(monkeypatch, labels, proximity):
     """Make every digest run see these label and proximity matrices."""
     def planted(matrix, cfg):
-        return labels, proximity, 1
+        return labels, proximity
 
     monkeypatch.setattr(digest, "run_partitions", planted)
     monkeypatch.setitem(globals(), "run_partitions", planted)
@@ -357,7 +362,7 @@ def test_digest_matches_oracle_on_a_hint_database(hint_corpus, runs):
 def test_co_occurrence_is_counted_over_distinct_label_columns(tmp_path, monkeypatch):
     db = random_corpus(np.random.default_rng(5), tmp_path, max_lemmas=60, libraries=3).feature_database()
     cfg = DigestConfig(runs=6, master_seed=3)
-    labels, _, _ = run_partitions(db.matrix, cfg)
+    labels, _ = run_partitions(db.matrix, cfg)
     columns = len(np.unique(labels.T, axis=0))
     assert columns < len(db.names) // 2
     shapes = []
@@ -375,7 +380,7 @@ def test_co_occurrence_is_counted_over_distinct_label_columns(tmp_path, monkeypa
 # select_reliable
 
 
-def _cluster(members, freq, prox, homogeneity=Homogeneity.HOMOGENEOUS):
+def _cluster(members, freq, prox, homogeneity="homogeneous"):
     return ConsensusCluster(
         members=tuple(sorted(members)),
         frequency=freq,
@@ -407,19 +412,19 @@ def test_select_reliable_returns_containing_cluster():
 # homogeneity
 
 
+def _two_family_clusters():
+    """Digest clusters of two well-separated families: one from library seq, one mixed."""
+    db = make_db(family_matrix(families=2, per=5), tags=["seq"] * 7 + ["ssrnat"] * 3)
+    clusters = run_digest(db, DigestConfig(runs=10, granularity=5, master_seed=2))
+    return {c.members: c.homogeneity for c in clusters}
+
+
 def test_homogeneity_single_library():
-    tags = {"a": "seq", "b": "seq"}
-    assert classify_homogeneity(("a", "b"), tags) is Homogeneity.HOMOGENEOUS
+    assert _two_family_clusters()[("lm00", "lm01", "lm02", "lm03", "lm04")] == "homogeneous"
 
 
 def test_homogeneity_mixed_libraries():
-    tags = {"a": "seq", "b": "ssrnat"}
-    assert classify_homogeneity(("a", "b"), tags) is Homogeneity.HETEROGENEOUS
-
-
-def test_homogeneity_unknown_member():
-    with pytest.raises(UnknownLemma):
-        classify_homogeneity(("a", "zz"), {"a": "seq"})
+    assert _two_family_clusters()[("lm05", "lm06", "lm07", "lm08", "lm09")] == "heterogeneous"
 
 
 def test_single_library_corpus_all_homogeneous():
@@ -427,7 +432,7 @@ def test_single_library_corpus_all_homogeneous():
     cfg = DigestConfig(runs=15, granularity=5, master_seed=5)
     clusters = run_digest(db, cfg)
     assert clusters
-    assert all(c.homogeneity is Homogeneity.HOMOGENEOUS for c in clusters)
+    assert all(c.homogeneity == "homogeneous" for c in clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +467,10 @@ def test_digest_file_round_trip(tmp_path):
      "clusters_per_run": 1, "clusters": [{"members": ["a", "b"], "frequency": 1.0,
                                           "member_proximity": {"a": 1.0},
                                           "homogeneity": "homogeneous"}]},
+    {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
+     "clusters_per_run": 1, "clusters": [{"members": ["a", "b"], "frequency": 1.0,
+                                          "member_proximity": {"a": 1.0, "b": 1.0},
+                                          "homogeneity": "mixed"}]},
 ])
 def test_read_digest_rejects_missing_report_fields(tmp_path, doc):
     path = tmp_path / "digest.json"

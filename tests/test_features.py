@@ -106,7 +106,7 @@ def test_encode_by_case_step():
     records = pair_records()
     table = build_encoding_table(records)
     andbb = records[0]
-    slots = encode_step(andbb.steps[0], table, andbb.statement)
+    slots = encode_step(andbb.steps[0], table)
     assert slots == (1.2, 2.0, 0.0, 0.0, 2.0, 1.0, 0.0, -1.0)
 
 
@@ -119,7 +119,7 @@ def test_elim_step_slots_from_hand_enumeration():
     records = parse_library(TRIO_SRC, "seq")
     table = build_encoding_table(records)
     has_map = records[0]
-    slots = encode_step(has_map.steps[0], table, has_map.statement)
+    slots = encode_step(has_map.steps[0], table)
     # tactics by=1, elim=2 -> 1.2; arg kinds ext,wild,intro,intro,intro
     assert slots[0] == pytest.approx(1.2)
     assert slots[1] == 2.0
@@ -180,9 +180,7 @@ def test_unknown_vocabulary_encodes_to_zero():
 def test_no_proof_body_rejected():
     records = pair_records()
     table = build_encoding_table(records)
-    bare = records[0].__class__(
-        name="empty", statement=records[0].statement, steps=(),
-        library="t", source_span=records[0].source_span)
+    bare = records[0].__class__(name="empty", statement=records[0].statement, steps=(), library="t")
     with pytest.raises(NoProofBody):
         extract_features(bare, table)
 

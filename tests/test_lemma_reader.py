@@ -1,7 +1,8 @@
 """The three parsers against the lemma walks and the tactic-line layer they replaced.
 
 The parsers before the shared lemma reader are copied below verbatim (renamed
-with an `oracle` prefix), and so are the tactic-line helpers before the lexer
+with an `oracle` prefix), less the source spans and step indices that records
+no longer carry, and so are the tactic-line helpers before the lexer
 returned `;`-separated segments (`_Tok` to `_parse_segment`, names unchanged).
 They share the module's sentence, header and argument classification helpers.
 Every input must give equal records, or the same exception class and message.
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from proofmine.script import (_CONNECTIVE_WORDS, _IDENT_RE, _INDUCTION_TACTICS, _INTRO_TACTICS,
                               _TRACE_FIELDS, LEMMA_KEYWORDS, PROOF_CLOSERS, ArgumentKind,
                               ArgumentToken, DuplicateLemmaName, EmptyStep, LemmaRecord,
-                              MalformedStatement, ParseError, ProofStep, Sentence, SourceSpan,
+                              MalformedStatement, ParseError, ProofStep, Sentence,
                               TacticApplication, UnterminatedProof, _classify_token, _first_word,
                               _intro_names, _parse_header, _ProofContext, _statement_tree,
                               parse_library, parse_partial, parse_trace, split_sentences)
@@ -141,7 +142,7 @@ def _parse_segment(tokens: list[_Tok], ctx: _ProofContext, *, file: str, line: i
 
 def oracle_steps_from_sentences(sentences: list[Sentence], ctx: _ProofContext, file: str) -> list[ProofStep]:
     steps: list[ProofStep] = []
-    for idx, sen in enumerate(sentences, start=1):
+    for sen in sentences:
         tokens = _lex_step_tokens(sen.text, file=file, line=sen.line_start)
         if not tokens:
             raise EmptyStep("proof step without tokens", file=file, line=sen.line_start)
@@ -150,7 +151,7 @@ def oracle_steps_from_sentences(sentences: list[Sentence], ctx: _ProofContext, f
             if not segment:
                 raise EmptyStep("empty tactic between ';'", file=file, line=sen.line_start)
             apps.extend(_parse_segment(segment, ctx, file=file, line=sen.line_start))
-        steps.append(ProofStep(index=idx, tactics=tuple(apps)))
+        steps.append(ProofStep(tactics=tuple(apps)))
     return steps
 
 
@@ -180,14 +181,12 @@ def oracle_parse_library(source: str, library_tag: str, *, filename: str = "<str
         if i < len(sentences) and _first_word(sentences[i].text) == "Proof":
             i += 1
         body: list[Sentence] = []
-        end_line = sen.line_end
         closed = False
         while i < len(sentences):
             nxt = sentences[i]
             word = _first_word(nxt.text)
             if word in PROOF_CLOSERS and word == nxt.text:
                 closed = True
-                end_line = nxt.line_end
                 i += 1
                 break
             if word in LEMMA_KEYWORDS:
@@ -204,13 +203,12 @@ def oracle_parse_library(source: str, library_tag: str, *, filename: str = "<str
             statement=statement,
             steps=tuple(steps),
             library=library_tag,
-            source_span=SourceSpan(filename, sen.line_start, end_line),
         ))
         seen.add(name)
     return records
 
 
-def oracle_parse_partial(source: str, *, filename: str = "<query>", library_tag: str = "query") -> LemmaRecord:
+def oracle_parse_partial(source: str, *, filename: str = "<query>") -> LemmaRecord:
     """Lenient parse of an unfinished proof: statement plus at least one step; no closer needed."""
     sentences = split_sentences(source)
     i = 0
@@ -225,13 +223,11 @@ def oracle_parse_partial(source: str, *, filename: str = "<query>", library_tag:
     if i < len(sentences) and _first_word(sentences[i].text) == "Proof":
         i += 1
     body: list[Sentence] = []
-    end_line = sen.line_end
     for nxt in sentences[i:]:
         word = _first_word(nxt.text)
         if word in PROOF_CLOSERS and word == nxt.text:
             break
         body.append(nxt)
-        end_line = nxt.line_end
     if not body:
         raise MalformedStatement(f"partial proof of {name} has no steps", file=filename, line=sen.line_start)
     steps = oracle_steps_from_sentences(body, _ProofContext(), filename)
@@ -240,8 +236,7 @@ def oracle_parse_partial(source: str, *, filename: str = "<query>", library_tag:
         name=name,
         statement=statement,
         steps=tuple(steps),
-        library=library_tag,
-        source_span=SourceSpan(filename, sen.line_start, end_line),
+        library="query",
     )
 
 
@@ -269,13 +264,12 @@ def oracle_parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaR
             raise ParseError("step_index must be a positive integer", file=filename, line=line_no)
         if obj["subgoals_after"] < 0:
             raise ParseError("subgoals_after must be a non-negative integer", file=filename, line=line_no)
-        entry = per_lemma.setdefault(name, {"library": obj["library"], "steps": {}, "lines": []})
+        entry = per_lemma.setdefault(name, {"library": obj["library"], "steps": {}})
         if obj["library"] != entry["library"]:
             raise ParseError(f"conflicting library tags for {name}", file=filename, line=line_no)
         if idx in entry["steps"]:
             raise ParseError(f"duplicate step {idx} for {name}", file=filename, line=line_no)
         entry["steps"][idx] = (obj["tactic_line"], obj["goal_before"], obj["subgoals_after"], line_no)
-        entry["lines"].append(line_no)
 
     records: list[LemmaRecord] = []
     intern: dict = {}  # one per file, so equal subterms of its goals are shared
@@ -283,7 +277,7 @@ def oracle_parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaR
         ctx = _ProofContext()
         steps: list[ProofStep] = []
         statement: TermTree | None = None
-        for new_index, idx in enumerate(sorted(entry["steps"]), start=1):
+        for idx in sorted(entry["steps"]):
             tactic_line, goal_text, subgoals, line_no = entry["steps"][idx]
             text = tactic_line.strip()
             if text.endswith("."):
@@ -299,13 +293,12 @@ def oracle_parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaR
             goal = _statement_tree(name, goal_text, intern, file=filename, line=line_no)
             if statement is None:
                 statement = goal
-            steps.append(ProofStep(new_index, tuple(apps), goal_before=goal, subgoals_after=subgoals))
+            steps.append(ProofStep(tuple(apps), goal_before=goal, subgoals_after=subgoals))
         records.append(LemmaRecord(
             name=name,
             statement=statement,
             steps=tuple(steps),
             library=entry["library"],
-            source_span=SourceSpan(filename, min(entry["lines"]), max(entry["lines"])),
         ))
     return records
 
@@ -417,7 +410,6 @@ def test_partial_body_ends_at_the_next_lemma_sentence():
     assert continues_into_next_lemma(source)
     record = parse_partial(source)
     assert [[app.name for app in step.tactics] for step in record.steps] == [["by"]]
-    assert record.source_span.line_end == 2
     # the old walk read the next lemma sentence as a step
     old = oracle_parse_partial(source)
     assert [[app.name for app in step.tactics] for step in old.steps] == [

