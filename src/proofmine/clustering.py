@@ -57,12 +57,16 @@ def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("mnd,mnd->mn", diff, diff)
 
 
-def _nearest_proximity(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    dist = np.sqrt(np.sum((points - centers[labels]) ** 2, axis=1))
+def _proximity(dist: np.ndarray) -> np.ndarray:
+    """1 - dist / max(dist), or all ones when every distance is 0."""
     top = dist.max() if len(dist) else 0.0
     if top == 0.0:
-        return np.ones(len(points))
+        return np.ones(len(dist))
     return 1.0 - dist / top
+
+
+def _nearest_proximity(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    return _proximity(np.sqrt(np.sum((points - centers[labels]) ** 2, axis=1)))
 
 
 def _update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -93,6 +97,46 @@ def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts[first], inverse
 
 
+class PointSet:
+    """The points of one digest, shared by its seeded runs.
+
+    The distinct rows are split out once, and the distance columns that
+    farthest-first reads are kept from run to run, each computed on first use.
+    Every entry of a column is its own reduction over one row, so a column over
+    the distinct rows, read through `inverse`, is the column over every row bit
+    for bit, and a kept column is the one a fresh run would compute.  It keeps
+    at most two columns per distinct row, for as long as the PointSet lives.
+    The clustering functions also take a plain array, which gets a PointSet of
+    its own.
+    """
+
+    def __init__(self, points) -> None:
+        self.points = _as_points(points)
+        rows, inverse = _distinct_rows(self.points)
+        first = np.unique(inverse, return_index=True)[1]
+        # renumbered by first occurrence, so the first maximum over the distinct
+        # rows is the distinct row of the first maximum over all rows
+        order = np.argsort(first)
+        self.distinct = rows[order]
+        self.inverse = np.argsort(order)[inverse]
+        self.first_index = first[order]  # where each distinct row first occurs
+        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def columns(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Squared distances from distinct row `row` to every distinct row: summed
+        as `_nearest_proximity` sums them, and as `_sq_distances` computes them."""
+        cols = self._columns.get(row)
+        if cols is None:
+            center = self.distinct[row:row + 1]
+            cols = self._columns[row] = (np.sum((self.distinct - center) ** 2, axis=1),
+                                         _sq_distances(self.distinct, center)[:, 0])
+        return cols
+
+
+def _point_set(points) -> PointSet:
+    return points if isinstance(points, PointSet) else PointSet(points)
+
+
 def kmeans(points, n: int, seed: int) -> ClusterAssignment:
     """Lloyd iteration from n seeded distinct starting points.
 
@@ -101,12 +145,12 @@ def kmeans(points, n: int, seed: int) -> ClusterAssignment:
     iterations would reach.  A fixed point is the cycle of period 1.
     Assignments are computed once per distinct row and broadcast back.
     """
-    pts = _as_points(points)
+    shared = _point_set(points)
+    pts, distinct, inverse = shared.points, shared.distinct, shared.inverse
     m = len(pts)
     _check_n(n, m)
     rng = np.random.default_rng(seed)
     init = rng.choice(m, size=n, replace=False)
-    distinct, inverse = _distinct_rows(pts)
 
     def assign(centers: np.ndarray) -> np.ndarray:
         return np.argmin(_sq_distances(distinct, centers), axis=1)[inverse]
@@ -155,10 +199,11 @@ def _logsumexp(rows: np.ndarray) -> np.ndarray:
 
 def em_gaussian(points, n: int, seed: int) -> ClusterAssignment:
     """Diagonal Gaussian mixture fitted by EM, initialized from one k-means pass."""
-    pts = _as_points(points)
+    shared = _point_set(points)
+    pts = shared.points
     m, dims = pts.shape
     _check_n(n, m)
-    base = kmeans(pts, n, seed)
+    base = kmeans(shared, n, seed)
     means = base.centers.copy()
     variances = np.ones((n, dims))
     weights = np.zeros(n)
@@ -199,28 +244,32 @@ def em_gaussian(points, n: int, seed: int) -> ClusterAssignment:
 
 
 def farthest_first(points, n: int, seed: int) -> ClusterAssignment:
-    """Greedy max-min center selection from one seeded starting point."""
-    pts = _as_points(points)
-    m = len(pts)
+    """Greedy max-min center selection from one seeded starting point.
+
+    The loop, the assignment and the proximities run over the distinct rows
+    with the PointSet's columns, and are broadcast back to every row.
+    """
+    shared = _point_set(points)
+    m = len(shared.points)
     _check_n(n, m)
     rng = np.random.default_rng(seed)
     first = int(rng.integers(m))
-    chosen = [first]
-    min_sq = np.sum((pts - pts[first]) ** 2, axis=1)
+    chosen = [int(shared.inverse[first])]  # distinct rows
+    min_sq = shared.columns(chosen[0])[0]
     for _ in range(1, n):
         nxt = int(np.argmax(min_sq))
         chosen.append(nxt)
-        min_sq = np.minimum(min_sq, np.sum((pts - pts[nxt]) ** 2, axis=1))
-    centers = pts[chosen].copy()
-    labels = np.argmin(_sq_distances(pts, centers), axis=1)
-    dist = np.sqrt(np.sum((pts - centers[labels]) ** 2, axis=1))
-    objective = float(dist.max()) if m else 0.0
+        min_sq = np.minimum(min_sq, shared.columns(nxt)[0])
+    center_indices = (first, *shared.first_index[chosen[1:]].tolist())
+    sq, assign_sq = zip(*(shared.columns(row) for row in chosen))
+    labels = np.argmin(np.column_stack(assign_sq), axis=1)
+    dist = np.sqrt(np.column_stack(sq)[np.arange(len(labels)), labels])
     return ClusterAssignment(
-        labels=labels,
-        centers=centers,
-        proximity=_nearest_proximity(pts, centers, labels),
-        objective=objective,
-        center_indices=tuple(chosen),
+        labels=labels[shared.inverse],
+        centers=shared.points[list(center_indices)],
+        proximity=_proximity(dist)[shared.inverse],
+        objective=float(dist.max()),
+        center_indices=center_indices,
     )
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import ALGORITHMS, _distinct_rows, choose_n
+from .clustering import ALGORITHMS, PointSet, _distinct_rows, choose_n
 from .features import FeatureDatabase
 
 DIGEST_FORMAT = "proofmine digest v1"
@@ -81,14 +81,19 @@ class ConsensusCluster:
 
 
 def run_partitions(matrix: np.ndarray, cfg: DigestConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and proximities for every run, one row per run."""
+    """Labels and proximities for every run, one row per run.
+
+    The runs share one PointSet, so its distinct rows and distance columns are
+    computed once per call, not once per run.
+    """
     m = len(matrix)
     n = choose_n(m, cfg.granularity)
     algorithm = ALGORITHMS[cfg.algorithm]
+    points = PointSet(matrix)
     labels = np.empty((cfg.runs, m), dtype=np.int64)
     proximity = np.empty((cfg.runs, m))
     for i in range(cfg.runs):
-        result = algorithm(matrix, n, cfg.master_seed + i)
+        result = algorithm(points, n, cfg.master_seed + i)
         labels[i] = result.labels
         proximity[i] = result.proximity
     return labels, proximity
@@ -230,19 +235,21 @@ def read_digest(path: str | Path) -> dict:
         if not ok:
             raise ValueError(f"{path}: malformed digest: bad or missing {what}")
 
-    number = (int, float)
+    def number(value) -> bool:  # JSON true and false load as bool, a subclass of int
+        return type(value) is int or type(value) is float
+
     config = doc.get("config")
     need(isinstance(config, dict) and all(k in config for k in DigestConfig().to_dict()), "config")
-    need(isinstance(doc.get("objects"), int), "objects")
-    need(isinstance(doc.get("clusters_per_run"), int), "clusters_per_run")
+    need(type(doc.get("objects")) is int, "objects")
+    need(type(doc.get("clusters_per_run")) is int, "clusters_per_run")
     need(isinstance(doc.get("libraries", {}), dict), "libraries")
     need(isinstance(doc.get("clusters"), list), "clusters")
     for cluster in doc["clusters"]:
-        need(isinstance(cluster, dict) and isinstance(cluster.get("frequency"), number)
+        need(isinstance(cluster, dict) and number(cluster.get("frequency"))
              and cluster.get("homogeneity") in HOMOGENEITY
              and isinstance(cluster.get("members"), list)
              and isinstance(cluster.get("member_proximity"), dict), "cluster fields")
         for name in cluster["members"]:
-            need(isinstance(name, str) and isinstance(cluster["member_proximity"].get(name), number),
+            need(isinstance(name, str) and number(cluster["member_proximity"].get(name)),
                  "member proximity")
     return doc

@@ -106,19 +106,21 @@ class Sentence:
     line_start: int
 
 
-def split_sentences(source: str) -> list[Sentence]:
+def split_sentences(source: str, *, filename: str = "<string>") -> list[Sentence]:
     """Split on '.' followed by whitespace/EOF, outside comments and strings.
 
     Dots inside qualified names or notations like `m.+1` never precede
     whitespace, so they survive unsplit.  Comment text is replaced by one
     space; an all-whitespace chunk between two terminators yields an empty
-    sentence so proof parsing can reject it.
+    sentence so proof parsing can reject it.  A comment still open at the end
+    of the source is a ParseError at the line of its opening `(*`.
     """
     sentences: list[Sentence] = []
     buf: list[str] = []
     line = 1
     start_line: int | None = None
     comment_depth = 0
+    comment_line = 0
     i, n = 0, len(source)
     while i < n:
         c = source[i]
@@ -139,6 +141,7 @@ def split_sentences(source: str) -> list[Sentence]:
             continue
         if source.startswith("(*", i):
             comment_depth += 1
+            comment_line = line
             i += 2
             continue
         if c == '"':
@@ -168,6 +171,8 @@ def split_sentences(source: str) -> list[Sentence]:
             start_line = line
         buf.append(c)
         i += 1
+    if comment_depth:
+        raise ParseError("comment never closed", file=filename, line=comment_line)
     trailing = "".join(buf).strip()
     if trailing:
         sentences.append(Sentence(trailing, start_line if start_line else line))
@@ -433,7 +438,7 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>") 
     records: list[LemmaRecord] = []
     seen: set[str] = set()
     intern: dict = {}  # one per file, so equal subterms of its statements are shared
-    for sen, body, closed in _lemmas(split_sentences(source)):
+    for sen, body, closed in _lemmas(split_sentences(source, filename=filename)):
         name, statement_text = _parse_header(sen, filename)
         if name in seen:
             raise DuplicateLemmaName(f"duplicate lemma {name}", file=filename, line=sen.line_start)
@@ -447,7 +452,7 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>") 
 
 def parse_partial(source: str, *, filename: str = "<query>") -> LemmaRecord:
     """Lenient parse of an unfinished proof, tagged "query": its first lemma with a step; no closer needed."""
-    lemma = next(_lemmas(split_sentences(source)), None)
+    lemma = next(_lemmas(split_sentences(source, filename=filename)), None)
     if lemma is None:
         raise MalformedStatement("no lemma statement found", file=filename)
     sen, body, _ = lemma

@@ -66,6 +66,20 @@ def test_extract_parse_error_exits_2_with_location(tmp_path, capsys):
     assert "bad.v:1" in err
 
 
+def test_comment_never_closed_exits_2(corpus_file, tmp_path, capsys):
+    library = tmp_path / "open.v"
+    library.write_text("Lemma l : x = x.\nProof. by []. Qed.\n(* open comment\n"
+                       "Lemma m : y = y.\nProof. by []. Qed.\n")
+    out = tmp_path / "c"
+    assert main(["extract", "--lib", f"l:{library}", "--out", str(out)]) == 2
+    assert f"{library}:3: comment never closed" in capsys.readouterr().err
+    assert not out.exists()
+    query = tmp_path / "query.v"
+    query.write_text("Lemma q : x = x.\nProof. (* open\nby [].\n")
+    assert main(["hint", "--corpus", str(corpus_file), "--query", str(query), "--runs", "2"]) == 2
+    assert f"{query}:2: comment never closed" in capsys.readouterr().err
+
+
 def test_extract_duplicate_exits_2(tmp_path):
     code = main(["extract",
                  "--lib", f"a:{FIXTURES / 'ssr_bool.v'}",
@@ -275,6 +289,16 @@ def test_report_on_unknown_homogeneity_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({**doc, "clusters": [{**cluster, "homogeneity": "mixed"}]}))
     assert main(["report", str(path)]) == 2
     assert "malformed digest" in capsys.readouterr().err
+
+
+def test_report_on_boolean_counts_exits_2(tmp_path, capsys):
+    doc = {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": True,
+           "clusters_per_run": True, "libraries": {}, "clusters": []}
+    path = tmp_path / "digest.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "malformed digest: bad or missing objects" in captured.err and not captured.out
 
 
 def test_extract_without_lemmas_exits_2(tmp_path, capsys):

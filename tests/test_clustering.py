@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from proofmine import clustering, ingest
-from proofmine.clustering import (KMEANS_MAX_ITER, ClusterAssignment, TooFewPoints, choose_n,
-                                  em_gaussian, farthest_first, kmeans)
+from proofmine.clustering import (KMEANS_MAX_ITER, ClusterAssignment, PointSet, TooFewPoints,
+                                  choose_n, em_gaussian, farthest_first, kmeans)
 
 from conftest import random_library_source
 
@@ -131,8 +131,10 @@ def test_kmeans_deterministic():
 
 
 def kmeans_oracle(points, n: int, seed: int) -> ClusterAssignment:
-    """The Lloyd loop without cycle detection or distinct-row assignment."""
-    pts = clustering._as_points(points)
+    """The Lloyd loop without cycle detection or distinct-row assignment.
+
+    EM hands its k-means start a PointSet; only its matrix is read here."""
+    pts = clustering._as_points(getattr(points, "points", points))
     m = len(pts)
     clustering._check_n(n, m)
     rng = np.random.default_rng(seed)
@@ -385,3 +387,152 @@ def test_all_algorithms_proximity_in_unit_interval():
         result = algo(points, 4, 3)
         assert result.proximity.min() >= 0.0
         assert result.proximity.max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the runs of one digest share a PointSet; each run must match the per-run code
+
+
+def kmeans_per_run_oracle(points, n: int, seed: int) -> ClusterAssignment:
+    """kmeans as it was before the runs shared a PointSet: the distinct rows
+    are split again on every run, in _distinct_rows' own order."""
+    pts = clustering._as_points(getattr(points, "points", points))
+    m = len(pts)
+    clustering._check_n(n, m)
+    rng = np.random.default_rng(seed)
+    init = rng.choice(m, size=n, replace=False)
+    distinct, inverse = clustering._distinct_rows(pts)
+
+    def assign(centers: np.ndarray) -> np.ndarray:
+        return np.argmin(clustering._sq_distances(distinct, centers), axis=1)[inverse]
+
+    centers = pts[init].copy()
+    labels = assign(centers)
+    states = [(labels, centers)]
+    first_seen = {labels.tobytes(): 0}
+    history = [float(np.sum((pts - centers[labels]) ** 2))]
+    for step in range(1, KMEANS_MAX_ITER + 1):
+        centers = clustering._update_centers(pts, labels, centers)
+        labels = assign(centers)
+        history.append(float(np.sum((pts - centers[labels]) ** 2)))
+        states.append((labels, centers))
+        start = first_seen.setdefault(labels.tobytes(), step)
+        if start != step:
+            # states start+1 .. step repeat with period step - start
+            labels, centers = states[start + 1 + (KMEANS_MAX_ITER - start - 1) % (step - start)]
+            break
+    objective = float(np.sum((pts - centers[labels]) ** 2))
+    return ClusterAssignment(
+        labels=labels,
+        centers=centers,
+        proximity=clustering._nearest_proximity(pts, centers, labels),
+        objective=objective,
+        center_indices=tuple(int(i) for i in init),
+        objective_history=tuple(history),
+    )
+
+
+def farthest_first_oracle(points, n: int, seed: int) -> ClusterAssignment:
+    """farthest_first as it was before the runs shared a PointSet: every
+    distance over every row, computed again on every run."""
+    pts = clustering._as_points(points)
+    m = len(pts)
+    clustering._check_n(n, m)
+    rng = np.random.default_rng(seed)
+    first = int(rng.integers(m))
+    chosen = [first]
+    min_sq = np.sum((pts - pts[first]) ** 2, axis=1)
+    for _ in range(1, n):
+        nxt = int(np.argmax(min_sq))
+        chosen.append(nxt)
+        min_sq = np.minimum(min_sq, np.sum((pts - pts[nxt]) ** 2, axis=1))
+    centers = pts[chosen].copy()
+    labels = np.argmin(clustering._sq_distances(pts, centers), axis=1)
+    dist = np.sqrt(np.sum((pts - centers[labels]) ** 2, axis=1))
+    objective = float(dist.max()) if m else 0.0
+    return ClusterAssignment(
+        labels=labels,
+        centers=centers,
+        proximity=clustering._nearest_proximity(pts, centers, labels),
+        objective=objective,
+        center_indices=tuple(chosen),
+    )
+
+
+def per_run_oracle(algorithm: str, points, n: int, seed: int) -> ClusterAssignment:
+    """One run of the named algorithm by the per-run code; EM starts from the per-run k-means."""
+    if algorithm == "em":
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(clustering, "kmeans", kmeans_per_run_oracle)
+            return em_gaussian(points, n, seed)
+    return {"kmeans": kmeans_per_run_oracle, "farthest-first": farthest_first_oracle}[algorithm](
+        points, n, seed)
+
+
+def assert_identical_runs(got: ClusterAssignment, want: ClusterAssignment) -> None:
+    for field in ("labels", "centers", "proximity", "responsibilities"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None) == (b is None), field
+        if a is not None:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+    assert got.objective == want.objective
+    assert got.center_indices == want.center_indices
+    assert got.objective_history == want.objective_history
+    assert got.log_likelihood_history == want.log_likelihood_history
+
+
+def planted_duplicates(seed: int, m: int = 70, distinct: int = 25, dims: int = 6) -> np.ndarray:
+    """m rows drawn with replacement from a few rounded random rows."""
+    rng = np.random.default_rng(seed)
+    base = np.round(rng.uniform(size=(distinct, dims)), 1)
+    return base[rng.integers(0, distinct, size=m)]
+
+
+def lattice_points() -> np.ndarray:
+    """A 5 x 5 integer grid, some points twice: many exactly equal distances."""
+    grid = np.array([[x, y] for x in range(5) for y in range(5)], dtype=float)
+    return _pad(np.vstack([grid, grid[::3]]), dim=8)
+
+
+SHARED_CASES = {
+    "planted duplicates": planted_duplicates(3),
+    "lattice ties": lattice_points(),
+    "all rows distinct": np.random.default_rng(8).normal(size=(30, 4)),
+    "one row": np.ones((1, 3)),
+}
+
+
+@pytest.mark.parametrize("algorithm, seeds", [("kmeans", 8), ("farthest-first", 8), ("em", 2)])
+@pytest.mark.parametrize("case", SHARED_CASES)
+def test_runs_on_a_shared_point_set_match_per_run_oracles(case, algorithm, seeds):
+    matrix = SHARED_CASES[case]
+    m = len(matrix)
+    shared = PointSet(matrix)
+    distinct = len(shared.distinct)
+    for n in sorted({1, max(1, distinct // 3), distinct, m}):
+        for seed in range(seeds):
+            got = clustering.ALGORITHMS[algorithm](shared, n, seed)
+            assert_identical_runs(got, per_run_oracle(algorithm, matrix, n, seed))
+    assert len(shared._columns) <= distinct
+
+
+def test_shared_runs_do_not_depend_on_the_columns_already_kept(template_matrix):
+    n = len(np.unique(template_matrix, axis=0)) // 2
+    seeds = range(12)
+    for algorithm in ("farthest-first", "kmeans"):
+        shared = PointSet(template_matrix)  # one PointSet, filled by later seeds first
+        backwards = {seed: clustering.ALGORITHMS[algorithm](shared, n, seed) for seed in reversed(seeds)}
+        for seed in seeds:
+            want = per_run_oracle(algorithm, template_matrix, n, seed)
+            assert_identical_runs(backwards[seed], want)
+            assert_identical_runs(clustering.ALGORITHMS[algorithm](PointSet(template_matrix), n, seed), want)
+
+
+def test_point_set_numbers_distinct_rows_by_first_occurrence():
+    matrix = planted_duplicates(5)
+    shared = PointSet(matrix)
+    assert np.array_equal(shared.distinct[shared.inverse], matrix)
+    assert np.array_equal(shared.inverse[shared.first_index], np.arange(len(shared.distinct)))
+    assert np.all(np.diff(shared.first_index) > 0)
+    assert [int(np.flatnonzero(shared.inverse == row)[0]) for row in range(len(shared.distinct))] \
+        == shared.first_index.tolist()

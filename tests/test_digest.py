@@ -1,10 +1,12 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from proofmine import digest
-from proofmine.clustering import _distinct_rows
+from proofmine import digest, ingest
+from proofmine.clustering import _distinct_rows, choose_n
 from proofmine.corpus import database_with_query
 from proofmine.digest import (ConsensusCluster, DigestConfig, TooFewLemmas, _member_proximities,
                               co_occurrence_counts, components_at, digest_to_dict, read_digest,
@@ -13,6 +15,11 @@ from proofmine.features import FeatureDatabase
 from proofmine.script import parse_partial
 
 from conftest import HINT, random_corpus
+from test_clustering import lattice_points, per_run_oracle, planted_duplicates
+
+# the benchmark's workload generator, imported read-only
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from generate import WORKLOADS, generate  # noqa: E402
 
 
 def make_db(matrix, tags=None):
@@ -359,6 +366,57 @@ def test_digest_matches_oracle_on_a_hint_database(hint_corpus, runs):
                                                       master_seed=runs))
 
 
+# ---------------------------------------------------------------------------
+# run_partitions shares one PointSet across its runs; the per-run code is the oracle
+
+
+def partitions_oracle(matrix: np.ndarray, cfg: DigestConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and proximities of cfg.runs separate runs of the per-run code."""
+    n = choose_n(len(matrix), cfg.granularity)
+    runs = [per_run_oracle(cfg.algorithm, matrix, n, cfg.master_seed + i) for i in range(cfg.runs)]
+    return (np.array([r.labels for r in runs], dtype=np.int64),
+            np.array([r.proximity for r in runs], dtype=np.float64))
+
+
+def assert_partitions_match_oracle(matrix: np.ndarray, cfg: DigestConfig) -> None:
+    got = run_partitions(matrix, cfg)
+    want = partitions_oracle(matrix, cfg)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("algorithm, runs", [("farthest-first", 12), ("kmeans", 12), ("em", 1), ("em", 2)])
+def test_run_partitions_match_per_run_oracle(algorithm, runs):
+    matrices = [planted_duplicates(7, m=90, distinct=20, dims=40), lattice_points(),
+                family_matrix(jitter=0.2, seed=5)]
+    for matrix in matrices:
+        for granularity in (1, 5):
+            assert_partitions_match_oracle(matrix, DigestConfig(
+                runs=runs, algorithm=algorithm, granularity=granularity, master_seed=granularity))
+
+
+@pytest.fixture(scope="module")
+def benchmark_matrices(tmp_path_factory):
+    """Feature matrices of the dup-kmeans and long-proofs-ff benchmark corpora at seed 12."""
+    out = {}
+    for name in ("dup-kmeans", "long-proofs-ff"):
+        inputs = generate(WORKLOADS[name], 12, tmp_path_factory.mktemp(name))
+        corpus = ingest([p for _, p in inputs.libraries], [t for t, _ in inputs.libraries])
+        out[name] = corpus.feature_database().matrix
+    return out
+
+
+@pytest.mark.parametrize("name, algorithm, runs", [
+    ("dup-kmeans", "kmeans", 1), ("dup-kmeans", "farthest-first", 20), ("dup-kmeans", "em", 1),
+    ("long-proofs-ff", "farthest-first", 20), ("long-proofs-ff", "kmeans", 3),
+    ("long-proofs-ff", "em", 1),
+])
+def test_run_partitions_match_per_run_oracle_on_benchmark_corpora(benchmark_matrices, name,
+                                                                 algorithm, runs):
+    assert_partitions_match_oracle(benchmark_matrices[name], DigestConfig(
+        runs=runs, algorithm=algorithm, granularity=3, master_seed=12))
+
+
 def test_co_occurrence_is_counted_over_distinct_label_columns(tmp_path, monkeypatch):
     db = random_corpus(np.random.default_rng(5), tmp_path, max_lemmas=60, libraries=3).feature_database()
     cfg = DigestConfig(runs=6, master_seed=3)
@@ -471,6 +529,19 @@ def test_digest_file_round_trip(tmp_path):
      "clusters_per_run": 1, "clusters": [{"members": ["a", "b"], "frequency": 1.0,
                                           "member_proximity": {"a": 1.0, "b": 1.0},
                                           "homogeneity": "mixed"}]},
+    # JSON true and false load as Python bools, which are ints; none is a count or a rate
+    {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": True,
+     "clusters_per_run": 1, "clusters": []},
+    {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
+     "clusters_per_run": True, "clusters": []},
+    {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
+     "clusters_per_run": 1, "clusters": [{"members": ["a", "b"], "frequency": True,
+                                          "member_proximity": {"a": 1.0, "b": 1.0},
+                                          "homogeneity": "homogeneous"}]},
+    {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
+     "clusters_per_run": 1, "clusters": [{"members": ["a", "b"], "frequency": 1.0,
+                                          "member_proximity": {"a": 1.0, "b": False},
+                                          "homogeneity": "homogeneous"}]},
 ])
 def test_read_digest_rejects_missing_report_fields(tmp_path, doc):
     path = tmp_path / "digest.json"

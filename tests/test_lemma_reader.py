@@ -163,7 +163,7 @@ def oracle_parse_library(source: str, library_tag: str, *, filename: str = "<str
     """
     if not library_tag:
         raise ValueError("library_tag must be non-empty")
-    sentences = split_sentences(source)
+    sentences = split_sentences(source, filename=filename)
     records: list[LemmaRecord] = []
     seen: set[str] = set()
     intern: dict = {}  # one per file, so equal subterms of its statements are shared
@@ -210,7 +210,7 @@ def oracle_parse_library(source: str, library_tag: str, *, filename: str = "<str
 
 def oracle_parse_partial(source: str, *, filename: str = "<query>") -> LemmaRecord:
     """Lenient parse of an unfinished proof: statement plus at least one step; no closer needed."""
-    sentences = split_sentences(source)
+    sentences = split_sentences(source, filename=filename)
     i = 0
     while i < len(sentences) and _first_word(sentences[i].text) not in LEMMA_KEYWORDS:
         i += 1
@@ -313,7 +313,11 @@ def outcome(parse, *args, **kwargs):
 
 def continues_into_next_lemma(source: str) -> bool:
     """Whether a lemma sentence follows the first lemma before any closer."""
-    words = [(_first_word(sen.text), sen.text) for sen in split_sentences(source)]
+    try:
+        sentences = split_sentences(source)
+    except ParseError:  # a comment never closed: both partial parsers raise it
+        return False
+    words = [(_first_word(sen.text), sen.text) for sen in sentences]
     starts = [i for i, (word, _) in enumerate(words) if word in LEMMA_KEYWORDS]
     for word, text in words[starts[0] + 1:] if starts else ():
         if word in PROOF_CLOSERS and word == text:

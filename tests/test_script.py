@@ -233,6 +233,20 @@ def test_comments_and_qualified_dots_do_not_split():
     assert len(records[0].steps) == 1
 
 
+def test_comment_never_closed_is_a_parse_error_at_its_opening():
+    library = ("Lemma l : x = x.\nProof. by []. Qed.\n(* open comment\n"
+               "Lemma m : y = y.\nProof. by []. Qed.\n")
+    with pytest.raises(ParseError, match=r"^lib\.v:3: comment never closed$"):
+        parse_library(library, "l", filename="lib.v")
+    # the outermost opening counts, even when a nested comment closes
+    query = "Lemma q : a = b.\nProof.\nrewrite foo.\n(* outer\n(* inner *)\nby [].\n"
+    with pytest.raises(ParseError, match=r"^q\.v:4: comment never closed$"):
+        parse_partial(query, filename="q.v")
+    assert len(parse_partial(query + "*)\n", filename="q.v").steps) == 1
+    # a comment opener inside a string opens nothing
+    assert [sen.text for sen in split_sentences('Notation s := "(*".\n')] == ['Notation s := "(*"']
+
+
 def test_goal_only_on_first_step_in_static_mode():
     src = "Lemma two : a = b.\nProof. rewrite u. by rewrite v. Qed.\n"
     record = parse_library(src, "t")[0]
