@@ -106,76 +106,62 @@ class Sentence:
     line_start: int
 
 
+_SENTENCE_MARK_RE = re.compile(r'\(\*|"|\.(?=\s|\Z)')  # `\s` is str.isspace
+_COMMENT_MARK_RE = re.compile(r"\(\*|\*\)")
+
+
 def split_sentences(source: str, *, filename: str = "<string>") -> list[Sentence]:
     """Split on '.' followed by whitespace/EOF, outside comments and strings.
 
     Dots inside qualified names or notations like `m.+1` never precede
     whitespace, so they survive unsplit.  Comment text is replaced by one
     space; an all-whitespace chunk between two terminators yields an empty
-    sentence so proof parsing can reject it.  A comment still open at the end
-    of the source is a ParseError at the line of its opening `(*`.
+    sentence so proof parsing can reject it.  A comment or string still open
+    at the end of the source is a ParseError at the line of its opening.
     """
     sentences: list[Sentence] = []
     buf: list[str] = []
     line = 1
     start_line: int | None = None
-    comment_depth = 0
-    comment_line = 0
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-        if comment_depth:
-            if source.startswith("(*", i):
-                comment_depth += 1
-                i += 2
-                continue
-            if source.startswith("*)", i):
-                comment_depth -= 1
-                if comment_depth == 0:
-                    buf.append(" ")
-                i += 2
-                continue
-            i += 1
-            continue
-        if source.startswith("(*", i):
-            comment_depth += 1
-            comment_line = line
-            i += 2
-            continue
-        if c == '"':
+    i = 0
+    while True:
+        mark = _SENTENCE_MARK_RE.search(source, i)
+        j = mark.start() if mark else len(source)
+        chunk = source[i:j]
+        if start_line is None and (rest := chunk.lstrip()):
+            start_line = line + chunk.count("\n", 0, len(chunk) - len(rest))
+        line += chunk.count("\n")
+        buf.append(chunk)
+        if mark is None:
+            break
+        if mark.group() == ".":
+            sentences.append(Sentence("".join(buf).strip(), start_line or line))
+            buf = []
+            start_line = None
+            i = j + 1
+        elif mark.group() == '"':
+            i = source.find('"', j + 1) + 1
+            if not i:
+                raise ParseError("string never closed", file=filename, line=line)
             if start_line is None:
                 start_line = line
-            buf.append(c)
-            i += 1
-            while i < n and source[i] != '"':
-                if source[i] == "\n":
-                    line += 1
-                buf.append(source[i])
-                i += 1
-            if i < n:
-                buf.append('"')
-                i += 1
-            continue
-        if c == ".":
-            nxt = source[i + 1] if i + 1 < n else None
-            if nxt is None or nxt.isspace():
-                text = "".join(buf).strip()
-                sentences.append(Sentence(text, start_line if start_line else line))
-                buf = []
-                start_line = None
-                i += 1
-                continue
-        if start_line is None and not c.isspace():
-            start_line = line
-        buf.append(c)
-        i += 1
-    if comment_depth:
-        raise ParseError("comment never closed", file=filename, line=comment_line)
+            buf.append(source[j:i])
+            line += source.count("\n", j, i)
+        else:
+            depth, i = 0, j
+            while True:
+                nested = _COMMENT_MARK_RE.search(source, i)
+                if nested is None:
+                    raise ParseError("comment never closed", file=filename, line=line)
+                depth += 1 if nested.group() == "(*" else -1
+                i = nested.end()
+                if not depth:
+                    break
+            buf.append(" ")
+            line += source.count("\n", j, i)
     trailing = "".join(buf).strip()
     if trailing:
-        sentences.append(Sentence(trailing, start_line if start_line else line))
+        sentences.append(Sentence(trailing, start_line or line))
     return sentences
 
 
@@ -437,7 +423,7 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>") 
         raise ValueError("library_tag must be non-empty")
     records: list[LemmaRecord] = []
     seen: set[str] = set()
-    intern: dict = {}  # one per file, so equal subterms of its statements are shared
+    intern: dict = {}  # one per file: equal subterms are shared, a repeated statement text parsed once
     for sen, body, closed in _lemmas(split_sentences(source, filename=filename)):
         name, statement_text = _parse_header(sen, filename)
         if name in seen:
@@ -504,7 +490,7 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
         by_index[idx] = (obj["tactic_line"], obj["goal_before"], obj["subgoals_after"], line_no)
 
     records: list[LemmaRecord] = []
-    intern: dict = {}  # one per file, so equal subterms of its goals are shared
+    intern: dict = {}  # one per file: equal subterms are shared, a repeated goal text parsed once
     for name, (library, by_index) in per_lemma.items():
         ctx = _ProofContext()
         steps: list[ProofStep] = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -52,8 +53,24 @@ _OP_LEVEL = {op: lvl for lvl, ops in enumerate(OPERATOR_LEVELS) for op in ops}
 _OP_ASSOC = {op: assoc for ops in OPERATOR_LEVELS for op, assoc in ops.items()}
 _PREFIX = ("-", "~")
 
-_TWO_CHAR_OPS = frozenset(("=>", "->", "||", "&&", "==", "!=", "<=", ">=", "<>", "++", "\\/", "/\\", "::"))
+_OPERATORS = frozenset(("=>", "->", "||", "&&", "==", "!=", "<=", ">=", "<>", "++", "\\/", "/\\", "::", ":=",
+                        "\\in", "*m", "*", "=", "<", ">", "+", "-", "/", "^", "~"))
+# tokens that end an application; "(" starts an argument, and "" ends every token list
+_APP_STOP = _OPERATORS | {")", ",", ":", ""}
 _CLOSERS = {"(": ")", "[": "]", "{": "}"}
+
+# str.isdigit: the decimal digits of `\d` and the other Unicode digits (superscripts, circled
+# numbers, ...); a test checks it against every code point
+_DIGIT = ("\\d\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089\u2460-\u2468"
+          "\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff\u2776-\u277e\u2780-\u2788\u278a-\u2792"
+          "\U00010a40-\U00010a43\U00010e60-\U00010e68\U00011052-\U0001105a\U0001f100-\U0001f10a")
+# One token, the first alternative that matches: an operator or punctuation mark; a word
+# (`\w` is str.isalnum plus `_`) that keeps qualified names, `m.+1` and `n`!` whole;
+# else one opaque character.
+_TOKEN_RE = re.compile(
+    r"=>|->|\|\||&&|==|!=|<=|>=|<>|\+\+|\\/|/\\|::|:=|\\in(?![\w'])|\*m(?![\w'])|[(),:*=<>+\-/^~]"
+    rf"|\\?(?:[\w'%]|`[!\w'%]*|\.(?=\w)|\.\+(?=[{_DIGIT}]))+|\S")
+_BRACKET_RE = re.compile(r"[\[\]{}]")
 
 
 def group_end(text: str, start: int, where: str = "") -> int:
@@ -75,114 +92,33 @@ def group_end(text: str, start: int, where: str = "") -> int:
     raise UnbalancedDelimiters(f"unclosed {text[start]!r}{where}")
 
 
-def _word_end(text: str, start: int) -> int:
-    n = len(text)
-    j = start
-    if text[j] == "\\":
-        j += 1
-    while j < n:
+def _lex(text: str) -> list[str]:
+    """Tokens as strings; a `[..]` or `{..}` group is one token, its whitespace runs made one space."""
+    tokens: list[str] = []
+    i = 0
+    while bracket := _BRACKET_RE.search(text, i):
+        j = bracket.start()
+        tokens += _TOKEN_RE.findall(text, i, j)
         c = text[j]
-        if c.isalnum() or c in "_'%":
-            j += 1
-            continue
-        if c == "`":
-            j += 1
-            while j < n and (text[j] == "!" or text[j].isalnum() or text[j] in "_'%"):
-                j += 1
-            continue
-        if c == "." and j + 1 < n and (text[j + 1].isalnum() or text[j + 1] == "_"):
-            j += 1
-            continue
-        if c == "." and j + 2 < n and text[j + 1] == "+" and text[j + 2].isdigit():
-            j += 2
-            continue
-        break
-    return j
-
-
-def _lex(text: str) -> list[tuple[str, str]]:
-    """Tokens as (kind, text); kinds: '(' ')' ',' ':' 'op' 'atom'."""
-    tokens: list[tuple[str, str]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(("(", "("))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append((")", ")"))
-            i += 1
-            continue
-        if c in "[{":
-            j = group_end(text, i)
-            tokens.append(("atom", " ".join(text[i:j].split())))
-            i = j
-            continue
         if c in "]}":
             raise UnbalancedDelimiters(f"unexpected {c!r}")
-        if c == ",":
-            tokens.append((",", ","))
-            i += 1
-            continue
-        two = text[i:i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(("op", two))
-            i += 2
-            continue
-        if c == ":":
-            if text[i + 1:i + 2] == "=":
-                tokens.append(("op", ":="))
-                i += 2
-                continue
-            tokens.append((":", ":"))
-            i += 1
-            continue
-        if (c == "\\" and text.startswith("\\in", i)
-                and not (text[i + 3:i + 4].isalnum() or text[i + 3:i + 4] in ("_", "'"))):
-            tokens.append(("op", "\\in"))
-            i += 3
-            continue
-        if c == "*":
-            nxt = text[i + 1:i + 2]
-            after = text[i + 2:i + 3]
-            if nxt == "m" and not (after.isalnum() or after in ("_", "'")):
-                tokens.append(("op", "*m"))
-                i += 2
-                continue
-            tokens.append(("op", "*"))
-            i += 1
-            continue
-        if c in "=<>+-/^~":
-            tokens.append(("op", c))
-            i += 1
-            continue
-        j = _word_end(text, i)
-        if j == i:
-            # opaque single character, kept as a leaf
-            tokens.append(("atom", c))
-            i += 1
-            continue
-        tokens.append(("atom", text[i:j]))
-        i = j
+        i = group_end(text, j)
+        tokens.append(" ".join(text[j:i].split()))
+    tokens += _TOKEN_RE.findall(text, i)
     return tokens
-
-
-_END = ("end", "")  # appended to every token list, so indexing never runs off it
 
 
 class _Parser:
     """Precedence climbing over the tokens of one text; every node comes from `intern`.
 
-    intern maps (symbol, *child ids) to the one tree built for it.  Keying on
-    ids is sound because the dict holds every node it has returned, so no id
-    is reused while it lives, and equal subterms become one object.
+    A token's kind is its text: an operator, one of `( ) , :`, the closing "",
+    or else an atom.  intern maps (symbol, *child ids) to the one tree built
+    for it.  Keying on ids is sound because the dict holds every node it has
+    returned, so no id is reused while it lives, and equal subterms become
+    one object.
     """
 
-    def __init__(self, tokens: list[tuple[str, str]], intern: dict):
+    def __init__(self, tokens: list[str], intern: dict):
         self.tokens = tokens
         self.pos = 0
         self.intern = intern
@@ -198,8 +134,8 @@ class _Parser:
         """An application, then binary operators binding at min_level or tighter."""
         node = self.parse_application()
         while True:
-            kind, op = self.tokens[self.pos]
-            level = _OP_LEVEL.get(op) if kind == "op" else None
+            op = self.tokens[self.pos]
+            level = _OP_LEVEL.get(op)
             if level is None or level < min_level:
                 return node
             self.pos += 1
@@ -209,7 +145,7 @@ class _Parser:
     def parse_application(self) -> TermTree:
         head = self.parse_atom()
         args = []
-        while self.tokens[self.pos][0] in ("(", "atom"):
+        while self.tokens[self.pos] not in _APP_STOP:
             args.append(self.parse_atom())
         if not args:
             return head
@@ -219,51 +155,50 @@ class _Parser:
 
     def parse_atom(self) -> TermTree:
         tokens = self.tokens
-        kind, text = tokens[self.pos]
-        if kind == "atom":
-            if text in BINDERS:
-                return self.parse_binder()
+        tok = tokens[self.pos]
+        if tok == "(":
             self.pos += 1
-            return self.node(text)
-        if kind == "(":
-            self.pos += 1
-            if tokens[self.pos][0] == ")":
+            if tokens[self.pos] == ")":
                 self.pos += 1
                 return self.node("()")
             node = self.parse_expr()
-            if tokens[self.pos][0] == ":":
+            if tokens[self.pos] == ":":
                 self.pos += 1
                 node = self.node(":", (node, self.parse_expr()))
-            if tokens[self.pos][0] == ",":
+            if tokens[self.pos] == ",":
                 items = [node]
-                while tokens[self.pos][0] == ",":
+                while tokens[self.pos] == ",":
                     self.pos += 1
                     items.append(self.parse_expr())
                 node = self.node(",", tuple(items))
-            if tokens[self.pos][0] != ")":
+            if tokens[self.pos] != ")":
                 raise UnbalancedDelimiters("missing ')'")
             self.pos += 1
             return node
-        if kind == "op" and text in _PREFIX:
+        if tok not in _APP_STOP:
+            if tok in BINDERS:
+                return self.parse_binder()
             self.pos += 1
-            return self.node(text, (self.parse_application(),))
-        if kind == "end":
+            return self.node(tok)
+        if tok in _PREFIX:
+            self.pos += 1
+            return self.node(tok, (self.parse_application(),))
+        if not tok:
             raise UnbalancedDelimiters("unexpected end of statement")
-        raise UnbalancedDelimiters(f"unexpected {text!r}")
+        raise UnbalancedDelimiters(f"unexpected {tok!r}")
 
     def parse_binder(self) -> TermTree:
         tokens = self.tokens
-        kw = tokens[self.pos][1]
-        sep = ("op", "=>") if kw == "fun" else (",", ",")
+        kw = tokens[self.pos]
+        sep = "=>" if kw == "fun" else ","
         depth = 0
         self.pos += 1
         while (tok := tokens[self.pos]) != sep or depth:
-            kind = tok[0]
-            if kind == "end":
-                raise UnbalancedDelimiters(f"{kw} binder without '{sep[1]}'")
-            if kind == "(":
+            if not tok:
+                raise UnbalancedDelimiters(f"{kw} binder without '{sep}'")
+            if tok == "(":
                 depth += 1
-            elif kind == ")":
+            elif tok == ")":
                 if depth == 0:
                     raise UnbalancedDelimiters("unexpected ')' in binder")
                 depth -= 1
@@ -275,19 +210,28 @@ class _Parser:
 def parse_term_tree(text: str, intern: dict | None = None) -> TermTree:
     """Parse statement or goal text into a term tree.
 
-    Trees parsed with the same intern dict share every equal subtree.
+    Trees parsed with the same intern dict share every equal subtree.  The
+    dict also maps each text parsed with it to its tree (a str key, which no
+    tuple node key equals), so a repeated text is not parsed again: its parse
+    would return the very same object.  A text that fails is not stored.
     """
+    if intern is None:
+        intern = {}
+    tree = intern.get(text)
+    if tree is not None:
+        return tree
     tokens = _lex(text)
     if not tokens:
         raise EmptyStatement("empty statement")
-    tokens.append(_END)
-    parser = _Parser(tokens, {} if intern is None else intern)
+    tokens.append("")
+    parser = _Parser(tokens, intern)
     try:
-        node = parser.parse_expr()
+        tree = parser.parse_expr()
     except RecursionError:
         # a few hundred nesting levels exhaust the interpreter stack
         raise TermError("statement nested too deeply") from None
-    kind, leftover = tokens[parser.pos]
-    if kind != "end":
+    leftover = tokens[parser.pos]
+    if leftover:
         raise UnbalancedDelimiters(f"trailing {leftover!r} in statement")
-    return node
+    intern[text] = tree
+    return tree

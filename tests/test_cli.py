@@ -80,6 +80,20 @@ def test_comment_never_closed_exits_2(corpus_file, tmp_path, capsys):
     assert f"{query}:2: comment never closed" in capsys.readouterr().err
 
 
+def test_string_never_closed_exits_2(corpus_file, tmp_path, capsys):
+    library = tmp_path / "open.v"
+    library.write_text('Lemma l : x = x.\nProof. by []. Qed.\nNotation s := "open string.\n'
+                       "Lemma m : y = y.\nProof. by []. Qed.\n")
+    out = tmp_path / "c"
+    assert main(["extract", "--lib", f"l:{library}", "--out", str(out)]) == 2
+    assert f"{library}:3: string never closed" in capsys.readouterr().err
+    assert not out.exists()
+    query = tmp_path / "query.v"
+    query.write_text('Lemma q : x = x.\nProof. rewrite "open.\nby [].\n')
+    assert main(["hint", "--corpus", str(corpus_file), "--query", str(query), "--runs", "2"]) == 2
+    assert f"{query}:2: string never closed" in capsys.readouterr().err
+
+
 def test_extract_duplicate_exits_2(tmp_path):
     code = main(["extract",
                  "--lib", f"a:{FIXTURES / 'ssr_bool.v'}",

@@ -315,7 +315,7 @@ def continues_into_next_lemma(source: str) -> bool:
     """Whether a lemma sentence follows the first lemma before any closer."""
     try:
         sentences = split_sentences(source)
-    except ParseError:  # a comment never closed: both partial parsers raise it
+    except ParseError:  # a comment or string never closed: both partial parsers raise it
         return False
     words = [(_first_word(sen.text), sen.text) for sen in sentences]
     starts = [i for i, (word, _) in enumerate(words) if word in LEMMA_KEYWORDS]
@@ -361,6 +361,8 @@ EDGE_SOURCES = {
     "by before by": "Lemma a : x.\nProof. by by move. by; by :. Qed.\n",
     "no lemma": "Definition d := 1.\nQed.\n",
     "nameless lemma": "Lemma : x.\nProof. by []. Qed.\n",
+    "string never closed": 'Lemma a : x.\nProof. rewrite "s. by []. Qed.\nLemma b : y.\nProof. by []. Qed.\n',
+    "comment never closed": "Lemma a : x.\nProof. (* by []. Qed.\nLemma b : y.\nProof. by []. Qed.\n",
     "empty trace tactic line": _trace_line(tactic_line=" . "),
     "trace semicolons": _trace_line(tactic_line="move=> H; ; by []."),
     "trace bad goal": _trace_line(goal_before="(x"),

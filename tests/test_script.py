@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proofmine.script import (ArgumentKind, DuplicateLemmaName, EmptyStep, MalformedStatement,
                               ParseError, ProofStep, UnterminatedProof, parse_library,
-                              parse_partial, parse_trace, split_sentences)
+                              Sentence, parse_partial, parse_trace, split_sentences)
 
 from proofmine.terms import UnbalancedDelimiters, parse_term_tree
 
@@ -321,6 +322,170 @@ def test_sentence_split_reversible(name):
     rebuilt = " ".join(f"{s.text}." for s in sentences if s.text)
     normalize = lambda text: " ".join(text.split())
     assert normalize(rebuilt) == normalize(strip_comments_oracle(source))
+
+
+# ---------------------------------------------------------------------------
+# the regex sentence splitter against the character-at-a-time splitter it
+# replaced, copied verbatim (renamed with an `oracle` prefix)
+
+
+def oracle_split_sentences(source: str, *, filename: str = "<string>") -> list[Sentence]:
+    """Split on '.' followed by whitespace/EOF, outside comments and strings.
+
+    Dots inside qualified names or notations like `m.+1` never precede
+    whitespace, so they survive unsplit.  Comment text is replaced by one
+    space; an all-whitespace chunk between two terminators yields an empty
+    sentence so proof parsing can reject it.  A comment still open at the end
+    of the source is a ParseError at the line of its opening `(*`.
+    """
+    sentences: list[Sentence] = []
+    buf: list[str] = []
+    line = 1
+    start_line: int | None = None
+    comment_depth = 0
+    comment_line = 0
+    i, n = 0, len(source)
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            line += 1
+        if comment_depth:
+            if source.startswith("(*", i):
+                comment_depth += 1
+                i += 2
+                continue
+            if source.startswith("*)", i):
+                comment_depth -= 1
+                if comment_depth == 0:
+                    buf.append(" ")
+                i += 2
+                continue
+            i += 1
+            continue
+        if source.startswith("(*", i):
+            comment_depth += 1
+            comment_line = line
+            i += 2
+            continue
+        if c == '"':
+            if start_line is None:
+                start_line = line
+            buf.append(c)
+            i += 1
+            while i < n and source[i] != '"':
+                if source[i] == "\n":
+                    line += 1
+                buf.append(source[i])
+                i += 1
+            if i < n:
+                buf.append('"')
+                i += 1
+            continue
+        if c == ".":
+            nxt = source[i + 1] if i + 1 < n else None
+            if nxt is None or nxt.isspace():
+                text = "".join(buf).strip()
+                sentences.append(Sentence(text, start_line if start_line else line))
+                buf = []
+                start_line = None
+                i += 1
+                continue
+        if start_line is None and not c.isspace():
+            start_line = line
+        buf.append(c)
+        i += 1
+    if comment_depth:
+        raise ParseError("comment never closed", file=filename, line=comment_line)
+    trailing = "".join(buf).strip()
+    if trailing:
+        sentences.append(Sentence(trailing, start_line if start_line else line))
+    return sentences
+
+
+def split_outcome(split, source):
+    """(text, line) per sentence, or the class and message of the error split raises."""
+    try:
+        return [(sen.text, sen.line_start) for sen in split(source, filename="s.v")]
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+def assert_splits_like_oracle(source):
+    """Equal sentences or errors; only the new splitter rejects a string never closed.
+
+    The oracle read such a string, from the file's last quote, to the end of the file.
+    """
+    new = split_outcome(split_sentences, source)
+    old = split_outcome(oracle_split_sentences, source)
+    if isinstance(new, tuple) and new[1].endswith(": string never closed"):
+        opening = source.rindex('"')
+        assert new == (ParseError, f"s.v:{source.count(chr(10), 0, opening) + 1}: string never closed")
+        assert isinstance(old, list) and old[-1][0].endswith(source[opening:].rstrip()), source
+    else:
+        assert new == old, source
+
+
+SENTENCE_EDGE_CASES = {
+    "nested comments": ("Lemma a : x. (* outer (* inner. *) still. *) Proof. by []. Qed.",
+                        [("Lemma a : x", 1), ("Proof", 1), ("by []", 1), ("Qed", 1)]),
+    "a comment opener in a comment": ("(*(*)*) *) a. (**) b.", [("a", 1), ("b", 1)]),
+    "a string spanning lines": ('Notation s :=\n"one.\ntwo. (*".\nx.',
+                                [('Notation s :=\n"one.\ntwo. (*"', 1), ("x", 4)]),
+    "a dot at the end of the source": ("a.\nb.", [("a", 1), ("b", 2)]),
+    "a dot inside a name or notation": ("f m.+1 M.x a.\tb.(* *).", [("f m.+1 M.x a", 1), ("b.", 1)]),
+    "empty sentences": (" . \n.\n\n  x", [("", 1), ("", 2), ("x", 4)]),
+    "a comment before the first word": ("(* c\n *)\n  Lemma a : x.", [("Lemma a : x", 3)]),
+    "unicode whitespace after a dot": ("a.\u2003b.\x85c.\xa0", [("a", 1), ("b", 1), ("c", 1)]),
+}
+
+
+@pytest.mark.parametrize("source, sentences", SENTENCE_EDGE_CASES.values(), ids=SENTENCE_EDGE_CASES.keys())
+def test_sentence_edge_cases(source, sentences):
+    assert [(sen.text, sen.line_start) for sen in split_sentences(source)] == sentences
+    assert_splits_like_oracle(source)
+
+
+def test_string_never_closed_is_a_parse_error_at_its_opening():
+    library = ('Lemma l : x = x.\nProof. by []. Qed.\nNotation s := "open string.\n'
+               "Lemma m : y = y.\nProof. by []. Qed.\n")
+    with pytest.raises(ParseError, match=r"^lib\.v:3: string never closed$"):
+        parse_library(library, "l", filename="lib.v")
+    # the old splitter read the rest of the file as the string, and dropped the second lemma
+    assert [sen.text for sen in oracle_split_sentences(library)][-1].startswith('Notation s := "open')
+    query = 'Lemma q : a = b.\nProof.\nrewrite foo.\nrewrite "bar.\n\nby [].\n'
+    with pytest.raises(ParseError, match=r"^q\.v:4: string never closed$"):
+        parse_partial(query, filename="q.v")
+    # a quote inside a comment opens nothing, and a closed string is one sentence piece
+    assert [sen.text for sen in split_sentences('(* " *) a "b. c". d.\n')] == ["a \"b. c\"", "d"]
+
+
+SENTENCE_SOUP = st.sampled_from(
+    ["a", "Lemma", " ", "\n", "\t", ".", ". ", ".\n", "(*", "*)", "(", ")", "*", '"', "x.y", "m.+1",
+     "\u2003", "\x85", "é"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(SENTENCE_SOUP, max_size=30).map("".join))
+def test_splitter_matches_oracle_on_sentence_soup(source):
+    assert_splits_like_oracle(source)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.text(max_size=8), SENTENCE_SOUP), max_size=12).map("".join))
+def test_splitter_matches_oracle_on_unicode_text(source):
+    assert_splits_like_oracle(source)
+
+
+@pytest.mark.parametrize("path", [p for group in PARSER_INPUT_GROUPS for p in group if p.suffix == ".v"],
+                         ids=lambda p: p.name)
+def test_splitter_matches_oracle_on_fixtures(path):
+    assert_splits_like_oracle(path.read_text(encoding="utf-8"))
+
+
+def test_splitter_matches_oracle_on_random_sources():
+    rng = np.random.default_rng(8)
+    for trial in range(10):
+        assert_splits_like_oracle(random_library_source(rng, 12, f"r{trial}"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proofmine import script, terms
 from proofmine.corpus import ingest, load, save
-from proofmine.script import (LEMMA_KEYWORDS, _first_word, _parse_header, parse_library, parse_partial,
-                              parse_trace, split_sentences)
-from proofmine.terms import (_OP_ASSOC, _OP_LEVEL, _PREFIX, BINDERS, OPERATOR_LEVELS, EmptyStatement,
-                             TermError, TermTree, UnbalancedDelimiters, _lex, parse_term_tree)
+from proofmine.script import (LEMMA_KEYWORDS, MalformedStatement, _first_word, _parse_header,
+                              parse_library, parse_partial, parse_trace, split_sentences)
+from proofmine.terms import (_DIGIT, _OP_ASSOC, _OP_LEVEL, _OPERATORS, _PREFIX, BINDERS, OPERATOR_LEVELS,
+                             EmptyStatement, TermError, TermTree, UnbalancedDelimiters, _lex, group_end,
+                             parse_term_tree)
 
 from conftest import (_APP_LEVEL, FIXTURES, HINT, format_term, iter_nodes, random_library_source,
                       random_trace_source)
@@ -178,6 +181,228 @@ def test_serialization_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the character-at-a-time lexer and the (kind, text) token parser before tokens
+# were scanned with one regex, copied verbatim (renamed with an `oracle` prefix)
+
+
+_TWO_CHAR_OPS = frozenset(("=>", "->", "||", "&&", "==", "!=", "<=", ">=", "<>", "++", "\\/", "/\\", "::"))
+
+
+def oracle_word_end(text: str, start: int) -> int:
+    n = len(text)
+    j = start
+    if text[j] == "\\":
+        j += 1
+    while j < n:
+        c = text[j]
+        if c.isalnum() or c in "_'%":
+            j += 1
+            continue
+        if c == "`":
+            j += 1
+            while j < n and (text[j] == "!" or text[j].isalnum() or text[j] in "_'%"):
+                j += 1
+            continue
+        if c == "." and j + 1 < n and (text[j + 1].isalnum() or text[j + 1] == "_"):
+            j += 1
+            continue
+        if c == "." and j + 2 < n and text[j + 1] == "+" and text[j + 2].isdigit():
+            j += 2
+            continue
+        break
+    return j
+
+
+def oracle_lex(text: str) -> list[tuple[str, str]]:
+    """Tokens as (kind, text); kinds: '(' ')' ',' ':' 'op' 'atom'."""
+    tokens: list[tuple[str, str]] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == "(":
+            tokens.append(("(", "("))
+            i += 1
+            continue
+        if c == ")":
+            tokens.append((")", ")"))
+            i += 1
+            continue
+        if c in "[{":
+            j = group_end(text, i)
+            tokens.append(("atom", " ".join(text[i:j].split())))
+            i = j
+            continue
+        if c in "]}":
+            raise UnbalancedDelimiters(f"unexpected {c!r}")
+        if c == ",":
+            tokens.append((",", ","))
+            i += 1
+            continue
+        two = text[i:i + 2]
+        if two in _TWO_CHAR_OPS:
+            tokens.append(("op", two))
+            i += 2
+            continue
+        if c == ":":
+            if text[i + 1:i + 2] == "=":
+                tokens.append(("op", ":="))
+                i += 2
+                continue
+            tokens.append((":", ":"))
+            i += 1
+            continue
+        if (c == "\\" and text.startswith("\\in", i)
+                and not (text[i + 3:i + 4].isalnum() or text[i + 3:i + 4] in ("_", "'"))):
+            tokens.append(("op", "\\in"))
+            i += 3
+            continue
+        if c == "*":
+            nxt = text[i + 1:i + 2]
+            after = text[i + 2:i + 3]
+            if nxt == "m" and not (after.isalnum() or after in ("_", "'")):
+                tokens.append(("op", "*m"))
+                i += 2
+                continue
+            tokens.append(("op", "*"))
+            i += 1
+            continue
+        if c in "=<>+-/^~":
+            tokens.append(("op", c))
+            i += 1
+            continue
+        j = oracle_word_end(text, i)
+        if j == i:
+            # opaque single character, kept as a leaf
+            tokens.append(("atom", c))
+            i += 1
+            continue
+        tokens.append(("atom", text[i:j]))
+        i = j
+    return tokens
+
+
+_END = ("end", "")  # appended to every token list, so indexing never runs off it
+
+
+class _OracleClimbingParser:
+    """Precedence climbing over the tokens of one text; every node comes from `intern`.
+
+    intern maps (symbol, *child ids) to the one tree built for it.  Keying on
+    ids is sound because the dict holds every node it has returned, so no id
+    is reused while it lives, and equal subterms become one object.
+    """
+
+    def __init__(self, tokens: list[tuple[str, str]], intern: dict):
+        self.tokens = tokens
+        self.pos = 0
+        self.intern = intern
+
+    def node(self, symbol: str, children: tuple[TermTree, ...] = ()) -> TermTree:
+        key = (symbol, *map(id, children))
+        tree = self.intern.get(key)
+        if tree is None:
+            tree = self.intern[key] = TermTree(symbol, children)
+        return tree
+
+    def parse_expr(self, min_level: int = 0) -> TermTree:
+        """An application, then binary operators binding at min_level or tighter."""
+        node = self.parse_application()
+        while True:
+            kind, op = self.tokens[self.pos]
+            level = _OP_LEVEL.get(op) if kind == "op" else None
+            if level is None or level < min_level:
+                return node
+            self.pos += 1
+            rhs = self.parse_expr(level if _OP_ASSOC[op] == "right" else level + 1)
+            node = self.node(op, (node, rhs))
+
+    def parse_application(self) -> TermTree:
+        head = self.parse_atom()
+        args = []
+        while self.tokens[self.pos][0] in ("(", "atom"):
+            args.append(self.parse_atom())
+        if not args:
+            return head
+        if not head.children:
+            return self.node(head.symbol, tuple(args))
+        return self.node("@", (head, *args))
+
+    def parse_atom(self) -> TermTree:
+        tokens = self.tokens
+        kind, text = tokens[self.pos]
+        if kind == "atom":
+            if text in BINDERS:
+                return self.parse_binder()
+            self.pos += 1
+            return self.node(text)
+        if kind == "(":
+            self.pos += 1
+            if tokens[self.pos][0] == ")":
+                self.pos += 1
+                return self.node("()")
+            node = self.parse_expr()
+            if tokens[self.pos][0] == ":":
+                self.pos += 1
+                node = self.node(":", (node, self.parse_expr()))
+            if tokens[self.pos][0] == ",":
+                items = [node]
+                while tokens[self.pos][0] == ",":
+                    self.pos += 1
+                    items.append(self.parse_expr())
+                node = self.node(",", tuple(items))
+            if tokens[self.pos][0] != ")":
+                raise UnbalancedDelimiters("missing ')'")
+            self.pos += 1
+            return node
+        if kind == "op" and text in _PREFIX:
+            self.pos += 1
+            return self.node(text, (self.parse_application(),))
+        if kind == "end":
+            raise UnbalancedDelimiters("unexpected end of statement")
+        raise UnbalancedDelimiters(f"unexpected {text!r}")
+
+    def parse_binder(self) -> TermTree:
+        tokens = self.tokens
+        kw = tokens[self.pos][1]
+        sep = ("op", "=>") if kw == "fun" else (",", ",")
+        depth = 0
+        self.pos += 1
+        while (tok := tokens[self.pos]) != sep or depth:
+            kind = tok[0]
+            if kind == "end":
+                raise UnbalancedDelimiters(f"{kw} binder without '{sep[1]}'")
+            if kind == "(":
+                depth += 1
+            elif kind == ")":
+                if depth == 0:
+                    raise UnbalancedDelimiters("unexpected ')' in binder")
+                depth -= 1
+            self.pos += 1
+        self.pos += 1
+        return self.node(kw, (self.parse_expr(),))
+
+
+def oracle_climbing_parse(text: str, intern: dict) -> TermTree:
+    """parse_term_tree before the lexer used regexes and before texts were memoised."""
+    tokens = oracle_lex(text)
+    if not tokens:
+        raise EmptyStatement("empty statement")
+    tokens.append(_END)
+    parser = _OracleClimbingParser(tokens, intern)
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        raise TermError("statement nested too deeply") from None
+    kind, leftover = tokens[parser.pos]
+    if kind != "end":
+        raise UnbalancedDelimiters(f"trailing {leftover!r} in statement")
+    return node
+
+
+# ---------------------------------------------------------------------------
 # the parser against the eight-level recursive descent it replaced
 
 
@@ -296,7 +521,7 @@ class _OracleParser:
 
 def oracle_parse_term_tree(text: str) -> TermTree:
     """The parser before precedence climbing and interning."""
-    tokens = _lex(text)
+    tokens = oracle_lex(text)
     if not tokens:
         raise EmptyStatement("empty statement")
     parser = _OracleParser(tokens)
@@ -404,3 +629,204 @@ def test_equal_subtrees_of_random_sources_are_one_object():
     rng = np.random.default_rng(6)
     assert_equal_subtrees_shared(parse_library(random_library_source(rng, 20, "s"), "lib"))
     assert_equal_subtrees_shared(parse_trace(random_trace_source(rng, 20, "t", "lib")))
+
+
+# ---------------------------------------------------------------------------
+# the regex lexer and the string-token parser against the oracles above
+
+
+def token_kind(tok: str) -> str:
+    """The kind the parser reads from a token's text, named as the oracle lexer names it."""
+    if tok in _OPERATORS:
+        return "op"
+    return tok if tok in ("(", ")", ",", ":") else "atom"
+
+
+def assert_scans_like_oracle(texts):
+    """Equal tokens and kinds, and equal trees, or the same error class and message."""
+    intern: dict = {}
+    oracle_intern: dict = {}  # one each, as a file's texts share one
+    for text in texts:
+        old = outcome(oracle_lex, text)
+        new = outcome(_lex, text)
+        if isinstance(old, list):
+            assert new == [tok for _, tok in old], text
+            assert [token_kind(tok) for tok in new] == [kind for kind, _ in old], text
+        else:
+            assert new == old, text
+        assert (outcome(lambda t: parse_term_tree(t, intern), text)
+                == outcome(lambda t: oracle_climbing_parse(t, oracle_intern), text)), text
+
+
+def test_regex_classes_are_the_str_predicates_the_oracle_lexer_calls():
+    every = "".join(map(chr, range(0x110000)))
+    assert re.findall(rf"[{_DIGIT}]", every) == list(filter(str.isdigit, every))
+    assert re.findall(r"\w", every) == [c for c in every if c.isalnum() or c == "_"]
+    assert re.findall(r"\s", every) == list(filter(str.isspace, every))
+
+
+LEX_EDGE_CASES = {
+    # str.isdigit holds for "²" but regex \d does not match it
+    ".+ then a non-decimal digit": ("m.+² x.+²y .+²", ["m.+²", "x.+²y", ".+²"]),
+    ".+ then a decimal digit": ("a.+1 b.+12c .+3", ["a.+1", "b.+12c", ".+3"]),
+    ".+ then a letter": ("a.+b", ["a", ".", "+", "b"]),
+    "\\in then a quote or a letter": ("\\in' \\inx \\in_ \\in", ["\\in'", "\\inx", "\\in_", "\\in"]),
+    "\\in then a percent or a backtick": ("x \\in%y \\in`!", ["x", "\\in", "%y", "\\in", "`!"]),
+    "*m then an underscore or a quote": ("a *m_ b *m' *m", ["a", "*", "m_", "b", "*", "m'", "*m"]),
+    "dot before an underscore": ("a._b a.b a. a.(b)", ["a._b", "a.b", "a", ".", "a", ".", "(", "b", ")"]),
+    "backtick suffixes": ("n`! n`!x `", ["n`!", "n`!x", "`"]),
+    "lone backslashes": ("\\ \\\\ \\/ /\\", ["\\", "\\", "\\", "\\/", "/\\"]),
+    "groups between words": ("f[a]{b} [x  (y)]", ["f", "[a]", "{b}", "[x (y)]"]),
+    "operators glued together": ("a::=b:=>c", ["a", "::", "=", "b", ":=", ">", "c"]),
+    "opaque characters": ("@ | & ! ; é 五", ["@", "|", "&", "!", ";", "é", "五"]),
+}
+
+
+@pytest.mark.parametrize("text, tokens", LEX_EDGE_CASES.values(), ids=LEX_EDGE_CASES.keys())
+def test_lexer_edge_cases(text, tokens):
+    assert _lex(text) == tokens
+    assert_scans_like_oracle([text])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("f ] [a]", "unexpected ']'"),
+    ("f [a] }", "unexpected '}'"),
+    ("f [a ] ]", "unexpected ']'"),
+    ("f } [a", "unexpected '}'"),  # the stray closer comes first, so it wins over the unclosed group
+    ("f [a } ]", "mismatched '}'"),
+    ("f [a", "unclosed '['"),
+])
+def test_stray_closers_and_bad_groups(text, message):
+    with pytest.raises(UnbalancedDelimiters, match=f"^{re.escape(message)}$"):
+        _lex(text)
+    assert_scans_like_oracle([text])
+
+
+LEX_SOUP = st.sampled_from(
+    ["a", "x1", "m", "_", "'", "%", "`", "!", ".", "+", "²", "1", "\\", "\\in", "*", "*m", "(", ")",
+     "[", "]", "{", "}", ",", ":", "=", "=>", "<", ">", "-", "/", "^", "~", "|", "&", " ", "\n",
+     "\xa0", "\u2003", "é", "五", "forall", "fun", "exists"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(LEX_SOUP, max_size=20).map("".join), min_size=1, max_size=4))
+def test_lexer_and_parser_match_oracles_on_glued_token_soup(texts):
+    assert_scans_like_oracle(texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(SOUP, max_size=30).map(" ".join), min_size=1, max_size=4))
+def test_lexer_and_parser_match_oracles_on_token_soup(texts):
+    assert_scans_like_oracle(texts)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.text(max_size=20), min_size=1, max_size=4))
+def test_lexer_and_parser_match_oracles_on_unicode_text(texts):
+    assert_scans_like_oracle(texts)
+
+
+def test_lexer_and_parser_match_oracles_on_fixtures_and_random_sources():
+    texts = [t for p in SOURCES for t in statement_texts(p.read_text())]
+    texts += [t for p in TRACES for t in goal_texts(p.read_text())]
+    rng = np.random.default_rng(7)
+    texts += statement_texts(random_library_source(rng, 20, "r"))
+    texts += goal_texts(random_trace_source(rng, 20, "t", "lib"))
+    assert_scans_like_oracle(texts)
+
+
+# ---------------------------------------------------------------------------
+# each distinct statement or goal text is parsed once per file
+
+
+def lemmas(*statements: str) -> str:
+    return "".join(f"Lemma l{i} : {text}.\nProof. by []. Qed.\n" for i, text in enumerate(statements))
+
+
+def goals(*texts: str) -> str:
+    return "".join(json.dumps({"lemma": f"t{i // 2}", "library": "lib", "step_index": i % 2 + 1,
+                               "tactic_line": "by [].", "goal_before": text, "subgoals_after": 0}) + "\n"
+                   for i, text in enumerate(texts))
+
+
+def counting_lexer(monkeypatch) -> list[str]:
+    lexed: list[str] = []
+
+    def lex(text):
+        lexed.append(text)
+        return _lex(text)
+    monkeypatch.setattr(terms, "_lex", lex)
+    return lexed
+
+
+def test_a_repeated_statement_text_is_the_one_tree_of_its_file(monkeypatch):
+    text = "forall (a b : nat), a + b = b + a"
+    lexed = counting_lexer(monkeypatch)
+    records = parse_library(lemmas(text, "x", text, text), "lib")
+    assert lexed == [text, "x"]
+    assert records[0].statement is records[2].statement is records[3].statement
+    assert records[0].statement == parse_term_tree(text)
+
+
+def test_a_repeated_goal_text_is_the_one_tree_of_its_file(monkeypatch):
+    text = "sizeq (catq s t) = sizeq s + sizeq t"
+    lexed = counting_lexer(monkeypatch)
+    records = parse_trace(goals(text, "y", text, text))
+    assert lexed == [text, "y"]
+    trees = [step.goal_before for record in records for step in record.steps]
+    assert trees[0] is trees[2] is trees[3] is records[1].statement
+    assert trees[0] == parse_term_tree(text)
+
+
+def test_a_text_that_is_a_leaf_symbol_is_the_one_leaf_object():
+    for texts in (("x", "f x") * 2, ("f x", "x") * 2):
+        for trees in ([r.statement for r in parse_library(lemmas(*texts), "lib")],
+                      [s.goal_before for r in parse_trace(goals(*texts)) for s in r.steps]):
+            leaves = [tree if text == "x" else tree.children[0] for text, tree in zip(texts, trees)]
+            assert all(leaf is leaves[0] for leaf in leaves)
+
+
+def test_the_memo_holds_a_parsed_text_under_its_own_str_key():
+    intern: dict = {}
+    tree = parse_term_tree("f x", intern)
+    assert intern["f x"] is tree
+    assert intern[("x",)] is tree.children[0]
+    assert not any(isinstance(key, str) and key != "f x" for key in intern)
+
+
+def test_a_bad_text_raises_every_time_at_its_own_file_and_line():
+    intern: dict = {}
+    for _ in range(2):
+        with pytest.raises(UnbalancedDelimiters, match="missing"):
+            parse_term_tree("f (x", intern)
+    assert "f (x" not in intern
+    good_then_bad = lemmas("f x", "f (x")
+    for filename in ("a.v", "b.v"):
+        for source, line in ((good_then_bad, 3), (lemmas("f (x"), 1)):
+            with pytest.raises(MalformedStatement, match=rf"^{filename}:{line}: bad statement for l\d"):
+                parse_library(source, "lib", filename=filename)
+    for filename in ("a.jsonl", "b.jsonl"):
+        with pytest.raises(MalformedStatement, match=rf"^{filename}:2: bad statement for t0"):
+            parse_trace(goals("f x", "f (x", "f (x"), filename=filename)
+
+
+def test_equal_texts_in_two_files_are_two_objects():
+    text = "forall s, revq (revq s) = s"
+    first, second = parse_library(lemmas(text), "a"), parse_library(lemmas(text), "b")
+    assert first[0].statement == second[0].statement
+    assert first[0].statement is not second[0].statement
+    first, second = parse_trace(goals(text)), parse_trace(goals(text))
+    assert first[0].statement is not second[0].statement
+    assert parse_partial(lemmas(text)).statement is not parse_partial(lemmas(text)).statement
+
+
+def test_the_parsers_call_the_term_parser_by_the_name_a_tracer_wraps(monkeypatch):
+    calls: list[str] = []
+
+    def traced(text, intern=None):
+        calls.append(text)
+        return parse_term_tree(text, intern)
+    monkeypatch.setattr(script, "parse_term_tree", traced)
+    parse_library(lemmas("x", "x"), "lib")
+    parse_trace(goals("y", "y"))
+    assert calls == ["x", "x", "y", "y"]

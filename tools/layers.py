@@ -1,0 +1,185 @@
+"""Time each proofmine layer once on a paper-scale corpus and write the split as JSON.
+
+Usage (from the repository root):
+
+    python3 tools/layers.py [--src LABEL=DIR ...] [--seed 12] [--out BENCH_paper_scale.json]
+
+The corpus has the shape of the paper's case studies: 7 libraries of 200
+compositional lemmas each (m = 1400), written by `perfbench/generate.py`
+with its `distinct-em` generator settings, once as vernacular files and once
+as trace JSON Lines.  At granularity 3 each clustering run makes n = 200
+clusters.  For every `--src` (default: this checkout's `src`, labelled
+`change`) a fresh process imports proofmine from DIR and times, once each:
+
+* parsing per file kind (`parse_library` over the `.v` files, `parse_trace`
+  over the `.jsonl` files);
+* encoding: the vocabulary table, then the feature rows;
+* `corpus.save` and `corpus.load`;
+* one partition run per algorithm on a fresh point set, with its iteration count;
+* a 200-run farthest-first `run_digest`, split into its partition runs,
+  co-occurrence counts, components and member proximities.
+
+BLAS is pinned to one thread, as in the benchmark.  Nothing here is gated;
+the numbers explain where the time goes at the reference size.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+sys.dont_write_bytecode = True  # leave no cache files beside perfbench/generate.py
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import subprocess  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import generate  # noqa: E402
+from run import _cpu_model  # noqa: E402
+
+LIBRARIES = 7
+LEMMAS_PER_LIBRARY = 200
+GRANULARITY = 3
+DIGEST_RUNS = 200
+
+
+def _workload(*, traces: bool):
+    """The distinct-em generator shape at 7 x 200 lemmas, as vernacular or as traces."""
+    base = generate.WORKLOADS["distinct-em"]
+    return generate.Workload("paper-scale", templates=False, libraries=LIBRARIES,
+                             lemmas_per_library=LEMMAS_PER_LIBRARY, algorithm="kmeans",
+                             runs=DIGEST_RUNS, steps=base.steps, depth=base.depth,
+                             trace_libraries=LIBRARIES if traces else 0)
+
+
+def _timed(fn, *args, **kwargs):
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, round(time.perf_counter() - start, 4)
+
+
+def measure(seed: int) -> dict:
+    """Every layer's time in this process, with the counts that explain it."""
+    import numpy as np
+
+    from proofmine import clustering, corpus, digest, features, script
+
+    layers: dict[str, float] = {}
+    shape: dict[str, int] = {}
+    with tempfile.TemporaryDirectory(prefix="proofmine-layers-") as tmp:
+        tmp = Path(tmp)
+        vernacular = generate.generate(_workload(traces=False), seed, tmp / "v")
+        traces = generate.generate(_workload(traces=True), seed, tmp / "t")
+
+        records = []
+        layers["parse.vernacular_s"] = 0.0
+        for tag, path in vernacular.libraries:
+            parsed, seconds = _timed(script.parse_library, path.read_text(encoding="utf-8"), tag,
+                                     filename=str(path))
+            records += parsed
+            layers["parse.vernacular_s"] += seconds
+        layers["parse.trace_s"] = 0.0
+        trace_steps = 0
+        for _, path in traces.libraries:
+            parsed, seconds = _timed(script.parse_trace, path.read_text(encoding="utf-8"),
+                                     filename=str(path))
+            trace_steps += sum(len(r.steps) for r in parsed)
+            layers["parse.trace_s"] += seconds
+        shape.update(lemmas=len(records), vernacular_steps=sum(len(r.steps) for r in records),
+                     trace_steps=trace_steps)
+
+        records.sort(key=lambda r: r.name)
+        table, layers["encode.table_s"] = _timed(features.build_encoding_table, records)
+        rows, layers["encode.features_s"] = _timed(
+            lambda: [features.extract_features(r, table, features.PATCH_LEN) for r in records])
+        raw = np.array(rows, dtype=np.float64)
+        built = corpus.Corpus([r.name for r in records], {r.name: r.library for r in records}, raw, table)
+        _, layers["corpus.save_s"] = _timed(corpus.save, built, tmp / "c.corpus")
+        loaded, layers["corpus.load_s"] = _timed(corpus.load, tmp / "c.corpus")
+        shape.update(corpus_bytes=(tmp / "c.corpus").stat().st_size,
+                     distinct_rows=len(clustering._distinct_rows(raw)[0]),
+                     tactics=len(table.tactic_codes), symbols=len(table.symbol_codes))
+
+    db = loaded.feature_database()
+    n = clustering.choose_n(len(db.names), GRANULARITY)
+    shape.update(m=len(db.names), n=n)
+    iterations = {}
+    for name, history in (("kmeans", "objective_history"), ("em", "log_likelihood_history"),
+                          ("farthest-first", None)):
+        result, layers[f"run.{name}_s"] = _timed(clustering.ALGORITHMS[name], db.matrix, n, 0)
+        iterations[name] = len(getattr(result, history)) if history else n
+
+    # one farthest-first digest, its stages timed by wrapping what run_digest calls
+    spent = {name: 0.0 for name in ("run_partitions", "co_occurrence_counts", "components_at",
+                                    "_member_proximities")}
+
+    def wrap(name):
+        inner = getattr(digest, name)
+
+        def timed(*args, **kwargs):
+            result, seconds = _timed(inner, *args, **kwargs)
+            spent[name] += seconds
+            return result
+        return timed
+
+    originals = {name: getattr(digest, name) for name in spent}
+    for name in spent:
+        setattr(digest, name, wrap(name))
+    try:
+        cfg = digest.DigestConfig(runs=DIGEST_RUNS, algorithm="farthest-first", granularity=GRANULARITY)
+        clusters, layers["digest.farthest_first_200_s"] = _timed(digest.run_digest, db, cfg)
+    finally:
+        for name, fn in originals.items():
+            setattr(digest, name, fn)
+    layers.update({"digest.partitions_s": spent["run_partitions"],
+                   "digest.cooccurrence_s": spent["co_occurrence_counts"],
+                   "digest.components_s": spent["components_at"],
+                   "digest.member_proximities_s": spent["_member_proximities"]})
+    shape.update(digest_clusters=len(clusters))
+    return {"layers": {k: round(v, 4) for k, v in layers.items()}, "iterations": iterations,
+            "shape": shape}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", action="append", metavar="LABEL=DIR",
+                        help="a proofmine source tree to time, repeatable (default: change=src)")
+    parser.add_argument("--seed", type=int, default=12)
+    parser.add_argument("--out", default="BENCH_paper_scale.json")
+    parser.add_argument("--measure", metavar="DIR", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.measure:
+        sys.path.insert(0, str(Path(args.measure).resolve()))
+        print(json.dumps(measure(args.seed)))
+        return 0
+    results = {}
+    for spec in args.src or [f"change={ROOT / 'src'}"]:
+        label, _, src = spec.partition("=")
+        done = subprocess.run([sys.executable, __file__, "--measure", src, "--seed", str(args.seed)],
+                              check=True, capture_output=True, text=True)
+        results[label] = json.loads(done.stdout)
+        print(label, json.dumps(results[label]["layers"]), file=sys.stderr)
+    doc = {
+        "what": "each layer timed once in-process on a 7 x 200-lemma compositional corpus "
+                "(perfbench/generate.py distinct-em shape), granularity 3, clustering seed 0",
+        "command": "python3 tools/layers.py --src LABEL=DIR ... --seed " + str(args.seed),
+        "seed": args.seed,
+        "env": {"python": platform.python_version(), "cpu": _cpu_model(), "nproc": os.cpu_count(),
+                "blas_threads": 1},
+        "results": results,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
