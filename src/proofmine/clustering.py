@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 KMEANS_MAX_ITER = 100
+ROW_BLOCK = 64  # distinct rows per _sq_distances call when k-means fills its distance matrix
 EM_MAX_ITER = 200
 EM_TOLERANCE = 1e-6
 VARIANCE_FLOOR = 1e-6
@@ -57,6 +58,17 @@ def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("mnd,mnd->mn", diff, diff)
 
 
+def _fill_columns(dist: np.ndarray, rows: np.ndarray, centers: np.ndarray, cols) -> None:
+    """Set dist[:, cols] to the squared distances from `rows` to centers[cols].
+
+    Each entry is its own reduction over one pair of rows, so filling a subset
+    of columns, ROW_BLOCK rows at a time, gives the bits of one full call
+    without its (rows, n, d) temporary."""
+    picked = centers[cols]
+    for start in range(0, len(rows), ROW_BLOCK):
+        dist[start:start + ROW_BLOCK, cols] = _sq_distances(rows[start:start + ROW_BLOCK], picked)
+
+
 def _proximity(dist: np.ndarray) -> np.ndarray:
     """1 - dist / max(dist), or all ones when every distance is 0."""
     top = dist.max() if len(dist) else 0.0
@@ -69,22 +81,11 @@ def _nearest_proximity(points: np.ndarray, centers: np.ndarray, labels: np.ndarr
     return _proximity(np.sqrt(np.sum((points - centers[labels]) ** 2, axis=1)))
 
 
-def _update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    n = len(centers)
-    new = centers.copy()
-    counts = np.bincount(labels, minlength=n)
-    for j in range(n):
-        if counts[j]:
-            new[j] = points[labels == j].mean(axis=0)
-    empties = np.flatnonzero(counts == 0)
-    if len(empties):
-        # re-seed each empty cluster with the point farthest from its own center
-        own = np.sqrt(np.sum((points - new[labels]) ** 2, axis=1))
-        for j in empties:
-            pick = int(np.argmax(own))
-            new[j] = points[pick]
-            own[pick] = -1.0
-    return new
+def _farthest(own: np.ndarray, k: int) -> np.ndarray:
+    """The indices of the k largest entries of `own` >= 0, largest first, ties
+    to the lower index: the picks of k rounds of argmax, each of which then
+    sets its pick to -1."""
+    return np.argsort(-own, kind="stable")[:k]
 
 
 def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,12 +139,21 @@ def _point_set(points) -> PointSet:
 
 
 def kmeans(points, n: int, seed: int) -> ClusterAssignment:
-    """Lloyd iteration from n seeded distinct starting points.
+    """Lloyd iteration from n seeded starting rows: distinct row indices, which
+    may hold equal rows.
 
     Updated centers depend only on the labels, so once a labelling repeats the
     run cycles for good; it then stops with the state that KMEANS_MAX_ITER
     iterations would reach.  A fixed point is the cycle of period 1.
-    Assignments are computed once per distinct row and broadcast back.
+
+    Each iteration redoes only what moved, and gets the bits of a full Lloyd
+    step.  The squared distances from every distinct row to every center are
+    kept, and only the columns of centers whose bytes changed are recomputed.
+    A mean is recomputed only for a cluster that gained or lost a row since the
+    last update, or whose center is not yet the mean of its members (a seed or
+    a reseed); the mean of the same rows in the same order is the same.  Means
+    are taken over each cluster's slice of the rows sorted stably by label,
+    which holds its members in index order, as a boolean mask would.
     """
     shared = _point_set(points)
     pts, distinct, inverse = shared.points, shared.distinct, shared.inverse
@@ -152,17 +162,40 @@ def kmeans(points, n: int, seed: int) -> ClusterAssignment:
     rng = np.random.default_rng(seed)
     init = rng.choice(m, size=n, replace=False)
 
-    def assign(centers: np.ndarray) -> np.ndarray:
-        return np.argmin(_sq_distances(distinct, centers), axis=1)[inverse]
-
     centers = pts[init].copy()
-    labels = assign(centers)
+    dist = np.empty((len(distinct), n))
+    _fill_columns(dist, distinct, centers, slice(None))
+    rows = np.argmin(dist, axis=1)  # the label of each distinct row
+    labels = rows[inverse]
+    settled = np.zeros(n, dtype=bool)  # center j is the mean of its members under `labels`
     states = [(labels, centers)]
     first_seen = {labels.tobytes(): 0}
     history = [float(np.sum((pts - centers[labels]) ** 2))]
     for step in range(1, KMEANS_MAX_ITER + 1):
-        centers = _update_centers(pts, labels, centers)
-        labels = assign(centers)
+        counts = np.bincount(labels, minlength=n)
+        new = centers.copy()
+        stale = np.flatnonzero((counts > 0) & ~settled)
+        if len(stale):
+            grouped = pts[np.argsort(labels, kind="stable")]
+            ends = np.cumsum(counts)
+            for j in stale.tolist():
+                new[j] = grouped[ends[j] - counts[j]:ends[j]].mean(axis=0)
+        empties = np.flatnonzero(counts == 0)
+        if len(empties):
+            # re-seed each empty cluster with the point farthest from its own center
+            own = np.sqrt(np.sum((pts - new[labels]) ** 2, axis=1))
+            new[empties] = pts[_farthest(own, len(empties))]
+        moved = np.flatnonzero((new.view(np.uint64) != centers.view(np.uint64)).any(axis=1))
+        if len(moved):
+            _fill_columns(dist, distinct, new, moved)
+        centers = new
+        settled = counts > 0
+        new_rows = np.argmin(dist, axis=1)
+        changed = new_rows != rows
+        settled[rows[changed]] = False
+        settled[new_rows[changed]] = False
+        rows = new_rows
+        labels = rows[inverse]
         history.append(float(np.sum((pts - centers[labels]) ** 2)))
         states.append((labels, centers))
         start = first_seen.setdefault(labels.tobytes(), step)

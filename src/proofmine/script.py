@@ -495,8 +495,10 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
         ctx = _ProofContext()
         steps: list[ProofStep] = []
         statement: TermTree | None = None
-        for idx in sorted(by_index):
+        for expected, idx in enumerate(sorted(by_index), start=1):
             tactic_line, goal_text, subgoals, line_no = by_index[idx]
+            if idx != expected:
+                raise ParseError(f"missing step {expected} for {name}", file=filename, line=line_no)
             text = tactic_line.strip()
             if text.endswith("."):
                 text = text[:-1]

@@ -343,6 +343,17 @@ def test_extract_ill_typed_trace_exits_2(tmp_path):
     assert main(["extract", "--lib", f"l:{trace}", "--out", str(tmp_path / "c")]) == 2
 
 
+def test_extract_trace_with_missing_steps_exits_2(tmp_path, capsys):
+    trace = tmp_path / "gap.jsonl"
+    trace.write_text("".join(json.dumps({"lemma": "x", "library": "l", "step_index": idx,
+                                         "tactic_line": "by [].", "goal_before": "a = b",
+                                         "subgoals_after": 0}) + "\n" for idx in (2, 5)))
+    out = tmp_path / "c"
+    assert main(["extract", "--lib", f"l:{trace}", "--out", str(out)]) == 2
+    assert f"{trace}:1: missing step 1 for x" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_feature_dump_matches_golden(tmp_path, capsys):
     dump = tmp_path / "features.jsonl"
     assert main(["extract", *FIXTURE_LIBS, "--out", str(tmp_path / "c"),

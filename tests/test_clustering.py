@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from proofmine import clustering, ingest
 from proofmine.clustering import (KMEANS_MAX_ITER, ClusterAssignment, PointSet, TooFewPoints,
@@ -130,6 +131,24 @@ def test_kmeans_deterministic():
 # k-means against the plain Lloyd loop
 
 
+def _update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    n = len(centers)
+    new = centers.copy()
+    counts = np.bincount(labels, minlength=n)
+    for j in range(n):
+        if counts[j]:
+            new[j] = points[labels == j].mean(axis=0)
+    empties = np.flatnonzero(counts == 0)
+    if len(empties):
+        # re-seed each empty cluster with the point farthest from its own center
+        own = np.sqrt(np.sum((points - new[labels]) ** 2, axis=1))
+        for j in empties:
+            pick = int(np.argmax(own))
+            new[j] = points[pick]
+            own[pick] = -1.0
+    return new
+
+
 def kmeans_oracle(points, n: int, seed: int) -> ClusterAssignment:
     """The Lloyd loop without cycle detection or distinct-row assignment.
 
@@ -143,7 +162,7 @@ def kmeans_oracle(points, n: int, seed: int) -> ClusterAssignment:
     labels = np.argmin(clustering._sq_distances(pts, centers), axis=1)
     history = [float(np.sum((pts - centers[labels]) ** 2))]
     for _ in range(KMEANS_MAX_ITER):
-        centers = clustering._update_centers(pts, labels, centers)
+        centers = _update_centers(pts, labels, centers)
         new_labels = np.argmin(clustering._sq_distances(pts, centers), axis=1)
         history.append(float(np.sum((pts - centers[new_labels]) ** 2)))
         if np.array_equal(new_labels, labels):
@@ -412,7 +431,7 @@ def kmeans_per_run_oracle(points, n: int, seed: int) -> ClusterAssignment:
     first_seen = {labels.tobytes(): 0}
     history = [float(np.sum((pts - centers[labels]) ** 2))]
     for step in range(1, KMEANS_MAX_ITER + 1):
-        centers = clustering._update_centers(pts, labels, centers)
+        centers = _update_centers(pts, labels, centers)
         labels = assign(centers)
         history.append(float(np.sum((pts - centers[labels]) ** 2)))
         states.append((labels, centers))
@@ -536,3 +555,90 @@ def test_point_set_numbers_distinct_rows_by_first_occurrence():
     assert np.all(np.diff(shared.first_index) > 0)
     assert [int(np.flatnonzero(shared.inverse == row)[0]) for row in range(len(shared.distinct))] \
         == shared.first_index.tolist()
+
+
+# ---------------------------------------------------------------------------
+# k-means keeps its distance matrix and redoes only what moved; it must match
+# the per-run oracle, which updates every center and recomputes every distance
+
+
+def duplicate_rows(seed: int, m: int, distinct: int, dims: int, lattice: bool) -> np.ndarray:
+    """m rows drawn with replacement from a few base rows: small integers, whose
+    distances tie exactly, or uniform values rounded to one decimal."""
+    rng = np.random.default_rng(seed)
+    if lattice:
+        base = rng.integers(0, 3, size=(distinct, dims)).astype(float)
+    else:
+        base = np.round(rng.uniform(size=(distinct, dims)), 1)
+    return base[rng.integers(0, distinct, size=m)]
+
+
+@st.composite
+def kmeans_cases(draw):
+    """(rows, n, seed) with n = 1, below, above or at the distinct row count, or n = m."""
+    params = (draw(st.integers(0, 2 ** 16)), draw(st.integers(1, 40)), draw(st.integers(1, 12)),
+              draw(st.integers(1, 5)), draw(st.booleans()))
+    m = params[1]
+    distinct = len(PointSet(duplicate_rows(*params)).distinct)
+    n = draw(st.sampled_from([
+        st.just(1),
+        st.integers(1, distinct),
+        st.integers(min(distinct + 1, m), m),
+        st.just(m),
+    ]).flatmap(lambda choice: choice))
+    return params, n, draw(st.integers(0, 2 ** 32 - 1))
+
+
+CAPPED_CASE = ((0, 30, 8, 3, False), 9, 0)  # cycles with period > 1 until the cap
+
+
+def test_capped_case_cycles_to_the_cap():
+    params, n, seed = CAPPED_CASE
+    assert len(kmeans_oracle(duplicate_rows(*params), n, seed).objective_history) == KMEANS_MAX_ITER + 1
+
+
+@given(kmeans_cases())
+@example(CAPPED_CASE)
+@settings(max_examples=150, deadline=None)
+def test_kmeans_matches_per_run_oracle_byte_for_byte(case):
+    params, n, seed = case
+    rows = duplicate_rows(*params)
+    assert_identical_runs(kmeans(rows, n, seed), kmeans_per_run_oracle(rows, n, seed))
+
+
+@pytest.mark.parametrize("m, n, dims", [(150, 30, 40), (64, 7, 3), (65, 1, 1), (3, 5, 2)])
+def test_sq_distances_over_column_subsets_and_row_blocks_match_one_call(m, n, dims):
+    rng = np.random.default_rng(m + n + dims)
+    rows = np.round(rng.normal(size=(m, dims)), 2)
+    centers = np.vstack([rows[rng.integers(0, m, size=n // 2)], rng.normal(size=(n - n // 2, dims))])
+    full = clustering._sq_distances(rows, centers)
+    blocks = [clustering._sq_distances(rows[start:start + 64], centers) for start in range(0, m, 64)]
+    assert np.array_equal(np.vstack(blocks), full)
+    for cols in (np.arange(n), rng.permutation(n)[:max(1, n // 3)], np.array([n - 1])):
+        assert np.array_equal(clustering._sq_distances(rows, centers[cols]), full[:, cols])
+        dist = np.full((m, n), np.nan)
+        clustering._fill_columns(dist, rows, centers, cols)
+        assert np.array_equal(dist[:, cols], full[:, cols])
+        assert np.isnan(np.delete(dist, cols, axis=1)).all()
+
+
+def sequential_picks(own: np.ndarray, k: int) -> list[int]:
+    """The reseed loop of the per-run oracle: argmax, then strike the pick out."""
+    own = own.copy()
+    picks = []
+    for _ in range(k):
+        pick = int(np.argmax(own))
+        picks.append(pick)
+        own[pick] = -1.0
+    return picks
+
+
+@pytest.mark.parametrize("own", [
+    np.zeros(6),
+    np.array([0.0, 2.0, 0.0, 2.0, 1.0, 0.0, 2.0]),
+    np.array([3.0, 0.0, 3.0, 0.5]),
+    np.sqrt(np.round(np.random.default_rng(2).uniform(size=40), 1)),
+])
+def test_farthest_picks_match_sequential_argmax(own):
+    for k in range(1, len(own) + 1):
+        assert clustering._farthest(own, k).tolist() == sequential_picks(own, k)

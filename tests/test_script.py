@@ -554,6 +554,15 @@ def test_trace_rejects_bad_records():
         parse_trace(dup)
 
 
+@pytest.mark.parametrize("indices, missing, line", [([2, 5], 1, 1), ([1, 2, 4], 3, 3), ([3, 1], 2, 1)])
+def test_trace_rejects_missing_steps(indices, missing, line):
+    records = [json.dumps({"lemma": "x", "library": "l", "step_index": idx, "tactic_line": "by [].",
+                           "goal_before": f"g{idx} = x", "subgoals_after": 0}) for idx in indices]
+    with pytest.raises(ParseError) as err:
+        parse_trace("\n".join(records), filename="t.jsonl")
+    assert str(err.value) == f"t.jsonl:{line}: missing step {missing} for x"
+
+
 def test_trace_records_keep_first_seen_lemma_order():
     lines = []
     for name, idx in [("b", 2), ("a", 1), ("b", 1), ("c", 1), ("a", 2)]:

@@ -2,7 +2,8 @@
 
 Usage (from the repository root):
 
-    python3 tools/layers.py [--src LABEL=DIR ...] [--seed 12] [--out BENCH_paper_scale.json]
+    python3 tools/layers.py [--src LABEL=DIR ...] [--seed 12] [--kmeans-runs 20]
+                            [--out BENCH_paper_scale.json]
 
 The corpus has the shape of the paper's case studies: 7 libraries of 200
 compositional lemmas each (m = 1400), written by `perfbench/generate.py`
@@ -16,6 +17,7 @@ clusters.  For every `--src` (default: this checkout's `src`, labelled
 * encoding: the vocabulary table, then the feature rows;
 * `corpus.save` and `corpus.load`;
 * one partition run per algorithm on a fresh point set, with its iteration count;
+* a `--kmeans-runs`-run k-means `run_partitions` (default 20);
 * a 200-run farthest-first `run_digest`, split into its partition runs,
   co-occurrence counts, components and member proximities.
 
@@ -67,7 +69,7 @@ def _timed(fn, *args, **kwargs):
     return result, round(time.perf_counter() - start, 4)
 
 
-def measure(seed: int) -> dict:
+def measure(seed: int, kmeans_runs: int) -> dict:
     """Every layer's time in this process, with the counts that explain it."""
     import numpy as np
 
@@ -118,6 +120,10 @@ def measure(seed: int) -> dict:
         result, layers[f"run.{name}_s"] = _timed(clustering.ALGORITHMS[name], db.matrix, n, 0)
         iterations[name] = len(getattr(result, history)) if history else n
 
+    kmeans_cfg = digest.DigestConfig(runs=kmeans_runs, algorithm="kmeans", granularity=GRANULARITY)
+    _, layers["digest.kmeans_partitions_s"] = _timed(digest.run_partitions, db.matrix, kmeans_cfg)
+    shape.update(kmeans_runs=kmeans_runs)
+
     # one farthest-first digest, its stages timed by wrapping what run_digest calls
     spent = {name: 0.0 for name in ("run_partitions", "co_occurrence_counts", "components_at",
                                     "_member_proximities")}
@@ -154,24 +160,29 @@ def main() -> int:
     parser.add_argument("--src", action="append", metavar="LABEL=DIR",
                         help="a proofmine source tree to time, repeatable (default: change=src)")
     parser.add_argument("--seed", type=int, default=12)
+    parser.add_argument("--kmeans-runs", type=int, default=20,
+                        help="runs of the timed k-means run_partitions (default 20)")
     parser.add_argument("--out", default="BENCH_paper_scale.json")
     parser.add_argument("--measure", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.measure:
         sys.path.insert(0, str(Path(args.measure).resolve()))
-        print(json.dumps(measure(args.seed)))
+        print(json.dumps(measure(args.seed, args.kmeans_runs)))
         return 0
     results = {}
     for spec in args.src or [f"change={ROOT / 'src'}"]:
         label, _, src = spec.partition("=")
-        done = subprocess.run([sys.executable, __file__, "--measure", src, "--seed", str(args.seed)],
+        done = subprocess.run([sys.executable, __file__, "--measure", src, "--seed", str(args.seed),
+                               "--kmeans-runs", str(args.kmeans_runs)],
                               check=True, capture_output=True, text=True)
         results[label] = json.loads(done.stdout)
         print(label, json.dumps(results[label]["layers"]), file=sys.stderr)
     doc = {
         "what": "each layer timed once in-process on a 7 x 200-lemma compositional corpus "
-                "(perfbench/generate.py distinct-em shape), granularity 3, clustering seed 0",
-        "command": "python3 tools/layers.py --src LABEL=DIR ... --seed " + str(args.seed),
+                "(perfbench/generate.py distinct-em shape), granularity 3, clustering seed 0; "
+                f"the k-means run_partitions over seeds 0-{args.kmeans_runs - 1}",
+        "command": f"python3 tools/layers.py --src LABEL=DIR ... --seed {args.seed} "
+                   f"--kmeans-runs {args.kmeans_runs}",
         "seed": args.seed,
         "env": {"python": platform.python_version(), "cpu": _cpu_model(), "nproc": os.cpu_count(),
                 "blas_threads": 1},

@@ -6,8 +6,9 @@ Usage (from the repository root):
 
 Each workload's inputs are written by `perfbench/generate.py` into a
 temporary directory.  `extract`, `cluster`, `hint` and `report` then run
-in-process, once with the workload's algorithm and run count and once with
-`--algorithm em --runs 2`, and every stdout and written file is hashed.
+in-process, once with the workload's algorithm and run count, once with
+`--algorithm kmeans --runs 5` and once with `--algorithm em --runs 2`, and
+every stdout and written file is hashed.
 proofmine is imported from DIR (default: this checkout's `src`), so two
 checkouts are compared with
 
@@ -63,7 +64,7 @@ def workload_hashes(cli_main, workload, seed: int) -> list[tuple[str, str]]:
         "extract", *libs, "--out", "corpus", "--features", "features.jsonl"]))))
     rows.append(("corpus", _sha(Path("corpus").read_bytes())))
     rows.append(("features", _sha(Path("features.jsonl").read_bytes())))
-    for algorithm, runs in ((workload.algorithm, workload.runs), ("em", 2)):
+    for algorithm, runs in ((workload.algorithm, workload.runs), ("kmeans", 5), ("em", 2)):
         flags = ["--algorithm", algorithm, "--granularity", str(GRANULARITY), "--runs", str(runs),
                  "--freq-threshold", str(FREQ_THRESHOLD), "--seed", str(seed)]
         tag = f"{algorithm} x{runs}"
