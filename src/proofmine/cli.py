@@ -169,8 +169,7 @@ def cmd_hint(args: argparse.Namespace) -> int:
     query_path = Path(args.query)
     record = parse_partial(query_path.read_text(encoding="utf-8"), filename=str(query_path))
     db = database_with_query(corpus, record)
-    clusters = run_digest(db, cfg)
-    chosen = select_reliable(clusters, QUERY_NAME)
+    chosen = select_reliable(db, cfg, QUERY_NAME)
     if chosen is None:
         print(f"no reliable cluster found for {record.name}")
         return EXIT_OK

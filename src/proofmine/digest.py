@@ -12,6 +12,10 @@ class components and counting over the k distinct label columns loses
 nothing.  A component's frequency is still the mean of its lemma pair rates in
 the lemma-level order, and class-mates share the runs their proximity averages
 over, so the digest is the one a lemma-level graph gives.
+
+A hint needs only the cluster of its query.  Consensus clusters are disjoint,
+so `select_reliable` grows the query's class component alone and builds that
+one cluster with the same code `run_digest` uses.
 """
 
 from __future__ import annotations
@@ -100,34 +104,58 @@ def run_partitions(matrix: np.ndarray, cfg: DigestConfig) -> tuple[np.ndarray, n
 
 
 def co_occurrence_counts(labels_runs: np.ndarray) -> np.ndarray:
-    """Integer co-label counts; summation order cannot change the result."""
-    runs, m = labels_runs.shape
-    counts = np.zeros((m, m), dtype=np.int64)
-    for row in labels_runs:
-        counts += row[:, None] == row[None, :]
+    """Integer co-label counts; summation order cannot change the result.
+
+    All (run, label) keys are sorted at once, so each cluster of each run is
+    one stretch of equal keys whose columns ascend.  Every pair of positions
+    (p, p + d) inside a stretch is one co-labeled column pair; they are written
+    into one array, counted by one bincount, and mirrored.
+    """
+    runs, k = labels_runs.shape
+    keys = labels_runs + np.arange(runs)[:, None] * (int(labels_runs.max()) + 1)
+    order = np.argsort(keys, axis=None, kind="stable")
+    flat = keys.ravel()[order]
+    columns = order % k
+    sizes = np.diff(np.flatnonzero(np.r_[True, flat[1:] != flat[:-1], True]))
+    pairs = np.empty(int((sizes * (sizes - 1) // 2).sum()), dtype=np.intp)
+    filled, distance, first = 0, 1, np.arange(flat.size)
+    while filled < len(pairs):
+        # positions whose stretch reaches `distance` further on
+        first = first[first + distance < flat.size]
+        first = first[flat[first] == flat[first + distance]]
+        pairs[filled:filled + len(first)] = columns[first] * k + columns[first + distance]
+        filled += len(first)
+        distance += 1
+    upper = np.bincount(pairs, minlength=k * k).reshape(k, k)
+    del pairs
+    counts = upper + upper.T
+    np.fill_diagonal(counts, runs)
     return counts
+
+
+def _grow(start: int, rates_of, threshold: float, seen: np.ndarray) -> list[int]:
+    """The component of start, sorted, in the graph whose edges are rates >= threshold.
+
+    rates_of(node) is node's row of rates; it is asked once per node of the
+    component, and the component is marked in seen.
+    """
+    stack = [start]
+    seen[start] = True
+    component = []
+    while stack:
+        node = stack.pop()
+        component.append(node)
+        neighbors = np.flatnonzero((rates_of(node) >= threshold) & ~seen)
+        seen[neighbors] = True
+        stack.extend(neighbors.tolist())
+    return sorted(component)
 
 
 def components_at(co_matrix: np.ndarray, threshold: float) -> list[list[int]]:
     """Connected components of the thresholded co-occurrence graph, by index order."""
-    m = len(co_matrix)
-    adjacency = co_matrix >= threshold
-    seen = np.zeros(m, dtype=bool)
-    components: list[list[int]] = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        component = []
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            neighbors = np.flatnonzero(adjacency[node] & ~seen)
-            seen[neighbors] = True
-            stack.extend(int(v) for v in neighbors)
-        components.append(sorted(component))
-    return components
+    seen = np.zeros(len(co_matrix), dtype=bool)
+    return [_grow(start, co_matrix.__getitem__, threshold, seen)
+            for start in range(len(co_matrix)) if not seen[start]]
 
 
 def _member_proximities(classes: list[np.ndarray], class_labels: np.ndarray,
@@ -153,52 +181,100 @@ def _member_proximities(classes: list[np.ndarray], class_labels: np.ndarray,
     return out
 
 
+@dataclass
+class _LabelClasses:
+    """The runs of one digest, with lemmas that share every label merged into a class."""
+    labels: np.ndarray  # (runs, classes): each class's label in each run
+    of_lemma: np.ndarray  # each lemma's class
+    members: list[np.ndarray]  # each class's lemma indices, ascending
+    proximity: np.ndarray  # (lemmas, runs)
+
+
+def _label_classes(db: FeatureDatabase, cfg: DigestConfig) -> _LabelClasses:
+    m = len(db.names)
+    if m < 2:
+        raise TooFewLemmas(f"need at least 2 lemmas, have {m}")
+    labels_runs, proximity_runs = run_partitions(db.matrix, cfg)
+    columns, lemma_class = _distinct_rows(labels_runs.T)
+    return _LabelClasses(
+        labels=np.ascontiguousarray(columns.T),
+        of_lemma=lemma_class,
+        members=np.split(np.argsort(lemma_class, kind="stable"),
+                         np.cumsum(np.bincount(lemma_class))[:-1]),
+        proximity=np.ascontiguousarray(proximity_runs.T),
+    )
+
+
+def _consensus_cluster(db: FeatureDatabase, cfg: DigestConfig, classes: _LabelClasses,
+                       class_component: list[int], rates: np.ndarray) -> ConsensusCluster | None:
+    """The cluster of one class component, or None when it is a single lemma or
+    its mean pair rate falls below the threshold.
+
+    rates[i, j] is the co-occurrence rate of class_component[i] and class_component[j].
+    """
+    component = np.sort(np.concatenate([classes.members[c] for c in class_component]))
+    if len(component) < 2:
+        return None
+    # the mean of the lemma pair rates (a, b), a < b, taken in row-major order
+    position = np.searchsorted(class_component, classes.of_lemma[component])
+    order = np.arange(len(component))
+    frequency = float(rates[position][:, position][order[:, None] < order].mean())
+    # loosely chained components can average below the threshold even
+    # though every edge clears it; those are not frequent enough to show
+    if frequency < cfg.frequency_threshold - 1e-12:
+        return None
+    proximities = _member_proximities([classes.members[c] for c in class_component],
+                                      classes.labels[:, class_component], classes.proximity)
+    members = tuple(sorted(db.names[i] for i in component))
+    return ConsensusCluster(
+        members=members,
+        frequency=frequency,
+        member_proximity={db.names[i]: proximities[i] for i in component.tolist()},
+        homogeneity=HOMOGENEITY[len({db.libraries[name] for name in members}) > 1],
+    )
+
+
 def run_digest(db: FeatureDatabase, cfg: DigestConfig) -> list[ConsensusCluster]:
     """Consensus clusters over cfg.runs seeded runs, sorted by falling frequency.
 
     The graph is built over label classes; each class component expands to
     the lemmas of its classes.
     """
-    m = len(db.names)
-    if m < 2:
-        raise TooFewLemmas(f"need at least 2 lemmas, have {m}")
-    labels_runs, proximity_runs = run_partitions(db.matrix, cfg)
-    columns, lemma_class = _distinct_rows(labels_runs.T)
-    class_labels = np.ascontiguousarray(columns.T)
-    class_co = co_occurrence_counts(class_labels) / cfg.runs
-    # each class's lemma indices, ascending
-    class_members = np.split(np.argsort(lemma_class, kind="stable"),
-                             np.cumsum(np.bincount(lemma_class))[:-1])
-    proximity = np.ascontiguousarray(proximity_runs.T)
-    clusters: list[ConsensusCluster] = []
+    classes = _label_classes(db, cfg)
+    class_co = co_occurrence_counts(classes.labels) / cfg.runs
+    clusters = []
     for class_component in components_at(class_co, cfg.frequency_threshold):
-        component = np.sort(np.concatenate([class_members[c] for c in class_component]))
-        if len(component) < 2:
-            continue
-        # the mean of the lemma pair rates (a, b), a < b, taken in row-major order
-        in_class = lemma_class[component]
-        order = np.arange(len(component))
-        frequency = float(class_co[in_class][:, in_class][order[:, None] < order].mean())
-        # loosely chained components can average below the threshold even
-        # though every edge clears it; those are not frequent enough to show
-        if frequency < cfg.frequency_threshold - 1e-12:
-            continue
-        proximities = _member_proximities([class_members[c] for c in class_component],
-                                          class_labels[:, class_component], proximity)
-        members = tuple(sorted(db.names[i] for i in component))
-        clusters.append(ConsensusCluster(
-            members=members,
-            frequency=frequency,
-            member_proximity={db.names[i]: proximities[i] for i in component.tolist()},
-            homogeneity=HOMOGENEITY[len({db.libraries[name] for name in members}) > 1],
-        ))
+        cluster = _consensus_cluster(db, cfg, classes, class_component,
+                                     class_co[np.ix_(class_component, class_component)])
+        if cluster is not None:
+            clusters.append(cluster)
     clusters.sort(key=lambda c: (-c.frequency, c.members[0]))
     return clusters
 
 
-def select_reliable(clusters: list[ConsensusCluster], lemma: str) -> ConsensusCluster | None:
-    """The cluster holding the lemma, if any; consensus clusters are disjoint, so there is at most one."""
-    return next((c for c in clusters if lemma in c.members), None)
+def select_reliable(db: FeatureDatabase, cfg: DigestConfig, lemma: str) -> ConsensusCluster | None:
+    """The consensus cluster run_digest(db, cfg) gives the lemma, if any.
+
+    Consensus clusters are disjoint components, so only the lemma's class
+    component is grown, from count rows computed for the classes it visits.
+    Each row holds the integers co_occurrence_counts would, and the rates are
+    the same count / runs divisions, so every edge test and pair rate is
+    run_digest's to the bit.
+    """
+    if lemma not in db.names:
+        return None
+    classes = _label_classes(db, cfg)
+    counts: dict[int, np.ndarray] = {}
+
+    def rates_of(c: int) -> np.ndarray:
+        counts[c] = (classes.labels == classes.labels[:, [c]]).sum(axis=0)
+        return counts[c] / cfg.runs
+
+    start = int(classes.of_lemma[db.names.index(lemma)])
+    seen = np.zeros(classes.labels.shape[1], dtype=bool)
+    class_component = _grow(start, rates_of, cfg.frequency_threshold, seen)
+    rates = np.array([counts[c][class_component] for c in class_component]) / cfg.runs
+    return _consensus_cluster(db, cfg, classes, class_component, rates)
 
 
 # ---------------------------------------------------------------------------

@@ -464,7 +464,9 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
             continue
         try:
             obj = json.loads(raw)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        # RecursionError: nested too deeply; a plain ValueError: an integer literal
+        # longer than Python's int string limit (JSONDecodeError is a ValueError too)
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad trace record: {exc}", file=filename, line=line_no)
         if not isinstance(obj, dict):
             raise ParseError("trace record must be a JSON object", file=filename, line=line_no)

@@ -109,7 +109,7 @@ def test_acceptance_4_fixture_scenario_hint():
     for seed in range(1, 11):
         cfg = DigestConfig(runs=200, frequency_threshold=0.6, algorithm="kmeans",
                            granularity=4, master_seed=seed)
-        chosen = select_reliable(run_digest(db, cfg), QUERY_NAME)
+        chosen = select_reliable(db, cfg, QUERY_NAME)
         assert chosen is not None, f"seed {seed} returned no cluster"
         members = set(chosen.members) - {QUERY_NAME}
         assert members == expected, f"seed {seed} returned {sorted(members)}"

@@ -343,6 +343,19 @@ def test_extract_ill_typed_trace_exits_2(tmp_path):
     assert main(["extract", "--lib", f"l:{trace}", "--out", str(tmp_path / "c")]) == 2
 
 
+def test_extract_trace_with_an_overlong_integer_exits_2_at_its_line(tmp_path, capsys):
+    trace = tmp_path / "huge.jsonl"
+    record = json.dumps({"lemma": "x", "library": "l", "step_index": 1, "tactic_line": "by [].",
+                         "goal_before": "a = b", "subgoals_after": 0})
+    huge = record.replace('"subgoals_after": 0', '"subgoals_after": ' + "1" * 4400)
+    trace.write_text(record + "\n\n" + huge + "\n")
+    out = tmp_path / "c"
+    assert main(["extract", "--lib", f"l:{trace}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {trace}:3: bad trace record: ")
+    assert not out.exists()
+
+
 def test_extract_trace_with_missing_steps_exits_2(tmp_path, capsys):
     trace = tmp_path / "gap.jsonl"
     trace.write_text("".join(json.dumps({"lemma": "x", "library": "l", "step_index": idx,

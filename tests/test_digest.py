@@ -7,7 +7,7 @@ import pytest
 
 from proofmine import digest, ingest
 from proofmine.clustering import _distinct_rows, choose_n
-from proofmine.corpus import database_with_query
+from proofmine.corpus import QUERY_NAME, database_with_query
 from proofmine.digest import (ConsensusCluster, DigestConfig, TooFewLemmas, _member_proximities,
                               co_occurrence_counts, components_at, digest_to_dict, read_digest,
                               run_digest, run_partitions, select_reliable, write_digest)
@@ -157,6 +157,18 @@ def test_co_occurrence_matches_oracle():
     labels, _ = run_partitions(family_matrix(jitter=0.2),
                                   DigestConfig(runs=12, granularity=5, master_seed=4))
     assert np.array_equal(co_occurrence_counts(labels), co_occurrence_oracle(labels))
+
+
+@pytest.mark.parametrize("labels", [
+    np.zeros((1, 1), dtype=np.int64),  # one column
+    np.zeros((4, 9), dtype=np.int64),  # every column in one cluster of every run
+    np.tile(np.arange(9), (3, 1)),  # every column alone
+    np.array([[7, 0, 7, 3, 7], [1, 1, 1, 1, 0], [0, 5, 5, 5, 5]]),  # labels not 0..n-1
+], ids=["one column", "one cluster", "all apart", "sparse labels"])
+def test_co_occurrence_matches_oracle_on_extreme_shapes(labels):
+    counts = co_occurrence_counts(labels)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, co_occurrence_oracle(labels))
 
 
 def label_classes(component, labels):
@@ -435,25 +447,88 @@ def test_co_occurrence_is_counted_over_distinct_label_columns(tmp_path, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# select_reliable
+# select_reliable grows only the lemma's component; a search of run_digest is the oracle
 
 
-def _cluster(members, freq, prox, homogeneity="homogeneous"):
-    return ConsensusCluster(
-        members=tuple(sorted(members)),
-        frequency=freq,
-        member_proximity={m: prox for m in members},
-        homogeneity=homogeneity,
-    )
+def select_reliable_oracle(clusters: list[ConsensusCluster], lemma: str) -> ConsensusCluster | None:
+    """The search over a whole digest that select_reliable replaced: the cluster
+    holding the lemma, if any; consensus clusters are disjoint, so there is at most one."""
+    return next((c for c in clusters if lemma in c.members), None)
 
 
-def test_select_reliable_single_candidate():
-    clusters = [_cluster(["a", "b"], 0.8, 0.5)]
-    assert select_reliable(clusters, "a") is clusters[0]
+def _doc(cluster: ConsensusCluster | None) -> str:
+    return repr(None if cluster is None else cluster.to_dict())
+
+
+def assert_select_matches_oracle(db, cfg, lemmas=None):
+    """select_reliable against the oracle for each lemma (default: every lemma);
+    returns how many of them got a cluster."""
+    clusters = run_digest(db, cfg)
+    hits = 0
+    for lemma in db.names if lemmas is None else lemmas:
+        got = select_reliable(db, cfg, lemma)
+        assert _doc(got) == _doc(select_reliable_oracle(clusters, lemma)), lemma
+        hits += got is not None
+    return hits
+
+
+# columns are lemmas lm00..lm10, rows the 5 runs:
+#   A = lm00, lm01   always label 0
+#   B = lm02, lm03   with A in runs 0-2 (0.6), with C in runs 0, 3, 4 (0.6)
+#   C = lm04, lm05   with A in run 0 only (0.2)
+#   G = lm06         alone
+#   H = lm07, lm08   always label 3
+#   I = lm09         with H in runs 0-2 (0.6)
+#   J = lm10         alone
+_A, _B, _C = [0, 0, 0, 0, 0], [0, 0, 0, 1, 1], [0, 1, 1, 1, 1]
+_H, _I = [3, 3, 3, 3, 3], [3, 3, 3, 4, 4]
+FOUR_CASES_LABELS = np.array([_A, _A, _B, _B, _C, _C, [2] * 5, _H, _H, _I, [5] * 5]).T
+
+
+@pytest.mark.parametrize("threshold, lemma, members, frequency", [
+    # single-class hit: at 1.0 only class-mates stay together
+    (1.0, "lm00", ("lm00", "lm01"), 1.0),
+    (1.0, "lm08", ("lm07", "lm08"), 1.0),
+    # multi-class hit through an edge exactly at the threshold: pairs 1, 0.6, 0.6
+    (0.6, "lm09", ("lm07", "lm08", "lm09"), 2.2 / 3),
+    # the chain A-B-C, its 15 pairs averaging 8.6 / 15, kept below that mean
+    (0.5, "lm04", ("lm00", "lm01", "lm02", "lm03", "lm04", "lm05"), 8.6 / 15),
+    # the same chain dropped by the mean filter: every edge clears 0.6, the mean does not
+    (0.6, "lm00", None, None),
+    (0.6, "lm03", None, None),
+    # singletons, whatever the threshold
+    (0.3, "lm06", None, None),
+    (0.6, "lm10", None, None),
+    (1.0, "lm09", None, None),
+])
+def test_select_reliable_four_cases(monkeypatch, threshold, lemma, members, frequency):
+    labels = FOUR_CASES_LABELS
+    planted_partitions(monkeypatch, labels, np.random.default_rng(2).uniform(size=labels.shape))
+    db = make_db(np.zeros((labels.shape[1], 40)))
+    cfg = DigestConfig(runs=5, frequency_threshold=threshold)
+    chosen = select_reliable(db, cfg, lemma)
+    if members is None:
+        assert chosen is None
+    else:
+        assert chosen.members == members
+        assert chosen.frequency == pytest.approx(frequency, abs=1e-12)
+    assert_select_matches_oracle(db, cfg)
+
+
+def test_select_reliable_single_candidate(monkeypatch):
+    labels = np.array([[0, 0, 1, 2]] * 3)  # lm00 and lm01 together in every run, the rest apart
+    planted_partitions(monkeypatch, labels, np.full(labels.shape, 0.5))
+    db = make_db(np.zeros((4, 40)))
+    cfg = DigestConfig(runs=3)
+    clusters = run_digest(db, cfg)
+    assert [c.members for c in clusters] == [("lm00", "lm01")]
+    assert select_reliable(db, cfg, "lm00") == clusters[0]
+    assert select_reliable(db, cfg, "lm02") is None
 
 
 def test_select_reliable_absent_lemma():
-    assert select_reliable([_cluster(["a", "b"], 0.9, 0.9)], "zz") is None
+    db = make_db(family_matrix(families=2, per=3))
+    assert select_reliable(db, DigestConfig(runs=3), "zz") is None
 
 
 def test_select_reliable_returns_containing_cluster():
@@ -461,9 +536,53 @@ def test_select_reliable_returns_containing_cluster():
     db = make_db(rng.uniform(size=(12, 40)))
     cfg = DigestConfig(runs=20, frequency_threshold=0.5, granularity=4, master_seed=4)
     clusters = run_digest(db, cfg)
+    assert clusters
     for cluster in clusters:
         for member in cluster.members:
-            assert select_reliable(clusters, member) is cluster
+            assert select_reliable(db, cfg, member) == cluster
+
+
+@pytest.mark.parametrize("algorithm, runs", [("kmeans", 7), ("farthest-first", 12), ("em", 2)])
+@pytest.mark.parametrize("threshold", [0.3, 0.6, 1.0])
+def test_select_reliable_matches_oracle_on_small_corpora(tmp_path, hint_corpus, algorithm, runs,
+                                                         threshold):
+    rng = np.random.default_rng(runs + int(threshold * 10))
+    query = HINT / "hint_query.v"
+    databases = [random_corpus(rng, tmp_path, max_lemmas=12, libraries=2).feature_database(),
+                 database_with_query(hint_corpus, parse_partial(query.read_text(), filename=str(query)))]
+    for db in databases:
+        for granularity in (1, 4):
+            cfg = DigestConfig(runs=runs, frequency_threshold=threshold, algorithm=algorithm,
+                               granularity=granularity, master_seed=runs + granularity)
+            assert_select_matches_oracle(db, cfg)
+
+
+@pytest.mark.parametrize("threshold", [0.3, 0.6, 1.0])
+def test_select_reliable_matches_oracle_on_random_label_matrices(monkeypatch, threshold):
+    rng = np.random.default_rng(20 + int(threshold * 10))
+    hits = 0
+    for case in range(25):
+        runs, m = int(rng.integers(1, 30)), int(rng.integers(2, 40))
+        labels = rng.integers(0, int(rng.integers(1, 8)), size=(runs, m))
+        if case % 2:  # planted duplicate columns: lemmas that share every label
+            labels = labels[:, rng.integers(0, m, size=m)]
+        planted_partitions(monkeypatch, labels, rng.uniform(size=(runs, m)))
+        hits += assert_select_matches_oracle(planted_db(m, rng),
+                                             DigestConfig(runs=runs, frequency_threshold=threshold))
+    assert hits
+
+
+@pytest.mark.parametrize("name", ["dup-kmeans", "long-proofs-ff"])
+def test_select_reliable_matches_oracle_on_benchmark_hints(tmp_path, name):
+    workload = WORKLOADS[name]
+    inputs = generate(workload, 12, tmp_path)
+    corpus = ingest([p for _, p in inputs.libraries], [t for t, _ in inputs.libraries])
+    db = database_with_query(corpus, parse_partial(inputs.query.read_text(), filename=str(inputs.query)))
+    for algorithm, runs in ((workload.algorithm, workload.runs), ("kmeans", 5)):
+        for threshold in (0.3, 0.6, 1.0):
+            cfg = DigestConfig(runs=runs, frequency_threshold=threshold, algorithm=algorithm,
+                               granularity=3, master_seed=12)
+            assert_select_matches_oracle(db, cfg, lemmas=[QUERY_NAME])
 
 
 # ---------------------------------------------------------------------------

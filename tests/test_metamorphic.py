@@ -1,0 +1,107 @@
+"""Input rewrites that must leave every output unchanged, checked through the CLI.
+
+Each case runs `extract`, `cluster` and `hint` on a set of libraries, then
+again after one rewrite of the input files, and compares the corpus bytes,
+the digest bytes and the hint stdout.  The libraries are fixture files or
+generated ones.  Renaming a lemma is not such a rewrite: rows are ordered by
+name and seeds pick row indices, so a rename is expected to change a digest.
+"""
+
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from proofmine.cli import main
+
+from conftest import GOLDEN_SOURCES, HINT, HINT_LIBS, random_library_source
+
+LEMMA_START = re.compile(r"^(?=(?:Lemma|Theorem|Corollary|Fact)\b)", re.MULTILINE)
+PREAMBLE = "(* a (* nested *) comment *)\nRequire Import ssreflect.\n\n"
+FIXTURE_LIBS = [(path.stem, path) for path in GOLDEN_SOURCES.values()] + HINT_LIBS
+QUERIES = [HINT / "hint_query.v", HINT / "hint_query_prefix.v", HINT / "hint_query_detached.v"]
+
+
+@st.composite
+def libraries(draw) -> list[tuple[str, list[str]]]:
+    """(tag, file texts) per library, from the fixtures or generated."""
+    if draw(st.booleans()):
+        chosen = draw(st.lists(st.sampled_from(FIXTURE_LIBS), min_size=2, max_size=4,
+                               unique_by=lambda lib: lib[0]))
+        return [(tag, [path.read_text(encoding="utf-8")]) for tag, path in chosen]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return [(f"gen{i}", [random_library_source(rng, int(rng.integers(3, 16)), f"gen{i}")])
+            for i in range(draw(st.integers(2, 4)))]
+
+
+@st.composite
+def cases(draw) -> tuple[list[tuple[str, list[str]]], Path, list[str]]:
+    """Libraries, a hint query and the digest flags for one run of the pipeline."""
+    flags = ["--algorithm", draw(st.sampled_from(["kmeans", "farthest-first"])),
+             "--granularity", str(draw(st.integers(1, 5))),
+             "--runs", str(draw(st.sampled_from([2, 5]))),
+             "--freq-threshold", str(draw(st.sampled_from([0.3, 0.6, 1.0]))),
+             "--seed", str(draw(st.integers(0, 50)))]
+    return draw(libraries()), draw(st.sampled_from(QUERIES)), flags
+
+
+def _quiet_main(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+def outputs(libs: list[tuple[str, list[str]]], query: Path, flags: list[str]) -> tuple[bytes, bytes, str]:
+    """Corpus bytes, digest bytes and hint stdout for these libraries."""
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        lib_flags = []
+        for i, (tag, texts) in enumerate(libs):
+            for j, text in enumerate(texts):
+                path = work / f"{i}_{j}.v"
+                path.write_text(text, encoding="utf-8")
+                lib_flags.append(f"--lib={tag}:{path}")
+        corpus, digest = work / "corpus", work / "digest.json"
+        _quiet_main(["extract", *lib_flags, "--out", str(corpus)])
+        _quiet_main(["cluster", "--corpus", str(corpus), "--out", str(digest), *flags])
+        hint = _quiet_main(["hint", "--corpus", str(corpus), "--query", str(query), *flags])
+        return corpus.read_bytes(), digest.read_bytes(), hint
+
+
+def split_in_two(text: str, at: int) -> list[str]:
+    """The text cut at the start of one of its lemmas, other than the first."""
+    starts = [m.start() for m in LEMMA_START.finditer(text)][1:]
+    cut = starts[at % len(starts)]
+    return [text[:cut], text[cut:]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases())
+def test_reversing_the_lib_order_changes_no_output(case):
+    libs, query, flags = case
+    assert outputs(libs[::-1], query, flags) == outputs(libs, query, flags)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases(), st.integers(0, 1000), st.integers(0, 1000))
+def test_splitting_a_file_in_two_under_its_tag_changes_no_output(case, which, at):
+    libs, query, flags = case
+    tag, (text,) = libs[which % len(libs)]
+    assert len(LEMMA_START.findall(text)) >= 2
+    split = [(t, split_in_two(text, at) if t == tag else texts) for t, texts in libs]
+    assert outputs(split, query, flags) == outputs(libs, query, flags)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases())
+def test_comment_require_and_blank_line_before_every_lemma_change_no_output(case):
+    libs, query, flags = case
+    padded = [(tag, [LEMMA_START.sub(PREAMBLE, text) for text in texts]) for tag, texts in libs]
+    for (_, (text,)), (_, (new,)) in zip(libs, padded):
+        assert new.count(PREAMBLE) == len(LEMMA_START.findall(text)) > 0
+    assert outputs(padded, query, flags) == outputs(libs, query, flags)

@@ -554,6 +554,17 @@ def test_trace_rejects_bad_records():
         parse_trace(dup)
 
 
+@pytest.mark.parametrize("field", ["step_index", "subgoals_after", "lemma"])
+def test_trace_integer_beyond_the_int_string_limit_is_a_located_parse_error(field):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for such an integer
+    good = json.dumps({"lemma": "x", "library": "l", "step_index": 1, "tactic_line": "by [].",
+                       "goal_before": "a = b", "subgoals_after": 0})
+    huge = good.replace(f'"{field}": ' + json.dumps(json.loads(good)[field]), f'"{field}": ' + "9" * 5000)
+    assert huge != good
+    with pytest.raises(ParseError, match=r"^t\.jsonl:2: bad trace record: .*4300 digits"):
+        parse_trace(good + "\n" + huge + "\n", filename="t.jsonl")
+
+
 @pytest.mark.parametrize("indices, missing, line", [([2, 5], 1, 1), ([1, 2, 4], 3, 3), ([3, 1], 2, 1)])
 def test_trace_rejects_missing_steps(indices, missing, line):
     records = [json.dumps({"lemma": "x", "library": "l", "step_index": idx, "tactic_line": "by [].",

@@ -19,7 +19,11 @@ clusters.  For every `--src` (default: this checkout's `src`, labelled
 * one partition run per algorithm on a fresh point set, with its iteration count;
 * a `--kmeans-runs`-run k-means `run_partitions` (default 20);
 * a 200-run farthest-first `run_digest`, split into its partition runs,
-  co-occurrence counts, components and member proximities.
+  co-occurrence counts, components and member proximities;
+* the consensus step of a hint: the same 200 runs with the workload's query
+  row added, then `run_digest` and a search for the query's cluster
+  (`hint.digest_search_s`), and what `hint` calls (`hint.consensus_s`);
+  both leave out the partition runs, and must give the same cluster.
 
 BLAS is pinned to one thread, as in the benchmark.  Nothing here is gated;
 the numbers explain where the time goes at the reference size.
@@ -35,6 +39,8 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
@@ -69,6 +75,28 @@ def _timed(fn, *args, **kwargs):
     return result, round(time.perf_counter() - start, 4)
 
 
+@contextlib.contextmanager
+def _stage_times(module, names):
+    """Seconds spent in each named function of module while the block runs."""
+    spent = dict.fromkeys(names, 0.0)
+    originals = {name: getattr(module, name) for name in names}
+
+    def wrap(name, inner):
+        def timed(*args, **kwargs):
+            result, seconds = _timed(inner, *args, **kwargs)
+            spent[name] += seconds
+            return result
+        return timed
+
+    for name, inner in originals.items():
+        setattr(module, name, wrap(name, inner))
+    try:
+        yield spent
+    finally:
+        for name, inner in originals.items():
+            setattr(module, name, inner)
+
+
 def measure(seed: int, kmeans_runs: int) -> dict:
     """Every layer's time in this process, with the counts that explain it."""
     import numpy as np
@@ -81,6 +109,7 @@ def measure(seed: int, kmeans_runs: int) -> dict:
         tmp = Path(tmp)
         vernacular = generate.generate(_workload(traces=False), seed, tmp / "v")
         traces = generate.generate(_workload(traces=True), seed, tmp / "t")
+        query_text = vernacular.query.read_text(encoding="utf-8")
 
         records = []
         layers["parse.vernacular_s"] = 0.0
@@ -125,32 +154,37 @@ def measure(seed: int, kmeans_runs: int) -> dict:
     shape.update(kmeans_runs=kmeans_runs)
 
     # one farthest-first digest, its stages timed by wrapping what run_digest calls
-    spent = {name: 0.0 for name in ("run_partitions", "co_occurrence_counts", "components_at",
-                                    "_member_proximities")}
-
-    def wrap(name):
-        inner = getattr(digest, name)
-
-        def timed(*args, **kwargs):
-            result, seconds = _timed(inner, *args, **kwargs)
-            spent[name] += seconds
-            return result
-        return timed
-
-    originals = {name: getattr(digest, name) for name in spent}
-    for name in spent:
-        setattr(digest, name, wrap(name))
-    try:
-        cfg = digest.DigestConfig(runs=DIGEST_RUNS, algorithm="farthest-first", granularity=GRANULARITY)
+    cfg = digest.DigestConfig(runs=DIGEST_RUNS, algorithm="farthest-first", granularity=GRANULARITY)
+    stages = ("run_partitions", "co_occurrence_counts", "components_at", "_member_proximities")
+    with _stage_times(digest, stages) as spent:
         clusters, layers["digest.farthest_first_200_s"] = _timed(digest.run_digest, db, cfg)
-    finally:
-        for name, fn in originals.items():
-            setattr(digest, name, fn)
     layers.update({"digest.partitions_s": spent["run_partitions"],
                    "digest.cooccurrence_s": spent["co_occurrence_counts"],
                    "digest.components_s": spent["components_at"],
                    "digest.member_proximities_s": spent["_member_proximities"]})
     shape.update(digest_clusters=len(clusters))
+
+    # the same digest with the query row: the consensus step of a hint, without its runs
+    query_db = corpus.database_with_query(loaded, script.parse_partial(query_text))
+    query = corpus.QUERY_NAME
+
+    def digest_and_search():
+        return next((c for c in digest.run_digest(query_db, cfg) if query in c.members), None)
+
+    def hint_consensus():  # what cmd_hint calls, in either signature of select_reliable
+        if len(inspect.signature(digest.select_reliable).parameters) == 3:
+            return digest.select_reliable(query_db, cfg, query)
+        return digest.select_reliable(digest.run_digest(query_db, cfg), query)
+
+    hints = []
+    for name, fn in (("digest_search", digest_and_search), ("consensus", hint_consensus)):
+        with _stage_times(digest, ("run_partitions",)) as spent:
+            chosen, seconds = _timed(fn)
+        layers[f"hint.{name}_s"] = seconds - spent["run_partitions"]
+        hints.append(None if chosen is None else chosen.to_dict())
+    if hints[0] != hints[1]:
+        raise RuntimeError("the hint's cluster is not the one the digest holds")
+    shape.update(hint_members=0 if hints[0] is None else len(hints[0]["members"]))
     return {"layers": {k: round(v, 4) for k, v in layers.items()}, "iterations": iterations,
             "shape": shape}
 
@@ -180,7 +214,8 @@ def main() -> int:
     doc = {
         "what": "each layer timed once in-process on a 7 x 200-lemma compositional corpus "
                 "(perfbench/generate.py distinct-em shape), granularity 3, clustering seed 0; "
-                f"the k-means run_partitions over seeds 0-{args.kmeans_runs - 1}",
+                f"the k-means run_partitions over seeds 0-{args.kmeans_runs - 1}; the hint stages "
+                "leave out their partition runs",
         "command": f"python3 tools/layers.py --src LABEL=DIR ... --seed {args.seed} "
                    f"--kmeans-runs {args.kmeans_runs}",
         "seed": args.seed,
