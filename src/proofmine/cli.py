@@ -10,6 +10,7 @@ PROOFMINE_SEED), which is reported before any file is read.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections import Counter
@@ -71,6 +72,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # parsing keeps no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proofmine",
@@ -203,8 +205,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, TermError) as exc:

@@ -6,9 +6,10 @@ payload {"patch_len", "tactics", "symbols", "rows", "libraries"}.  `tactics`
 and `symbols` are the vocabularies in strictly ascending order, a word's code
 being its position plus one, as `build_encoding_table` assigns them.  `rows`
 holds each distinct raw feature row once, 8 * patch_len finite numbers, and
-`libraries` maps each tag to records [name, row_id], where row_id is an int
-(not a bool) within `rows`.  A lemma name may appear once across all
-libraries, as `ingest` requires; anything else is a corrupt file.
+`libraries` maps each tag to records [name, row_id], where name is an
+identifier, as parsing requires, and row_id is an int (not a bool) within
+`rows`.  A lemma name may appear once across all libraries, as `ingest`
+requires; anything else is a corrupt file.
 
 The rows are stored, not derived on load, so they hold the feature encoding
 that `extract` used.  Any change to that encoding or to the vocabulary rule
@@ -29,7 +30,8 @@ import numpy as np
 from .clustering import _distinct_rows
 from .features import (EncodingTable, FeatureDatabase, build_encoding_table, extract_features,
                        min_max_scale, PATCH_LEN, SLOTS_PER_STEP)
-from .script import DuplicateLemmaName, LemmaRecord, looks_like_trace, parse_library, parse_trace
+from .script import (_IDENT_RE, DuplicateLemmaName, LemmaRecord, looks_like_trace, parse_library,
+                     parse_trace)
 
 # Rows are stored: a change to the feature encoding or the vocabulary rule must bump this tag.
 CORPUS_FORMAT = "proofmine corpus v5"
@@ -182,6 +184,8 @@ def _read_v5(data: dict) -> Corpus:
                     or type(record[1]) is not int or not 0 <= record[1] < len(rows)):
                 raise ValueError(f"record {pos} of a library is not [name, row_id] within rows")
             name, row_id = record
+            if not _IDENT_RE.fullmatch(name):  # as parsing requires; QUERY_NAME is not one
+                raise ValueError(f"record {pos} of a library does not name its lemma by an identifier")
             if name in libraries:
                 repeated.add(name)
             row_of[name], libraries[name] = row_id, tag

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -158,35 +159,11 @@ def components_at(co_matrix: np.ndarray, threshold: float) -> list[list[int]]:
             for start in range(len(co_matrix)) if not seen[start]]
 
 
-def _member_proximities(classes: list[np.ndarray], class_labels: np.ndarray,
-                        proximity: np.ndarray) -> dict[int, float]:
-    """Mean proximity over the runs where a member is co-labeled with the
-    majority of the other members; 0 when no run qualifies.
-
-    The component is the union of label classes: classes[j] holds the lemma
-    indices of class j and class_labels[:, j] its label in each run.  Class-mates
-    share every label, so they share the qualifying runs.  proximity is
-    (lemmas, runs), so each class's means are one last-axis reduction, which
-    sums each row exactly as a one-row mean would.
-    """
-    sizes = np.array([len(members) for members in classes])
-    # per run, how many other members share each class's label
-    keys = class_labels + np.arange(len(class_labels))[:, None] * (int(class_labels.max()) + 1)
-    agree = np.bincount(keys.ravel(), weights=np.tile(sizes, len(keys)))[keys] - 1
-    qualifying = agree * 2 >= sizes.sum() - 1
-    out: dict[int, float] = {}
-    for members, runs in zip(classes, qualifying.T):
-        means = proximity[np.ix_(members, runs)].mean(axis=1) if runs.any() else np.zeros(len(members))
-        out.update(zip(members.tolist(), means.tolist()))
-    return out
-
-
 @dataclass
 class _LabelClasses:
     """The runs of one digest, with lemmas that share every label merged into a class."""
     labels: np.ndarray  # (runs, classes): each class's label in each run
     of_lemma: np.ndarray  # each lemma's class
-    members: list[np.ndarray]  # each class's lemma indices, ascending
     proximity: np.ndarray  # (lemmas, runs)
 
 
@@ -199,39 +176,88 @@ def _label_classes(db: FeatureDatabase, cfg: DigestConfig) -> _LabelClasses:
     return _LabelClasses(
         labels=np.ascontiguousarray(columns.T),
         of_lemma=lemma_class,
-        members=np.split(np.argsort(lemma_class, kind="stable"),
-                         np.cumsum(np.bincount(lemma_class))[:-1]),
         proximity=np.ascontiguousarray(proximity_runs.T),
     )
 
 
-def _consensus_cluster(db: FeatureDatabase, cfg: DigestConfig, classes: _LabelClasses,
-                       class_component: list[int], rates: np.ndarray) -> ConsensusCluster | None:
-    """The cluster of one class component, or None when it is a single lemma or
-    its mean pair rate falls below the threshold.
+def _consensus_clusters(db: FeatureDatabase, cfg: DigestConfig, classes: _LabelClasses,
+                        components: list[list[int]], rates_among) -> list[ConsensusCluster]:
+    """The clusters of the given class components, in their order.  A component
+    of a single lemma is left out, and so is one whose mean pair rate falls below
+    the threshold.
 
-    rates[i, j] is the co-occurrence rate of class_component[i] and class_component[j].
+    components are disjoint, each a sorted list of class indices;
+    rates_among(component) is the square block of co-occurrence rates among a
+    component's classes, asked only for components of several classes.
+
+    A member's proximity is its mean over the runs where it is co-labeled with
+    the majority of the other members, 0 when no run qualifies.  Class-mates
+    share every label, so they share the qualifying runs.  A single class
+    qualifies in every run and its pair rates are all runs / runs = 1.0, so
+    only components of several classes need per-component numpy calls: for
+    their frequency, and for a class that qualifies in only some runs.  Every
+    other member takes its row of one mean over the (lemmas, runs) proximity,
+    the same one-row reduction as a mean over a copy of that row.
     """
-    component = np.sort(np.concatenate([classes.members[c] for c in class_component]))
-    if len(component) < 2:
-        return None
-    # the mean of the lemma pair rates (a, b), a < b, taken in row-major order
-    position = np.searchsorted(class_component, classes.of_lemma[component])
-    order = np.arange(len(component))
-    frequency = float(rates[position][:, position][order[:, None] < order].mean())
-    # loosely chained components can average below the threshold even
-    # though every edge clears it; those are not frequent enough to show
-    if frequency < cfg.frequency_threshold - 1e-12:
-        return None
-    proximities = _member_proximities([classes.members[c] for c in class_component],
-                                      classes.labels[:, class_component], classes.proximity)
-    members = tuple(sorted(db.names[i] for i in component))
-    return ConsensusCluster(
-        members=members,
-        frequency=frequency,
-        member_proximity={db.names[i]: proximities[i] for i in component.tolist()},
-        homogeneity=HOMOGENEITY[len({db.libraries[name] for name in members}) > 1],
-    )
+    count = len(components)
+    component_of = np.full(classes.labels.shape[1], count)  # classes in no component sort last
+    component_of[list(chain.from_iterable(components))] = np.repeat(
+        np.arange(count), [len(component) for component in components])
+    lemma_component = component_of[classes.of_lemma]
+    grouped = np.argsort(lemma_component, kind="stable")  # each component's lemmas, ascending
+    sizes = np.bincount(lemma_component, minlength=count + 1)[:count]
+    bounds = np.r_[0, np.cumsum(sizes)].tolist()  # component i's lemmas: grouped[bounds[i]:bounds[i + 1]]
+
+    frequency = [1.0] * count
+    kept = []
+    for i, component in enumerate(components):
+        if bounds[i + 1] - bounds[i] < 2:
+            continue
+        if len(component) > 1:
+            # the mean of the lemma pair rates (a, b), a < b, taken in row-major order
+            lemmas = grouped[bounds[i]:bounds[i + 1]]
+            position = np.searchsorted(component, classes.of_lemma[lemmas])
+            order = np.arange(len(lemmas))
+            frequency[i] = float(rates_among(component)[position][:, position][order[:, None] < order].mean())
+            # loosely chained components can average below the threshold even
+            # though every edge clears it; those are not frequent enough to show
+            if frequency[i] < cfg.frequency_threshold - 1e-12:
+                continue
+        kept.append(i)
+
+    proximity = classes.proximity.mean(axis=1)
+    shared = np.array([c for i in kept if len(components[i]) > 1 for c in components[i]], dtype=np.intp)
+    if len(shared):
+        # per run, how many other members share each class's label: one count
+        # over (component, run, label) keys, each class weighted by its lemmas;
+        # the keys are numbered densely first, as their range can reach
+        # components x runs x labels
+        runs = len(classes.labels)
+        labels = classes.labels[:, shared]
+        keys = ((component_of[shared] * runs + np.arange(runs)[:, None]) * (int(labels.max()) + 1)
+                + labels)
+        _, inverse = np.unique(keys.ravel(), return_inverse=True)
+        class_sizes = np.bincount(classes.of_lemma)[shared]
+        agree = np.bincount(inverse, weights=np.tile(class_sizes, runs))[inverse] - 1
+        qualifying = agree.reshape(keys.shape) * 2 >= sizes[component_of[shared]] - 1
+        partly = ~qualifying.all(axis=0)
+        for c, runs_of_class in zip(shared[partly].tolist(), qualifying.T[partly]):
+            members = np.flatnonzero(classes.of_lemma == c)
+            proximity[members] = (classes.proximity[np.ix_(members, runs_of_class)].mean(axis=1)
+                                  if runs_of_class.any() else 0.0)
+
+    grouped_list, proximity_list = grouped.tolist(), proximity.tolist()
+    clusters = []
+    for i in kept:
+        lemmas = grouped_list[bounds[i]:bounds[i + 1]]
+        members = [db.names[j] for j in lemmas]
+        clusters.append(ConsensusCluster(
+            members=tuple(sorted(members)),
+            frequency=frequency[i],
+            member_proximity={db.names[j]: proximity_list[j] for j in lemmas},
+            homogeneity=HOMOGENEITY[len({db.libraries[name] for name in members}) > 1],
+        ))
+    return clusters
 
 
 def run_digest(db: FeatureDatabase, cfg: DigestConfig) -> list[ConsensusCluster]:
@@ -242,12 +268,8 @@ def run_digest(db: FeatureDatabase, cfg: DigestConfig) -> list[ConsensusCluster]
     """
     classes = _label_classes(db, cfg)
     class_co = co_occurrence_counts(classes.labels) / cfg.runs
-    clusters = []
-    for class_component in components_at(class_co, cfg.frequency_threshold):
-        cluster = _consensus_cluster(db, cfg, classes, class_component,
-                                     class_co[np.ix_(class_component, class_component)])
-        if cluster is not None:
-            clusters.append(cluster)
+    clusters = _consensus_clusters(db, cfg, classes, components_at(class_co, cfg.frequency_threshold),
+                                   lambda component: class_co[np.ix_(component, component)])
     clusters.sort(key=lambda c: (-c.frequency, c.members[0]))
     return clusters
 
@@ -273,8 +295,10 @@ def select_reliable(db: FeatureDatabase, cfg: DigestConfig, lemma: str) -> Conse
     start = int(classes.of_lemma[db.names.index(lemma)])
     seen = np.zeros(classes.labels.shape[1], dtype=bool)
     class_component = _grow(start, rates_of, cfg.frequency_threshold, seen)
-    rates = np.array([counts[c][class_component] for c in class_component]) / cfg.runs
-    return _consensus_cluster(db, cfg, classes, class_component, rates)
+    clusters = _consensus_clusters(
+        db, cfg, classes, [class_component],
+        lambda component: np.array([counts[c][component] for c in component]) / cfg.runs)
+    return clusters[0] if clusters else None
 
 
 # ---------------------------------------------------------------------------

@@ -477,6 +477,9 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
             if not isinstance(obj[field], kind) or isinstance(obj[field], bool):
                 raise ParseError(f"{field} must be of type {kind.__name__}", file=filename, line=line_no)
         name = obj["lemma"]
+        # a name as a vernacular file writes it: never empty, never the hint query's row name
+        if not _IDENT_RE.fullmatch(name):
+            raise ParseError("lemma must be an identifier", file=filename, line=line_no)
         idx = obj["step_index"]
         if idx < 1:
             raise ParseError("step_index must be a positive integer", file=filename, line=line_no)

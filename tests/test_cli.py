@@ -3,6 +3,9 @@ import functools
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +17,8 @@ from proofmine.corpus import CORPUS_FORMAT, load
 from proofmine.digest import DigestConfig
 
 from conftest import FIXTURES, GOLDENS, HINT, HINT_LIBS, mutated, mutated_inputs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FIXTURE_LIBS = [f"--lib={p.stem}:{p}" for p in sorted(FIXTURES.glob("*.v"))]
 
@@ -365,6 +370,56 @@ def test_extract_trace_with_missing_steps_exits_2(tmp_path, capsys):
     assert main(["extract", "--lib", f"l:{trace}", "--out", str(out)]) == 2
     assert f"{trace}:1: missing step 1 for x" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_extract_trace_lemma_named_as_the_query_row_exits_2(tmp_path, capsys):
+    # stored, such a lemma would be the row that hint takes for the query
+    trace = tmp_path / "query.jsonl"
+    trace.write_text("".join(json.dumps({"lemma": name, "library": "l", "step_index": 1,
+                                         "tactic_line": "by [].", "goal_before": "a = b",
+                                         "subgoals_after": 0}) + "\n"
+                             for name in ("a", "b", "?query", "c")))
+    out = tmp_path / "c"
+    assert main(["extract", "--lib", f"l:{trace}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"parse error: {trace}:3: lemma must be an identifier\n"
+    assert not out.exists()
+
+
+def _outputs_in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse ends a usage error this way
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _outputs_in_a_process_of_its_own(argv: list[str]) -> tuple[int, str, str]:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "proofmine", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_successive_main_calls_give_what_separate_processes_give(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths, so both sides print the same text
+    monkeypatch.delenv("PROOFMINE_SEED", raising=False)
+    query = str(HINT / "hint_query.v")
+    commands = [
+        extract_args("c.corpus", HINT_LIBS[:3]),
+        ["cluster", "--corpus", "c.corpus", "--out", "d.json", "--runs", "3", "--seed", "4"],
+        ["report", "d.json", "--format", "json"],
+        ["hint", "--corpus", "c.corpus", "--query", query, "--algorithm", "farthest-first",
+         "--granularity", "5", "--runs", "4"],
+        ["cluster", "--corpus", "c.corpus", "--out", "d.json", "--freq-threshold", "0.3", "--runs", "2"],
+        ["report", "d.json"],
+        ["hint", "--corpus", "c.corpus", "--query", query, "--runs", "2", "--freq-threshold", "1.0"],
+        ["cluster", "--corpus", "c.corpus", "--out", "d.json", "--granularity", "9"],  # usage error
+        ["report", "missing.json"],
+    ]
+    for argv in commands:
+        assert _outputs_in_process(argv) == _outputs_in_a_process_of_its_own(argv), argv
 
 
 def test_extract_feature_dump_matches_golden(tmp_path, capsys):

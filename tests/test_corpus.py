@@ -321,6 +321,9 @@ MALFORMED_PAYLOADS = {
     "record list too long": _v5_record(_V5_RECORD + [0]),
     "record is a dict": _v5_record(dict(enumerate(_V5_RECORD))),
     "non-string lemma name": _v5_record([7, _V5_RECORD[1]]),
+    # names: identifiers, as parsing gives them; the query row's name is not one
+    "lemma named as the query row": _v5_record(["?query", _V5_RECORD[1]]),
+    "empty lemma name": _v5_record(["", _V5_RECORD[1]]),
 }
 
 

@@ -8,9 +8,10 @@ import pytest
 from proofmine import digest, ingest
 from proofmine.clustering import _distinct_rows, choose_n
 from proofmine.corpus import QUERY_NAME, database_with_query
-from proofmine.digest import (ConsensusCluster, DigestConfig, TooFewLemmas, _member_proximities,
-                              co_occurrence_counts, components_at, digest_to_dict, read_digest,
-                              run_digest, run_partitions, select_reliable, write_digest)
+from proofmine.digest import (HOMOGENEITY, ConsensusCluster, DigestConfig, TooFewLemmas,
+                              _consensus_clusters, _LabelClasses, co_occurrence_counts,
+                              components_at, digest_to_dict, read_digest, run_digest,
+                              run_partitions, select_reliable, write_digest)
 from proofmine.features import FeatureDatabase
 from proofmine.script import parse_partial
 
@@ -178,6 +179,24 @@ def label_classes(component, labels):
     return [component[inverse == j] for j in range(len(columns))], columns.T
 
 
+def planted_classes(labels: np.ndarray, proximity: np.ndarray) -> _LabelClasses:
+    """The label classes of planted (runs, lemmas) label and proximity matrices."""
+    columns, of_lemma = _distinct_rows(labels.T)
+    return _LabelClasses(labels=np.ascontiguousarray(columns.T), of_lemma=of_lemma,
+                         proximity=np.ascontiguousarray(proximity.T))
+
+
+def builder_proximities(component, labels, proximity):
+    """Member proximities of the lemmas in component, from the consensus builder
+    run over those lemmas alone as one component, rates forced to 1 so it is kept."""
+    classes = planted_classes(labels[:, component], proximity[:, component])
+    db = make_db(np.zeros((len(component), 40)))
+    [cluster] = _consensus_clusters(db, DigestConfig(runs=len(labels)), classes,
+                                    [list(range(classes.labels.shape[1]))],
+                                    lambda component: np.ones((len(component), len(component))))
+    return {component[int(name[2:])]: value for name, value in cluster.member_proximity.items()}
+
+
 def test_member_proximities_match_oracle():
     rng = np.random.default_rng(12)
     for case in range(30):
@@ -187,8 +206,9 @@ def test_member_proximities_match_oracle():
             labels = labels[:, rng.integers(0, m, size=m)]
         component = sorted(rng.choice(m, size=int(rng.integers(2, m + 1)), replace=False).tolist())
         classes, class_labels = label_classes(component, labels)
-        assert (_member_proximities(classes, class_labels, proximity.T)
-                == member_proximities_oracle(component, labels, proximity))
+        want = member_proximities_oracle(component, labels, proximity)
+        assert member_proximities_per_class(classes, class_labels, proximity.T) == want
+        assert builder_proximities(component, labels, proximity) == want
 
 
 def test_threshold_monotonicity():
@@ -583,6 +603,185 @@ def test_select_reliable_matches_oracle_on_benchmark_hints(tmp_path, name):
             cfg = DigestConfig(runs=runs, frequency_threshold=threshold, algorithm=algorithm,
                                granularity=3, master_seed=12)
             assert_select_matches_oracle(db, cfg, lemmas=[QUERY_NAME])
+
+
+# ---------------------------------------------------------------------------
+# the one-pass consensus builder against the per-component code it replaced
+
+
+def member_proximities_per_class(classes: list[np.ndarray], class_labels: np.ndarray,
+                                 proximity: np.ndarray) -> dict[int, float]:
+    """Mean proximity over the runs where a member is co-labeled with the
+    majority of the other members; 0 when no run qualifies.
+
+    The component is the union of label classes: classes[j] holds the lemma
+    indices of class j and class_labels[:, j] its label in each run.  Class-mates
+    share every label, so they share the qualifying runs.  proximity is
+    (lemmas, runs), so each class's means are one last-axis reduction, which
+    sums each row exactly as a one-row mean would.
+    """
+    sizes = np.array([len(members) for members in classes])
+    # per run, how many other members share each class's label
+    keys = class_labels + np.arange(len(class_labels))[:, None] * (int(class_labels.max()) + 1)
+    agree = np.bincount(keys.ravel(), weights=np.tile(sizes, len(keys)))[keys] - 1
+    qualifying = agree * 2 >= sizes.sum() - 1
+    out: dict[int, float] = {}
+    for members, runs in zip(classes, qualifying.T):
+        means = proximity[np.ix_(members, runs)].mean(axis=1) if runs.any() else np.zeros(len(members))
+        out.update(zip(members.tolist(), means.tolist()))
+    return out
+
+
+def consensus_cluster_per_component(db: FeatureDatabase, cfg: DigestConfig, classes: _LabelClasses,
+                                    class_component: list[int],
+                                    rates: np.ndarray) -> ConsensusCluster | None:
+    """The cluster of one class component, or None when it is a single lemma or
+    its mean pair rate falls below the threshold.
+
+    rates[i, j] is the co-occurrence rate of class_component[i] and class_component[j].
+    """
+    members_of = [np.flatnonzero(classes.of_lemma == c) for c in class_component]
+    component = np.sort(np.concatenate(members_of))
+    if len(component) < 2:
+        return None
+    # the mean of the lemma pair rates (a, b), a < b, taken in row-major order
+    position = np.searchsorted(class_component, classes.of_lemma[component])
+    order = np.arange(len(component))
+    frequency = float(rates[position][:, position][order[:, None] < order].mean())
+    # loosely chained components can average below the threshold even
+    # though every edge clears it; those are not frequent enough to show
+    if frequency < cfg.frequency_threshold - 1e-12:
+        return None
+    proximities = member_proximities_per_class(members_of, classes.labels[:, class_component],
+                                               classes.proximity)
+    members = tuple(sorted(db.names[i] for i in component))
+    return ConsensusCluster(
+        members=members,
+        frequency=frequency,
+        member_proximity={db.names[i]: proximities[i] for i in component.tolist()},
+        homogeneity=HOMOGENEITY[len({db.libraries[name] for name in members}) > 1],
+    )
+
+
+def builder_cases(db: FeatureDatabase, cfg: DigestConfig, classes: _LabelClasses, components,
+                  rates_among) -> dict[str, int]:
+    """How many of each case the builder meets in these components."""
+    sizes = np.bincount(classes.of_lemma)
+    cases = dict.fromkeys(("one class", "all runs", "some runs", "no run", "dropped"), 0)
+    for component in components:
+        if sizes[component].sum() < 2:
+            continue
+        if len(component) == 1:
+            cases["one class"] += 1
+            continue
+        if consensus_cluster_per_component(db, cfg, classes, component, rates_among(component)) is None:
+            cases["dropped"] += 1
+            continue
+        labels = classes.labels[:, component]
+        for j in range(len(component)):
+            agree = (sizes[component] * (labels == labels[:, [j]])).sum(axis=1) - 1
+            qualifying = 2 * agree >= sizes[component].sum() - 1
+            cases["all runs" if qualifying.all() else "some runs" if qualifying.any() else "no run"] += 1
+    return cases
+
+
+def assert_builder_matches_oracle(db: FeatureDatabase, cfg: DigestConfig,
+                                  labels: np.ndarray, proximity: np.ndarray) -> dict[str, int]:
+    """The builder over every component against one oracle call per component,
+    and select_reliable against the oracle's cluster of each lemma; returns the
+    cases met."""
+    classes = planted_classes(labels, proximity)
+    class_co = co_occurrence_counts(classes.labels) / cfg.runs
+
+    def rates_among(component):
+        return class_co[np.ix_(component, component)]
+
+    components = components_at(class_co, cfg.frequency_threshold)
+    want = [consensus_cluster_per_component(db, cfg, classes, component, rates_among(component))
+            for component in components]
+    got = _consensus_clusters(db, cfg, classes, components, rates_among)
+    assert [_doc(c) for c in got] == [_doc(c) for c in want if c is not None]
+    for lemma in db.names:
+        assert _doc(select_reliable(db, cfg, lemma)) == _doc(select_reliable_oracle(got, lemma)), lemma
+    return builder_cases(db, cfg, classes, components, rates_among)
+
+
+def chained_labels(rng, runs: int, classes: int, hub: bool) -> np.ndarray:
+    """(runs, classes) labels that chain into components.  Class j follows a
+    shared base label, with some noise, over a window of runs starting at
+    j * step, and keeps a label of its own elsewhere, so neighbours co-occur
+    and far ends rarely do.  With hub, class 0 follows the base label in every run."""
+    base = rng.integers(0, 3, size=runs)
+    labels = np.tile(np.arange(3, 3 + classes), (runs, 1))
+    noise = float(rng.uniform(0, 0.2))
+    step, width = rng.uniform(0.1, 0.2) * runs, rng.uniform(0.4, 0.55) * runs
+    for j in range(classes):
+        start = int(j * step)
+        window = slice(0, runs) if hub and j == 0 else slice(start, max(int(start + width), start + 1))
+        size = len(range(runs)[window])
+        labels[window, j] = np.where(rng.uniform(size=size) < noise,
+                                     rng.integers(0, 3, size=size), base[window])
+    return labels
+
+
+# runs around numpy's pairwise-sum edges: 8-way unrolling, then blocks of 128
+@pytest.mark.parametrize("runs", [1, 7, 8, 9, 128, 129, 300])
+def test_consensus_builder_matches_oracle_on_planted_labels(monkeypatch, runs):
+    rng = np.random.default_rng(runs)
+    met = dict.fromkeys(("one class", "all runs", "some runs", "no run", "dropped"), 0)
+    for case in range(18):
+        m, classes = int(rng.integers(2, 40)), int(rng.integers(2, 16))
+        of_lemma = rng.integers(0, classes, size=m)  # class-mates: duplicate columns
+        if case % 3 == 0:  # few labels per run, so classes co-occur often enough to chain
+            labels = rng.integers(0, int(rng.integers(1, 5)), size=(runs, classes))
+        elif case % 3 == 1:  # one lemma per class, so far ends pull the mean rate down
+            labels, of_lemma = chained_labels(rng, runs, classes, hub=False), np.arange(classes)
+        else:  # about half of the lemmas in the hub, which then has the majority in most runs
+            labels = chained_labels(rng, runs, classes, hub=True)
+            of_lemma[rng.uniform(size=m) < 0.5] = 0
+        labels = labels[:, of_lemma]
+        proximity = rng.uniform(size=labels.shape)
+        planted_partitions(monkeypatch, labels, proximity)
+        db = planted_db(len(of_lemma), rng)
+        for threshold in (0.3, 0.6, 1.0):
+            cases = assert_builder_matches_oracle(db, DigestConfig(runs=runs, frequency_threshold=threshold),
+                                                  labels, proximity)
+            for key in met:
+                met[key] += cases[key]
+    assert met["one class"]
+    if runs > 1:  # in one run every component is a single class
+        assert met["all runs"] and met["some runs"]
+
+
+# A = lm00..lm04, D = lm05, C = lm06, over 4 runs: A and D together in runs 0
+# and 2, D and C in runs 1 and 3, so A-D and D-C clear 0.5.  C never shares a
+# label with more than one of the 6 other members, so it never has the
+# majority: its proximity is 0.  D has it in runs 0 and 2 only.
+_NO_RUN_LABELS = np.array([[0, 1, 0, 1]] * 5 + [[0, 2, 0, 2], [3, 2, 4, 2]]).T
+
+
+@pytest.mark.parametrize("labels, threshold, cases", [
+    (_NO_RUN_LABELS, 0.5, {"one class": 0, "all runs": 1, "some runs": 1, "no run": 1, "dropped": 0}),
+    # the chain A-B-C dropped by the mean filter, and H-I kept
+    (FOUR_CASES_LABELS, 0.6, {"one class": 0, "all runs": 1, "some runs": 1, "no run": 0, "dropped": 1}),
+    (FOUR_CASES_LABELS, 1.0, {"one class": 4, "all runs": 0, "some runs": 0, "no run": 0, "dropped": 0}),
+], ids=["no qualifying run", "mean filter", "single classes"])
+def test_consensus_builder_matches_oracle_on_named_cases(monkeypatch, labels, threshold, cases):
+    proximity = np.random.default_rng(5).uniform(size=labels.shape)
+    planted_partitions(monkeypatch, labels, proximity)
+    db = make_db(np.zeros((labels.shape[1], 40)))
+    cfg = DigestConfig(runs=len(labels), frequency_threshold=threshold)
+    assert assert_builder_matches_oracle(db, cfg, labels, proximity) == cases
+
+
+def test_a_class_with_no_qualifying_run_has_proximity_zero(monkeypatch):
+    labels = _NO_RUN_LABELS
+    proximity = np.random.default_rng(5).uniform(size=labels.shape)
+    planted_partitions(monkeypatch, labels, proximity)
+    [cluster] = run_digest(make_db(np.zeros((7, 40))), DigestConfig(runs=4, frequency_threshold=0.5))
+    assert cluster.member_proximity["lm06"] == 0.0
+    assert cluster.member_proximity["lm05"] == proximity[[0, 2], 5].mean()
+    assert cluster.member_proximity["lm00"] == proximity[:, 0].mean()
 
 
 # ---------------------------------------------------------------------------

@@ -565,6 +565,14 @@ def test_trace_integer_beyond_the_int_string_limit_is_a_located_parse_error(fiel
         parse_trace(good + "\n" + huge + "\n", filename="t.jsonl")
 
 
+@pytest.mark.parametrize("name", ["?query", "", "a b", "1x", "x.y", "x\n"])
+def test_trace_lemma_that_is_not_an_identifier_is_a_located_parse_error(name):
+    records = [json.dumps({"lemma": lemma, "library": "l", "step_index": 1, "tactic_line": "by [].",
+                           "goal_before": "a = b", "subgoals_after": 0}) for lemma in ("x'_1", name)]
+    with pytest.raises(ParseError, match=r"^t\.jsonl:2: lemma must be an identifier$"):
+        parse_trace("\n".join(records), filename="t.jsonl")
+
+
 @pytest.mark.parametrize("indices, missing, line", [([2, 5], 1, 1), ([1, 2, 4], 3, 3), ([3, 1], 2, 1)])
 def test_trace_rejects_missing_steps(indices, missing, line):
     records = [json.dumps({"lemma": "x", "library": "l", "step_index": idx, "tactic_line": "by [].",

@@ -19,7 +19,10 @@ clusters.  For every `--src` (default: this checkout's `src`, labelled
 * one partition run per algorithm on a fresh point set, with its iteration count;
 * a `--kmeans-runs`-run k-means `run_partitions` (default 20);
 * a 200-run farthest-first `run_digest`, split into its partition runs,
-  co-occurrence counts, components and member proximities;
+  co-occurrence counts, components and the building of its clusters
+  (`_consensus_clusters`; in a tree from before it, the per-component
+  `_consensus_cluster`, which is handed each rates block and so leaves out
+  fetching it);
 * the consensus step of a hint: the same 200 runs with the workload's query
   row added, then `run_digest` and a search for the query's cluster
   (`hint.digest_search_s`), and what `hint` calls (`hint.consensus_s`);
@@ -155,13 +158,14 @@ def measure(seed: int, kmeans_runs: int) -> dict:
 
     # one farthest-first digest, its stages timed by wrapping what run_digest calls
     cfg = digest.DigestConfig(runs=DIGEST_RUNS, algorithm="farthest-first", granularity=GRANULARITY)
-    stages = ("run_partitions", "co_occurrence_counts", "components_at", "_member_proximities")
+    builder = next(name for name in ("_consensus_clusters", "_consensus_cluster") if hasattr(digest, name))
+    stages = ("run_partitions", "co_occurrence_counts", "components_at", builder)
     with _stage_times(digest, stages) as spent:
         clusters, layers["digest.farthest_first_200_s"] = _timed(digest.run_digest, db, cfg)
     layers.update({"digest.partitions_s": spent["run_partitions"],
                    "digest.cooccurrence_s": spent["co_occurrence_counts"],
                    "digest.components_s": spent["components_at"],
-                   "digest.member_proximities_s": spent["_member_proximities"]})
+                   "digest.consensus_s": spent[builder]})
     shape.update(digest_clusters=len(clusters))
 
     # the same digest with the query row: the consensus step of a hint, without its runs

@@ -8,11 +8,14 @@ Each workload's inputs are written by `perfbench/generate.py` into a
 temporary directory.  `extract`, `cluster`, `hint` and `report` then run
 in-process, once with the workload's algorithm and run count, once with
 `--algorithm kmeans --runs 5` and once with `--algorithm em --runs 2`, and
-every stdout and written file is hashed.  Each pass also hashes `hint` at
-`--freq-threshold` 0.3 and 1.0.  At seeds 12, 1 and 2 these reach every way a
-hint's consensus can end: the query's class alone, a component of several
-classes (long-proofs-ff, kmeans x5), a component of over a hundred classes
-that the mean-rate filter drops, and a query alone in its class.
+every stdout and written file is hashed.  Each pass also hashes `cluster`
+(stdout and digest) and `hint` at `--freq-threshold` 0.3 and 1.0.  At seeds
+12, 1 and 2 these reach every way a hint's consensus can end: the query's
+class alone, a component of several classes (long-proofs-ff, kmeans x5), a
+component of over a hundred classes that the mean-rate filter drops, and a
+query alone in its class.  The digests reach classes that have the majority
+in only some runs (long-proofs-ff, farthest-first x20 at 0.6) and components
+that the mean-rate filter drops (kmeans x5 at 0.3).
 proofmine is imported from DIR (default: this checkout's `src`), so two
 checkouts are compared with
 
@@ -44,7 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD_NAMES = ("dup-kmeans", "long-proofs-ff")
 GRANULARITY = 3
 FREQ_THRESHOLD = 0.6
-HINT_THRESHOLDS = (0.3, 1.0)  # hint alone is also hashed at these
+THRESHOLDS = (0.3, 1.0)  # cluster and hint are also hashed at these
 
 
 def _sha(data: bytes) -> str:
@@ -78,13 +81,16 @@ def workload_hashes(cli_main, workload, seed: int) -> list[tuple[str, str]]:
         rows.append((f"{tag} digest", _sha(Path("digest.json").read_bytes())))
         rows.append((f"{tag} hint stdout", _sha(_run(cli_main, [
             "hint", "--corpus", "corpus", "--query", str(inputs.query), *flags]))))
-        for threshold in HINT_THRESHOLDS:
-            rows.append((f"{tag} hint stdout at {threshold}", _sha(_run(cli_main, [
-                "hint", "--corpus", "corpus", "--query", str(inputs.query), *flags,
-                "--freq-threshold", str(threshold)]))))
         for fmt in ("text", "json"):
             rows.append((f"{tag} report {fmt}", _sha(_run(cli_main, [
                 "report", "digest.json", "--format", fmt]))))
+        for threshold in THRESHOLDS:
+            at = [*flags, "--freq-threshold", str(threshold)]
+            rows.append((f"{tag} hint stdout at {threshold}", _sha(_run(cli_main, [
+                "hint", "--corpus", "corpus", "--query", str(inputs.query), *at]))))
+            rows.append((f"{tag} cluster stdout at {threshold}", _sha(_run(cli_main, [
+                "cluster", "--corpus", "corpus", "--out", "digest.json", *at]))))
+            rows.append((f"{tag} digest at {threshold}", _sha(Path("digest.json").read_bytes())))
     return rows
 
 
