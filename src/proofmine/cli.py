@@ -169,7 +169,7 @@ def cmd_hint(args: argparse.Namespace) -> int:
     cfg = _digest_config(args)
     corpus = load(args.corpus)
     query_path = Path(args.query)
-    record = parse_partial(query_path.read_text(encoding="utf-8"), filename=str(query_path))
+    record = parse_partial(query_path.read_text(encoding="utf-8-sig"), filename=str(query_path))
     db = database_with_query(corpus, record)
     chosen = select_reliable(db, cfg, QUERY_NAME)
     if chosen is None:

@@ -68,21 +68,23 @@ class Corpus:
 def ingest(paths: list[str | Path], tags: list[str], *, patch_len: int = PATCH_LEN) -> Corpus:
     """Parse each file under its tag, then encode every lemma against the whole corpus's vocabulary.
 
-    Trace files carry their own per-record library field, which wins over the
-    supplied tag.  Lemma names must be unique across all libraries.
+    Files are read as UTF-8, with or without a byte order mark.  Trace files
+    carry their own per-record library field, which wins over the supplied
+    tag.  Lemma names must be unique across all libraries.
     """
     if len(paths) != len(tags):
         raise ValueError("paths and tags must be parallel lists")
     if any(not t for t in tags):
         raise ValueError("library tags must be non-empty")
     records: dict[str, LemmaRecord] = {}
+    symbols: set[str] = set()
     for path, tag in zip(paths, tags):
         path = Path(path)
-        source = path.read_text(encoding="utf-8")
+        source = path.read_text(encoding="utf-8-sig")
         if looks_like_trace(source):
-            parsed = parse_trace(source, filename=str(path))
+            parsed = parse_trace(source, filename=str(path), symbols=symbols)
         else:
-            parsed = parse_library(source, tag, filename=str(path))
+            parsed = parse_library(source, tag, filename=str(path), symbols=symbols)
         for record in parsed:
             if record.name in records:
                 raise DuplicateLemmaName(
@@ -93,7 +95,7 @@ def ingest(paths: list[str | Path], tags: list[str], *, patch_len: int = PATCH_L
         raise EmptyCorpus(f"the given libraries hold no proved lemma: {', '.join(map(str, paths))}")
     names = sorted(records)
     ordered = [records[name] for name in names]
-    table = build_encoding_table(ordered)
+    table = build_encoding_table(ordered, symbols)
     rows = [extract_features(r, table, patch_len) for r in ordered]
     raw = np.array(rows, dtype=np.float64).reshape(len(rows), SLOTS_PER_STEP * patch_len)
     return Corpus(names, {r.name: r.library for r in ordered}, raw, table, patch_len)

@@ -69,27 +69,13 @@ class FeatureDatabase:
     matrix: np.ndarray  # scaled rows, aligned with names
 
 
-def build_encoding_table(records: list[LemmaRecord]) -> EncodingTable:
-    """Collect tactic and goal-symbol vocabularies over a whole corpus (empty for no records)."""
-    tactics: set[str] = set()
-    trees = []
-    for record in records:
-        trees.append(record.statement)
-        for step in record.steps:
-            for app in step.tactics:
-                tactics.add(app.name)
-            if step.goal_before is not None:
-                trees.append(step.goal_before)
-    # equal subtrees are often one object, so each is walked once; the records
-    # keep every node alive, so an id() is not reused during the walk
-    symbols: set[str] = set()
-    seen: set[int] = set()
-    while trees:
-        node = trees.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            symbols.add(node.symbol)
-            trees.extend(node.children)
+def build_encoding_table(records: list[LemmaRecord], symbols: set[str]) -> EncodingTable:
+    """Code the tactic names of records and the goal symbols, each in lexicographic order from 1.
+
+    symbols is the set that `parse_library` and `parse_trace` filled while
+    parsing records: the symbol of every node of their statements and goals.
+    """
+    tactics = {app.name for record in records for step in record.steps for app in step.tactics}
     return EncodingTable(
         tactic_codes={name: i for i, name in enumerate(sorted(tactics), start=1)},
         symbol_codes={sym: i for i, sym in enumerate(sorted(symbols), start=1)},

@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .terms import TermError, TermTree, UnbalancedDelimiters, group_end, parse_term_tree
+from .terms import TermError, TermTree, UnbalancedDelimiters, group_end, interned_symbols, parse_term_tree
 
 
 class ParseError(ValueError):
@@ -58,26 +58,26 @@ class ArgumentKind(str, Enum):
     INTRO_PATTERN = "intro_pattern"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArgumentToken:
     text: str
     kind: ArgumentKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TacticApplication:
     name: str
     arguments: tuple[ArgumentToken, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofStep:
     tactics: tuple[TacticApplication, ...]
     goal_before: TermTree | None = None
     subgoals_after: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LemmaRecord:
     name: str
     statement: TermTree
@@ -100,7 +100,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 # sentence layer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     text: str
     line_start: int
@@ -174,7 +174,7 @@ def _first_word(text: str) -> str | None:
 # tactic command-line lexer
 
 
-def _lex_segments(text: str, *, file: str, line: int) -> list[list[tuple[str, str]]]:
+def _lex_segments(text: str, *, file: str, line: int) -> tuple[tuple[tuple[str, str], ...], ...]:
     """The ';'-separated segments of a command line, as (kind, text) tokens.
 
     Kinds: ':', '=>' and 'unit', a run of other characters that keeps each
@@ -212,7 +212,7 @@ def _lex_segments(text: str, *, file: str, line: int) -> list[list[tuple[str, st
                 j += 1
             segments[-1].append(("unit", text[i:j]))
             i = j
-    return segments
+    return tuple(map(tuple, segments))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +289,7 @@ def _intro_names(texts: list[str]) -> list[str]:
     return names
 
 
-def _arguments(name: str, tokens: list[tuple[str, str]], ctx: _ProofContext) -> tuple[ArgumentToken, ...]:
+def _arguments(name: str, tokens: tuple[tuple[str, str], ...], ctx: _ProofContext) -> tuple[ArgumentToken, ...]:
     """Classify a tactic's argument tokens, then register the names its intro patterns bind."""
     args: list[ArgumentToken] = []
     zone = name in _INTRO_TACTICS
@@ -303,11 +303,18 @@ def _arguments(name: str, tokens: list[tuple[str, str]], ctx: _ProofContext) -> 
     return tuple(args)
 
 
-def _tactics(text: str, ctx: _ProofContext, empty_message: str, *,
+def _tactics(text: str, ctx: _ProofContext, empty_message: str, lexed: dict, *,
              file: str, line: int) -> tuple[TacticApplication, ...]:
-    """The tactic applications of one command line; empty_message if it has no tokens."""
-    segments = _lex_segments(text, file=file, line=line)
-    if segments == [[]]:
+    """The tactic applications of one command line; empty_message if it has no tokens.
+
+    lexed maps each command line already lexed to its segments, so a line
+    that repeats is lexed once; its arguments are still classified against
+    ctx at each occurrence.  A line that fails to lex is not stored.
+    """
+    segments = lexed.get(text)
+    if segments is None:
+        segments = lexed[text] = _lex_segments(text, file=file, line=line)
+    if segments == ((),):
         raise EmptyStep(empty_message, file=file, line=line)
     apps: list[TacticApplication] = []
     for tokens in segments:
@@ -324,14 +331,14 @@ def _tactics(text: str, ctx: _ProofContext, empty_message: str, *,
             raise MalformedStatement(f"tactic expected, got {first!r}", file=file, line=line)
         name, rest = m.group(0), tokens[1:]
         if m.end() < len(first):  # `apply/view` is `apply` with the argument `/view`
-            rest = [("unit", first[m.end():])] + rest
+            rest = (("unit", first[m.end():]),) + rest
         apps.append(TacticApplication(name, _arguments(name, rest, ctx)))
     return tuple(apps)
 
 
-def _steps_from_sentences(sentences: list[Sentence], file: str) -> list[ProofStep]:
+def _steps_from_sentences(sentences: list[Sentence], lexed: dict, file: str) -> list[ProofStep]:
     ctx = _ProofContext()
-    return [ProofStep(_tactics(sen.text, ctx, "proof step without tokens", file=file, line=sen.line_start))
+    return [ProofStep(_tactics(sen.text, ctx, "proof step without tokens", lexed, file=file, line=sen.line_start))
             for sen in sentences]
 
 
@@ -405,25 +412,29 @@ def _statement_tree(name: str, statement_text: str, intern: dict, *, file: str, 
         raise MalformedStatement(f"bad statement for {name}: {exc}", file=file, line=line) from exc
 
 
-def _record(name: str, statement: TermTree, body: list[Sentence], library: str, file: str) -> LemmaRecord:
+def _record(name: str, statement: TermTree, body: list[Sentence], library: str, lexed: dict,
+            file: str) -> LemmaRecord:
     """A lemma record whose first step's goal is the statement."""
-    steps = _steps_from_sentences(body, file)
+    steps = _steps_from_sentences(body, lexed, file)
     if steps:
         steps[0] = replace(steps[0], goal_before=statement)
     return LemmaRecord(name, statement, tuple(steps), library)
 
 
-def parse_library(source: str, library_tag: str, *, filename: str = "<string>") -> list[LemmaRecord]:
+def parse_library(source: str, library_tag: str, *, filename: str = "<string>",
+                  symbols: set[str] | None = None) -> list[LemmaRecord]:
     """Extract every proved lemma from vernacular source text.
 
     Sentences that are not lemma statements, proof steps, or proof delimiters
-    (imports, definitions, ...) are skipped.
+    (imports, definitions, ...) are skipped.  If the parse succeeds, symbols,
+    when given, receives the symbol of every node of the returned terms.
     """
     if not library_tag:
         raise ValueError("library_tag must be non-empty")
     records: list[LemmaRecord] = []
     seen: set[str] = set()
     intern: dict = {}  # one per file: equal subterms are shared, a repeated statement text parsed once
+    lexed: dict = {}  # one per file: a repeated command line lexed once
     for sen, body, closed in _lemmas(split_sentences(source, filename=filename)):
         name, statement_text = _parse_header(sen, filename)
         if name in seen:
@@ -432,7 +443,9 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>") 
         statement = _statement_tree(name, statement_text, intern, file=filename, line=sen.line_start)
         if not closed:
             raise UnterminatedProof(f"proof of {name} never closed", file=filename, line=sen.line_start)
-        records.append(_record(name, statement, body, library_tag, filename))
+        records.append(_record(name, statement, body, library_tag, lexed, filename))
+    if symbols is not None:
+        symbols.update(interned_symbols(intern))
     return records
 
 
@@ -446,20 +459,29 @@ def parse_partial(source: str, *, filename: str = "<query>") -> LemmaRecord:
     statement = _statement_tree(name, statement_text, {}, file=filename, line=sen.line_start)
     if not body:
         raise MalformedStatement(f"partial proof of {name} has no steps", file=filename, line=sen.line_start)
-    return _record(name, statement, body, "query", filename)
+    return _record(name, statement, body, "query", {}, filename)
 
 
 # ---------------------------------------------------------------------------
 # trace files ("proofmine trace v1", JSON Lines)
 
+# str.splitlines also splits at U+2028, U+2029, U+0085 and other characters that
+# a JSON string may hold raw
+_LINE_BREAK_RE = re.compile(r"\r\n?|\n")
 _TRACE_FIELDS = {"lemma": str, "library": str, "step_index": int, "tactic_line": str,
                  "goal_before": str, "subgoals_after": int}
 
 
-def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
-    """Read per-step trace records with goal text and subgoal counts."""
+def parse_trace(source: str, *, filename: str = "<trace>",
+                symbols: set[str] | None = None) -> list[LemmaRecord]:
+    """Read per-step trace records with goal text and subgoal counts.
+
+    Records are split at CRLF, LF and CR only, none of which a JSON string
+    holds raw.  If the parse succeeds, symbols, when given, receives
+    the symbol of every node of the returned terms.
+    """
     per_lemma: dict[str, tuple[str, dict]] = {}  # name -> (library, steps by index), in first-seen order
-    for line_no, raw in enumerate(source.splitlines(), start=1):
+    for line_no, raw in enumerate(_LINE_BREAK_RE.split(source), start=1):
         if not raw.strip():
             continue
         try:
@@ -496,6 +518,7 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
 
     records: list[LemmaRecord] = []
     intern: dict = {}  # one per file: equal subterms are shared, a repeated goal text parsed once
+    lexed: dict = {}  # one per file: a repeated command line lexed once
     for name, (library, by_index) in per_lemma.items():
         ctx = _ProofContext()
         steps: list[ProofStep] = []
@@ -507,12 +530,14 @@ def parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaRecord]:
             text = tactic_line.strip()
             if text.endswith("."):
                 text = text[:-1]
-            apps = _tactics(text, ctx, f"empty tactic_line for {name}", file=filename, line=line_no)
+            apps = _tactics(text, ctx, f"empty tactic_line for {name}", lexed, file=filename, line=line_no)
             goal = _statement_tree(name, goal_text, intern, file=filename, line=line_no)
             if statement is None:
                 statement = goal
             steps.append(ProofStep(apps, goal_before=goal, subgoals_after=subgoals))
         records.append(LemmaRecord(name, statement, tuple(steps), library))
+    if symbols is not None:
+        symbols.update(interned_symbols(intern))
     return records
 
 

@@ -18,7 +18,7 @@ class EmptyStatement(TermError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermTree:
     """Ordered tree keyed by head symbol; leaves have no children."""
 
@@ -179,7 +179,12 @@ class _Parser:
             if tok in BINDERS:
                 return self.parse_binder()
             self.pos += 1
-            return self.node(tok)
+            # node(tok), inlined: most nodes are atoms
+            key = (tok,)
+            tree = self.intern.get(key)
+            if tree is None:
+                tree = self.intern[key] = TermTree(tok)
+            return tree
         if tok in _PREFIX:
             self.pos += 1
             return self.node(tok, (self.parse_application(),))
@@ -235,3 +240,13 @@ def parse_term_tree(text: str, intern: dict | None = None) -> TermTree:
         raise UnbalancedDelimiters(f"trailing {leftover!r} in statement")
     intern[text] = tree
     return tree
+
+
+def interned_symbols(intern: dict) -> set[str]:
+    """The symbols of every node parsed with intern: the heads of its tuple keys.
+
+    Every tuple key is a node of a returned tree, save the head leaf of an
+    application whose head symbol moves to the application node, so the set is
+    the symbols of the trees returned, provided no parse with intern failed.
+    """
+    return {key[0] for key in intern if type(key) is tuple}

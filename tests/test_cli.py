@@ -340,6 +340,40 @@ def test_extract_nonpositive_patch_len_is_usage_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_extract_reads_a_library_that_starts_with_a_bom(tmp_path, capsys):
+    library = tmp_path / "bom.v"
+    library.write_bytes(b"\xef\xbb\xbfLemma a1 : x = x.\nProof.\nby [].\nQed.\n\n"
+                        b"Lemma a2 : y = y.\nProof.\nby [].\nQed.\n")
+    out = tmp_path / "c"
+    assert main(["extract", f"--lib=A:{library}", "--out", str(out)]) == 0
+    assert "A: 2 lemmas" in capsys.readouterr().out
+    assert load(out).names == ["a1", "a2"]
+
+
+def test_a_bom_before_a_trace_and_a_query_changes_no_output(corpus_file, tmp_path, capsys):
+    libs = [("ssrbool", FIXTURES / "ssr_bool.v"), ("matrix", FIXTURES / "matrix_trace.jsonl")]
+    with_bom = []
+    for tag, path in libs:
+        copy = tmp_path / path.name
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        with_bom.append((tag, copy))
+    counts = []  # the per-library lemma counts; the last line names the output file
+    for name, lib_paths in (("plain", libs), ("bom", with_bom)):
+        assert main(extract_args(tmp_path / name, lib_paths)) == 0
+        counts.append(capsys.readouterr().out.splitlines()[:-1])
+    assert counts[0] == counts[1] and "matrix: 2 lemmas" in counts[0]
+    assert (tmp_path / "bom").read_bytes() == (tmp_path / "plain").read_bytes()
+
+    query = tmp_path / "query.v"
+    query.write_bytes(b"\xef\xbb\xbf" + (HINT / "hint_query.v").read_bytes())
+    hints = []
+    for path in (HINT / "hint_query.v", query):
+        assert main(["hint", "--corpus", str(corpus_file), "--query", str(path),
+                     "--granularity", "4", "--seed", "3", "--runs", "50"]) == 0
+        hints.append(capsys.readouterr().out)
+    assert hints[0] == hints[1] and "gsum_expand_l" in hints[0]
+
+
 def test_extract_ill_typed_trace_exits_2(tmp_path):
     trace = tmp_path / "lib.jsonl"
     trace.write_text(json.dumps({"lemma": ["x"], "library": "l", "step_index": 1,

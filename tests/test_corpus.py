@@ -43,9 +43,10 @@ def test_incremental_ingest_rebuilds_table():
     corpus = ingest([FIXTURES / "ssr_bool.v"], ["ssrbool"])
     grown = ingest([FIXTURES / "ssr_bool.v", FIXTURES / "ssr_seq.v"], ["ssrbool", "seq"])
     assert len(grown.names) == len(corpus.names) + 9 and set(corpus.names) <= set(grown.names)
-    earlier = parse_library((FIXTURES / "ssr_bool.v").read_text(), "ssrbool")
-    records = earlier + parse_library((FIXTURES / "ssr_seq.v").read_text(), "seq")
-    assert grown.table == build_encoding_table(records) != corpus.table
+    symbols: set[str] = set()
+    earlier = parse_library((FIXTURES / "ssr_bool.v").read_text(), "ssrbool", symbols=symbols)
+    records = earlier + parse_library((FIXTURES / "ssr_seq.v").read_text(), "seq", symbols=symbols)
+    assert grown.table == build_encoding_table(records, symbols) != corpus.table
     changed = 0
     for record in earlier:
         row = grown.raw[grown.names.index(record.name)]

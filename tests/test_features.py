@@ -9,7 +9,8 @@ from proofmine.features import (EncodingTable, KIND_CODES, NoProofBody,
 from proofmine.corpus import load
 from proofmine.script import ArgumentKind, parse_library, parse_trace
 
-from conftest import FIXTURES, iter_nodes, random_library_source, random_trace_source
+from conftest import (FIXTURES, GOLDEN_SOURCES, HINT_LIBS, iter_nodes, random_library_source,
+                      random_trace_source)
 
 PAIR_SRC = (
     "Lemma andbb : idempotent andb.\nProof. by case. Qed.\n"
@@ -26,25 +27,32 @@ TRIO_SRC = (
 )
 
 
+def library_and_table(source: str, tag: str):
+    """The records of one library source and the table built from the symbols its parse hands back."""
+    symbols: set[str] = set()
+    records = parse_library(source, tag, symbols=symbols)
+    return records, build_encoding_table(records, symbols)
+
+
 def pair_records():
-    return parse_library(PAIR_SRC, "ssrbool")
+    return library_and_table(PAIR_SRC, "ssrbool")
 
 
 def test_table_codes_are_lexicographic_from_one():
-    table = build_encoding_table(pair_records())
+    _, table = pair_records()
     assert table.tactic_codes == {"by": 1, "case": 2}
     assert table.symbol_codes == {"andb": 1, "idempotent": 2, "orb": 3}
 
 
 def test_table_vocabulary_covers_pair_corpus():
-    table = build_encoding_table(pair_records())
+    _, table = pair_records()
     assert set(table.symbol_codes) == {"idempotent", "andb", "orb"}
     assert set(table.tactic_codes) == {"by", "case"}
 
 
 def test_table_rebuild_is_deterministic():
-    t1 = build_encoding_table(pair_records())
-    t2 = build_encoding_table(pair_records())
+    _, t1 = pair_records()
+    _, t2 = pair_records()
     assert t1 == t2
     assert t1.version_hash() == t2.version_hash()
 
@@ -66,32 +74,81 @@ def build_encoding_table_oracle(records):
     )
 
 
+def parsed_with_symbols(sources):
+    """The records of (source, tag) pairs, a tag of None marking a trace, and the symbols their parses hand back."""
+    symbols: set[str] = set()
+    records = []
+    for source, tag in sources:
+        if tag is None:
+            records += parse_trace(source, symbols=symbols)
+        else:
+            records += parse_library(source, tag, symbols=symbols)
+    return records, symbols
+
+
+def assert_table_matches_walk(sources):
+    records, symbols = parsed_with_symbols(sources)
+    oracle = build_encoding_table_oracle(records)
+    assert build_encoding_table(records, symbols) == oracle
+    return oracle
+
+
 def test_table_matches_per_reference_walk_on_random_corpora():
     rng = np.random.default_rng(11)
     for trial in range(6):
-        records = [r for lib in range(2)
-                   for r in parse_library(random_library_source(rng, int(rng.integers(2, 13)), f"t{trial}{lib}"),
-                                          f"t{trial}{lib}")]
-        records += parse_trace(random_trace_source(rng, 8, f"q{trial}", "traced"))
-        assert build_encoding_table(records) == build_encoding_table_oracle(records)
+        sources = [(random_library_source(rng, int(rng.integers(2, 13)), f"t{trial}{lib}"), f"t{trial}{lib}")
+                   for lib in range(2)]
+        sources.append((random_trace_source(rng, 8, f"q{trial}", "traced"), None))
+        assert_table_matches_walk(sources)
+
+
+def test_table_matches_per_reference_walk_on_random_traces():
+    rng = np.random.default_rng(12)
+    for trial in range(6):
+        assert_table_matches_walk([(random_trace_source(rng, int(rng.integers(1, 20)), f"q{trial}_{i}", "traced"),
+                                    None) for i in range(int(rng.integers(1, 4)))])
 
 
 def test_table_matches_per_reference_walk_on_loaded_fixtures():
-    records = parse_library((FIXTURES / "ssr_bool.v").read_text(), "ssrbool")
-    records += parse_trace((FIXTURES / "matrix_trace.jsonl").read_text())
-    oracle = build_encoding_table_oracle(records)
-    assert build_encoding_table(records) == oracle
+    oracle = assert_table_matches_walk([((FIXTURES / "ssr_bool.v").read_text(), "ssrbool"),
+                                        ((FIXTURES / "matrix_trace.jsonl").read_text(), None)])
     # the corpus that `extract` wrote from the same two sources stores the same vocabulary
     assert load(FIXTURES / "ssr_bool_matrix_v5.corpus").table == oracle
 
 
+def test_table_matches_per_reference_walk_on_every_fixture_library():
+    libraries = [(path.read_text(), tag) for tag, path in [*GOLDEN_SOURCES.items(), *HINT_LIBS]]
+    assert_table_matches_walk(libraries + [((FIXTURES / "matrix_trace.jsonl").read_text(), None)])
+
+
+def test_table_matches_per_reference_walk_on_repeats_shared_subterms_and_applications():
+    # repeated statement texts, subterms shared across statements and goals, applications whose
+    # head leaf the parser drops (`f x`, `g (f x) (h y)`), applications of applications (`(f x) y`)
+    # and a symbol that occurs only as an application head (`k`)
+    library = ("Lemma a1 : f x = f x.\nProof. by []. Qed.\n"
+               "Lemma a2 : f x = f x.\nProof. by []. Qed.\n"
+               "Lemma a3 : g (f x) (h y) = h y.\nProof. by rewrite a1. Qed.\n"
+               "Lemma a4 : forall n, P (S n) -> (f x) y = k n.\nProof. move=> n. by []. Qed.\n")
+    trace = "\n".join(json.dumps({"lemma": f"t{i}", "library": "tr", "step_index": step, "tactic_line": "by [].",
+                                  "goal_before": goal, "subgoals_after": 0})
+                      for i, goals in enumerate([["f x = f x", "h y"], ["g (f x) (h y) = h y", "f x = f x"],
+                                                 ["m z", "(m z) w"]])
+                      for step, goal in enumerate(goals, start=1))
+    oracle = assert_table_matches_walk([(library, "lib"), (trace, None)])
+    assert set(oracle.symbol_codes) == {"=", "->", "@", "forall", "P", "S", "f", "g", "h", "k", "m", "n", "w",
+                                        "x", "y", "z"}
+
+
 def test_empty_records_give_empty_vocabularies():
-    assert build_encoding_table([]) == EncodingTable({}, {})
+    assert build_encoding_table([], set()) == EncodingTable({}, {})
 
 
 def test_growing_corpus_keeps_relative_code_order():
-    small = build_encoding_table(pair_records())
-    grown = build_encoding_table(pair_records() + parse_library(TRIO_SRC, "seq"))
+    _, small = pair_records()
+    symbols: set[str] = set()
+    records = [r for src, tag in ((PAIR_SRC, "ssrbool"), (TRIO_SRC, "seq"))
+               for r in parse_library(src, tag, symbols=symbols)]
+    grown = build_encoding_table(records, symbols)
     shared = sorted(small.symbol_codes, key=small.symbol_codes.get)
     regrown = sorted(shared, key=grown.symbol_codes.get)
     assert shared == regrown
@@ -103,8 +160,7 @@ def test_growing_corpus_keeps_relative_code_order():
 # tactics by=1, case=2 fold to 1.2; two tactics; no arguments; goal is the
 # statement tree `idempotent andb` with symbol codes idempotent=2, andb=1.
 def test_encode_by_case_step():
-    records = pair_records()
-    table = build_encoding_table(records)
+    records, table = pair_records()
     andbb = records[0]
     slots = encode_step(andbb.steps[0], table)
     assert slots == (1.2, 2.0, 0.0, 0.0, 2.0, 1.0, 0.0, -1.0)
@@ -116,8 +172,7 @@ def test_kind_codes_fixed_range():
 
 
 def test_elim_step_slots_from_hand_enumeration():
-    records = parse_library(TRIO_SRC, "seq")
-    table = build_encoding_table(records)
+    records, table = library_and_table(TRIO_SRC, "seq")
     has_map = records[0]
     slots = encode_step(has_map.steps[0], table)
     # tactics by=1, elim=2 -> 1.2; arg kinds ext,wild,intro,intro,intro
@@ -132,8 +187,7 @@ def test_elim_step_slots_from_hand_enumeration():
 
 
 def test_vector_length_and_padding():
-    records = pair_records()
-    table = build_encoding_table(records)
+    records, table = pair_records()
     vec = extract_features(records[0], table)
     assert len(vec) == 40
     assert vec[8:] == (0.0,) * 32  # one-step proof pads blocks 2..5
@@ -141,18 +195,16 @@ def test_vector_length_and_padding():
 
 
 def test_identical_sources_identical_vectors():
-    records = parse_library(
+    records, table = library_and_table(
         "Lemma one : wrap a = wrap b.\nProof. by rewrite u v. Qed.\n"
         "Lemma two : wrap a = wrap b.\nProof. by rewrite u v. Qed.\n", "t")
-    table = build_encoding_table(records)
     v1 = extract_features(records[0], table)
     v2 = extract_features(records[1], table)
     assert v1 == v2
 
 
 def test_trio_blocks_match_except_statement_symbols():
-    records = parse_library(TRIO_SRC, "seq")
-    table = build_encoding_table(records)
+    records, table = library_and_table(TRIO_SRC, "seq")
     vectors = [extract_features(r, table) for r in records]
     differing = {
         dim
@@ -167,8 +219,7 @@ def test_trio_blocks_match_except_statement_symbols():
 
 
 def test_unknown_vocabulary_encodes_to_zero():
-    records = pair_records()
-    table = build_encoding_table(records)
+    records, table = pair_records()
     foreign = parse_library(
         "Lemma zzz : mystery gadget.\nProof. frobnicate x. Qed.\n", "t")[0]
     vec = extract_features(foreign, table)
@@ -178,22 +229,21 @@ def test_unknown_vocabulary_encodes_to_zero():
 
 
 def test_no_proof_body_rejected():
-    records = pair_records()
-    table = build_encoding_table(records)
+    records, table = pair_records()
     bare = records[0].__class__(name="empty", statement=records[0].statement, steps=(), library="t")
     with pytest.raises(NoProofBody):
         extract_features(bare, table)
 
 
 def test_patch_len_controls_block_count():
-    records = parse_library(TRIO_SRC, "seq")
-    table = build_encoding_table(records)
+    records, table = library_and_table(TRIO_SRC, "seq")
     assert len(extract_features(records[0], table, patch_len=3)) == 24
 
 
 def test_subgoal_slot_reads_trace_counts():
-    records = parse_trace((FIXTURES / "matrix_trace.jsonl").read_text())
-    table = build_encoding_table(records)
+    symbols: set[str] = set()
+    records = parse_trace((FIXTURES / "matrix_trace.jsonl").read_text(), symbols=symbols)
+    table = build_encoding_table(records, symbols)
     vec = extract_features(records[0], table)
     assert vec[7] == 1.0
     assert vec[23] == 2.0  # third step splits into two subgoals

@@ -9,6 +9,8 @@ name and seeds pick row indices, so a rename is expected to change a digest.
 
 import contextlib
 import io
+import json
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -18,12 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 from proofmine.cli import main
 
-from conftest import GOLDEN_SOURCES, HINT, HINT_LIBS, random_library_source
+from conftest import GOLDEN_SOURCES, HINT, HINT_LIBS, random_library_source, random_trace_source
 
 LEMMA_START = re.compile(r"^(?=(?:Lemma|Theorem|Corollary|Fact)\b)", re.MULTILINE)
 PREAMBLE = "(* a (* nested *) comment *)\nRequire Import ssreflect.\n\n"
 FIXTURE_LIBS = [(path.stem, path) for path in GOLDEN_SOURCES.values()] + HINT_LIBS
 QUERIES = [HINT / "hint_query.v", HINT / "hint_query_prefix.v", HINT / "hint_query_detached.v"]
+BOM = "\ufeff"
 
 
 @st.composite
@@ -49,6 +52,16 @@ def cases(draw) -> tuple[list[tuple[str, list[str]]], Path, list[str]]:
     return draw(libraries()), draw(st.sampled_from(QUERIES)), flags
 
 
+@st.composite
+def cases_with_traces(draw) -> tuple[list[tuple[str, list[str]]], Path, list[str]]:
+    """A case whose libraries include one or two generated trace libraries."""
+    libs, query, flags = draw(cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    traces = [(f"tr{i}", [random_trace_source(rng, int(rng.integers(2, 12)), f"tr{i}", f"tr{i}")])
+              for i in range(draw(st.integers(1, 2)))]
+    return libs + traces, query, flags
+
+
 def _quiet_main(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -56,10 +69,13 @@ def _quiet_main(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def outputs(libs: list[tuple[str, list[str]]], query: Path, flags: list[str]) -> tuple[bytes, bytes, str]:
-    """Corpus bytes, digest bytes and hint stdout for these libraries."""
+def outputs(libs: list[tuple[str, list[str]]], query: Path, flags: list[str], *,
+            query_prefix: str = "") -> tuple[bytes, bytes, str]:
+    """Corpus bytes, digest bytes and hint stdout for these libraries; query_prefix goes before the query text."""
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
+        query_copy = work / "query.v"
+        query_copy.write_text(query_prefix + query.read_text(encoding="utf-8"), encoding="utf-8")
         lib_flags = []
         for i, (tag, texts) in enumerate(libs):
             for j, text in enumerate(texts):
@@ -69,7 +85,7 @@ def outputs(libs: list[tuple[str, list[str]]], query: Path, flags: list[str]) ->
         corpus, digest = work / "corpus", work / "digest.json"
         _quiet_main(["extract", *lib_flags, "--out", str(corpus)])
         _quiet_main(["cluster", "--corpus", str(corpus), "--out", str(digest), *flags])
-        hint = _quiet_main(["hint", "--corpus", str(corpus), "--query", str(query), *flags])
+        hint = _quiet_main(["hint", "--corpus", str(corpus), "--query", str(query_copy), *flags])
         return corpus.read_bytes(), digest.read_bytes(), hint
 
 
@@ -78,6 +94,16 @@ def split_in_two(text: str, at: int) -> list[str]:
     starts = [m.start() for m in LEMMA_START.finditer(text)][1:]
     cut = starts[at % len(starts)]
     return [text[:cut], text[cut:]]
+
+
+def split_by_lemma(text: str, seed: int) -> list[str]:
+    """The records of a trace in two files, each lemma's records whole and in order in one of them."""
+    lines = text.splitlines(keepends=True)
+    lemmas = [json.loads(line)["lemma"] for line in lines]
+    names = list(dict.fromkeys(lemmas))
+    moved = set(random.Random(seed).sample(names, 1 + seed % (len(names) - 1)))
+    return ["".join(line for line, lemma in zip(lines, lemmas) if lemma not in moved),
+            "".join(line for line, lemma in zip(lines, lemmas) if lemma in moved)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -105,3 +131,23 @@ def test_comment_require_and_blank_line_before_every_lemma_change_no_output(case
     for (_, (text,)), (_, (new,)) in zip(libs, padded):
         assert new.count(PREAMBLE) == len(LEMMA_START.findall(text)) > 0
     assert outputs(padded, query, flags) == outputs(libs, query, flags)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases_with_traces(), st.integers(0, 1000), st.integers(0, 1000))
+def test_splitting_a_trace_by_lemma_under_its_tag_changes_no_output(case, which, seed):
+    libs, query, flags = case
+    traces = [lib for lib in libs if lib[0].startswith("tr")]
+    tag, (text,) = traces[which % len(traces)]
+    parts = split_by_lemma(text, seed)
+    assert all(parts)
+    split = [(t, parts if t == tag else texts) for t, texts in libs]
+    assert outputs(split, query, flags) == outputs(libs, query, flags)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases_with_traces())
+def test_a_bom_before_every_library_file_and_the_query_changes_no_output(case):
+    libs, query, flags = case
+    with_bom = [(tag, [BOM + text for text in texts]) for tag, texts in libs]
+    assert outputs(with_bom, query, flags, query_prefix=BOM) == outputs(libs, query, flags)

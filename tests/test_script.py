@@ -156,6 +156,61 @@ def test_hypothesis_tracking_across_steps():
     assert args[1].kind is ArgumentKind.EXTERNAL_LEMMA
 
 
+# the same command lines under different contexts: `rewrite H` after `move=> H` and without it,
+# `rewrite IH` after `elim: n => [|n IH]`, without it, and after `move=> IH` in the same proof
+REPEATED_LINE_LEMMAS = [
+    ("l1", "x = x", ["move=> H.", "rewrite H."]),
+    ("l2", "x = x", ["rewrite H."]),
+    ("l3", "n = n", ["elim: n => [|n IH].", "rewrite IH."]),
+    ("l4", "n = n", ["rewrite IH.", "move=> IH.", "rewrite IH."]),
+    ("l5", "n = n", ["rewrite H.", "elim: n => [|n IH].", "rewrite IH H."]),
+]
+REPEATED_LINE_KINDS = {  # the argument kinds of each `rewrite`, in order
+    "l1": [[ArgumentKind.HYPOTHESIS]],
+    "l2": [[ArgumentKind.EXTERNAL_LEMMA]],
+    "l3": [[ArgumentKind.INDUCTIVE_HYPOTHESIS]],
+    "l4": [[ArgumentKind.EXTERNAL_LEMMA], [ArgumentKind.HYPOTHESIS]],
+    "l5": [[ArgumentKind.EXTERNAL_LEMMA], [ArgumentKind.INDUCTIVE_HYPOTHESIS, ArgumentKind.EXTERNAL_LEMMA]],
+}
+
+
+def rewrite_kinds(record) -> list[list[ArgumentKind]]:
+    return [[a.kind for a in app.arguments] for step in record.steps for app in step.tactics if app.name == "rewrite"]
+
+
+def test_a_repeated_tactic_line_is_classified_against_each_proof_context():
+    chunks = [f"Lemma {name} : {statement}.\nProof.\n" + "\n".join(lines) + "\nQed.\n"
+              for name, statement, lines in REPEATED_LINE_LEMMAS]
+    records = parse_library("".join(chunks), "l")
+    assert {r.name: rewrite_kinds(r) for r in records} == REPEATED_LINE_KINDS
+    for record, chunk in zip(records, chunks):  # each lemma alone in its file, nothing lexed before it
+        assert parse_library(chunk, "l") == [record]
+
+
+def test_a_repeated_trace_tactic_line_is_classified_against_each_proof_context():
+    lemmas = [[json.dumps({"lemma": name, "library": "l", "step_index": idx, "tactic_line": line,
+                           "goal_before": statement, "subgoals_after": 0})
+               for idx, line in enumerate(lines, start=1)] for name, statement, lines in REPEATED_LINE_LEMMAS]
+    records = parse_trace("\n".join(line for lines in lemmas for line in lines))
+    assert {r.name: rewrite_kinds(r) for r in records} == REPEATED_LINE_KINDS
+    for record, lines in zip(records, lemmas):
+        assert parse_trace("\n".join(lines)) == [record]
+
+
+def test_lemmas_parse_alike_alone_and_after_others_in_random_files():
+    # the generated proofs repeat command lines across lemmas in one file
+    rng = np.random.default_rng(19)
+    for trial in range(5):
+        source = random_library_source(rng, 12, f"r{trial}")
+        records = parse_library(source, "l")
+        chunks = source.split("\n\n")
+        assert len(chunks) == len(records) == 12
+        assert [parse_library(chunk, "l")[0] for chunk in chunks] == records
+        trace = random_trace_source(rng, 12, f"t{trial}", "l").splitlines()
+        records = parse_trace("\n".join(trace))
+        assert [parse_trace("\n".join(line for line in trace if f'"{r.name}"' in line))[0] for r in records] == records
+
+
 # ---------------------------------------------------------------------------
 # library parsing
 
@@ -590,6 +645,22 @@ def test_trace_records_keep_first_seen_lemma_order():
     records = parse_trace("\n".join(lines))
     assert [r.name for r in records] == ["b", "a", "c"]
     assert [r.statement.children[0].symbol for r in records] == ["b1", "a1", "c1"]
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+def test_trace_records_split_only_at_crlf_lf_and_cr(char):
+    # json.dumps writes these raw with ensure_ascii=False; str.splitlines would split at them
+    records = [json.dumps({"lemma": f"x{i}", "library": "l", "step_index": 1, "tactic_line": f"move=>{char}H.",
+                           "goal_before": f"a{char}= b", "subgoals_after": 0}, ensure_ascii=False)
+               for i in range(3)]
+    assert char in records[0]
+    parsed = parse_trace(records[0] + "\r\n" + records[1] + "\r" + records[2] + "\n")
+    assert [r.name for r in parsed] == ["x0", "x1", "x2"]
+    assert parsed[0].steps[0].tactics[0].arguments[0].text == "H"
+    assert parsed[0].statement == parse_term_tree("a = b")
+    # line numbers count CRLF as one break and a lone CR as one
+    with pytest.raises(ParseError, match=r"^t\.jsonl:4: bad trace record"):
+        parse_trace(records[0] + "\r\n" + records[1] + "\r" + records[2] + "\n{" + char, filename="t.jsonl")
 
 
 @pytest.mark.parametrize("parse, text, error, message", [

@@ -14,7 +14,8 @@ clusters.  For every `--src` (default: this checkout's `src`, labelled
 
 * parsing per file kind (`parse_library` over the `.v` files, `parse_trace`
   over the `.jsonl` files);
-* encoding: the vocabulary table, then the feature rows;
+* encoding: the vocabulary table (from the symbols the parsers hand back, or
+  in a tree from before that, a walk over the records), then the feature rows;
 * `corpus.save` and `corpus.load`;
 * one partition run per algorithm on a fresh point set, with its iteration count;
 * a `--kmeans-runs`-run k-means `run_partitions` (default 20);
@@ -115,10 +116,13 @@ def measure(seed: int, kmeans_runs: int) -> dict:
         query_text = vernacular.query.read_text(encoding="utf-8")
 
         records = []
+        symbols: set[str] = set()
+        # a tree from before the parsers handed back their symbols builds the table from records alone
+        from_parse = "symbols" in inspect.signature(script.parse_library).parameters
         layers["parse.vernacular_s"] = 0.0
         for tag, path in vernacular.libraries:
             parsed, seconds = _timed(script.parse_library, path.read_text(encoding="utf-8"), tag,
-                                     filename=str(path))
+                                     filename=str(path), **({"symbols": symbols} if from_parse else {}))
             records += parsed
             layers["parse.vernacular_s"] += seconds
         layers["parse.trace_s"] = 0.0
@@ -132,7 +136,8 @@ def measure(seed: int, kmeans_runs: int) -> dict:
                      trace_steps=trace_steps)
 
         records.sort(key=lambda r: r.name)
-        table, layers["encode.table_s"] = _timed(features.build_encoding_table, records)
+        table, layers["encode.table_s"] = _timed(features.build_encoding_table, records,
+                                                 *([symbols] if from_parse else []))
         rows, layers["encode.features_s"] = _timed(
             lambda: [features.extract_features(r, table, features.PATCH_LEN) for r in records])
         raw = np.array(rows, dtype=np.float64)
