@@ -128,9 +128,10 @@ class PointSet:
         as `_nearest_proximity` sums them, and as `_sq_distances` computes them."""
         cols = self._columns.get(row)
         if cols is None:
-            center = self.distinct[row:row + 1]
-            cols = self._columns[row] = (np.sum((self.distinct - center) ** 2, axis=1),
-                                         _sq_distances(self.distinct, center)[:, 0])
+            # one difference array serves both: squaring, then the row sum, is what
+            # `_nearest_proximity` does, and the einsum reduces as `_sq_distances` does
+            diff = self.distinct - self.distinct[row]
+            cols = self._columns[row] = ((diff * diff).sum(axis=1), np.einsum("md,md->m", diff, diff))
         return cols
 
 

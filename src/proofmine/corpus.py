@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import _distinct_rows
-from .features import (EncodingTable, FeatureDatabase, build_encoding_table, extract_features,
-                       min_max_scale, PATCH_LEN, SLOTS_PER_STEP)
+from .features import (EncodingTable, FeatureDatabase, LemmaPatch, build_encoding_table,
+                       extract_features, lemma_patch, min_max_scale, PATCH_LEN, SLOTS_PER_STEP)
 from .script import (_IDENT_RE, DuplicateLemmaName, LemmaRecord, looks_like_trace, parse_library,
                      parse_trace)
 
@@ -65,40 +65,53 @@ class Corpus:
         return FeatureDatabase(names=list(self.names), libraries=dict(self.libraries), matrix=matrix)
 
 
+def _read_library(path: Path, tag: str, patch_len: int, symbols: set[str],
+                  tactics: set[str]) -> list[LemmaPatch]:
+    """The lemmas of one file reduced to the encoder's inputs.
+
+    The goal symbols of the file go into symbols and the tactic names of
+    every step, not only of the patches, into tactics.  The file's text,
+    records and term trees are dropped when this returns.
+    """
+    source = path.read_text(encoding="utf-8-sig")
+    if looks_like_trace(source):
+        parsed = parse_trace(source, filename=str(path), symbols=symbols)
+    else:
+        parsed = parse_library(source, tag, filename=str(path), symbols=symbols)
+    tactics.update(app.name for record in parsed for step in record.steps for app in step.tactics)
+    return [lemma_patch(record, patch_len) for record in parsed]
+
+
 def ingest(paths: list[str | Path], tags: list[str], *, patch_len: int = PATCH_LEN) -> Corpus:
     """Parse each file under its tag, then encode every lemma against the whole corpus's vocabulary.
 
     Files are read as UTF-8, with or without a byte order mark.  Trace files
     carry their own per-record library field, which wins over the supplied
-    tag.  Lemma names must be unique across all libraries.
+    tag.  Lemma names must be unique across all libraries.  Each file is
+    reduced to the encoder's inputs before the next is read, so the parsed
+    records of one file at a time are held.
     """
     if len(paths) != len(tags):
         raise ValueError("paths and tags must be parallel lists")
     if any(not t for t in tags):
         raise ValueError("library tags must be non-empty")
-    records: dict[str, LemmaRecord] = {}
+    patches: dict[str, LemmaPatch] = {}
     symbols: set[str] = set()
+    tactics: set[str] = set()
     for path, tag in zip(paths, tags):
-        path = Path(path)
-        source = path.read_text(encoding="utf-8-sig")
-        if looks_like_trace(source):
-            parsed = parse_trace(source, filename=str(path), symbols=symbols)
-        else:
-            parsed = parse_library(source, tag, filename=str(path), symbols=symbols)
-        for record in parsed:
-            if record.name in records:
+        for patch in _read_library(Path(path), tag, patch_len, symbols, tactics):
+            if patch.name in patches:
                 raise DuplicateLemmaName(
-                    f"lemma {record.name} already ingested under library {records[record.name].library!r}",
+                    f"lemma {patch.name} already ingested under library {patches[patch.name].library!r}",
                     file=str(path))
-            records[record.name] = record
-    if not records:
+            patches[patch.name] = patch
+    if not patches:
         raise EmptyCorpus(f"the given libraries hold no proved lemma: {', '.join(map(str, paths))}")
-    names = sorted(records)
-    ordered = [records[name] for name in names]
-    table = build_encoding_table(ordered, symbols)
-    rows = [extract_features(r, table, patch_len) for r in ordered]
+    names = sorted(patches)
+    table = build_encoding_table(tactics, symbols)
+    rows = [extract_features(patches[name], table, patch_len) for name in names]
     raw = np.array(rows, dtype=np.float64).reshape(len(rows), SLOTS_PER_STEP * patch_len)
-    return Corpus(names, {r.name: r.library for r in ordered}, raw, table, patch_len)
+    return Corpus(names, {name: patches[name].library for name in names}, raw, table, patch_len)
 
 
 def database_with_query(corpus: Corpus, query: LemmaRecord) -> FeatureDatabase:

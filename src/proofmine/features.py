@@ -3,7 +3,9 @@
 Per-step slots: (1) tactic-name codes folded into one decimal, (2) tactic
 count, (3) argument-kind codes folded likewise, (4) argument relation code,
 (5-7) the top three goal symbols, (8) subgoal fan-out (-1 when unknown).
-Code 0 always means "absent/unknown".
+Code 0 always means "absent/unknown".  Encoding has two halves:
+`lemma_patch` keeps what the slots need and no vocabulary does, and the
+coding step maps it to numbers once the corpus vocabulary is known.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,13 +72,13 @@ class FeatureDatabase:
     matrix: np.ndarray  # scaled rows, aligned with names
 
 
-def build_encoding_table(records: list[LemmaRecord], symbols: set[str]) -> EncodingTable:
-    """Code the tactic names of records and the goal symbols, each in lexicographic order from 1.
+def build_encoding_table(tactics: set[str], symbols: set[str]) -> EncodingTable:
+    """Code the tactic names and the goal symbols, each in lexicographic order from 1.
 
-    symbols is the set that `parse_library` and `parse_trace` filled while
-    parsing records: the symbol of every node of their statements and goals.
+    tactics are the names of every step of the corpus, not only of its
+    patches; symbols is the set that `parse_library` and `parse_trace` filled
+    while parsing: the symbol of every node of the statements and goals.
     """
-    tactics = {app.name for record in records for step in record.steps for app in step.tactics}
     return EncodingTable(
         tactic_codes={name: i for i, name in enumerate(sorted(tactics), start=1)},
         symbol_codes={sym: i for i, sym in enumerate(sorted(symbols), start=1)},
@@ -99,39 +102,79 @@ def _relation_code(kinds: list[ArgumentKind]) -> float:
     return 3.0
 
 
-def encode_step(step: ProofStep, table: EncodingTable) -> tuple[float, ...]:
-    """Eight slot values for one parsed step; unknown names map to code 0."""
-    tactic_codes = [table.tactic_code(app.name) for app in step.tactics]
+# The two patch types are named tuples, not frozen dataclasses: extract builds one per
+# encoded step and lemma, and a named tuple costs about half as much to build.
+class StepSlots(NamedTuple):
+    """One step reduced to what its eight slots need before the vocabulary is known."""
+
+    tactics: tuple[str, ...]  # slots 1 and 2: the tactic names, in order
+    kinds: float  # slot 3: the folded argument-kind codes
+    relation: float  # slot 4
+    goal: tuple[str, str | None, str | None] | None  # slots 5-7: the goal's top three symbols
+    subgoals: float  # slot 8
+
+
+class LemmaPatch(NamedTuple):
+    """A lemma reduced to the encoder's inputs: its first patch_len steps, and no term tree."""
+
+    name: str
+    library: str
+    steps: tuple[StepSlots, ...]
+
+
+def _step_slots(step: ProofStep) -> StepSlots:
     kinds = [arg.kind for app in step.tactics for arg in app.arguments]
-    if step.goal_before is not None:
-        root, first, second = step.goal_before.top_symbols()
+    return StepSlots(
+        tuple(app.name for app in step.tactics),
+        _decimal_fold([KIND_CODES[k] for k in kinds[:_MAX_FOLDED_ARGS]]),
+        _relation_code(kinds),
+        step.goal_before.top_symbols() if step.goal_before is not None else None,
+        float(step.subgoals_after) if step.subgoals_after is not None else -1.0,
+    )
+
+
+def lemma_patch(lemma: LemmaRecord, patch_len: int = PATCH_LEN) -> LemmaPatch:
+    """The first half of the encoder, which needs no vocabulary: the lemma's first patch_len steps."""
+    return LemmaPatch(lemma.name, lemma.library, tuple(map(_step_slots, lemma.steps[:patch_len])))
+
+
+def _code_step(step: StepSlots, table: EncodingTable) -> tuple[float, ...]:
+    """Eight slot values for one reduced step; unknown names map to code 0."""
+    if step.goal is not None:
+        root, first, second = step.goal
         s5 = float(table.symbol_code(root))
         s6 = float(table.symbol_code(first)) if first else 0.0
         s7 = float(table.symbol_code(second)) if second else 0.0
     else:
         s5 = s6 = s7 = 0.0
-    subgoals = float(step.subgoals_after) if step.subgoals_after is not None else -1.0
     return (
-        _decimal_fold(tactic_codes),
+        _decimal_fold([table.tactic_code(name) for name in step.tactics]),
         float(len(step.tactics)),
-        _decimal_fold([KIND_CODES[k] for k in kinds[:_MAX_FOLDED_ARGS]]),
-        _relation_code(kinds),
+        step.kinds,
+        step.relation,
         s5,
         s6,
         s7,
-        subgoals,
+        step.subgoals,
     )
 
 
-def extract_features(lemma: LemmaRecord, table: EncodingTable, patch_len: int = PATCH_LEN) -> tuple[float, ...]:
-    """Concatenated step blocks for the first patch_len steps, zero-padded."""
-    if not lemma.steps:
-        raise NoProofBody(f"lemma {lemma.name} has no proof steps")
+def extract_features(lemma: LemmaRecord | LemmaPatch, table: EncodingTable,
+                     patch_len: int = PATCH_LEN) -> tuple[float, ...]:
+    """Concatenated step blocks for the first patch_len steps, zero-padded.
+
+    This is `lemma_patch`, then the coding of the patch against table.  A
+    lemma already reduced by `lemma_patch`, as `ingest` reduces each file
+    before it reads the next, is coded as it is.
+    """
+    patch = lemma if isinstance(lemma, LemmaPatch) else lemma_patch(lemma, patch_len)
+    if not patch.steps:
+        raise NoProofBody(f"lemma {patch.name} has no proof steps")
+    steps = patch.steps[:patch_len]
     blocks: list[float] = []
-    for step in lemma.steps[:patch_len]:
-        blocks.extend(encode_step(step, table))
-    missing = patch_len - min(len(lemma.steps), patch_len)
-    blocks.extend([0.0] * (SLOTS_PER_STEP * missing))
+    for step in steps:
+        blocks.extend(_code_step(step, table))
+    blocks.extend([0.0] * (SLOTS_PER_STEP * (patch_len - len(steps))))
     return tuple(blocks)
 
 

@@ -18,7 +18,7 @@ import json
 import re
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .terms import TermError, TermTree, UnbalancedDelimiters, group_end, interned_symbols, parse_term_tree
@@ -336,12 +336,6 @@ def _tactics(text: str, ctx: _ProofContext, empty_message: str, lexed: dict, *,
     return tuple(apps)
 
 
-def _steps_from_sentences(sentences: list[Sentence], lexed: dict, file: str) -> list[ProofStep]:
-    ctx = _ProofContext()
-    return [ProofStep(_tactics(sen.text, ctx, "proof step without tokens", lexed, file=file, line=sen.line_start))
-            for sen in sentences]
-
-
 # ---------------------------------------------------------------------------
 # vernacular files
 
@@ -415,9 +409,10 @@ def _statement_tree(name: str, statement_text: str, intern: dict, *, file: str, 
 def _record(name: str, statement: TermTree, body: list[Sentence], library: str, lexed: dict,
             file: str) -> LemmaRecord:
     """A lemma record whose first step's goal is the statement."""
-    steps = _steps_from_sentences(body, lexed, file)
-    if steps:
-        steps[0] = replace(steps[0], goal_before=statement)
+    ctx = _ProofContext()
+    steps = [ProofStep(_tactics(sen.text, ctx, "proof step without tokens", lexed, file=file,
+                                line=sen.line_start), statement if pos == 0 else None)
+             for pos, sen in enumerate(body)]
     return LemmaRecord(name, statement, tuple(steps), library)
 
 

@@ -43,6 +43,11 @@ def iter_nodes(tree):
         yield from iter_nodes(child)
 
 
+def tactic_names(records) -> set[str]:
+    """The tactic names of every step of records, as `build_encoding_table` takes them."""
+    return {app.name for record in records for step in record.steps for app in step.tactics}
+
+
 # ---------------------------------------------------------------------------
 # term printing, for parse/print round trips
 

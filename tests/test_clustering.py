@@ -557,6 +557,33 @@ def test_point_set_numbers_distinct_rows_by_first_occurrence():
         == shared.first_index.tolist()
 
 
+def columns_oracle(shared: PointSet, row: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two distance columns as they were computed before they shared one difference array."""
+    center = shared.distinct[row:row + 1]
+    return (np.sum((shared.distinct - center) ** 2, axis=1),
+            clustering._sq_distances(shared.distinct, center)[:, 0])
+
+
+def assert_columns_match_oracle(matrix: np.ndarray) -> None:
+    shared = PointSet(matrix)
+    for row in range(len(shared.distinct)):
+        for got, want in zip(shared.columns(row), columns_oracle(shared, row)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("case", SHARED_CASES)
+def test_point_set_columns_match_both_formulas_bit_for_bit(case):
+    assert_columns_match_oracle(SHARED_CASES[case])
+
+
+@given(st.integers(0, 2 ** 16), st.integers(1, 300), st.integers(1, 64), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_point_set_columns_match_both_formulas_on_random_rows(seed, m, dims, rounded):
+    rng = np.random.default_rng(seed)
+    matrix = rng.uniform(size=(m, dims))
+    assert_columns_match_oracle(np.round(matrix, 1) if rounded else matrix)
+
+
 # ---------------------------------------------------------------------------
 # k-means keeps its distance matrix and redoes only what moved; it must match
 # the per-run oracle, which updates every center and recomputes every distance

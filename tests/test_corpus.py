@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -7,13 +8,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from proofmine import corpus as corpus_module
 from proofmine.cli import main
 from proofmine.corpus import (CORPUS_FORMAT, CorruptFile, EmptyCorpus, VersionMismatch,
                               database_with_query, ingest, load, save)
 from proofmine.features import SLOTS_PER_STEP, build_encoding_table, extract_features
-from proofmine.script import DuplicateLemmaName, parse_library, parse_partial
+from proofmine.script import DuplicateLemmaName, parse_library, parse_partial, parse_trace
+from proofmine.terms import TermTree
 
-from conftest import FIXTURES, HINT, HINT_LIBS, iter_nodes, random_library_source, random_trace_source
+from conftest import (FIXTURES, GOLDEN_SOURCES, HINT, HINT_LIBS, iter_nodes, random_library_source,
+                      random_trace_source, tactic_names)
 
 # written by `extract --lib ssrbool:ssr_bool.v --lib matrix:matrix_trace.jsonl`
 V5_CORPUS = FIXTURES / "ssr_bool_matrix_v5.corpus"
@@ -46,7 +50,7 @@ def test_incremental_ingest_rebuilds_table():
     symbols: set[str] = set()
     earlier = parse_library((FIXTURES / "ssr_bool.v").read_text(), "ssrbool", symbols=symbols)
     records = earlier + parse_library((FIXTURES / "ssr_seq.v").read_text(), "seq", symbols=symbols)
-    assert grown.table == build_encoding_table(records, symbols) != corpus.table
+    assert grown.table == build_encoding_table(tactic_names(records), symbols) != corpus.table
     changed = 0
     for record in earlier:
         row = grown.raw[grown.names.index(record.name)]
@@ -99,6 +103,103 @@ def test_mixed_trace_and_vernacular():
         ["ssrbool", "matrix"])
     assert set(corpus.libraries.values()) == {"ssrbool", "matrix"}
     assert len(corpus.names) == 8
+
+
+# ---------------------------------------------------------------------------
+# ingest reduces each file to the encoder's inputs before it reads the next
+
+
+def _live_term_trees() -> int:
+    return sum(1 for obj in gc.get_objects() if type(obj) is TermTree)
+
+
+def test_ingest_holds_no_term_tree_of_an_earlier_file(monkeypatch):
+    # matrix_trace.jsonl traces the lemmas of matrix_nilpotent.v, so it stands in for it
+    paths = [*(path for tag, path in GOLDEN_SOURCES.items() if tag != "matrix_nilpotent"),
+             FIXTURES / "matrix_trace.jsonl", *(path for _, path in HINT_LIBS)]
+    gc.collect()
+    before = _live_term_trees()
+    at_start: list[int] = []
+
+    def counted(parse):
+        def wrapper(*args, **kwargs):
+            at_start.append(_live_term_trees() - before)
+            return parse(*args, **kwargs)
+        return wrapper
+
+    # wrapped where ingest looks them up, as the benchmark's tracer wraps them
+    monkeypatch.setattr(corpus_module, "parse_library", counted(corpus_module.parse_library))
+    monkeypatch.setattr(corpus_module, "parse_trace", counted(corpus_module.parse_trace))
+    corpus = ingest(paths, [path.stem for path in paths])
+    assert at_start == [0] * len(paths)
+    assert _live_term_trees() == before  # nor does the corpus hold one
+    assert len(corpus.names) > len(paths)
+
+
+def test_tactic_vocabulary_holds_names_used_only_after_the_patch(tmp_path):
+    path = tmp_path / "long.v"
+    path.write_text("Lemma long : f x = x.\nProof. " + "move=> y. " * 6 + "zorg y. by []. Qed.\n"
+                    "Lemma short : g x.\nProof. by []. Qed.\n")
+    corpus = ingest([path], ["t"])
+    assert "zorg" in corpus.table.tactic_codes
+    symbols: set[str] = set()
+    records = parse_library(path.read_text(), "t", symbols=symbols)
+    assert corpus.table == build_encoding_table(tactic_names(records), symbols)
+
+
+def test_vocabulary_does_not_depend_on_the_patch_length():
+    paths = [FIXTURES / "ssr_seq.v", FIXTURES / "jvm_fact.v", FIXTURES / "matrix_trace.jsonl"]
+    tags = ["seq", "jvm", "ignored"]
+    symbols: set[str] = set()
+    records = [*parse_library(paths[0].read_text(), "seq", symbols=symbols),
+               *parse_library(paths[1].read_text(), "jvm", symbols=symbols),
+               *parse_trace(paths[2].read_text(), symbols=symbols)]
+    table = build_encoding_table(tactic_names(records), symbols)
+    for patch_len in (1, 2, 5, 8):
+        corpus = ingest(paths, tags, patch_len=patch_len)
+        assert corpus.table == table
+        for record in records:  # the rows of the lemmas themselves, encoded whole
+            row = corpus.raw[corpus.names.index(record.name)]
+            assert row.tolist() == list(extract_features(record, table, patch_len))
+
+
+ERROR_ORDER_FILES = {
+    "ok.v": "Lemma a1 : f x = x.\nProof. by rewrite g. Qed.\nLemma bare1 : P.\nProof. Qed.\n",
+    "bad.v": "Lemma b1 : f (x = x.\nProof. by []. Qed.\n",
+    "dup.v": "Lemma z9 : g y.\nProof. by []. Qed.\nLemma a1 : h y.\nProof. by []. Qed.\n",
+    "bare.v": "Lemma bare0 : Q.\nProof. Qed.\nLemma c1 : h z.\nProof. by []. Qed.\n",
+    "dup.jsonl": json.dumps({"lemma": "a1", "library": "tr", "step_index": 1, "tactic_line": "by [].",
+                             "goal_before": "f x", "subgoals_after": 0}) + "\n",
+}
+
+
+# Each file is parsed, then checked for names that an earlier file holds; a lemma without
+# steps is reported only once every file is read, the first in name order.
+ERROR_ORDER_CASES = [
+    (["ok.v", "bad.v", "dup.v"], "parse error: <bad.v>:1: bad statement for b1: missing ')'"),
+    (["ok.v", "dup.v", "bad.v"], "parse error: <dup.v>: lemma a1 already ingested under library 't1'"),
+    (["ok.v", "dup.jsonl"], "parse error: <dup.jsonl>: lemma a1 already ingested under library 't1'"),
+    (["dup.jsonl", "ok.v"], "parse error: <ok.v>: lemma a1 already ingested under library 'tr'"),
+    (["bare.v", "dup.v", "ok.v"], "parse error: <ok.v>: lemma a1 already ingested under library 't2'"),
+    (["ok.v", "bare.v"], "error: lemma bare0 has no proof steps"),
+    (["bare.v", "bad.v"], "parse error: <bad.v>:1: bad statement for b1: missing ')'"),
+    (["bare.v", "ok.v", "dup.v"], "parse error: <dup.v>: lemma a1 already ingested under library 't2'"),
+]
+
+
+@pytest.mark.parametrize("files, message", ERROR_ORDER_CASES,
+                         ids=["+".join(files) for files, _ in ERROR_ORDER_CASES])
+def test_extract_reports_the_first_error_in_file_then_name_order(tmp_path, capsys, files, message):
+    paths = {}
+    for name in files:
+        paths[name] = tmp_path / name
+        paths[name].write_text(ERROR_ORDER_FILES[name])
+    libs = [f"--lib=t{i}:{paths[name]}" for i, name in enumerate(files, start=1)]
+    assert main(["extract", *libs, "--out", str(tmp_path / "c")]) == 2
+    for name, path in paths.items():
+        message = message.replace(f"<{name}>", str(path))
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "c").exists()
 
 
 def test_save_load_round_trip(tmp_path):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from proofmine.features import (EncodingTable, KIND_CODES, NoProofBody,
-                                build_encoding_table, encode_step, extract_features,
+                                build_encoding_table, extract_features,
                                 min_max_scale, write_feature_records)
 from proofmine.corpus import load
 from proofmine.script import ArgumentKind, parse_library, parse_trace
 
 from conftest import (FIXTURES, GOLDEN_SOURCES, HINT_LIBS, iter_nodes, random_library_source,
-                      random_trace_source)
+                      random_trace_source, tactic_names)
 
 PAIR_SRC = (
     "Lemma andbb : idempotent andb.\nProof. by case. Qed.\n"
@@ -31,7 +31,7 @@ def library_and_table(source: str, tag: str):
     """The records of one library source and the table built from the symbols its parse hands back."""
     symbols: set[str] = set()
     records = parse_library(source, tag, symbols=symbols)
-    return records, build_encoding_table(records, symbols)
+    return records, build_encoding_table(tactic_names(records), symbols)
 
 
 def pair_records():
@@ -89,7 +89,7 @@ def parsed_with_symbols(sources):
 def assert_table_matches_walk(sources):
     records, symbols = parsed_with_symbols(sources)
     oracle = build_encoding_table_oracle(records)
-    assert build_encoding_table(records, symbols) == oracle
+    assert build_encoding_table(tactic_names(records), symbols) == oracle
     return oracle
 
 
@@ -140,7 +140,7 @@ def test_table_matches_per_reference_walk_on_repeats_shared_subterms_and_applica
 
 
 def test_empty_records_give_empty_vocabularies():
-    assert build_encoding_table([], set()) == EncodingTable({}, {})
+    assert build_encoding_table(set(), set()) == EncodingTable({}, {})
 
 
 def test_growing_corpus_keeps_relative_code_order():
@@ -148,7 +148,7 @@ def test_growing_corpus_keeps_relative_code_order():
     symbols: set[str] = set()
     records = [r for src, tag in ((PAIR_SRC, "ssrbool"), (TRIO_SRC, "seq"))
                for r in parse_library(src, tag, symbols=symbols)]
-    grown = build_encoding_table(records, symbols)
+    grown = build_encoding_table(tactic_names(records), symbols)
     shared = sorted(small.symbol_codes, key=small.symbol_codes.get)
     regrown = sorted(shared, key=grown.symbol_codes.get)
     assert shared == regrown
@@ -162,7 +162,7 @@ def test_growing_corpus_keeps_relative_code_order():
 def test_encode_by_case_step():
     records, table = pair_records()
     andbb = records[0]
-    slots = encode_step(andbb.steps[0], table)
+    slots = extract_features(andbb, table, patch_len=1)  # its one step
     assert slots == (1.2, 2.0, 0.0, 0.0, 2.0, 1.0, 0.0, -1.0)
 
 
@@ -174,7 +174,7 @@ def test_kind_codes_fixed_range():
 def test_elim_step_slots_from_hand_enumeration():
     records, table = library_and_table(TRIO_SRC, "seq")
     has_map = records[0]
-    slots = encode_step(has_map.steps[0], table)
+    slots = extract_features(has_map, table, patch_len=1)  # its one step
     # tactics by=1, elim=2 -> 1.2; arg kinds ext,wild,intro,intro,intro
     assert slots[0] == pytest.approx(1.2)
     assert slots[1] == 2.0
@@ -243,7 +243,7 @@ def test_patch_len_controls_block_count():
 def test_subgoal_slot_reads_trace_counts():
     symbols: set[str] = set()
     records = parse_trace((FIXTURES / "matrix_trace.jsonl").read_text(), symbols=symbols)
-    table = build_encoding_table(records, symbols)
+    table = build_encoding_table(tactic_names(records), symbols)
     vec = extract_features(records[0], table)
     assert vec[7] == 1.0
     assert vec[23] == 2.0  # third step splits into two subgoals

@@ -27,6 +27,7 @@ PREAMBLE = "(* a (* nested *) comment *)\nRequire Import ssreflect.\n\n"
 FIXTURE_LIBS = [(path.stem, path) for path in GOLDEN_SOURCES.values()] + HINT_LIBS
 QUERIES = [HINT / "hint_query.v", HINT / "hint_query_prefix.v", HINT / "hint_query_detached.v"]
 BOM = "\ufeff"
+WHITESPACE_RUN = re.compile(r"\s+")
 
 
 @st.composite
@@ -70,12 +71,12 @@ def _quiet_main(argv: list[str]) -> str:
 
 
 def outputs(libs: list[tuple[str, list[str]]], query: Path, flags: list[str], *,
-            query_prefix: str = "") -> tuple[bytes, bytes, str]:
-    """Corpus bytes, digest bytes and hint stdout for these libraries; query_prefix goes before the query text."""
+            rewrite_query=lambda text: text) -> tuple[bytes, bytes, str]:
+    """Corpus bytes, digest bytes and hint stdout for these libraries and the query text, rewritten."""
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         query_copy = work / "query.v"
-        query_copy.write_text(query_prefix + query.read_text(encoding="utf-8"), encoding="utf-8")
+        query_copy.write_text(rewrite_query(query.read_text(encoding="utf-8")), encoding="utf-8")
         lib_flags = []
         for i, (tag, texts) in enumerate(libs):
             for j, text in enumerate(texts):
@@ -87,6 +88,12 @@ def outputs(libs: list[tuple[str, list[str]]], query: Path, flags: list[str], *,
         _quiet_main(["cluster", "--corpus", str(corpus), "--out", str(digest), *flags])
         hint = _quiet_main(["hint", "--corpus", str(corpus), "--query", str(query_copy), *flags])
         return corpus.read_bytes(), digest.read_bytes(), hint
+
+
+def doubled_whitespace(text: str) -> str:
+    """The text with every whitespace run written twice: inside statements, goals and tactic
+    lines, and between sentences and trace records."""
+    return WHITESPACE_RUN.sub(lambda run: run.group() * 2, text)
 
 
 def split_in_two(text: str, at: int) -> list[str]:
@@ -150,4 +157,14 @@ def test_splitting_a_trace_by_lemma_under_its_tag_changes_no_output(case, which,
 def test_a_bom_before_every_library_file_and_the_query_changes_no_output(case):
     libs, query, flags = case
     with_bom = [(tag, [BOM + text for text in texts]) for tag, texts in libs]
-    assert outputs(with_bom, query, flags, query_prefix=BOM) == outputs(libs, query, flags)
+    assert outputs(with_bom, query, flags, rewrite_query=lambda text: BOM + text) == outputs(libs, query, flags)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases_with_traces())
+def test_doubling_every_whitespace_run_changes_no_output(case):
+    libs, query, flags = case
+    doubled = [(tag, [doubled_whitespace(text) for text in texts]) for tag, texts in libs]
+    for (_, texts), (_, new) in zip(libs, doubled):
+        assert new != texts
+    assert outputs(doubled, query, flags, rewrite_query=doubled_whitespace) == outputs(libs, query, flags)

@@ -14,8 +14,11 @@ clusters.  For every `--src` (default: this checkout's `src`, labelled
 
 * parsing per file kind (`parse_library` over the `.v` files, `parse_trace`
   over the `.jsonl` files);
-* encoding: the vocabulary table (from the symbols the parsers hand back, or
-  in a tree from before that, a walk over the records), then the feature rows;
+* encoding: each parsed file reduced to the encoder's inputs, as `ingest`
+  does before it reads the next file (`encode.reduce_s`); the vocabulary
+  table; then the coding of the feature rows (`encode.features_s`).  A tree
+  from before that reduction builds the table from the whole records and
+  encodes them, and reports no `encode.reduce_s`;
 * `corpus.save` and `corpus.load`;
 * one partition run per algorithm on a fresh point set, with its iteration count;
 * a `--kmeans-runs`-run k-means `run_partitions` (default 20);
@@ -115,16 +118,29 @@ def measure(seed: int, kmeans_runs: int) -> dict:
         traces = generate.generate(_workload(traces=True), seed, tmp / "t")
         query_text = vernacular.query.read_text(encoding="utf-8")
 
-        records = []
+        # a tree from before the per-file reduction keeps whole records and builds its table from them
+        reduces = hasattr(features, "lemma_patch")
+        lemmas = []
         symbols: set[str] = set()
-        # a tree from before the parsers handed back their symbols builds the table from records alone
-        from_parse = "symbols" in inspect.signature(script.parse_library).parameters
+        tactics: set[str] = set()
+
+        def reduce(parsed):  # what ingest keeps of one parsed file
+            tactics.update(app.name for r in parsed for step in r.steps for app in step.tactics)
+            return [features.lemma_patch(r, features.PATCH_LEN) for r in parsed]
+
         layers["parse.vernacular_s"] = 0.0
+        if reduces:
+            layers["encode.reduce_s"] = 0.0
+        vernacular_steps = 0
         for tag, path in vernacular.libraries:
             parsed, seconds = _timed(script.parse_library, path.read_text(encoding="utf-8"), tag,
-                                     filename=str(path), **({"symbols": symbols} if from_parse else {}))
-            records += parsed
+                                     filename=str(path), symbols=symbols)
             layers["parse.vernacular_s"] += seconds
+            vernacular_steps += sum(len(r.steps) for r in parsed)
+            if reduces:
+                parsed, seconds = _timed(reduce, parsed)
+                layers["encode.reduce_s"] += seconds
+            lemmas += parsed
         layers["parse.trace_s"] = 0.0
         trace_steps = 0
         for _, path in traces.libraries:
@@ -132,16 +148,15 @@ def measure(seed: int, kmeans_runs: int) -> dict:
                                      filename=str(path))
             trace_steps += sum(len(r.steps) for r in parsed)
             layers["parse.trace_s"] += seconds
-        shape.update(lemmas=len(records), vernacular_steps=sum(len(r.steps) for r in records),
-                     trace_steps=trace_steps)
+        shape.update(lemmas=len(lemmas), vernacular_steps=vernacular_steps, trace_steps=trace_steps)
 
-        records.sort(key=lambda r: r.name)
-        table, layers["encode.table_s"] = _timed(features.build_encoding_table, records,
-                                                 *([symbols] if from_parse else []))
+        lemmas.sort(key=lambda r: r.name)
+        table, layers["encode.table_s"] = _timed(features.build_encoding_table,
+                                                 tactics if reduces else lemmas, symbols)
         rows, layers["encode.features_s"] = _timed(
-            lambda: [features.extract_features(r, table, features.PATCH_LEN) for r in records])
+            lambda: [features.extract_features(r, table, features.PATCH_LEN) for r in lemmas])
         raw = np.array(rows, dtype=np.float64)
-        built = corpus.Corpus([r.name for r in records], {r.name: r.library for r in records}, raw, table)
+        built = corpus.Corpus([r.name for r in lemmas], {r.name: r.library for r in lemmas}, raw, table)
         _, layers["corpus.save_s"] = _timed(corpus.save, built, tmp / "c.corpus")
         loaded, layers["corpus.load_s"] = _timed(corpus.load, tmp / "c.corpus")
         shape.update(corpus_bytes=(tmp / "c.corpus").stat().st_size,

@@ -5,8 +5,10 @@ Usage (from the repository root):
     python3 tools/output_hashes.py [--src DIR] [--seeds 12 1 2] > hashes.txt
 
 Each workload's inputs are written by `perfbench/generate.py` into a
-temporary directory.  `extract`, `cluster`, `hint` and `report` then run
-in-process, once with the workload's algorithm and run count, once with
+temporary directory.  `extract` runs in-process at the default patch length
+and at `--patch-len` 1 and 8, and the corpus and feature dump of each are
+hashed.  `cluster`, `hint` and `report` then run on the default corpus,
+once with the workload's algorithm and run count, once with
 `--algorithm kmeans --runs 5` and once with `--algorithm em --runs 2`, and
 every stdout and written file is hashed.  Each pass also hashes `cluster`
 (stdout and digest) and `hint` at `--freq-threshold` 0.3 and 1.0.  At seeds
@@ -48,6 +50,7 @@ WORKLOAD_NAMES = ("dup-kmeans", "long-proofs-ff")
 GRANULARITY = 3
 FREQ_THRESHOLD = 0.6
 THRESHOLDS = (0.3, 1.0)  # cluster and hint are also hashed at these
+PATCH_LENS = (1, 8)  # extract is also hashed at these
 
 
 def _sha(data: bytes) -> str:
@@ -72,6 +75,12 @@ def workload_hashes(cli_main, workload, seed: int) -> list[tuple[str, str]]:
         "extract", *libs, "--out", "corpus", "--features", "features.jsonl"]))))
     rows.append(("corpus", _sha(Path("corpus").read_bytes())))
     rows.append(("features", _sha(Path("features.jsonl").read_bytes())))
+    for patch_len in PATCH_LENS:
+        _run(cli_main, ["extract", *libs, "--out", f"corpus-p{patch_len}",
+                        "--features", f"features-p{patch_len}.jsonl", "--patch-len", str(patch_len)])
+        rows.append((f"corpus at patch-len {patch_len}", _sha(Path(f"corpus-p{patch_len}").read_bytes())))
+        rows.append((f"features at patch-len {patch_len}",
+                     _sha(Path(f"features-p{patch_len}.jsonl").read_bytes())))
     for algorithm, runs in ((workload.algorithm, workload.runs), ("kmeans", 5), ("em", 2)):
         flags = ["--algorithm", algorithm, "--granularity", str(GRANULARITY), "--runs", str(runs),
                  "--freq-threshold", str(FREQ_THRESHOLD), "--seed", str(seed)]
