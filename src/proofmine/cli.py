@@ -22,7 +22,7 @@ from .corpus import (CorruptFile, QUERY_NAME, VersionMismatch, database_with_que
 from .digest import (HOMOGENEITY, DigestConfig, TooFewLemmas, digest_to_dict, read_digest,
                      run_digest, select_reliable, write_digest)
 from .features import write_feature_records
-from .script import ParseError, parse_partial
+from .script import ParseError, parse_partial, read_source
 from .terms import TermError
 
 EXIT_OK = 0
@@ -169,7 +169,7 @@ def cmd_hint(args: argparse.Namespace) -> int:
     cfg = _digest_config(args)
     corpus = load(args.corpus)
     query_path = Path(args.query)
-    record = parse_partial(query_path.read_text(encoding="utf-8-sig"), filename=str(query_path))
+    record = parse_partial(read_source(query_path), filename=str(query_path))
     db = database_with_query(corpus, record)
     chosen = select_reliable(db, cfg, QUERY_NAME)
     if chosen is None:

@@ -29,9 +29,9 @@ import numpy as np
 
 from .clustering import _distinct_rows
 from .features import (EncodingTable, FeatureDatabase, LemmaPatch, build_encoding_table,
-                       extract_features, lemma_patch, min_max_scale, PATCH_LEN, SLOTS_PER_STEP)
+                       extract_features, lemma_patches, min_max_scale, PATCH_LEN, SLOTS_PER_STEP)
 from .script import (_IDENT_RE, DuplicateLemmaName, LemmaRecord, looks_like_trace, parse_library,
-                     parse_trace)
+                     parse_trace, read_source)
 
 # Rows are stored: a change to the feature encoding or the vocabulary rule must bump this tag.
 CORPUS_FORMAT = "proofmine corpus v5"
@@ -73,13 +73,13 @@ def _read_library(path: Path, tag: str, patch_len: int, symbols: set[str],
     every step, not only of the patches, into tactics.  The file's text,
     records and term trees are dropped when this returns.
     """
-    source = path.read_text(encoding="utf-8-sig")
+    source = read_source(path)
     if looks_like_trace(source):
         parsed = parse_trace(source, filename=str(path), symbols=symbols)
     else:
         parsed = parse_library(source, tag, filename=str(path), symbols=symbols)
     tactics.update(app.name for record in parsed for step in record.steps for app in step.tactics)
-    return [lemma_patch(record, patch_len) for record in parsed]
+    return lemma_patches(parsed, patch_len)
 
 
 def ingest(paths: list[str | Path], tags: list[str], *, patch_len: int = PATCH_LEN) -> Corpus:
@@ -109,7 +109,14 @@ def ingest(paths: list[str | Path], tags: list[str], *, patch_len: int = PATCH_L
         raise EmptyCorpus(f"the given libraries hold no proved lemma: {', '.join(map(str, paths))}")
     names = sorted(patches)
     table = build_encoding_table(tactics, symbols)
-    rows = [extract_features(patches[name], table, patch_len) for name in names]
+    rows = []
+    coded: dict = {}  # a patch's steps -> its row: a repeated patch is coded once
+    for name in names:
+        patch = patches[name]
+        row = coded.get(patch.steps)
+        if row is None:
+            row = coded[patch.steps] = extract_features(patch, table, patch_len)
+        rows.append(row)
     raw = np.array(rows, dtype=np.float64).reshape(len(rows), SLOTS_PER_STEP * patch_len)
     return Corpus(names, {name: patches[name].library for name in names}, raw, table, patch_len)
 

@@ -4,7 +4,7 @@ Per-step slots: (1) tactic-name codes folded into one decimal, (2) tactic
 count, (3) argument-kind codes folded likewise, (4) argument relation code,
 (5-7) the top three goal symbols, (8) subgoal fan-out (-1 when unknown).
 Code 0 always means "absent/unknown".  Encoding has two halves:
-`lemma_patch` keeps what the slots need and no vocabulary does, and the
+`lemma_patches` keeps what the slots need and no vocabulary does, and the
 coding step maps it to numbers once the corpus vocabulary is known.
 """
 
@@ -122,20 +122,36 @@ class LemmaPatch(NamedTuple):
     steps: tuple[StepSlots, ...]
 
 
-def _step_slots(step: ProofStep) -> StepSlots:
-    kinds = [arg.kind for app in step.tactics for arg in app.arguments]
+def _step_slots(step: ProofStep, tactic_halves: dict) -> StepSlots:
+    """One step's slots; tactic_halves maps each step.tactics already seen to slots 1-4, which
+    depend on nothing else."""
+    half = tactic_halves.get(step.tactics)
+    if half is None:
+        kinds = [arg.kind for app in step.tactics for arg in app.arguments]
+        half = tactic_halves[step.tactics] = (
+            tuple(app.name for app in step.tactics),
+            _decimal_fold([KIND_CODES[k] for k in kinds[:_MAX_FOLDED_ARGS]]),
+            _relation_code(kinds),
+        )
+    names, kinds, relation = half
     return StepSlots(
-        tuple(app.name for app in step.tactics),
-        _decimal_fold([KIND_CODES[k] for k in kinds[:_MAX_FOLDED_ARGS]]),
-        _relation_code(kinds),
+        names, kinds, relation,
         step.goal_before.top_symbols() if step.goal_before is not None else None,
         float(step.subgoals_after) if step.subgoals_after is not None else -1.0,
     )
 
 
-def lemma_patch(lemma: LemmaRecord, patch_len: int = PATCH_LEN) -> LemmaPatch:
-    """The first half of the encoder, which needs no vocabulary: the lemma's first patch_len steps."""
-    return LemmaPatch(lemma.name, lemma.library, tuple(map(_step_slots, lemma.steps[:patch_len])))
+def lemma_patches(lemmas: list[LemmaRecord], patch_len: int = PATCH_LEN) -> list[LemmaPatch]:
+    """The first half of the encoder, which needs no vocabulary: each lemma's first patch_len steps.
+
+    The tactic half of a step's slots is computed once per distinct tactic
+    tuple among lemmas, as `ingest` passes the lemmas of one file; the goal's
+    symbols and the subgoal value are taken from each step.
+    """
+    tactic_halves: dict = {}
+    return [LemmaPatch(lemma.name, lemma.library,
+                       tuple(_step_slots(step, tactic_halves) for step in lemma.steps[:patch_len]))
+            for lemma in lemmas]
 
 
 def _code_step(step: StepSlots, table: EncodingTable) -> tuple[float, ...]:
@@ -163,11 +179,11 @@ def extract_features(lemma: LemmaRecord | LemmaPatch, table: EncodingTable,
                      patch_len: int = PATCH_LEN) -> tuple[float, ...]:
     """Concatenated step blocks for the first patch_len steps, zero-padded.
 
-    This is `lemma_patch`, then the coding of the patch against table.  A
-    lemma already reduced by `lemma_patch`, as `ingest` reduces each file
+    This is `lemma_patches`, then the coding of the patch against table.  A
+    lemma already reduced by `lemma_patches`, as `ingest` reduces each file
     before it reads the next, is coded as it is.
     """
-    patch = lemma if isinstance(lemma, LemmaPatch) else lemma_patch(lemma, patch_len)
+    patch = lemma if isinstance(lemma, LemmaPatch) else lemma_patches([lemma], patch_len)[0]
     if not patch.steps:
         raise NoProofBody(f"lemma {patch.name} has no proof steps")
     steps = patch.steps[:patch_len]

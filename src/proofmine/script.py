@@ -14,12 +14,14 @@ and subgoal counts ("proofmine trace v1"); see parse_trace.
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 from .terms import TermError, TermTree, UnbalancedDelimiters, group_end, interned_symbols, parse_term_tree
 
@@ -407,12 +409,22 @@ def _statement_tree(name: str, statement_text: str, intern: dict, *, file: str, 
 
 
 def _record(name: str, statement: TermTree, body: list[Sentence], library: str, lexed: dict,
-            file: str) -> LemmaRecord:
-    """A lemma record whose first step's goal is the statement."""
-    ctx = _ProofContext()
-    steps = [ProofStep(_tactics(sen.text, ctx, "proof step without tokens", lexed, file=file,
-                                line=sen.line_start), statement if pos == 0 else None)
-             for pos, sen in enumerate(body)]
+            proofs: dict, file: str) -> LemmaRecord:
+    """A lemma record whose first step's goal is the statement.
+
+    proofs maps the command-line texts of each body already parsed in the
+    file to its steps' tactic applications, so a repeated body is classified
+    once: a proof's context starts empty and changes only through its own
+    lines.  A body that fails to parse is not stored.
+    """
+    texts = tuple([sen.text for sen in body])
+    tactics = proofs.get(texts)
+    if tactics is None:
+        ctx = _ProofContext()
+        tactics = proofs[texts] = tuple([
+            _tactics(sen.text, ctx, "proof step without tokens", lexed, file=file, line=sen.line_start)
+            for sen in body])
+    steps = [ProofStep(apps, statement if pos == 0 else None) for pos, apps in enumerate(tactics)]
     return LemmaRecord(name, statement, tuple(steps), library)
 
 
@@ -430,6 +442,7 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>",
     seen: set[str] = set()
     intern: dict = {}  # one per file: equal subterms are shared, a repeated statement text parsed once
     lexed: dict = {}  # one per file: a repeated command line lexed once
+    proofs: dict = {}  # one per file: a repeated proof body classified once
     for sen, body, closed in _lemmas(split_sentences(source, filename=filename)):
         name, statement_text = _parse_header(sen, filename)
         if name in seen:
@@ -438,7 +451,7 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>",
         statement = _statement_tree(name, statement_text, intern, file=filename, line=sen.line_start)
         if not closed:
             raise UnterminatedProof(f"proof of {name} never closed", file=filename, line=sen.line_start)
-        records.append(_record(name, statement, body, library_tag, lexed, filename))
+        records.append(_record(name, statement, body, library_tag, lexed, proofs, filename))
     if symbols is not None:
         symbols.update(interned_symbols(intern))
     return records
@@ -454,7 +467,7 @@ def parse_partial(source: str, *, filename: str = "<query>") -> LemmaRecord:
     statement = _statement_tree(name, statement_text, {}, file=filename, line=sen.line_start)
     if not body:
         raise MalformedStatement(f"partial proof of {name} has no steps", file=filename, line=sen.line_start)
-    return _record(name, statement, body, "query", {}, filename)
+    return _record(name, statement, body, "query", {}, {}, filename)
 
 
 # ---------------------------------------------------------------------------
@@ -509,28 +522,32 @@ def parse_trace(source: str, *, filename: str = "<trace>",
             raise ParseError(f"conflicting library tags for {name}", file=filename, line=line_no)
         if idx in by_index:
             raise ParseError(f"duplicate step {idx} for {name}", file=filename, line=line_no)
-        by_index[idx] = (obj["tactic_line"], obj["goal_before"], obj["subgoals_after"], line_no)
+        text = obj["tactic_line"].strip()  # the command line, without its final '.'
+        by_index[idx] = (text[:-1] if text.endswith(".") else text, obj["goal_before"],
+                         obj["subgoals_after"], line_no)
 
     records: list[LemmaRecord] = []
     intern: dict = {}  # one per file: equal subterms are shared, a repeated goal text parsed once
     lexed: dict = {}  # one per file: a repeated command line lexed once
+    proofs: dict = {}  # one per file: the tactic lines of a proof, in step order -> their applications
     for name, (library, by_index) in per_lemma.items():
+        order = sorted(by_index)
+        texts = tuple([by_index[idx][0] for idx in order])
+        # a known proof parsed without error, so only the index and goal checks below can fail
+        known = proofs.get(texts)
         ctx = _ProofContext()
         steps: list[ProofStep] = []
-        statement: TermTree | None = None
-        for expected, idx in enumerate(sorted(by_index), start=1):
-            tactic_line, goal_text, subgoals, line_no = by_index[idx]
-            if idx != expected:
-                raise ParseError(f"missing step {expected} for {name}", file=filename, line=line_no)
-            text = tactic_line.strip()
-            if text.endswith("."):
-                text = text[:-1]
-            apps = _tactics(text, ctx, f"empty tactic_line for {name}", lexed, file=filename, line=line_no)
+        for pos, idx in enumerate(order):
+            _, goal_text, subgoals, line_no = by_index[idx]
+            if idx != pos + 1:
+                raise ParseError(f"missing step {pos + 1} for {name}", file=filename, line=line_no)
+            apps = known[pos] if known is not None else _tactics(
+                texts[pos], ctx, f"empty tactic_line for {name}", lexed, file=filename, line=line_no)
             goal = _statement_tree(name, goal_text, intern, file=filename, line=line_no)
-            if statement is None:
-                statement = goal
             steps.append(ProofStep(apps, goal_before=goal, subgoals_after=subgoals))
-        records.append(LemmaRecord(name, statement, tuple(steps), library))
+        if known is None:
+            proofs[texts] = tuple(step.tactics for step in steps)
+        records.append(LemmaRecord(name, steps[0].goal_before, tuple(steps), library))
     if symbols is not None:
         symbols.update(interned_symbols(intern))
     return records
@@ -539,3 +556,21 @@ def parse_trace(source: str, *, filename: str = "<trace>",
 def looks_like_trace(source: str) -> bool:
     stripped = source.lstrip()
     return stripped.startswith("{")
+
+
+def read_source(path: Path) -> str:
+    """A library, trace or query file's text: UTF-8, with or without a byte order mark.
+
+    A byte that does not decode is a ParseError at its line, counted as the
+    parser of the file's kind counts lines.
+    """
+    data = path.read_bytes()
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        line = len(_LINE_BREAK_RE.split(before)) if looks_like_trace(before) else before.count("\n") + 1
+        raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", file=str(path),
+                         line=line) from None

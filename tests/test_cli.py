@@ -350,6 +350,36 @@ def test_extract_reads_a_library_that_starts_with_a_bom(tmp_path, capsys):
     assert load(out).names == ["a1", "a2"]
 
 
+def _trace_record(lemma: str, step: int) -> bytes:
+    return json.dumps({"lemma": lemma, "library": "l", "step_index": step, "tactic_line": "by [].",
+                       "goal_before": "a = b", "subgoals_after": 0}).encode()
+
+
+@pytest.mark.parametrize("name, data, line", [
+    ("lib.v", b"Lemma a1 : x = x.\nProof. by []. Qed.\nLemma a2 : \xff = y.\nProof. by []. Qed.\n", 3),
+    ("bom.v", b"\xef\xbb\xbfLemma a1 : x = x.\nProof. by \xff. Qed.\n", 2),
+    ("lib.jsonl", _trace_record("x", 1) + b"\n\n" + _trace_record("x", 2).replace(b"by", b"\xffby"), 3),
+    # a trace counts a lone carriage return as a line break, as its reader does
+    ("cr.jsonl", _trace_record("x", 1) + b"\r" + _trace_record("y", 1)[:-3] + b"\xe2\x82}", 2),
+], ids=["library", "library with a bom", "trace", "trace split at carriage returns"])
+def test_extract_on_a_file_that_is_not_utf8_exits_2_at_its_line(tmp_path, capsys, name, data, line):
+    library = tmp_path / name
+    library.write_bytes(data)
+    out = tmp_path / "c"
+    assert main(["extract", f"--lib=A:{library}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {library}:{line}: not UTF-8: byte 0x"), err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_hint_on_a_query_that_is_not_utf8_exits_2_at_its_line(corpus_file, tmp_path, capsys):
+    query = tmp_path / "query.v"
+    query.write_bytes(b"Lemma q : x = x.\nProof.\nrewrite \xff.\n")
+    assert main(["hint", "--corpus", str(corpus_file), "--query", str(query), "--runs", "2"]) == 2
+    assert capsys.readouterr().err == f"parse error: {query}:3: not UTF-8: byte 0xff (invalid start byte)\n"
+
+
 def test_a_bom_before_a_trace_and_a_query_changes_no_output(corpus_file, tmp_path, capsys):
     libs = [("ssrbool", FIXTURES / "ssr_bool.v"), ("matrix", FIXTURES / "matrix_trace.jsonl")]
     with_bom = []

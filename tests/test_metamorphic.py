@@ -2,9 +2,10 @@
 
 Each case runs `extract`, `cluster` and `hint` on a set of libraries, then
 again after one rewrite of the input files, and compares the corpus bytes,
-the digest bytes and the hint stdout.  The libraries are fixture files or
-generated ones.  Renaming a lemma is not such a rewrite: rows are ordered by
-name and seeds pick row indices, so a rename is expected to change a digest.
+the feature dump, the digest bytes and the hint stdout.  The libraries are
+fixture files or generated ones.  Renaming a lemma is not such a rewrite:
+rows are ordered by name and seeds pick row indices, so a rename is expected
+to change a digest.
 """
 
 import contextlib
@@ -71,8 +72,9 @@ def _quiet_main(argv: list[str]) -> str:
 
 
 def outputs(libs: list[tuple[str, list[str]]], query: Path, flags: list[str], *,
-            rewrite_query=lambda text: text) -> tuple[bytes, bytes, str]:
-    """Corpus bytes, digest bytes and hint stdout for these libraries and the query text, rewritten."""
+            rewrite_query=lambda text: text) -> tuple[bytes, bytes, bytes, str]:
+    """Corpus bytes, feature dump, digest bytes and hint stdout for these libraries and the query
+    text, rewritten."""
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         query_copy = work / "query.v"
@@ -83,11 +85,11 @@ def outputs(libs: list[tuple[str, list[str]]], query: Path, flags: list[str], *,
                 path = work / f"{i}_{j}.v"
                 path.write_text(text, encoding="utf-8")
                 lib_flags.append(f"--lib={tag}:{path}")
-        corpus, digest = work / "corpus", work / "digest.json"
-        _quiet_main(["extract", *lib_flags, "--out", str(corpus)])
+        corpus, features, digest = work / "corpus", work / "features.jsonl", work / "digest.json"
+        _quiet_main(["extract", *lib_flags, "--out", str(corpus), "--features", str(features)])
         _quiet_main(["cluster", "--corpus", str(corpus), "--out", str(digest), *flags])
         hint = _quiet_main(["hint", "--corpus", str(corpus), "--query", str(query_copy), *flags])
-        return corpus.read_bytes(), digest.read_bytes(), hint
+        return corpus.read_bytes(), features.read_bytes(), digest.read_bytes(), hint
 
 
 def doubled_whitespace(text: str) -> str:
@@ -111,6 +113,27 @@ def split_by_lemma(text: str, seed: int) -> list[str]:
     moved = set(random.Random(seed).sample(names, 1 + seed % (len(names) - 1)))
     return ["".join(line for line, lemma in zip(lines, lemmas) if lemma not in moved),
             "".join(line for line, lemma in zip(lines, lemmas) if lemma in moved)]
+
+
+def lemmas_reordered(text: str, seed: int) -> str:
+    """The text with its lemmas in a shuffled order.
+
+    A vernacular lemma moves with everything up to the next lemma; what comes
+    before the first lemma stays first.  A trace lemma moves with all its
+    records, in their order.
+    """
+    rng = random.Random(seed)
+    if text.lstrip().startswith("{"):
+        by_lemma: dict[str, list[str]] = {}
+        for line in text.splitlines(keepends=True):
+            by_lemma.setdefault(json.loads(line)["lemma"], []).append(line)
+        groups = list(by_lemma.values())
+        rng.shuffle(groups)
+        return "".join(line for group in groups for line in group)
+    starts = [m.start() for m in LEMMA_START.finditer(text)]
+    chunks = [text[a:b] for a, b in zip(starts, starts[1:] + [len(text)])]
+    rng.shuffle(chunks)
+    return text[:starts[0]] + "".join(chunk if chunk.endswith("\n") else chunk + "\n" for chunk in chunks)
 
 
 @settings(max_examples=40, deadline=None)
@@ -168,3 +191,13 @@ def test_doubling_every_whitespace_run_changes_no_output(case):
     for (_, texts), (_, new) in zip(libs, doubled):
         assert new != texts
     assert outputs(doubled, query, flags, rewrite_query=doubled_whitespace) == outputs(libs, query, flags)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases_with_traces(), st.integers(0, 2**16))
+def test_reordering_the_lemmas_within_each_file_changes_no_output(case, seed):
+    # the parser's and the encoder's per-file memos fill in the order lemmas come
+    libs, query, flags = case
+    reordered = [(tag, [lemmas_reordered(text, seed + i) for text in texts])
+                 for i, (tag, texts) in enumerate(libs)]
+    assert outputs(reordered, query, flags) == outputs(libs, query, flags)

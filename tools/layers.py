@@ -13,12 +13,14 @@ clusters.  For every `--src` (default: this checkout's `src`, labelled
 `change`) a fresh process imports proofmine from DIR and times, once each:
 
 * parsing per file kind (`parse_library` over the `.v` files, `parse_trace`
-  over the `.jsonl` files);
+  over the `.jsonl` files), with the distinct proof bodies of each file
+  summed over both kinds (`shape.distinct_proofs`);
 * encoding: each parsed file reduced to the encoder's inputs, as `ingest`
   does before it reads the next file (`encode.reduce_s`); the vocabulary
   table; then the coding of the feature rows (`encode.features_s`).  A tree
   from before that reduction builds the table from the whole records and
-  encodes them, and reports no `encode.reduce_s`;
+  encodes them, and reports no `encode.reduce_s`.  `shape.distinct_patches`
+  counts the distinct reduced vernacular lemmas, which `ingest` codes once each;
 * `corpus.save` and `corpus.load`;
 * one partition run per algorithm on a fresh point set, with its iteration count;
 * a `--kmeans-runs`-run k-means `run_partitions` (default 20);
@@ -119,14 +121,20 @@ def measure(seed: int, kmeans_runs: int) -> dict:
         query_text = vernacular.query.read_text(encoding="utf-8")
 
         # a tree from before the per-file reduction keeps whole records and builds its table from them
-        reduces = hasattr(features, "lemma_patch")
+        reduces = hasattr(features, "lemma_patches") or hasattr(features, "lemma_patch")
         lemmas = []
         symbols: set[str] = set()
         tactics: set[str] = set()
+        proofs = 0  # distinct proof bodies, counted per file as the parser's memo holds them
 
         def reduce(parsed):  # what ingest keeps of one parsed file
             tactics.update(app.name for r in parsed for step in r.steps for app in step.tactics)
+            if hasattr(features, "lemma_patches"):
+                return features.lemma_patches(parsed, features.PATCH_LEN)
             return [features.lemma_patch(r, features.PATCH_LEN) for r in parsed]
+
+        def distinct_proofs(parsed) -> int:
+            return len({tuple(step.tactics for step in r.steps) for r in parsed})
 
         layers["parse.vernacular_s"] = 0.0
         if reduces:
@@ -137,6 +145,7 @@ def measure(seed: int, kmeans_runs: int) -> dict:
                                      filename=str(path), symbols=symbols)
             layers["parse.vernacular_s"] += seconds
             vernacular_steps += sum(len(r.steps) for r in parsed)
+            proofs += distinct_proofs(parsed)
             if reduces:
                 parsed, seconds = _timed(reduce, parsed)
                 layers["encode.reduce_s"] += seconds
@@ -147,8 +156,12 @@ def measure(seed: int, kmeans_runs: int) -> dict:
             parsed, seconds = _timed(script.parse_trace, path.read_text(encoding="utf-8"),
                                      filename=str(path))
             trace_steps += sum(len(r.steps) for r in parsed)
+            proofs += distinct_proofs(parsed)
             layers["parse.trace_s"] += seconds
-        shape.update(lemmas=len(lemmas), vernacular_steps=vernacular_steps, trace_steps=trace_steps)
+        shape.update(lemmas=len(lemmas), vernacular_steps=vernacular_steps, trace_steps=trace_steps,
+                     distinct_proofs=proofs)
+        if reduces:  # distinct patches, each coded once by ingest
+            shape.update(distinct_patches=len({patch.steps for patch in lemmas}))
 
         lemmas.sort(key=lambda r: r.name)
         table, layers["encode.table_s"] = _timed(features.build_encoding_table,

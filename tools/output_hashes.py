@@ -7,7 +7,9 @@ Usage (from the repository root):
 Each workload's inputs are written by `perfbench/generate.py` into a
 temporary directory.  `extract` runs in-process at the default patch length
 and at `--patch-len` 1 and 8, and the corpus and feature dump of each are
-hashed.  `cluster`, `hint` and `report` then run on the default corpus,
+hashed.  For dup-kmeans this is done first over its lemmas written as trace
+JSON Lines (`generate.trace_jsonl`), where many lemmas share their tactic
+lines but not their goals.  `cluster`, `hint` and `report` then run on the default corpus,
 once with the workload's algorithm and run count, once with
 `--algorithm kmeans --runs 5` and once with `--algorithm em --runs 2`, and
 every stdout and written file is hashed.  Each pass also hashes `cluster`
@@ -42,6 +44,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import random  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -51,6 +54,7 @@ GRANULARITY = 3
 FREQ_THRESHOLD = 0.6
 THRESHOLDS = (0.3, 1.0)  # cluster and hint are also hashed at these
 PATCH_LENS = (1, 8)  # extract is also hashed at these
+TRACE_RENDERED = "dup-kmeans"  # extract is also hashed over this workload's lemmas written as traces
 
 
 def _sha(data: bytes) -> str:
@@ -65,22 +69,50 @@ def _run(cli_main, argv: list[str]) -> bytes:
     return f"{out.getvalue()}exit {code}\n".encode()
 
 
+def extract_hashes(cli_main, libs: list[str], label: str = "") -> list[tuple[str, str]]:
+    """extract's stdout, corpus and feature dump at the default patch length, then the
+    corpus and feature dump at each of PATCH_LENS; the default corpus is left in `corpus`."""
+    rows = [(f"{label}extract stdout", _sha(_run(cli_main, [
+        "extract", *libs, "--out", "corpus", "--features", "features.jsonl"])))]
+    rows.append((f"{label}corpus", _sha(Path("corpus").read_bytes())))
+    rows.append((f"{label}features", _sha(Path("features.jsonl").read_bytes())))
+    for patch_len in PATCH_LENS:
+        _run(cli_main, ["extract", *libs, "--out", f"corpus-p{patch_len}",
+                        "--features", f"features-p{patch_len}.jsonl", "--patch-len", str(patch_len)])
+        rows.append((f"{label}corpus at patch-len {patch_len}",
+                     _sha(Path(f"corpus-p{patch_len}").read_bytes())))
+        rows.append((f"{label}features at patch-len {patch_len}",
+                     _sha(Path(f"features-p{patch_len}.jsonl").read_bytes())))
+    return rows
+
+
+def trace_rendering_hashes(cli_main, workload, seed: int) -> list[tuple[str, str]]:
+    """extract over the workload's lemmas written as trace JSON Lines, one file per library.
+
+    Lemmas that share a proof then share their tactic lines but not their
+    goals after the first step, nor their subgoal counts.
+    """
+    from generate import trace_jsonl
+
+    rng = random.Random(f"{workload.name} as traces:{seed}")
+    libs = []
+    for lib in range(workload.libraries):
+        tag = f"lib{lib}"
+        lemmas = [(f"{tag}_{i:04d}", *workload.lemma(rng)) for i in range(workload.lemmas_per_library)]
+        path = Path(f"traces-{tag}.jsonl")
+        path.write_text(trace_jsonl(rng, tag, lemmas, workload.depth), encoding="utf-8")
+        libs.append(f"--lib={tag}:{path}")
+    return extract_hashes(cli_main, libs, "as traces: ")
+
+
 def workload_hashes(cli_main, workload, seed: int) -> list[tuple[str, str]]:
     from generate import generate
 
     rows = []
+    if workload.name == TRACE_RENDERED:
+        rows += trace_rendering_hashes(cli_main, workload, seed)
     inputs = generate(workload, seed, Path("inputs"))
-    libs = [f"--lib={tag}:{path}" for tag, path in inputs.libraries]
-    rows.append(("extract stdout", _sha(_run(cli_main, [
-        "extract", *libs, "--out", "corpus", "--features", "features.jsonl"]))))
-    rows.append(("corpus", _sha(Path("corpus").read_bytes())))
-    rows.append(("features", _sha(Path("features.jsonl").read_bytes())))
-    for patch_len in PATCH_LENS:
-        _run(cli_main, ["extract", *libs, "--out", f"corpus-p{patch_len}",
-                        "--features", f"features-p{patch_len}.jsonl", "--patch-len", str(patch_len)])
-        rows.append((f"corpus at patch-len {patch_len}", _sha(Path(f"corpus-p{patch_len}").read_bytes())))
-        rows.append((f"features at patch-len {patch_len}",
-                     _sha(Path(f"features-p{patch_len}.jsonl").read_bytes())))
+    rows += extract_hashes(cli_main, [f"--lib={tag}:{path}" for tag, path in inputs.libraries])
     for algorithm, runs in ((workload.algorithm, workload.runs), ("kmeans", 5), ("em", 2)):
         flags = ["--algorithm", algorithm, "--granularity", str(GRANULARITY), "--runs", str(runs),
                  "--freq-threshold", str(FREQ_THRESHOLD), "--seed", str(seed)]
