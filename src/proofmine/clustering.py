@@ -30,13 +30,10 @@ def choose_n(m: int, g: int) -> int:
 @dataclass
 class ClusterAssignment:
     labels: np.ndarray
-    centers: np.ndarray
     proximity: np.ndarray
-    objective: float
-    center_indices: tuple[int, ...] = ()
+    centers: np.ndarray
     objective_history: tuple[float, ...] = ()
     log_likelihood_history: tuple[float, ...] = ()
-    responsibilities: np.ndarray | None = None
 
 
 def _as_points(points) -> np.ndarray:
@@ -53,9 +50,15 @@ def _check_n(n: int, m: int) -> None:
         raise TooFewPoints(f"asked for {n} clusters over {m} points")
 
 
+def _sq_norms(diff: np.ndarray) -> np.ndarray:
+    """The squared length of each difference along the last axis: the one
+    squared-distance kernel of this module, so every distance it compares or
+    reports has the same bits."""
+    return np.einsum("...d,...d->...", diff, diff)
+
+
 def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("mnd,mnd->mn", diff, diff)
+    return _sq_norms(points[:, None, :] - centers[None, :, :])
 
 
 def _fill_columns(dist: np.ndarray, rows: np.ndarray, centers: np.ndarray, cols) -> None:
@@ -75,10 +78,6 @@ def _proximity(dist: np.ndarray) -> np.ndarray:
     if top == 0.0:
         return np.ones(len(dist))
     return 1.0 - dist / top
-
-
-def _nearest_proximity(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return _proximity(np.sqrt(np.sum((points - centers[labels]) ** 2, axis=1)))
 
 
 def _farthest(own: np.ndarray, k: int) -> np.ndarray:
@@ -106,7 +105,7 @@ class PointSet:
     Every entry of a column is its own reduction over one row, so a column over
     the distinct rows, read through `inverse`, is the column over every row bit
     for bit, and a kept column is the one a fresh run would compute.  It keeps
-    at most two columns per distinct row, for as long as the PointSet lives.
+    at most one column per distinct row, for as long as the PointSet lives.
     The clustering functions also take a plain array, which gets a PointSet of
     its own.
     """
@@ -120,19 +119,14 @@ class PointSet:
         order = np.argsort(first)
         self.distinct = rows[order]
         self.inverse = np.argsort(order)[inverse]
-        self.first_index = first[order]  # where each distinct row first occurs
-        self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._columns: dict[int, np.ndarray] = {}
 
-    def columns(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """Squared distances from distinct row `row` to every distinct row: summed
-        as `_nearest_proximity` sums them, and as `_sq_distances` computes them."""
-        cols = self._columns.get(row)
-        if cols is None:
-            # one difference array serves both: squaring, then the row sum, is what
-            # `_nearest_proximity` does, and the einsum reduces as `_sq_distances` does
-            diff = self.distinct - self.distinct[row]
-            cols = self._columns[row] = ((diff * diff).sum(axis=1), np.einsum("md,md->m", diff, diff))
-        return cols
+    def column(self, row: int) -> np.ndarray:
+        """Squared distances from distinct row `row` to every distinct row."""
+        col = self._columns.get(row)
+        if col is None:
+            col = self._columns[row] = _sq_norms(self.distinct - self.distinct[row])
+        return col
 
 
 def _point_set(points) -> PointSet:
@@ -169,8 +163,8 @@ def kmeans(points, n: int, seed: int) -> ClusterAssignment:
     rows = np.argmin(dist, axis=1)  # the label of each distinct row
     labels = rows[inverse]
     settled = np.zeros(n, dtype=bool)  # center j is the mean of its members under `labels`
-    states = [(labels, centers)]
-    first_seen = {labels.tobytes(): 0}
+    states = [(rows, centers)]
+    first_seen = {rows.tobytes(): 0}  # rows repeat exactly when labels do
     history = [float(np.sum((pts - centers[labels]) ** 2))]
     for step in range(1, KMEANS_MAX_ITER + 1):
         counts = np.bincount(labels, minlength=n)
@@ -184,7 +178,7 @@ def kmeans(points, n: int, seed: int) -> ClusterAssignment:
         empties = np.flatnonzero(counts == 0)
         if len(empties):
             # re-seed each empty cluster with the point farthest from its own center
-            own = np.sqrt(np.sum((pts - new[labels]) ** 2, axis=1))
+            own = np.sqrt(_sq_norms(pts - new[labels]))
             new[empties] = pts[_farthest(own, len(empties))]
         moved = np.flatnonzero((new.view(np.uint64) != centers.view(np.uint64)).any(axis=1))
         if len(moved):
@@ -198,19 +192,18 @@ def kmeans(points, n: int, seed: int) -> ClusterAssignment:
         rows = new_rows
         labels = rows[inverse]
         history.append(float(np.sum((pts - centers[labels]) ** 2)))
-        states.append((labels, centers))
-        start = first_seen.setdefault(labels.tobytes(), step)
+        states.append((rows, centers))
+        start = first_seen.setdefault(rows.tobytes(), step)
         if start != step:
-            # states start+1 .. step repeat with period step - start
-            labels, centers = states[start + 1 + (KMEANS_MAX_ITER - start - 1) % (step - start)]
+            # states start+1 .. step repeat with period step - start; the centers
+            # picked may not be the ones whose distances `dist` holds
+            rows, centers = states[start + 1 + (KMEANS_MAX_ITER - start - 1) % (step - start)]
             break
-    objective = float(np.sum((pts - centers[labels]) ** 2))
+    near = np.sqrt(_sq_norms(distinct - centers[rows]))
     return ClusterAssignment(
-        labels=labels,
+        labels=rows[inverse],
+        proximity=_proximity(near)[inverse],
         centers=centers,
-        proximity=_nearest_proximity(pts, centers, labels),
-        objective=objective,
-        center_indices=tuple(int(i) for i in init),
         objective_history=tuple(history),
     )
 
@@ -266,14 +259,11 @@ def em_gaussian(points, n: int, seed: int) -> ClusterAssignment:
         variances[live] = np.maximum(second - means[live] ** 2, VARIANCE_FLOOR)
 
     labels = np.argmax(resp, axis=1)
-    proximity = resp[np.arange(m), labels]
     return ClusterAssignment(
         labels=labels,
+        proximity=resp[np.arange(m), labels],
         centers=means,
-        proximity=proximity,
-        objective=history[-1],
         log_likelihood_history=tuple(history),
-        responsibilities=resp,
     )
 
 
@@ -281,7 +271,8 @@ def farthest_first(points, n: int, seed: int) -> ClusterAssignment:
     """Greedy max-min center selection from one seeded starting point.
 
     The loop, the assignment and the proximities run over the distinct rows
-    with the PointSet's columns, and are broadcast back to every row.
+    with the PointSet's columns, and are broadcast back to every row.  The
+    centers are the chosen distinct rows, byte-equal to the rows picked.
     """
     shared = _point_set(points)
     m = len(shared.points)
@@ -289,21 +280,18 @@ def farthest_first(points, n: int, seed: int) -> ClusterAssignment:
     rng = np.random.default_rng(seed)
     first = int(rng.integers(m))
     chosen = [int(shared.inverse[first])]  # distinct rows
-    min_sq = shared.columns(chosen[0])[0]
+    min_sq = shared.column(chosen[0])
     for _ in range(1, n):
         nxt = int(np.argmax(min_sq))
         chosen.append(nxt)
-        min_sq = np.minimum(min_sq, shared.columns(nxt)[0])
-    center_indices = (first, *shared.first_index[chosen[1:]].tolist())
-    sq, assign_sq = zip(*(shared.columns(row) for row in chosen))
-    labels = np.argmin(np.column_stack(assign_sq), axis=1)
-    dist = np.sqrt(np.column_stack(sq)[np.arange(len(labels)), labels])
+        min_sq = np.minimum(min_sq, shared.column(nxt))
+    sq = np.column_stack([shared.column(row) for row in chosen])
+    labels = np.argmin(sq, axis=1)
+    dist = np.sqrt(sq[np.arange(len(labels)), labels])
     return ClusterAssignment(
         labels=labels[shared.inverse],
-        centers=shared.points[list(center_indices)],
         proximity=_proximity(dist)[shared.inverse],
-        objective=float(dist.max()),
-        center_indices=center_indices,
+        centers=shared.distinct[chosen],
     )
 
 

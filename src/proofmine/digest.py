@@ -328,6 +328,8 @@ def read_digest(path: str | Path) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise ValueError(f"{path}: not a {DIGEST_FORMAT} file (nested too deeply)") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not a {DIGEST_FORMAT} file ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != DIGEST_FORMAT:
         raise ValueError(f"{path}: not a {DIGEST_FORMAT} file")
 
@@ -335,21 +337,24 @@ def read_digest(path: str | Path) -> dict:
         if not ok:
             raise ValueError(f"{path}: malformed digest: bad or missing {what}")
 
-    def number(value) -> bool:  # JSON true and false load as bool, a subclass of int
-        return type(value) is int or type(value) is float
+    # JSON true and false load as bool, a subclass of int; NaN fails both bounds
+    def rate(value) -> bool:
+        return (type(value) is int or type(value) is float) and 0.0 <= value <= 1.0
 
     config = doc.get("config")
     need(isinstance(config, dict) and all(k in config for k in DigestConfig().to_dict()), "config")
     need(type(doc.get("objects")) is int, "objects")
     need(type(doc.get("clusters_per_run")) is int, "clusters_per_run")
-    need(isinstance(doc.get("libraries", {}), dict), "libraries")
+    libraries = doc.get("libraries", {})
+    need(isinstance(libraries, dict) and all(isinstance(tag, str) for tag in libraries.values()),
+         "libraries")
     need(isinstance(doc.get("clusters"), list), "clusters")
     for cluster in doc["clusters"]:
-        need(isinstance(cluster, dict) and number(cluster.get("frequency"))
+        need(isinstance(cluster, dict) and rate(cluster.get("frequency"))
              and cluster.get("homogeneity") in HOMOGENEITY
              and isinstance(cluster.get("members"), list)
              and isinstance(cluster.get("member_proximity"), dict), "cluster fields")
         for name in cluster["members"]:
-            need(isinstance(name, str) and number(cluster["member_proximity"].get(name)),
+            need(isinstance(name, str) and rate(cluster["member_proximity"].get(name)),
                  "member proximity")
     return doc

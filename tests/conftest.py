@@ -1,10 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from proofmine import Corpus, ingest
+from proofmine import Corpus, clustering, ingest
 from proofmine.terms import _OP_ASSOC, _OP_LEVEL, _PREFIX, BINDERS, OPERATOR_LEVELS, TermTree
 
 # every run tries the same examples, so a failure reproduces without a saved database
@@ -34,6 +35,27 @@ HINT_LIBS = [
     ("games", HINT / "hint_games.v"),
     ("vm", HINT / "hint_vm.v"),
 ]
+
+
+def row_indices(points, rows) -> list[int]:
+    """The index of the first point equal to each row: a run's centers as point indices."""
+    return [int(np.flatnonzero((points == row).all(axis=1))[0]) for row in rows]
+
+
+def em_with_responsibilities(points, n: int, seed: int):
+    """One EM run and its final responsibilities, rebuilt from the last log-probabilities
+    the run computed, as em_gaussian turns them into responsibilities."""
+    seen, log_gaussian_prob = [], clustering._log_gaussian_prob
+
+    def spy(*args):
+        seen.append(log_gaussian_prob(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "_log_gaussian_prob", spy)
+        result = clustering.em_gaussian(points, n, seed)
+    log_prob = seen[-1]
+    return result, np.exp(log_prob - clustering._logsumexp(log_prob)[:, None])
 
 
 def iter_nodes(tree):

@@ -310,6 +310,17 @@ def test_report_on_unknown_homogeneity_exits_2(tmp_path, capsys):
     assert "malformed digest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [b"not json", b"\xef\xbb\xbf{}", b'{"format": "\xff"}'],
+                         ids=["not json", "leading BOM", "byte 0xff"])
+def test_report_on_an_undecodable_digest_names_the_file(tmp_path, capsys, data):
+    path = tmp_path / "digest.json"
+    path.write_bytes(data)
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: not a proofmine digest v1 file (")
+    assert not captured.out
+
+
 def test_report_on_boolean_counts_exits_2(tmp_path, capsys):
     doc = {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": True,
            "clusters_per_run": True, "libraries": {}, "clusters": []}

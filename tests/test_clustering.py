@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -9,7 +10,7 @@ from proofmine import clustering, ingest
 from proofmine.clustering import (KMEANS_MAX_ITER, ClusterAssignment, PointSet, TooFewPoints,
                                   choose_n, em_gaussian, farthest_first, kmeans)
 
-from conftest import random_library_source
+from conftest import em_with_responsibilities, random_library_source, row_indices
 
 # (m, g) -> n pairs fixed by the published granularity tables
 GRANULARITY_TABLE = [
@@ -37,6 +38,30 @@ def _pad(points, dim=40):
     return out
 
 
+def einsum_sq(diff: np.ndarray) -> np.ndarray:
+    """Squared row lengths, reduced as the clustering code's one kernel reduces them."""
+    return np.einsum("md,md->m", diff, diff)
+
+
+def sum_sq(diff: np.ndarray) -> np.ndarray:
+    """Squared row lengths as row sums: the second kernel the clustering code once had,
+    kept as the reference that einsum_sq moves only the last bits from."""
+    return np.sum(diff ** 2, axis=1)
+
+
+def nearest_proximity(points, centers, labels, sq=einsum_sq) -> np.ndarray:
+    return clustering._proximity(np.sqrt(sq(points - centers[labels])))
+
+
+def within_sum_of_squares(points, result: ClusterAssignment) -> float:
+    return float(np.sum((points - result.centers[result.labels]) ** 2))
+
+
+def cover_radius(points, result: ClusterAssignment) -> float:
+    """The largest distance from a point to its own center."""
+    return float(np.sqrt(np.sum((points - result.centers[result.labels]) ** 2, axis=1)).max())
+
+
 # ---------------------------------------------------------------------------
 # k-means
 
@@ -45,7 +70,7 @@ def test_kmeans_singleton_clusters():
     points = _pad([[i, 0] for i in range(5)])
     result = kmeans(points, n=5, seed=3)
     assert sorted(result.labels) == list(range(5))
-    assert result.objective == 0.0
+    assert within_sum_of_squares(points, result) == 0.0
     assert np.all(result.proximity == 1.0)
 
 
@@ -84,7 +109,7 @@ def test_kmeans_two_triples_match_brute_force():
     got = frozenset(frozenset(int(i) for i in np.flatnonzero(result.labels == lab))
                     for lab in np.unique(result.labels))
     assert got == best
-    assert result.objective == pytest.approx(best_obj)
+    assert within_sum_of_squares(points, result) == pytest.approx(best_obj)
 
 
 def test_kmeans_objective_history_non_increasing():
@@ -93,7 +118,7 @@ def test_kmeans_objective_history_non_increasing():
     result = kmeans(points, n=4, seed=5)
     history = result.objective_history
     assert all(history[i + 1] <= history[i] + 1e-9 for i in range(len(history) - 1))
-    assert result.objective <= history[0] + 1e-9
+    assert within_sum_of_squares(points, result) <= history[0] + 1e-9
 
 
 def test_kmeans_terminates_on_nearest_centers():
@@ -124,14 +149,16 @@ def test_kmeans_deterministic():
     b = kmeans(points, n=4, seed=42)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.centers, b.centers)
-    assert a.objective == b.objective
+    assert np.array_equal(a.proximity, b.proximity)
+    assert a.objective_history == b.objective_history
 
 
 # ---------------------------------------------------------------------------
 # k-means against the plain Lloyd loop
 
 
-def _update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray,
+                    sq=einsum_sq) -> np.ndarray:
     n = len(centers)
     new = centers.copy()
     counts = np.bincount(labels, minlength=n)
@@ -141,7 +168,7 @@ def _update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray)
     empties = np.flatnonzero(counts == 0)
     if len(empties):
         # re-seed each empty cluster with the point farthest from its own center
-        own = np.sqrt(np.sum((points - new[labels]) ** 2, axis=1))
+        own = np.sqrt(sq(points - new[labels]))
         for j in empties:
             pick = int(np.argmax(own))
             new[j] = points[pick]
@@ -168,13 +195,10 @@ def kmeans_oracle(points, n: int, seed: int) -> ClusterAssignment:
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    objective = float(np.sum((pts - centers[labels]) ** 2))
     return ClusterAssignment(
         labels=labels,
+        proximity=nearest_proximity(pts, centers, labels),
         centers=centers,
-        proximity=clustering._nearest_proximity(pts, centers, labels),
-        objective=objective,
-        center_indices=tuple(int(i) for i in init),
         objective_history=tuple(history),
     )
 
@@ -199,9 +223,7 @@ def distinct_rows(points) -> int:
 def assert_same_run(got: ClusterAssignment, want: ClusterAssignment) -> None:
     assert np.array_equal(got.labels, want.labels)
     assert np.array_equal(got.centers, want.centers)
-    assert got.objective == want.objective
     assert np.array_equal(got.proximity, want.proximity)
-    assert got.center_indices == want.center_indices
     # the same iterations, cut short where the oracle only cycles on to its cap
     assert got.objective_history == want.objective_history[:len(got.objective_history)]
 
@@ -288,9 +310,11 @@ def test_em_unchanged_by_kmeans_start(template_matrix, monkeypatch):
 def test_em_responsibilities_rows_sum_to_one():
     rng = np.random.default_rng(0)
     points = rng.normal(size=(18, 3))
-    result = em_gaussian(points, n=3, seed=4)
-    sums = result.responsibilities.sum(axis=1)
+    result, responsibilities = em_with_responsibilities(points, n=3, seed=4)
+    sums = responsibilities.sum(axis=1)
     assert np.all(np.abs(sums - 1.0) <= 1e-9)
+    assert np.array_equal(result.labels, np.argmax(responsibilities, axis=1))
+    assert np.array_equal(result.proximity, responsibilities[np.arange(18), result.labels])
     assert 0.0 <= result.proximity.min() <= result.proximity.max() <= 1.0
 
 
@@ -322,7 +346,7 @@ def test_em_deterministic():
     a = em_gaussian(points, n=3, seed=13)
     b = em_gaussian(points, n=3, seed=13)
     assert np.array_equal(a.labels, b.labels)
-    assert a.objective == b.objective
+    assert a.log_likelihood_history == b.log_likelihood_history
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +370,8 @@ def test_farthest_first_collinear_picks_far_end():
     points = _pad([[0.0], [1.0], [10.0]])
     for seed in range(50):
         result = farthest_first(points, n=2, seed=seed)
-        if result.center_indices[0] == 0:
-            assert result.center_indices[1] == 2
+        if row_indices(points, result.centers)[0] == 0:
+            assert row_indices(points, result.centers)[1] == 2
             return
     pytest.fail("no seed started farthest-first from point 0")
 
@@ -355,7 +379,7 @@ def test_farthest_first_collinear_picks_far_end():
 def test_farthest_first_full_cover_radius_zero():
     points = _pad([[i, i * 2] for i in range(6)], dim=3)
     result = farthest_first(points, n=6, seed=2)
-    assert result.objective == 0.0
+    assert cover_radius(points, result) == 0.0
     assert np.all(result.proximity == 1.0)
 
 
@@ -366,8 +390,8 @@ def test_farthest_first_matches_greedy_oracle():
         n = int(rng.integers(2, m + 1))
         points = rng.normal(size=(m, int(rng.integers(1, 4))))
         result = farthest_first(points, n=n, seed=int(rng.integers(1000)))
-        oracle = greedy_oracle(points.tolist(), n, result.center_indices[0])
-        assert list(result.center_indices) == oracle
+        chosen = row_indices(points, result.centers)
+        assert chosen == greedy_oracle(points.tolist(), n, chosen[0])
 
 
 def brute_force_optimal_radius(points, n):
@@ -387,7 +411,7 @@ def test_farthest_first_within_twice_optimal():
         points = rng.uniform(-5, 5, size=(m, 2))
         result = farthest_first(points, n=n, seed=int(rng.integers(1000)))
         optimal = brute_force_optimal_radius(points, n)
-        assert result.objective <= 2.0 * optimal + 1e-9
+        assert cover_radius(points, result) <= 2.0 * optimal + 1e-9
 
 
 def test_farthest_first_deterministic():
@@ -395,7 +419,7 @@ def test_farthest_first_deterministic():
     points = rng.normal(size=(12, 6))
     a = farthest_first(points, n=4, seed=77)
     b = farthest_first(points, n=4, seed=77)
-    assert a.center_indices == b.center_indices
+    assert np.array_equal(a.centers, b.centers)
     assert np.array_equal(a.labels, b.labels)
 
 
@@ -412,9 +436,10 @@ def test_all_algorithms_proximity_in_unit_interval():
 # the runs of one digest share a PointSet; each run must match the per-run code
 
 
-def kmeans_per_run_oracle(points, n: int, seed: int) -> ClusterAssignment:
+def kmeans_per_run_oracle(points, n: int, seed: int, sq=einsum_sq) -> ClusterAssignment:
     """kmeans as it was before the runs shared a PointSet: the distinct rows
-    are split again on every run, in _distinct_rows' own order."""
+    are split again on every run, in _distinct_rows' own order.  `sq` reduces
+    the reseed and proximity distances."""
     pts = clustering._as_points(getattr(points, "points", points))
     m = len(pts)
     clustering._check_n(n, m)
@@ -431,7 +456,7 @@ def kmeans_per_run_oracle(points, n: int, seed: int) -> ClusterAssignment:
     first_seen = {labels.tobytes(): 0}
     history = [float(np.sum((pts - centers[labels]) ** 2))]
     for step in range(1, KMEANS_MAX_ITER + 1):
-        centers = _update_centers(pts, labels, centers)
+        centers = _update_centers(pts, labels, centers, sq)
         labels = assign(centers)
         history.append(float(np.sum((pts - centers[labels]) ** 2)))
         states.append((labels, centers))
@@ -440,62 +465,52 @@ def kmeans_per_run_oracle(points, n: int, seed: int) -> ClusterAssignment:
             # states start+1 .. step repeat with period step - start
             labels, centers = states[start + 1 + (KMEANS_MAX_ITER - start - 1) % (step - start)]
             break
-    objective = float(np.sum((pts - centers[labels]) ** 2))
     return ClusterAssignment(
         labels=labels,
+        proximity=nearest_proximity(pts, centers, labels, sq),
         centers=centers,
-        proximity=clustering._nearest_proximity(pts, centers, labels),
-        objective=objective,
-        center_indices=tuple(int(i) for i in init),
         objective_history=tuple(history),
     )
 
 
-def farthest_first_oracle(points, n: int, seed: int) -> ClusterAssignment:
+def farthest_first_oracle(points, n: int, seed: int, sq=einsum_sq) -> ClusterAssignment:
     """farthest_first as it was before the runs shared a PointSet: every
-    distance over every row, computed again on every run."""
+    distance over every row, computed again on every run.  `sq` reduces the
+    distances of the max-min loop and of the proximities."""
     pts = clustering._as_points(points)
     m = len(pts)
     clustering._check_n(n, m)
     rng = np.random.default_rng(seed)
     first = int(rng.integers(m))
     chosen = [first]
-    min_sq = np.sum((pts - pts[first]) ** 2, axis=1)
+    min_sq = sq(pts - pts[first])
     for _ in range(1, n):
         nxt = int(np.argmax(min_sq))
         chosen.append(nxt)
-        min_sq = np.minimum(min_sq, np.sum((pts - pts[nxt]) ** 2, axis=1))
+        min_sq = np.minimum(min_sq, sq(pts - pts[nxt]))
     centers = pts[chosen].copy()
     labels = np.argmin(clustering._sq_distances(pts, centers), axis=1)
-    dist = np.sqrt(np.sum((pts - centers[labels]) ** 2, axis=1))
-    objective = float(dist.max()) if m else 0.0
     return ClusterAssignment(
         labels=labels,
+        proximity=nearest_proximity(pts, centers, labels, sq),
         centers=centers,
-        proximity=clustering._nearest_proximity(pts, centers, labels),
-        objective=objective,
-        center_indices=tuple(chosen),
     )
 
 
-def per_run_oracle(algorithm: str, points, n: int, seed: int) -> ClusterAssignment:
+def per_run_oracle(algorithm: str, points, n: int, seed: int, sq=einsum_sq) -> ClusterAssignment:
     """One run of the named algorithm by the per-run code; EM starts from the per-run k-means."""
     if algorithm == "em":
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(clustering, "kmeans", kmeans_per_run_oracle)
+            patch.setattr(clustering, "kmeans", functools.partial(kmeans_per_run_oracle, sq=sq))
             return em_gaussian(points, n, seed)
     return {"kmeans": kmeans_per_run_oracle, "farthest-first": farthest_first_oracle}[algorithm](
-        points, n, seed)
+        points, n, seed, sq)
 
 
 def assert_identical_runs(got: ClusterAssignment, want: ClusterAssignment) -> None:
-    for field in ("labels", "centers", "proximity", "responsibilities"):
+    for field in ("labels", "centers", "proximity"):
         a, b = getattr(got, field), getattr(want, field)
-        assert (a is None) == (b is None), field
-        if a is not None:
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
-    assert got.objective == want.objective
-    assert got.center_indices == want.center_indices
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
     assert got.objective_history == want.objective_history
     assert got.log_likelihood_history == want.log_likelihood_history
 
@@ -551,23 +566,21 @@ def test_point_set_numbers_distinct_rows_by_first_occurrence():
     matrix = planted_duplicates(5)
     shared = PointSet(matrix)
     assert np.array_equal(shared.distinct[shared.inverse], matrix)
-    assert np.array_equal(shared.inverse[shared.first_index], np.arange(len(shared.distinct)))
-    assert np.all(np.diff(shared.first_index) > 0)
-    assert [int(np.flatnonzero(shared.inverse == row)[0]) for row in range(len(shared.distinct))] \
-        == shared.first_index.tolist()
-
-
-def columns_oracle(shared: PointSet, row: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two distance columns as they were computed before they shared one difference array."""
-    center = shared.distinct[row:row + 1]
-    return (np.sum((shared.distinct - center) ** 2, axis=1),
-            clustering._sq_distances(shared.distinct, center)[:, 0])
+    first = [int(np.flatnonzero(shared.inverse == row)[0]) for row in range(len(shared.distinct))]
+    assert np.all(np.diff(first) > 0)
+    assert first == row_indices(matrix, shared.distinct)
 
 
 def assert_columns_match_oracle(matrix: np.ndarray) -> None:
+    """Each kept column is the column of one _sq_distances call on its row, and the
+    column k-means' blocked distance matrix holds when that row is a center."""
     shared = PointSet(matrix)
-    for row in range(len(shared.distinct)):
-        for got, want in zip(shared.columns(row), columns_oracle(shared, row)):
+    distinct = shared.distinct
+    full = np.empty((len(distinct), len(distinct)))
+    clustering._fill_columns(full, distinct, distinct, slice(None))
+    for row in range(len(distinct)):
+        got = shared.column(row)
+        for want in (clustering._sq_distances(distinct, distinct[row:row + 1])[:, 0], full[:, row]):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 

@@ -16,7 +16,7 @@ from proofmine.features import FeatureDatabase
 from proofmine.script import parse_partial
 
 from conftest import HINT, random_corpus
-from test_clustering import lattice_points, per_run_oracle, planted_duplicates
+from test_clustering import einsum_sq, lattice_points, per_run_oracle, planted_duplicates, sum_sq
 
 # the benchmark's workload generator, imported read-only
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -402,10 +402,11 @@ def test_digest_matches_oracle_on_a_hint_database(hint_corpus, runs):
 # run_partitions shares one PointSet across its runs; the per-run code is the oracle
 
 
-def partitions_oracle(matrix: np.ndarray, cfg: DigestConfig) -> tuple[np.ndarray, np.ndarray]:
+def partitions_oracle(matrix: np.ndarray, cfg: DigestConfig,
+                      sq=einsum_sq) -> tuple[np.ndarray, np.ndarray]:
     """Labels and proximities of cfg.runs separate runs of the per-run code."""
     n = choose_n(len(matrix), cfg.granularity)
-    runs = [per_run_oracle(cfg.algorithm, matrix, n, cfg.master_seed + i) for i in range(cfg.runs)]
+    runs = [per_run_oracle(cfg.algorithm, matrix, n, cfg.master_seed + i, sq) for i in range(cfg.runs)]
     return (np.array([r.labels for r in runs], dtype=np.int64),
             np.array([r.proximity for r in runs], dtype=np.float64))
 
@@ -427,14 +428,18 @@ def test_run_partitions_match_per_run_oracle(algorithm, runs):
                 runs=runs, algorithm=algorithm, granularity=granularity, master_seed=granularity))
 
 
+BENCHMARK_SEEDS = (12, 1, 2)
+
+
 @pytest.fixture(scope="module")
 def benchmark_matrices(tmp_path_factory):
-    """Feature matrices of the dup-kmeans and long-proofs-ff benchmark corpora at seed 12."""
+    """Feature matrices of the dup-kmeans and long-proofs-ff benchmark corpora, by (name, seed)."""
     out = {}
     for name in ("dup-kmeans", "long-proofs-ff"):
-        inputs = generate(WORKLOADS[name], 12, tmp_path_factory.mktemp(name))
-        corpus = ingest([p for _, p in inputs.libraries], [t for t, _ in inputs.libraries])
-        out[name] = corpus.feature_database().matrix
+        for seed in BENCHMARK_SEEDS:
+            inputs = generate(WORKLOADS[name], seed, tmp_path_factory.mktemp(name))
+            corpus = ingest([p for _, p in inputs.libraries], [t for t, _ in inputs.libraries])
+            out[name, seed] = corpus.feature_database().matrix
     return out
 
 
@@ -445,8 +450,22 @@ def benchmark_matrices(tmp_path_factory):
 ])
 def test_run_partitions_match_per_run_oracle_on_benchmark_corpora(benchmark_matrices, name,
                                                                  algorithm, runs):
-    assert_partitions_match_oracle(benchmark_matrices[name], DigestConfig(
+    assert_partitions_match_oracle(benchmark_matrices[name, 12], DigestConfig(
         runs=runs, algorithm=algorithm, granularity=3, master_seed=12))
+
+
+@pytest.mark.parametrize("seed", BENCHMARK_SEEDS)
+@pytest.mark.parametrize("name", ["dup-kmeans", "long-proofs-ff"])
+def test_one_distance_kernel_moves_only_the_last_bits_of_proximities(benchmark_matrices, name, seed):
+    """Against the per-run code with the row-sum kernel the clustering code also used
+    once (max-min loop, reseeds, proximities): the same labels in every run, and
+    proximities within 1e-15."""
+    for algorithm, runs in (("kmeans", 3), ("farthest-first", 20), ("em", 1)):
+        cfg = DigestConfig(runs=runs, algorithm=algorithm, granularity=3, master_seed=seed)
+        labels, proximity = run_partitions(benchmark_matrices[name, seed], cfg)
+        want_labels, want_proximity = partitions_oracle(benchmark_matrices[name, seed], cfg, sum_sq)
+        assert np.array_equal(labels, want_labels), algorithm
+        assert np.abs(proximity - want_proximity).max() <= 1e-15, algorithm
 
 
 def test_co_occurrence_is_counted_over_distinct_label_columns(tmp_path, monkeypatch):
@@ -860,6 +879,15 @@ def test_digest_file_round_trip(tmp_path):
      "clusters_per_run": 1, "clusters": [{"members": ["a", "b"], "frequency": 1.0,
                                           "member_proximity": {"a": 1.0, "b": False},
                                           "homogeneity": "homogeneous"}]},
+    # no cluster writes a rate outside [0, 1]; JSON Infinity and NaN load as floats
+    *({"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
+       "clusters_per_run": 1, "clusters": [{"members": ["a", "b"], "frequency": frequency,
+                                            "member_proximity": {"a": 1.0, "b": proximity},
+                                            "homogeneity": "homogeneous"}]}
+      for frequency, proximity in [(float("inf"), 1.0), (float("nan"), 1.0), (1.5, 1.0), (-0.5, 1.0),
+                                   (1.0, float("nan")), (1.0, float("-inf")), (1.0, 1.01), (1.0, -1e-9)]),
+    {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
+     "clusters_per_run": 1, "libraries": {"a": 1}, "clusters": []},
 ])
 def test_read_digest_rejects_missing_report_fields(tmp_path, doc):
     path = tmp_path / "digest.json"

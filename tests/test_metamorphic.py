@@ -29,6 +29,10 @@ FIXTURE_LIBS = [(path.stem, path) for path in GOLDEN_SOURCES.values()] + HINT_LI
 QUERIES = [HINT / "hint_query.v", HINT / "hint_query_prefix.v", HINT / "hint_query_detached.v"]
 BOM = "\ufeff"
 WHITESPACE_RUN = re.compile(r"\s+")
+STATEMENT_END = re.compile(r"\.(?=\s|$)")
+PROOF_END = re.compile(r"\b(?:Qed|Defined|Admitted)\.")
+INTRO_PATTERN = re.compile(r"=>([^;.]*)")  # an intro pattern, up to the end of its tactic
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
 @st.composite
@@ -113,6 +117,51 @@ def split_by_lemma(text: str, seed: int) -> list[str]:
     moved = set(random.Random(seed).sample(names, 1 + seed % (len(names) - 1)))
     return ["".join(line for line, lemma in zip(lines, lemmas) if lemma not in moved),
             "".join(line for line, lemma in zip(lines, lemmas) if lemma in moved)]
+
+
+def introduced_names(line: str):
+    """(position of `=>`, name) for each name an intro pattern in the line binds: views,
+    wildcards and rewrite arrows bind none."""
+    for match in INTRO_PATTERN.finditer(line):
+        for piece in re.split(r"[\s|\[\]\(\)\{\}]+", match.group(1)):
+            if IDENT.fullmatch(piece):
+                yield match.start(), piece
+
+
+def renamed(text: str, name: str) -> str:
+    """The text with every use of the identifier `name` written as `name` + "fresh"."""
+    return re.sub(rf"(?<![\w'.]){re.escape(name)}(?![\w'])", name + "fresh", text)
+
+
+def intro_renamed(text: str, which: int) -> str:
+    """The text with one name that one proof binds with `=>` renamed to a fresh name, from
+    that `=>` to the end of the proof.  A vernacular proof ends at its Qed, Defined or
+    Admitted; a trace proof is its lemma's tactic lines in file order.  A text in which no
+    proof binds a name comes back unchanged."""
+    if text.lstrip().startswith("{"):
+        records = [json.loads(line) for line in text.splitlines()]
+        spots = [(i, at, name) for i, record in enumerate(records)
+                 for at, name in introduced_names(record["tactic_line"])]
+        if not spots:
+            return text
+        first, at, name = spots[which % len(spots)]
+        for i, record in enumerate(records[first:], start=first):
+            if record["lemma"] == records[first]["lemma"]:
+                line = record["tactic_line"]
+                start = at if i == first else 0
+                record["tactic_line"] = line[:start] + renamed(line[start:], name)
+        return "".join(json.dumps(record) + "\n" for record in records)
+    starts = [m.start() for m in LEMMA_START.finditer(text)]
+    spots = []
+    for start, stop in zip(starts, starts[1:] + [len(text)]):
+        body = STATEMENT_END.search(text, start, stop).end()
+        end = PROOF_END.search(text, body, stop)
+        end = end.end() if end else stop
+        spots += [(body + at, end, name) for at, name in introduced_names(text[body:end])]
+    if not spots:
+        return text
+    at, end, name = spots[which % len(spots)]
+    return text[:at] + renamed(text[at:end], name) + text[end:]
 
 
 def lemmas_reordered(text: str, seed: int) -> str:
@@ -201,3 +250,17 @@ def test_reordering_the_lemmas_within_each_file_changes_no_output(case, seed):
     reordered = [(tag, [lemmas_reordered(text, seed + i) for text in texts])
                  for i, (tag, texts) in enumerate(libs)]
     assert outputs(reordered, query, flags) == outputs(libs, query, flags)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases_with_traces(), st.integers(0, 2**16))
+def test_renaming_a_name_one_proof_introduces_changes_no_output(case, which):
+    # the parser's per-file proof memos see new keys with the same meaning
+    libs, query, flags = case
+    texts = [text for _, texts in libs for text in texts]
+    renamed_libs = [(tag, [intro_renamed(text, which + i) for text in texts])
+                    for i, (tag, texts) in enumerate(libs)]
+    changed = [new for (_, old), (_, new) in zip(libs, renamed_libs) if new != old]
+    assert changed, "no proof binds a name"
+    assert all("fresh" not in text for text in texts)
+    assert outputs(renamed_libs, query, flags) == outputs(libs, query, flags)

@@ -28,7 +28,9 @@ clusters.  For every `--src` (default: this checkout's `src`, labelled
   co-occurrence counts, components and the building of its clusters
   (`_consensus_clusters`; in a tree from before it, the per-component
   `_consensus_cluster`, which is handed each rates block and so leaves out
-  fetching it);
+  fetching it), with the bytes its PointSet keeps once the runs end
+  (`shape.point_set_kept_bytes`: distinct rows, their numbering and every
+  kept distance column);
 * the consensus step of a hint: the same 200 runs with the workload's query
   row added, then `run_digest` and a search for the query's cluster
   (`hint.digest_search_s`), and what `hint` calls (`hint.consensus_s`);
@@ -104,6 +106,34 @@ def _stage_times(module, names):
     finally:
         for name, inner in originals.items():
             setattr(module, name, inner)
+
+
+@contextlib.contextmanager
+def _point_sets(module):
+    """Every PointSet that module builds while the block runs."""
+    built = []
+    original = module.PointSet
+
+    class Recorded(original):
+        def __init__(self, points):
+            super().__init__(points)
+            built.append(self)
+
+    module.PointSet = Recorded
+    try:
+        yield built
+    finally:
+        module.PointSet = original
+
+
+def _kept_bytes(point_set) -> int:
+    """Bytes of the arrays a PointSet holds besides the matrix it was handed; a tree
+    from before one kernel keeps a pair of columns per row."""
+    arrays = [value for name, value in vars(point_set).items()
+              if name != "points" and hasattr(value, "nbytes")]
+    for kept in point_set._columns.values():
+        arrays += kept if isinstance(kept, tuple) else [kept]
+    return sum(array.nbytes for array in arrays)
 
 
 def measure(seed: int, kmeans_runs: int) -> dict:
@@ -193,13 +223,13 @@ def measure(seed: int, kmeans_runs: int) -> dict:
     cfg = digest.DigestConfig(runs=DIGEST_RUNS, algorithm="farthest-first", granularity=GRANULARITY)
     builder = next(name for name in ("_consensus_clusters", "_consensus_cluster") if hasattr(digest, name))
     stages = ("run_partitions", "co_occurrence_counts", "components_at", builder)
-    with _stage_times(digest, stages) as spent:
+    with _stage_times(digest, stages) as spent, _point_sets(digest) as point_sets:
         clusters, layers["digest.farthest_first_200_s"] = _timed(digest.run_digest, db, cfg)
     layers.update({"digest.partitions_s": spent["run_partitions"],
                    "digest.cooccurrence_s": spent["co_occurrence_counts"],
                    "digest.components_s": spent["components_at"],
                    "digest.consensus_s": spent[builder]})
-    shape.update(digest_clusters=len(clusters))
+    shape.update(digest_clusters=len(clusters), point_set_kept_bytes=_kept_bytes(point_sets[0]))
 
     # the same digest with the query row: the consensus step of a hint, without its runs
     query_db = corpus.database_with_query(loaded, script.parse_partial(query_text))

@@ -20,6 +20,13 @@ component of over a hundred classes that the mean-rate filter drops, and a
 query alone in its class.  The digests reach classes that have the majority
 in only some runs (long-proofs-ff, farthest-first x20 at 0.6) and components
 that the mean-rate filter drops (kmeans x5 at 0.3).
+
+Every digest and `report --format json` output is hashed a second time with
+each cluster's `member_proximity` removed (the lines ending in "without
+proximities").  A change that moves only the last bits of proximities then
+differs from its parent in digest and report-json lines alone, and in none
+of their proximity-free lines.
+
 proofmine is imported from DIR (default: this checkout's `src`), so two
 checkouts are compared with
 
@@ -44,6 +51,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import random  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -59,6 +67,18 @@ TRACE_RENDERED = "dup-kmeans"  # extract is also hashed over this workload's lem
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _without_proximities(data: bytes) -> str:
+    """sha256 of a digest's JSON, up to any appended exit line, with each member_proximity removed."""
+    doc = json.loads(data.decode().split("\nexit ")[0])
+    for cluster in doc["clusters"]:
+        del cluster["member_proximity"]
+    return _sha(json.dumps(doc, sort_keys=True).encode())
+
+
+def _digest_rows(label: str, data: bytes) -> list[tuple[str, str]]:
+    return [(label, _sha(data)), (f"{label} without proximities", _without_proximities(data))]
 
 
 def _run(cli_main, argv: list[str]) -> bytes:
@@ -119,19 +139,20 @@ def workload_hashes(cli_main, workload, seed: int) -> list[tuple[str, str]]:
         tag = f"{algorithm} x{runs}"
         rows.append((f"{tag} cluster stdout", _sha(_run(cli_main, [
             "cluster", "--corpus", "corpus", "--out", "digest.json", *flags]))))
-        rows.append((f"{tag} digest", _sha(Path("digest.json").read_bytes())))
+        rows += _digest_rows(f"{tag} digest", Path("digest.json").read_bytes())
         rows.append((f"{tag} hint stdout", _sha(_run(cli_main, [
             "hint", "--corpus", "corpus", "--query", str(inputs.query), *flags]))))
-        for fmt in ("text", "json"):
-            rows.append((f"{tag} report {fmt}", _sha(_run(cli_main, [
-                "report", "digest.json", "--format", fmt]))))
+        rows.append((f"{tag} report text", _sha(_run(cli_main, [
+            "report", "digest.json", "--format", "text"]))))
+        rows += _digest_rows(f"{tag} report json", _run(cli_main, [
+            "report", "digest.json", "--format", "json"]))
         for threshold in THRESHOLDS:
             at = [*flags, "--freq-threshold", str(threshold)]
             rows.append((f"{tag} hint stdout at {threshold}", _sha(_run(cli_main, [
                 "hint", "--corpus", "corpus", "--query", str(inputs.query), *at]))))
             rows.append((f"{tag} cluster stdout at {threshold}", _sha(_run(cli_main, [
                 "cluster", "--corpus", "corpus", "--out", "digest.json", *at]))))
-            rows.append((f"{tag} digest at {threshold}", _sha(Path("digest.json").read_bytes())))
+            rows += _digest_rows(f"{tag} digest at {threshold}", Path("digest.json").read_bytes())
     return rows
 
 
