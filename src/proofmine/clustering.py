@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 KMEANS_MAX_ITER = 100
-ROW_BLOCK = 64  # distinct rows per _sq_distances call when k-means fills its distance matrix
 EM_MAX_ITER = 200
 EM_TOLERANCE = 1e-6
 VARIANCE_FLOOR = 1e-6
@@ -57,21 +56,6 @@ def _sq_norms(diff: np.ndarray) -> np.ndarray:
     return np.einsum("...d,...d->...", diff, diff)
 
 
-def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return _sq_norms(points[:, None, :] - centers[None, :, :])
-
-
-def _fill_columns(dist: np.ndarray, rows: np.ndarray, centers: np.ndarray, cols) -> None:
-    """Set dist[:, cols] to the squared distances from `rows` to centers[cols].
-
-    Each entry is its own reduction over one pair of rows, so filling a subset
-    of columns, ROW_BLOCK rows at a time, gives the bits of one full call
-    without its (rows, n, d) temporary."""
-    picked = centers[cols]
-    for start in range(0, len(rows), ROW_BLOCK):
-        dist[start:start + ROW_BLOCK, cols] = _sq_distances(rows[start:start + ROW_BLOCK], picked)
-
-
 def _proximity(dist: np.ndarray) -> np.ndarray:
     """1 - dist / max(dist), or all ones when every distance is 0."""
     top = dist.max() if len(dist) else 0.0
@@ -101,7 +85,8 @@ class PointSet:
     """The points of one digest, shared by its seeded runs.
 
     The distinct rows are split out once, and the distance columns that
-    farthest-first reads are kept from run to run, each computed on first use.
+    farthest-first reads, and those of k-means' seeds and reseeds, are kept
+    from run to run, each computed on first use.
     Every entry of a column is its own reduction over one row, so a column over
     the distinct rows, read through `inverse`, is the column over every row bit
     for bit, and a kept column is the one a fresh run would compute.  It keeps
@@ -143,7 +128,10 @@ def kmeans(points, n: int, seed: int) -> ClusterAssignment:
 
     Each iteration redoes only what moved, and gets the bits of a full Lloyd
     step.  The squared distances from every distinct row to every center are
-    kept, and only the columns of centers whose bytes changed are recomputed.
+    kept, one column per center, and only the columns of centers whose bytes
+    changed are refilled.  A seed or a reseed is a row, so its column is the
+    PointSet's column of that row; a mean's column is the same reduction over
+    one pair of rows, computed afresh.
     A mean is recomputed only for a cluster that gained or lost a row since the
     last update, or whose center is not yet the mean of its members (a seed or
     a reseed); the mean of the same rows in the same order is the same.  Means
@@ -158,8 +146,10 @@ def kmeans(points, n: int, seed: int) -> ClusterAssignment:
     init = rng.choice(m, size=n, replace=False)
 
     centers = pts[init].copy()
+    source = inverse[init]  # the distinct row center j was taken from, or -1 for a mean
     dist = np.empty((len(distinct), n))
-    _fill_columns(dist, distinct, centers, slice(None))
+    for j, row in enumerate(source.tolist()):
+        dist[:, j] = shared.column(row)
     rows = np.argmin(dist, axis=1)  # the label of each distinct row
     labels = rows[inverse]
     settled = np.zeros(n, dtype=bool)  # center j is the mean of its members under `labels`
@@ -175,14 +165,17 @@ def kmeans(points, n: int, seed: int) -> ClusterAssignment:
             ends = np.cumsum(counts)
             for j in stale.tolist():
                 new[j] = grouped[ends[j] - counts[j]:ends[j]].mean(axis=0)
+            source[stale] = -1
         empties = np.flatnonzero(counts == 0)
         if len(empties):
             # re-seed each empty cluster with the point farthest from its own center
             own = np.sqrt(_sq_norms(pts - new[labels]))
-            new[empties] = pts[_farthest(own, len(empties))]
+            picks = _farthest(own, len(empties))
+            new[empties] = pts[picks]
+            source[empties] = inverse[picks]
         moved = np.flatnonzero((new.view(np.uint64) != centers.view(np.uint64)).any(axis=1))
-        if len(moved):
-            _fill_columns(dist, distinct, new, moved)
+        for j, row in zip(moved.tolist(), source[moved].tolist()):
+            dist[:, j] = shared.column(row) if row >= 0 else _sq_norms(distinct - new[j])
         centers = new
         settled = counts > 0
         new_rows = np.argmin(dist, axis=1)

@@ -341,10 +341,19 @@ def read_digest(path: str | Path) -> dict:
     def rate(value) -> bool:
         return (type(value) is int or type(value) is float) and 0.0 <= value <= 1.0
 
-    config = doc.get("config")
-    need(isinstance(config, dict) and all(k in config for k in DigestConfig().to_dict()), "config")
-    need(type(doc.get("objects")) is int, "objects")
-    need(type(doc.get("clusters_per_run")) is int, "clusters_per_run")
+    config, keys = doc.get("config"), DigestConfig().to_dict()
+    need(isinstance(config, dict) and all(k in config for k in keys), "config")
+    # exact types first: DigestConfig's range checks raise TypeError on a string count
+    need(all(type(config[k]) is int for k in ("runs", "granularity", "master_seed"))
+         and type(config["frequency_threshold"]) in (int, float)
+         and type(config["algorithm"]) is str, "config")
+    try:
+        cfg = DigestConfig(**{k: config[k] for k in keys})
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed digest: bad config ({exc})") from None
+    objects, n = doc.get("objects"), doc.get("clusters_per_run")
+    need(type(objects) is int and objects >= 2, "objects")
+    need(type(n) is int and n == choose_n(objects, cfg.granularity), "clusters_per_run")
     libraries = doc.get("libraries", {})
     need(isinstance(libraries, dict) and all(isinstance(tag, str) for tag in libraries.values()),
          "libraries")

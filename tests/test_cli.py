@@ -331,6 +331,19 @@ def test_report_on_boolean_counts_exits_2(tmp_path, capsys):
     assert "malformed digest: bad or missing objects" in captured.err and not captured.out
 
 
+def test_report_on_config_values_out_of_range_exits_2(tmp_path, capsys):
+    config = {**DigestConfig().to_dict(), "algorithm": ["x"], "runs": "many",
+              "frequency_threshold": float("nan")}
+    doc = {"format": "proofmine digest v1", "config": config, "objects": 2,
+           "clusters_per_run": -5, "libraries": {}, "clusters": []}
+    path = tmp_path / "digest.json"
+    path.write_text(json.dumps(doc))
+    for extra in ([], ["--format", "json"]):
+        assert main(["report", str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert "malformed digest: bad or missing config" in captured.err and not captured.out
+
+
 def test_extract_without_lemmas_exits_2(tmp_path, capsys):
     definition, empty = tmp_path / "none.v", tmp_path / "empty.v"
     definition.write_text("Definition one := 1.\n")

@@ -43,6 +43,13 @@ def einsum_sq(diff: np.ndarray) -> np.ndarray:
     return np.einsum("md,md->m", diff, diff)
 
 
+def sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The (rows, centers) matrix of squared distances in one einsum call: the per-run
+    oracles assign by it, and each column k-means fills on its own must match it."""
+    diff = points[:, None, :] - centers[None, :, :]
+    return np.einsum("mnd,mnd->mn", diff, diff)
+
+
 def sum_sq(diff: np.ndarray) -> np.ndarray:
     """Squared row lengths as row sums: the second kernel the clustering code once had,
     kept as the reference that einsum_sq moves only the last bits from."""
@@ -186,11 +193,11 @@ def kmeans_oracle(points, n: int, seed: int) -> ClusterAssignment:
     rng = np.random.default_rng(seed)
     init = rng.choice(m, size=n, replace=False)
     centers = pts[init].copy()
-    labels = np.argmin(clustering._sq_distances(pts, centers), axis=1)
+    labels = np.argmin(sq_distances(pts, centers), axis=1)
     history = [float(np.sum((pts - centers[labels]) ** 2))]
     for _ in range(KMEANS_MAX_ITER):
         centers = _update_centers(pts, labels, centers)
-        new_labels = np.argmin(clustering._sq_distances(pts, centers), axis=1)
+        new_labels = np.argmin(sq_distances(pts, centers), axis=1)
         history.append(float(np.sum((pts - centers[new_labels]) ** 2)))
         if np.array_equal(new_labels, labels):
             break
@@ -448,7 +455,7 @@ def kmeans_per_run_oracle(points, n: int, seed: int, sq=einsum_sq) -> ClusterAss
     distinct, inverse = clustering._distinct_rows(pts)
 
     def assign(centers: np.ndarray) -> np.ndarray:
-        return np.argmin(clustering._sq_distances(distinct, centers), axis=1)[inverse]
+        return np.argmin(sq_distances(distinct, centers), axis=1)[inverse]
 
     centers = pts[init].copy()
     labels = assign(centers)
@@ -489,7 +496,7 @@ def farthest_first_oracle(points, n: int, seed: int, sq=einsum_sq) -> ClusterAss
         chosen.append(nxt)
         min_sq = np.minimum(min_sq, sq(pts - pts[nxt]))
     centers = pts[chosen].copy()
-    labels = np.argmin(clustering._sq_distances(pts, centers), axis=1)
+    labels = np.argmin(sq_distances(pts, centers), axis=1)
     return ClusterAssignment(
         labels=labels,
         proximity=nearest_proximity(pts, centers, labels, sq),
@@ -572,15 +579,14 @@ def test_point_set_numbers_distinct_rows_by_first_occurrence():
 
 
 def assert_columns_match_oracle(matrix: np.ndarray) -> None:
-    """Each kept column is the column of one _sq_distances call on its row, and the
-    column k-means' blocked distance matrix holds when that row is a center."""
+    """Each kept column is the column of a one-center sq_distances call on its
+    row, and that of the full call from every distinct row to every distinct row."""
     shared = PointSet(matrix)
     distinct = shared.distinct
-    full = np.empty((len(distinct), len(distinct)))
-    clustering._fill_columns(full, distinct, distinct, slice(None))
+    full = sq_distances(distinct, distinct)
     for row in range(len(distinct)):
         got = shared.column(row)
-        for want in (clustering._sq_distances(distinct, distinct[row:row + 1])[:, 0], full[:, row]):
+        for want in (sq_distances(distinct, distinct[row:row + 1])[:, 0], full[:, row]):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
@@ -647,19 +653,17 @@ def test_kmeans_matches_per_run_oracle_byte_for_byte(case):
 
 
 @pytest.mark.parametrize("m, n, dims", [(150, 30, 40), (64, 7, 3), (65, 1, 1), (3, 5, 2)])
-def test_sq_distances_over_column_subsets_and_row_blocks_match_one_call(m, n, dims):
+def test_sq_distances_columns_match_one_center_sq_norms(m, n, dims):
+    """k-means fills its distance matrix one center at a time with _sq_norms;
+    each column must have the bits of the full call's column."""
     rng = np.random.default_rng(m + n + dims)
     rows = np.round(rng.normal(size=(m, dims)), 2)
-    centers = np.vstack([rows[rng.integers(0, m, size=n // 2)], rng.normal(size=(n - n // 2, dims))])
-    full = clustering._sq_distances(rows, centers)
-    blocks = [clustering._sq_distances(rows[start:start + 64], centers) for start in range(0, m, 64)]
-    assert np.array_equal(np.vstack(blocks), full)
-    for cols in (np.arange(n), rng.permutation(n)[:max(1, n // 3)], np.array([n - 1])):
-        assert np.array_equal(clustering._sq_distances(rows, centers[cols]), full[:, cols])
-        dist = np.full((m, n), np.nan)
-        clustering._fill_columns(dist, rows, centers, cols)
-        assert np.array_equal(dist[:, cols], full[:, cols])
-        assert np.isnan(np.delete(dist, cols, axis=1)).all()
+    means = [rows[rng.permutation(m)[:rng.integers(2, m + 1)]].mean(axis=0) for _ in range(n)]
+    centers = np.vstack([rows[rng.integers(0, m, size=n)], means])
+    full = sq_distances(rows, centers)
+    for j in range(len(centers)):
+        want = clustering._sq_norms(rows - centers[j])
+        assert (want.dtype, want.shape, want.tobytes()) == (full.dtype, (m,), full[:, j].tobytes())
 
 
 def sequential_picks(own: np.ndarray, k: int) -> list[int]:

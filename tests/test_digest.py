@@ -888,6 +888,19 @@ def test_digest_file_round_trip(tmp_path):
                                    (1.0, float("nan")), (1.0, float("-inf")), (1.0, 1.01), (1.0, -1e-9)]),
     {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
      "clusters_per_run": 1, "libraries": {"a": 1}, "clusters": []},
+    # config values of the wrong type, or out of DigestConfig's ranges
+    *({"format": "proofmine digest v1", "config": {**DigestConfig().to_dict(), key: value},
+       "objects": 2, "clusters_per_run": 1, "clusters": []}
+      for key, value in [("algorithm", ["x"]), ("algorithm", "x"), ("runs", "many"), ("runs", 0),
+                         ("runs", True), ("runs", 2.0), ("frequency_threshold", float("nan")),
+                         ("frequency_threshold", float("inf")), ("frequency_threshold", 0),
+                         ("frequency_threshold", True), ("frequency_threshold", "0.6"),
+                         ("granularity", 6), ("granularity", 3.0), ("master_seed", -1),
+                         ("master_seed", None)]),
+    # fewer than two objects, or a cluster count that choose_n does not give
+    *({"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": objects,
+       "clusters_per_run": n, "clusters": []}
+      for objects, n in [(1, 1), (0, 1), (-3, 1), (2, -5), (2, 2), (2, 0), (70, 1), (70, 10.0)]),
 ])
 def test_read_digest_rejects_missing_report_fields(tmp_path, doc):
     path = tmp_path / "digest.json"

@@ -5,7 +5,8 @@ again after one rewrite of the input files, and compares the corpus bytes,
 the feature dump, the digest bytes and the hint stdout.  The libraries are
 fixture files or generated ones.  Renaming a lemma is not such a rewrite:
 rows are ordered by name and seeds pick row indices, so a rename is expected
-to change a digest.
+to change a digest.  Renaming a name that proofs only cite, which names no
+row, is one.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from proofmine.cli import main
 
@@ -33,6 +34,10 @@ STATEMENT_END = re.compile(r"\.(?=\s|$)")
 PROOF_END = re.compile(r"\b(?:Qed|Defined|Admitted)\.")
 INTRO_PATTERN = re.compile(r"=>([^;.]*)")  # an intro pattern, up to the end of its tactic
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+# the arguments of a rewrite or apply, up to the end of its tactic or an intro pattern
+CITATION = re.compile(r"\b(?:rewrite|apply)\b:?((?:(?!=>)[^.;|])*)")
+NAME = re.compile(r"(?<![\w'.])[A-Za-z_][\w']*")  # an identifier, as `renamed` matches it
+NOT_NAMES = frozenset({"in", "at", "as", "with", "by", "do", "_"})  # tactic words and the wildcard
 
 
 @st.composite
@@ -133,6 +138,56 @@ def renamed(text: str, name: str) -> str:
     return re.sub(rf"(?<![\w'.]){re.escape(name)}(?![\w'])", name + "fresh", text)
 
 
+def proof_bodies(text: str):
+    """(start, end) of each vernacular lemma's proof: from the end of its statement to its
+    Qed, Defined or Admitted, or to the next lemma."""
+    starts = [m.start() for m in LEMMA_START.finditer(text)]
+    for start, stop in zip(starts, starts[1:] + [len(text)]):
+        body = STATEMENT_END.search(text, start, stop).end()
+        end = PROOF_END.search(text, body, stop)
+        yield body, end.end() if end else stop
+
+
+def cited_only_names(texts: list[str]) -> list[str]:
+    """The names that occur in the texts only as arguments of rewrite or apply: no lemma
+    is called so, no statement or goal holds them, no intro pattern binds them and no
+    other tactic or comment names them."""
+    cited, elsewhere = set(), set()
+
+    def scan_tactics(line: str) -> None:
+        last = 0
+        for match in CITATION.finditer(line):
+            elsewhere.update(NAME.findall(line, last, match.start(1)))
+            cited.update(NAME.findall(match.group(1)))
+            last = match.end(1)
+        elsewhere.update(NAME.findall(line, last))
+
+    for text in texts:
+        if text.lstrip().startswith("{"):
+            for line in text.splitlines():
+                record = json.loads(line)
+                scan_tactics(record.pop("tactic_line"))
+                elsewhere.update(NAME.findall(json.dumps(record)))
+            continue
+        last = 0
+        for body, end in proof_bodies(text):
+            elsewhere.update(NAME.findall(text, last, body))
+            scan_tactics(text[body:end])
+            last = end
+        elsewhere.update(NAME.findall(text, last))
+    return sorted(cited - elsewhere - NOT_NAMES)
+
+
+def citation_renamed(text: str, name: str) -> str:
+    """The text with the name renamed by `renamed`; in a trace, in its tactic lines."""
+    if not text.lstrip().startswith("{"):
+        return renamed(text, name)
+    records = [json.loads(line) for line in text.splitlines()]
+    for record in records:
+        record["tactic_line"] = renamed(record["tactic_line"], name)
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
 def intro_renamed(text: str, which: int) -> str:
     """The text with one name that one proof binds with `=>` renamed to a fresh name, from
     that `=>` to the end of the proof.  A vernacular proof ends at its Qed, Defined or
@@ -151,13 +206,8 @@ def intro_renamed(text: str, which: int) -> str:
                 start = at if i == first else 0
                 record["tactic_line"] = line[:start] + renamed(line[start:], name)
         return "".join(json.dumps(record) + "\n" for record in records)
-    starts = [m.start() for m in LEMMA_START.finditer(text)]
-    spots = []
-    for start, stop in zip(starts, starts[1:] + [len(text)]):
-        body = STATEMENT_END.search(text, start, stop).end()
-        end = PROOF_END.search(text, body, stop)
-        end = end.end() if end else stop
-        spots += [(body + at, end, name) for at, name in introduced_names(text[body:end])]
+    spots = [(body + at, end, name) for body, end in proof_bodies(text)
+             for at, name in introduced_names(text[body:end])]
     if not spots:
         return text
     at, end, name = spots[which % len(spots)]
@@ -264,3 +314,21 @@ def test_renaming_a_name_one_proof_introduces_changes_no_output(case, which):
     assert changed, "no proof binds a name"
     assert all("fresh" not in text for text in texts)
     assert outputs(renamed_libs, query, flags) == outputs(libs, query, flags)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases_with_traces(), st.integers(0, 2**16))
+def test_renaming_a_lemma_that_proofs_only_cite_changes_no_output(case, which):
+    # argument text reaches no feature: only its kind does, and a cited name stays external
+    libs, query, flags = case
+    texts = [text for _, texts in libs for text in texts]
+    query_text = query.read_text(encoding="utf-8")
+    names = cited_only_names(texts + [query_text])
+    assume(names)  # some proof cites a name that occurs nowhere else
+    assert all("fresh" not in text for text in texts + [query_text])
+    name = names[which % len(names)]
+    renamed_libs = [(tag, [citation_renamed(text, name) for text in texts]) for tag, texts in libs]
+    assert [text for _, texts in renamed_libs for text in texts] + [citation_renamed(query_text, name)] \
+        != texts + [query_text]
+    assert outputs(renamed_libs, query, flags, rewrite_query=lambda text: citation_renamed(text, name)) \
+        == outputs(libs, query, flags)

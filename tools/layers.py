@@ -17,20 +17,19 @@ clusters.  For every `--src` (default: this checkout's `src`, labelled
   summed over both kinds (`shape.distinct_proofs`);
 * encoding: each parsed file reduced to the encoder's inputs, as `ingest`
   does before it reads the next file (`encode.reduce_s`); the vocabulary
-  table; then the coding of the feature rows (`encode.features_s`).  A tree
-  from before that reduction builds the table from the whole records and
-  encodes them, and reports no `encode.reduce_s`.  `shape.distinct_patches`
-  counts the distinct reduced vernacular lemmas, which `ingest` codes once each;
+  table; then the coding of the feature rows (`encode.features_s`).
+  `shape.distinct_patches` counts the distinct reduced vernacular lemmas,
+  which `ingest` codes once each;
 * `corpus.save` and `corpus.load`;
 * one partition run per algorithm on a fresh point set, with its iteration count;
-* a `--kmeans-runs`-run k-means `run_partitions` (default 20);
+* a `--kmeans-runs`-run k-means `run_partitions` (default 20), with the
+  bytes its PointSet keeps once the runs end
+  (`shape.kmeans_point_set_kept_bytes`: distinct rows, their numbering and
+  every kept distance column);
 * a 200-run farthest-first `run_digest`, split into its partition runs,
   co-occurrence counts, components and the building of its clusters
-  (`_consensus_clusters`; in a tree from before it, the per-component
-  `_consensus_cluster`, which is handed each rates block and so leaves out
-  fetching it), with the bytes its PointSet keeps once the runs end
-  (`shape.point_set_kept_bytes`: distinct rows, their numbering and every
-  kept distance column);
+  (`_consensus_clusters`), with the bytes its PointSet keeps once the runs
+  end (`shape.point_set_kept_bytes`);
 * the consensus step of a hint: the same 200 runs with the workload's query
   row added, then `run_digest` and a search for the query's cluster
   (`hint.digest_search_s`), and what `hint` calls (`hint.consensus_s`);
@@ -51,7 +50,6 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
-import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
@@ -127,13 +125,10 @@ def _point_sets(module):
 
 
 def _kept_bytes(point_set) -> int:
-    """Bytes of the arrays a PointSet holds besides the matrix it was handed; a tree
-    from before one kernel keeps a pair of columns per row."""
+    """Bytes of the arrays a PointSet holds besides the matrix it was handed."""
     arrays = [value for name, value in vars(point_set).items()
               if name != "points" and hasattr(value, "nbytes")]
-    for kept in point_set._columns.values():
-        arrays += kept if isinstance(kept, tuple) else [kept]
-    return sum(array.nbytes for array in arrays)
+    return sum(array.nbytes for array in arrays + list(point_set._columns.values()))
 
 
 def measure(seed: int, kmeans_runs: int) -> dict:
@@ -150,8 +145,6 @@ def measure(seed: int, kmeans_runs: int) -> dict:
         traces = generate.generate(_workload(traces=True), seed, tmp / "t")
         query_text = vernacular.query.read_text(encoding="utf-8")
 
-        # a tree from before the per-file reduction keeps whole records and builds its table from them
-        reduces = hasattr(features, "lemma_patches") or hasattr(features, "lemma_patch")
         lemmas = []
         symbols: set[str] = set()
         tactics: set[str] = set()
@@ -159,16 +152,13 @@ def measure(seed: int, kmeans_runs: int) -> dict:
 
         def reduce(parsed):  # what ingest keeps of one parsed file
             tactics.update(app.name for r in parsed for step in r.steps for app in step.tactics)
-            if hasattr(features, "lemma_patches"):
-                return features.lemma_patches(parsed, features.PATCH_LEN)
-            return [features.lemma_patch(r, features.PATCH_LEN) for r in parsed]
+            return features.lemma_patches(parsed, features.PATCH_LEN)
 
         def distinct_proofs(parsed) -> int:
             return len({tuple(step.tactics for step in r.steps) for r in parsed})
 
         layers["parse.vernacular_s"] = 0.0
-        if reduces:
-            layers["encode.reduce_s"] = 0.0
+        layers["encode.reduce_s"] = 0.0
         vernacular_steps = 0
         for tag, path in vernacular.libraries:
             parsed, seconds = _timed(script.parse_library, path.read_text(encoding="utf-8"), tag,
@@ -176,9 +166,8 @@ def measure(seed: int, kmeans_runs: int) -> dict:
             layers["parse.vernacular_s"] += seconds
             vernacular_steps += sum(len(r.steps) for r in parsed)
             proofs += distinct_proofs(parsed)
-            if reduces:
-                parsed, seconds = _timed(reduce, parsed)
-                layers["encode.reduce_s"] += seconds
+            parsed, seconds = _timed(reduce, parsed)
+            layers["encode.reduce_s"] += seconds
             lemmas += parsed
         layers["parse.trace_s"] = 0.0
         trace_steps = 0
@@ -189,13 +178,11 @@ def measure(seed: int, kmeans_runs: int) -> dict:
             proofs += distinct_proofs(parsed)
             layers["parse.trace_s"] += seconds
         shape.update(lemmas=len(lemmas), vernacular_steps=vernacular_steps, trace_steps=trace_steps,
-                     distinct_proofs=proofs)
-        if reduces:  # distinct patches, each coded once by ingest
-            shape.update(distinct_patches=len({patch.steps for patch in lemmas}))
+                     distinct_proofs=proofs,
+                     distinct_patches=len({patch.steps for patch in lemmas}))  # each coded once by ingest
 
         lemmas.sort(key=lambda r: r.name)
-        table, layers["encode.table_s"] = _timed(features.build_encoding_table,
-                                                 tactics if reduces else lemmas, symbols)
+        table, layers["encode.table_s"] = _timed(features.build_encoding_table, tactics, symbols)
         rows, layers["encode.features_s"] = _timed(
             lambda: [features.extract_features(r, table, features.PATCH_LEN) for r in lemmas])
         raw = np.array(rows, dtype=np.float64)
@@ -216,19 +203,19 @@ def measure(seed: int, kmeans_runs: int) -> dict:
         iterations[name] = len(getattr(result, history)) if history else n
 
     kmeans_cfg = digest.DigestConfig(runs=kmeans_runs, algorithm="kmeans", granularity=GRANULARITY)
-    _, layers["digest.kmeans_partitions_s"] = _timed(digest.run_partitions, db.matrix, kmeans_cfg)
-    shape.update(kmeans_runs=kmeans_runs)
+    with _point_sets(digest) as point_sets:
+        _, layers["digest.kmeans_partitions_s"] = _timed(digest.run_partitions, db.matrix, kmeans_cfg)
+    shape.update(kmeans_runs=kmeans_runs, kmeans_point_set_kept_bytes=_kept_bytes(point_sets[0]))
 
     # one farthest-first digest, its stages timed by wrapping what run_digest calls
     cfg = digest.DigestConfig(runs=DIGEST_RUNS, algorithm="farthest-first", granularity=GRANULARITY)
-    builder = next(name for name in ("_consensus_clusters", "_consensus_cluster") if hasattr(digest, name))
-    stages = ("run_partitions", "co_occurrence_counts", "components_at", builder)
+    stages = ("run_partitions", "co_occurrence_counts", "components_at", "_consensus_clusters")
     with _stage_times(digest, stages) as spent, _point_sets(digest) as point_sets:
         clusters, layers["digest.farthest_first_200_s"] = _timed(digest.run_digest, db, cfg)
     layers.update({"digest.partitions_s": spent["run_partitions"],
                    "digest.cooccurrence_s": spent["co_occurrence_counts"],
                    "digest.components_s": spent["components_at"],
-                   "digest.consensus_s": spent[builder]})
+                   "digest.consensus_s": spent["_consensus_clusters"]})
     shape.update(digest_clusters=len(clusters), point_set_kept_bytes=_kept_bytes(point_sets[0]))
 
     # the same digest with the query row: the consensus step of a hint, without its runs
@@ -238,10 +225,8 @@ def measure(seed: int, kmeans_runs: int) -> dict:
     def digest_and_search():
         return next((c for c in digest.run_digest(query_db, cfg) if query in c.members), None)
 
-    def hint_consensus():  # what cmd_hint calls, in either signature of select_reliable
-        if len(inspect.signature(digest.select_reliable).parameters) == 3:
-            return digest.select_reliable(query_db, cfg, query)
-        return digest.select_reliable(digest.run_digest(query_db, cfg), query)
+    def hint_consensus():  # what cmd_hint calls
+        return digest.select_reliable(query_db, cfg, query)
 
     hints = []
     for name, fn in (("digest_search", digest_and_search), ("consensus", hint_consensus)):
