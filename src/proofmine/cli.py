@@ -4,7 +4,9 @@ Exit codes: 0 success (including an empty hint), 2 parse errors,
 3 I/O or corpus-file errors, 4 insufficient data.  Exit 2 also covers usage
 errors: a bad flag, or a digest setting out of range (`--runs 0`,
 `--freq-threshold 2`, a negative `--seed`, a non-integer or negative
-PROOFMINE_SEED), which is reported before any file is read.
+PROOFMINE_SEED), which is reported before any file is read, and a setting too
+large to allocate or to size an array for (`--runs 1000000000000`,
+`--patch-len 4611686018427387904`), which is reported as "error: ... too large".
 """
 
 from __future__ import annotations
@@ -219,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (MemoryError, OverflowError) as exc:
+        print(f"error: {exc or type(exc).__name__}: a setting is too large", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -113,6 +113,10 @@ class PointSet:
             col = self._columns[row] = _sq_norms(self.distinct - self.distinct[row])
         return col
 
+    def columns(self, rows: list[int]) -> np.ndarray:
+        """The columns of distinct rows `rows`, side by side: (distinct rows, len(rows))."""
+        return np.stack([self.column(row) for row in rows], axis=1)
+
 
 def _point_set(points) -> PointSet:
     return points if isinstance(points, PointSet) else PointSet(points)
@@ -130,13 +134,17 @@ def kmeans(points, n: int, seed: int) -> ClusterAssignment:
     step.  The squared distances from every distinct row to every center are
     kept, one column per center, and only the columns of centers whose bytes
     changed are refilled.  A seed or a reseed is a row, so its column is the
-    PointSet's column of that row; a mean's column is the same reduction over
-    one pair of rows, computed afresh.
+    PointSet's column of that row, and all of them are written in one gather;
+    a mean's column is the same reduction over one pair of rows, computed afresh.
     A mean is recomputed only for a cluster that gained or lost a row since the
     last update, or whose center is not yet the mean of its members (a seed or
     a reseed); the mean of the same rows in the same order is the same.  Means
     are taken over each cluster's slice of the rows sorted stably by label,
-    which holds its members in index order, as a boolean mask would.
+    which holds its members in index order, as a boolean mask would, and are
+    ndarray.mean's arithmetic: one add.reduce, then a division by the count.
+    The reseed distances and the objective's summands are computed once per
+    distinct row and read through `inverse`: each depends only on its row's
+    bytes, so every row gets the bits of its duplicates.
     """
     shared = _point_set(points)
     pts, distinct, inverse = shared.points, shared.distinct, shared.inverse
@@ -147,35 +155,37 @@ def kmeans(points, n: int, seed: int) -> ClusterAssignment:
 
     centers = pts[init].copy()
     source = inverse[init]  # the distinct row center j was taken from, or -1 for a mean
-    dist = np.empty((len(distinct), n))
-    for j, row in enumerate(source.tolist()):
-        dist[:, j] = shared.column(row)
+    dist = shared.columns(source.tolist())
     rows = np.argmin(dist, axis=1)  # the label of each distinct row
     labels = rows[inverse]
     settled = np.zeros(n, dtype=bool)  # center j is the mean of its members under `labels`
     states = [(rows, centers)]
     first_seen = {rows.tobytes(): 0}  # rows repeat exactly when labels do
-    history = [float(np.sum((pts - centers[labels]) ** 2))]
+    history = [float(np.sum(((distinct - centers[rows]) ** 2)[inverse]))]
     for step in range(1, KMEANS_MAX_ITER + 1):
         counts = np.bincount(labels, minlength=n)
         new = centers.copy()
         stale = np.flatnonzero((counts > 0) & ~settled)
         if len(stale):
             grouped = pts[np.argsort(labels, kind="stable")]
-            ends = np.cumsum(counts)
+            ends = np.cumsum(counts).tolist()
             for j in stale.tolist():
-                new[j] = grouped[ends[j] - counts[j]:ends[j]].mean(axis=0)
+                size = int(counts[j])
+                new[j] = np.add.reduce(grouped[ends[j] - size:ends[j]], axis=0) / size
             source[stale] = -1
         empties = np.flatnonzero(counts == 0)
         if len(empties):
             # re-seed each empty cluster with the point farthest from its own center
-            own = np.sqrt(_sq_norms(pts - new[labels]))
+            own = np.sqrt(_sq_norms(distinct - new[rows]))[inverse]
             picks = _farthest(own, len(empties))
             new[empties] = pts[picks]
             source[empties] = inverse[picks]
-        moved = np.flatnonzero((new.view(np.uint64) != centers.view(np.uint64)).any(axis=1))
-        for j, row in zip(moved.tolist(), source[moved].tolist()):
-            dist[:, j] = shared.column(row) if row >= 0 else _sq_norms(distinct - new[j])
+            dist[:, empties] = shared.columns(source[empties].tolist())
+        # reseeded columns are written above; refill those of means whose bytes changed
+        moved = np.flatnonzero((new.view(np.uint64) != centers.view(np.uint64)).any(axis=1)
+                               & (source < 0))
+        for j in moved.tolist():
+            dist[:, j] = _sq_norms(distinct - new[j])
         centers = new
         settled = counts > 0
         new_rows = np.argmin(dist, axis=1)
@@ -184,7 +194,7 @@ def kmeans(points, n: int, seed: int) -> ClusterAssignment:
         settled[new_rows[changed]] = False
         rows = new_rows
         labels = rows[inverse]
-        history.append(float(np.sum((pts - centers[labels]) ** 2)))
+        history.append(float(np.sum(((distinct - centers[rows]) ** 2)[inverse])))
         states.append((rows, centers))
         start = first_seen.setdefault(rows.tobytes(), step)
         if start != step:

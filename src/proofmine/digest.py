@@ -319,7 +319,9 @@ def digest_to_dict(clusters: list[ConsensusCluster], cfg: DigestConfig, *,
 
 
 def write_digest(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    """Write compact JSON with sorted keys; without indentation `json` uses its C encoder."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
+                          encoding="utf-8")
 
 
 def read_digest(path: str | Path) -> dict:

@@ -305,17 +305,10 @@ def _arguments(name: str, tokens: tuple[tuple[str, str], ...], ctx: _ProofContex
     return tuple(args)
 
 
-def _tactics(text: str, ctx: _ProofContext, empty_message: str, lexed: dict, *,
+def _tactics(text: str, ctx: _ProofContext, empty_message: str, *,
              file: str, line: int) -> tuple[TacticApplication, ...]:
-    """The tactic applications of one command line; empty_message if it has no tokens.
-
-    lexed maps each command line already lexed to its segments, so a line
-    that repeats is lexed once; its arguments are still classified against
-    ctx at each occurrence.  A line that fails to lex is not stored.
-    """
-    segments = lexed.get(text)
-    if segments is None:
-        segments = lexed[text] = _lex_segments(text, file=file, line=line)
+    """The tactic applications of one command line; empty_message if it has no tokens."""
+    segments = _lex_segments(text, file=file, line=line)
     if segments == ((),):
         raise EmptyStep(empty_message, file=file, line=line)
     apps: list[TacticApplication] = []
@@ -408,8 +401,8 @@ def _statement_tree(name: str, statement_text: str, intern: dict, *, file: str, 
         raise MalformedStatement(f"bad statement for {name}: {exc}", file=file, line=line) from exc
 
 
-def _record(name: str, statement: TermTree, body: list[Sentence], library: str, lexed: dict,
-            proofs: dict, file: str) -> LemmaRecord:
+def _record(name: str, statement: TermTree, body: list[Sentence], library: str, proofs: dict,
+            file: str) -> LemmaRecord:
     """A lemma record whose first step's goal is the statement.
 
     proofs maps the command-line texts of each body already parsed in the
@@ -422,7 +415,7 @@ def _record(name: str, statement: TermTree, body: list[Sentence], library: str, 
     if tactics is None:
         ctx = _ProofContext()
         tactics = proofs[texts] = tuple([
-            _tactics(sen.text, ctx, "proof step without tokens", lexed, file=file, line=sen.line_start)
+            _tactics(sen.text, ctx, "proof step without tokens", file=file, line=sen.line_start)
             for sen in body])
     steps = [ProofStep(apps, statement if pos == 0 else None) for pos, apps in enumerate(tactics)]
     return LemmaRecord(name, statement, tuple(steps), library)
@@ -441,7 +434,6 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>",
     records: list[LemmaRecord] = []
     seen: set[str] = set()
     intern: dict = {}  # one per file: equal subterms are shared, a repeated statement text parsed once
-    lexed: dict = {}  # one per file: a repeated command line lexed once
     proofs: dict = {}  # one per file: a repeated proof body classified once
     for sen, body, closed in _lemmas(split_sentences(source, filename=filename)):
         name, statement_text = _parse_header(sen, filename)
@@ -451,7 +443,7 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>",
         statement = _statement_tree(name, statement_text, intern, file=filename, line=sen.line_start)
         if not closed:
             raise UnterminatedProof(f"proof of {name} never closed", file=filename, line=sen.line_start)
-        records.append(_record(name, statement, body, library_tag, lexed, proofs, filename))
+        records.append(_record(name, statement, body, library_tag, proofs, filename))
     if symbols is not None:
         symbols.update(interned_symbols(intern))
     return records
@@ -467,7 +459,7 @@ def parse_partial(source: str, *, filename: str = "<query>") -> LemmaRecord:
     statement = _statement_tree(name, statement_text, {}, file=filename, line=sen.line_start)
     if not body:
         raise MalformedStatement(f"partial proof of {name} has no steps", file=filename, line=sen.line_start)
-    return _record(name, statement, body, "query", {}, {}, filename)
+    return _record(name, statement, body, "query", {}, filename)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +520,6 @@ def parse_trace(source: str, *, filename: str = "<trace>",
 
     records: list[LemmaRecord] = []
     intern: dict = {}  # one per file: equal subterms are shared, a repeated goal text parsed once
-    lexed: dict = {}  # one per file: a repeated command line lexed once
     proofs: dict = {}  # one per file: the tactic lines of a proof, in step order -> their applications
     for name, (library, by_index) in per_lemma.items():
         order = sorted(by_index)
@@ -542,7 +533,7 @@ def parse_trace(source: str, *, filename: str = "<trace>",
             if idx != pos + 1:
                 raise ParseError(f"missing step {pos + 1} for {name}", file=filename, line=line_no)
             apps = known[pos] if known is not None else _tactics(
-                texts[pos], ctx, f"empty tactic_line for {name}", lexed, file=filename, line=line_no)
+                texts[pos], ctx, f"empty tactic_line for {name}", file=filename, line=line_no)
             goal = _statement_tree(name, goal_text, intern, file=filename, line=line_no)
             steps.append(ProofStep(apps, goal_before=goal, subgoals_after=subgoals))
         if known is None:

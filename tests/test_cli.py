@@ -250,6 +250,52 @@ def test_bad_digest_setting_is_a_usage_error_before_the_corpus_is_read(
     assert "i/o error" not in err and message in err
 
 
+@pytest.fixture(scope="module")
+def fixtures_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "fixtures.corpus"
+    assert main(["extract", *FIXTURE_LIBS, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["cluster", "hint"])
+def test_runs_too_large_to_allocate_exit_2(fixtures_corpus, tmp_path, capsys, command):
+    # the (runs, lemmas) label array of 10**12 runs needs far more than any
+    # address space, so its allocation fails before a run starts
+    out = tmp_path / "d.json"
+    args = {"cluster": ["cluster", "--corpus", str(fixtures_corpus), "--out", str(out)],
+            "hint": ["hint", "--corpus", str(fixtures_corpus), "--query", str(HINT / "hint_query.v")]}
+    assert main(args[command] + ["--runs", "1000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.rstrip().endswith("too large")
+    assert "Traceback" not in captured.err and not captured.out and not out.exists()
+
+
+def test_extract_patch_len_too_large_to_encode_exits_2(tmp_path, capsys):
+    # a patch of 2**62 steps has no machine-sized array shape, so padding it fails before allocating
+    out = tmp_path / "c.corpus"
+    args = extract_args(out, [("ssrnat", FIXTURES / "ssr_nat.v")]) + ["--patch-len", "4611686018427387904"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith("too large")
+    assert not out.exists()
+
+
+def test_report_reads_an_indented_digest_as_a_compact_one(corpus_file, tmp_path, capsys):
+    # digests were once written with indent=2, as report --format json still prints them
+    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    assert main(["cluster", "--corpus", str(corpus_file), "--out", str(compact),
+                 "--granularity", "5", "--runs", "5", "--seed", "2"]) == 0
+    indented.write_text(json.dumps(json.loads(compact.read_text()), sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    for fmt in ("text", "json"):
+        printed = []
+        for path in (compact, indented):
+            assert main(["report", str(path), "--format", fmt]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+    assert printed[0] == indented.read_text()
+
+
 def test_corrupt_corpus_exits_3(tmp_path):
     bogus = tmp_path / "x.corpus"
     bogus.write_text("{not json")

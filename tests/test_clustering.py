@@ -603,6 +603,40 @@ def test_point_set_columns_match_both_formulas_on_random_rows(seed, m, dims, rou
     assert_columns_match_oracle(np.round(matrix, 1) if rounded else matrix)
 
 
+@pytest.mark.parametrize("case", SHARED_CASES)
+def test_point_set_columns_stack_the_kept_columns_repeats_included(case):
+    matrix = SHARED_CASES[case]
+    last = len(PointSet(matrix).distinct) - 1
+    rows = [last, 0, last, 0, last // 2]
+    kept = PointSet(matrix)
+    want = np.stack([kept.column(row) for row in rows], axis=1)
+    for shared in (kept, PointSet(matrix)):  # columns already kept, and computed on the way
+        got = shared.columns(rows)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def mean_slices(kind: str, rng) -> np.ndarray:
+    """600 rows of 40 features, from which k-means-like slices are cut."""
+    if kind == "random":
+        return rng.normal(size=(600, 40))
+    if kind == "duplicated":
+        return np.round(rng.uniform(size=(7, 40)), 1)[rng.integers(0, 7, size=600)]
+    return rng.integers(0, 3, size=(600, 40)).astype(float)  # lattice
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicated", "lattice"])
+def test_add_reduce_over_the_count_has_the_bits_of_mean(kind):
+    """k-means takes a stale cluster's mean as add.reduce over its slice,
+    divided by the slice length: ndarray.mean's arithmetic without its wrapper."""
+    rng = np.random.default_rng(len(kind))
+    rows = mean_slices(kind, rng)
+    for length in range(1, 301):
+        start = int(rng.integers(0, len(rows) - length + 1))
+        x = rows[start:start + length]
+        got, want = np.add.reduce(x, axis=0) / len(x), x.mean(axis=0)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), length
+
+
 # ---------------------------------------------------------------------------
 # k-means keeps its distance matrix and redoes only what moved; it must match
 # the per-run oracle, which updates every center and recomputes every distance

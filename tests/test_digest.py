@@ -850,6 +850,16 @@ def test_digest_file_round_trip(tmp_path):
         read_digest(bad)
 
 
+def test_write_digest_writes_compact_canonical_json(tmp_path):
+    db = make_db(family_matrix(families=2, per=3, jitter=0.0), tags=["u"] * 3 + ["v"] * 3)
+    cfg = DigestConfig(runs=10, granularity=5, master_seed=1)
+    doc = digest_to_dict(run_digest(db, cfg), cfg, objects=len(db.names), clusters_per_run=1,
+                         libraries=db.libraries)
+    path = tmp_path / "digest.json"
+    write_digest(path, doc)
+    assert path.read_bytes() == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
 @pytest.mark.parametrize("doc", [
     {"format": "proofmine digest v1"},
     {"format": "proofmine digest v1", "config": [], "objects": 2, "clusters_per_run": 1,

@@ -37,7 +37,7 @@ PATCH_LENS = (1, 5, 8)
 def proof_tactics_oracle(lines) -> tuple:
     """Each command line's applications, classified in order against one fresh context."""
     ctx = _ProofContext()
-    return tuple(_tactics(line, ctx, "empty step", {}, file="<oracle>", line=0) for line in lines)
+    return tuple(_tactics(line, ctx, "empty step", file="<oracle>", line=0) for line in lines)
 
 
 def trace_command(tactic_line: str) -> str:

@@ -25,7 +25,9 @@ clusters.  For every `--src` (default: this checkout's `src`, labelled
 * a `--kmeans-runs`-run k-means `run_partitions` (default 20), with the
   bytes its PointSet keeps once the runs end
   (`shape.kmeans_point_set_kept_bytes`: distinct rows, their numbering and
-  every kept distance column);
+  every kept distance column) and the sha256 of its labels and proximities
+  (`hashes.kmeans_partitions`), so two source trees can be checked for the
+  same output bits;
 * a 200-run farthest-first `run_digest`, split into its partition runs,
   co-occurrence counts, components and the building of its clusters
   (`_consensus_clusters`), with the bytes its PointSet keeps once the runs
@@ -50,6 +52,7 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
@@ -204,8 +207,10 @@ def measure(seed: int, kmeans_runs: int) -> dict:
 
     kmeans_cfg = digest.DigestConfig(runs=kmeans_runs, algorithm="kmeans", granularity=GRANULARITY)
     with _point_sets(digest) as point_sets:
-        _, layers["digest.kmeans_partitions_s"] = _timed(digest.run_partitions, db.matrix, kmeans_cfg)
+        (labels, proximity), layers["digest.kmeans_partitions_s"] = _timed(
+            digest.run_partitions, db.matrix, kmeans_cfg)
     shape.update(kmeans_runs=kmeans_runs, kmeans_point_set_kept_bytes=_kept_bytes(point_sets[0]))
+    hashes = {"kmeans_partitions": hashlib.sha256(labels.tobytes() + proximity.tobytes()).hexdigest()}
 
     # one farthest-first digest, its stages timed by wrapping what run_digest calls
     cfg = digest.DigestConfig(runs=DIGEST_RUNS, algorithm="farthest-first", granularity=GRANULARITY)
@@ -238,7 +243,7 @@ def measure(seed: int, kmeans_runs: int) -> dict:
         raise RuntimeError("the hint's cluster is not the one the digest holds")
     shape.update(hint_members=0 if hints[0] is None else len(hints[0]["members"]))
     return {"layers": {k: round(v, 4) for k, v in layers.items()}, "iterations": iterations,
-            "shape": shape}
+            "shape": shape, "hashes": hashes}
 
 
 def main() -> int:

@@ -21,11 +21,15 @@ query alone in its class.  The digests reach classes that have the majority
 in only some runs (long-proofs-ff, farthest-first x20 at 0.6) and components
 that the mean-rate filter drops (kmeans x5 at 0.3).
 
-Every digest and `report --format json` output is hashed a second time with
-each cluster's `member_proximity` removed (the lines ending in "without
-proximities").  A change that moves only the last bits of proximities then
-differs from its parent in digest and report-json lines alone, and in none
-of their proximity-free lines.
+Every digest and `report --format json` output is hashed twice more, each
+time after parsing it and dumping it again with sorted keys and no
+indentation: once whole (the lines ending in "as parsed") and once with each
+cluster's `member_proximity` removed (the lines ending in "without
+proximities").  A change to the digest file's whitespace alone then differs
+from its parent only in the raw digest lines, and in none of the "as parsed"
+lines.  A change that moves only the last bits of proximities differs in
+digest and report-json lines alone, and in none of their proximity-free
+lines.
 
 proofmine is imported from DIR (default: this checkout's `src`), so two
 checkouts are compared with
@@ -69,16 +73,27 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _parsed(data: bytes) -> dict:
+    """A digest's JSON, up to any appended exit line."""
+    return json.loads(data.decode().split("\nexit ")[0])
+
+
+def _as_parsed(data: bytes) -> str:
+    """sha256 of a digest's JSON re-dumped with sorted keys, whatever its whitespace."""
+    return _sha(json.dumps(_parsed(data), sort_keys=True).encode())
+
+
 def _without_proximities(data: bytes) -> str:
-    """sha256 of a digest's JSON, up to any appended exit line, with each member_proximity removed."""
-    doc = json.loads(data.decode().split("\nexit ")[0])
+    """sha256 of a digest's JSON re-dumped with each member_proximity removed."""
+    doc = _parsed(data)
     for cluster in doc["clusters"]:
         del cluster["member_proximity"]
     return _sha(json.dumps(doc, sort_keys=True).encode())
 
 
 def _digest_rows(label: str, data: bytes) -> list[tuple[str, str]]:
-    return [(label, _sha(data)), (f"{label} without proximities", _without_proximities(data))]
+    return [(label, _sha(data)), (f"{label} as parsed", _as_parsed(data)),
+            (f"{label} without proximities", _without_proximities(data))]
 
 
 def _run(cli_main, argv: list[str]) -> bytes:
