@@ -6,7 +6,8 @@ errors: a bad flag, or a digest setting out of range (`--runs 0`,
 `--freq-threshold 2`, a negative `--seed`, a non-integer or negative
 PROOFMINE_SEED), which is reported before any file is read, and a setting too
 large to allocate or to size an array for (`--runs 1000000000000`,
-`--patch-len 4611686018427387904`), which is reported as "error: ... too large".
+`--patch-len 4611686018427387904`), which is reported as "error: ... too large"
+naming the subcommand's size flag and its value.
 """
 
 from __future__ import annotations
@@ -206,6 +207,10 @@ _COMMANDS = {
 }
 
 
+# the flag that sizes each subcommand's arrays, named when one is too large to allocate
+_SIZE_FLAGS = {"extract": "patch_len", "cluster": "runs", "hint": "runs"}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -223,7 +228,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (MemoryError, OverflowError) as exc:
-        print(f"error: {exc or type(exc).__name__}: a setting is too large", file=sys.stderr)
+        dest = _SIZE_FLAGS.get(args.command)
+        setting = f"--{dest.replace('_', '-')} {getattr(args, dest)}" if dest else "a setting"
+        print(f"error: {exc or type(exc).__name__}: {setting} is too large", file=sys.stderr)
         return EXIT_PARSE
 
 

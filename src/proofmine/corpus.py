@@ -75,10 +75,13 @@ def _read_library(path: Path, tag: str, patch_len: int, symbols: set[str],
     """
     source = read_source(path)
     if looks_like_trace(source):
-        parsed = parse_trace(source, filename=str(path), symbols=symbols)
+        parsed = parse_trace(source, filename=str(path), symbols=symbols, patch_len=patch_len)
     else:
-        parsed = parse_library(source, tag, filename=str(path), symbols=symbols)
-    tactics.update(app.name for record in parsed for step in record.steps for app in step.tactics)
+        parsed = parse_library(source, tag, filename=str(path), symbols=symbols, patch_len=patch_len)
+    # a repeated body shares its steps' tactic tuples (the parser's `proofs` memo), and
+    # parsed keeps them alive, so their ids tell the distinct ones apart
+    distinct = {id(step.tactics): step.tactics for record in parsed for step in record.steps}
+    tactics.update(app.name for apps in distinct.values() for app in apps)
     return lemma_patches(parsed, patch_len)
 
 
@@ -109,15 +112,17 @@ def ingest(paths: list[str | Path], tags: list[str], *, patch_len: int = PATCH_L
         raise EmptyCorpus(f"the given libraries hold no proved lemma: {', '.join(map(str, paths))}")
     names = sorted(patches)
     table = build_encoding_table(tactics, symbols)
-    rows = []
-    coded: dict = {}  # a patch's steps -> its row: a repeated patch is coded once
+    rows = []  # the distinct rows, in the order of their first lemma by name
+    coded: dict = {}  # a patch's steps -> its position in rows: a repeated patch is coded once
+    positions = []
     for name in names:
         patch = patches[name]
-        row = coded.get(patch.steps)
-        if row is None:
-            row = coded[patch.steps] = extract_features(patch, table, patch_len)
-        rows.append(row)
-    raw = np.array(rows, dtype=np.float64).reshape(len(rows), SLOTS_PER_STEP * patch_len)
+        pos = coded.get(patch.steps)
+        if pos is None:
+            pos = coded[patch.steps] = len(rows)
+            rows.append(extract_features(patch, table, patch_len))
+        positions.append(pos)
+    raw = np.array(rows, dtype=np.float64).reshape(len(rows), SLOTS_PER_STEP * patch_len)[positions]
     return Corpus(names, {name: patches[name].library for name in names}, raw, table, patch_len)
 
 

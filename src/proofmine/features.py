@@ -122,35 +122,40 @@ class LemmaPatch(NamedTuple):
     steps: tuple[StepSlots, ...]
 
 
-def _step_slots(step: ProofStep, tactic_halves: dict) -> StepSlots:
-    """One step's slots; tactic_halves maps each step.tactics already seen to slots 1-4, which
-    depend on nothing else."""
-    half = tactic_halves.get(step.tactics)
-    if half is None:
-        kinds = [arg.kind for app in step.tactics for arg in app.arguments]
-        half = tactic_halves[step.tactics] = (
-            tuple(app.name for app in step.tactics),
-            _decimal_fold([KIND_CODES[k] for k in kinds[:_MAX_FOLDED_ARGS]]),
-            _relation_code(kinds),
+def _step_slots(step: ProofStep, memo: dict) -> StepSlots:
+    """One step's slots.  memo maps the id of each step already reduced to its slots, and the id
+    of each step.tactics already seen to slots 1-4, which depend on nothing else."""
+    slots = memo.get(id(step))
+    if slots is None:
+        half = memo.get(id(step.tactics))
+        if half is None:
+            kinds = [arg.kind for app in step.tactics for arg in app.arguments]
+            half = memo[id(step.tactics)] = (
+                tuple(app.name for app in step.tactics),
+                _decimal_fold([KIND_CODES[k] for k in kinds[:_MAX_FOLDED_ARGS]]),
+                _relation_code(kinds),
+            )
+        slots = memo[id(step)] = StepSlots(
+            *half,
+            step.goal_before.top_symbols() if step.goal_before is not None else None,
+            float(step.subgoals_after) if step.subgoals_after is not None else -1.0,
         )
-    names, kinds, relation = half
-    return StepSlots(
-        names, kinds, relation,
-        step.goal_before.top_symbols() if step.goal_before is not None else None,
-        float(step.subgoals_after) if step.subgoals_after is not None else -1.0,
-    )
+    return slots
 
 
 def lemma_patches(lemmas: list[LemmaRecord], patch_len: int = PATCH_LEN) -> list[LemmaPatch]:
     """The first half of the encoder, which needs no vocabulary: each lemma's first patch_len steps.
 
-    The tactic half of a step's slots is computed once per distinct tactic
-    tuple among lemmas, as `ingest` passes the lemmas of one file; the goal's
-    symbols and the subgoal value are taken from each step.
+    A step is reduced once per step object, and the tactic half of its
+    slots once per tactic tuple object.  The parser's memo gives the lemmas
+    of one file with a repeated body the same tuples and the same steps after
+    the first, as `ingest` passes the lemmas of one file, and lemmas keeps
+    every object alive, so no id is reused; equal objects that are not
+    shared are reduced once each, to the same values.
     """
-    tactic_halves: dict = {}
+    memo: dict = {}
     return [LemmaPatch(lemma.name, lemma.library,
-                       tuple(_step_slots(step, tactic_halves) for step in lemma.steps[:patch_len]))
+                       tuple([_step_slots(step, memo) for step in lemma.steps[:patch_len]]))
             for lemma in lemmas]
 
 

@@ -15,13 +15,16 @@ and subgoal counts ("proofmine trace v1"); see parse_trace.
 from __future__ import annotations
 
 import codecs
+import functools
 import json
 import re
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 from .terms import TermError, TermTree, UnbalancedDelimiters, group_end, interned_symbols, parse_term_tree
 
@@ -102,14 +105,19 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 # sentence layer
 
 
-@dataclass(frozen=True, slots=True)
-class Sentence:
+class Sentence(NamedTuple):
     text: str
     line_start: int
 
 
-_SENTENCE_MARK_RE = re.compile(r'\(\*|"|\.(?=\s|\Z)')  # `\s` is str.isspace
+_new_sentence = functools.partial(tuple.__new__, Sentence)  # Sentence(*pair), called from C by map
+
+_OPENER_RE = re.compile(r'\(\*|"')
 _COMMENT_MARK_RE = re.compile(r"\(\*|\*\)")
+# a terminator and the whitespace after it (`\s` is str.isspace); the capture
+# makes re.split return that whitespace between the sentences
+_TERMINATOR_RE = re.compile(r"\.(?=\s)(\s*)")  # in a stretch that a comment or string ends
+_LAST_TERMINATOR_RE = re.compile(r"\.(?=\s|\Z)(\s*)")  # in the stretch that ends the source
 
 
 def split_sentences(source: str, *, filename: str = "<string>") -> list[Sentence]:
@@ -120,28 +128,38 @@ def split_sentences(source: str, *, filename: str = "<string>") -> list[Sentence
     space; an all-whitespace chunk between two terminators yields an empty
     sentence so proof parsing can reject it.  A comment or string still open
     at the end of the source is a ParseError at the line of its opening.
+
+    Each stretch between comments and strings is cut at its terminators by
+    one `re.split`, and its lines are counted piece by piece with
+    `str.count`; only a `(*` or a `"` is handled character-wise.
     """
     sentences: list[Sentence] = []
-    buf: list[str] = []
+    buf: list[str] = []  # the pieces of the sentence still open
     line = 1
     start_line: int | None = None
     i = 0
     while True:
-        mark = _SENTENCE_MARK_RE.search(source, i)
-        j = mark.start() if mark else len(source)
-        chunk = source[i:j]
-        if start_line is None and (rest := chunk.lstrip()):
-            start_line = line + chunk.count("\n", 0, len(chunk) - len(rest))
-        line += chunk.count("\n")
-        buf.append(chunk)
-        if mark is None:
-            break
-        if mark.group() == ".":
+        opener = _OPENER_RE.search(source, i)
+        j = opener.start() if opener else len(source)
+        # [head, gap, sentence, gap, ..., sentence]: head continues the open sentence, and every
+        # piece after a gap starts with no whitespace, so it starts on the line its gap ends
+        pieces = (_TERMINATOR_RE if opener else _LAST_TERMINATOR_RE).split(source[i:j])
+        head = pieces[0]
+        if start_line is None and (rest := head.lstrip()):
+            start_line = line + head.count("\n", 0, len(head) - len(rest))
+        line += head.count("\n")
+        buf.append(head)
+        if len(pieces) > 1:
             sentences.append(Sentence("".join(buf).strip(), start_line or line))
-            buf = []
-            start_line = None
-            i = j + 1
-        elif mark.group() == '"':
+            # lines[k]: the line that pieces[k + 1] starts on
+            lines = list(accumulate(map(str.count, pieces[1:], repeat("\n")), initial=line))
+            sentences.extend(map(_new_sentence, zip(map(str.rstrip, pieces[2:-1:2]), lines[1:-2:2])))
+            buf = [pieces[-1]]
+            start_line = lines[-2] if pieces[-1] else None
+            line = lines[-1]
+        if opener is None:
+            break
+        if opener.group() == '"':
             i = source.find('"', j + 1) + 1
             if not i:
                 raise ParseError("string never closed", file=filename, line=line)
@@ -280,10 +298,13 @@ def _classify_token(text: str, ctx: _ProofContext, *, intro_zone: bool) -> Argum
     return ArgumentKind.TERM_EXPR
 
 
+_INTRO_SEPARATOR_RE = re.compile(r"[\s|\[\]\(\)\{\}]+")
+
+
 def _intro_names(texts: list[str]) -> list[str]:
     names = []
     for text in texts:
-        for piece in re.split(r"[\s|\[\]\(\)\{\}]+", text):
+        for piece in _INTRO_SEPARATOR_RE.split(text):
             if not piece or piece in WILDCARD_TOKENS or piece in ("->", "<-"):
                 continue
             if _IDENT_RE.fullmatch(piece):
@@ -306,8 +327,13 @@ def _arguments(name: str, tokens: tuple[tuple[str, str], ...], ctx: _ProofContex
 
 
 def _tactics(text: str, ctx: _ProofContext, empty_message: str, *,
-             file: str, line: int) -> tuple[TacticApplication, ...]:
-    """The tactic applications of one command line; empty_message if it has no tokens."""
+             file: str, line: int, classify: bool = True) -> tuple[TacticApplication, ...]:
+    """The tactic applications of one command line; empty_message if it has no tokens.
+
+    Without classify, each application keeps its name only.  Only
+    `_arguments` is skipped, which raises nothing, so the line's errors are
+    the same either way.
+    """
     segments = _lex_segments(text, file=file, line=line)
     if segments == ((),):
         raise EmptyStep(empty_message, file=file, line=line)
@@ -327,7 +353,7 @@ def _tactics(text: str, ctx: _ProofContext, empty_message: str, *,
         name, rest = m.group(0), tokens[1:]
         if m.end() < len(first):  # `apply/view` is `apply` with the argument `/view`
             rest = (("unit", first[m.end():]),) + rest
-        apps.append(TacticApplication(name, _arguments(name, rest, ctx)))
+        apps.append(TacticApplication(name, _arguments(name, rest, ctx) if classify else ()))
     return tuple(apps)
 
 
@@ -335,18 +361,30 @@ def _tactics(text: str, ctx: _ProofContext, empty_message: str, *,
 # vernacular files
 
 
+# a sentence whose first word is a lemma keyword
+_LEMMA_START_RE = re.compile(rf"(?:{'|'.join(sorted(LEMMA_KEYWORDS))})(?![A-Za-z0-9_'])")
+# the keyword, then the lemma's name (the lookahead keeps the keyword whole), then, when no
+# bracket and no other colon comes first, the `:` before the statement
+_HEADER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*(?![A-Za-z0-9_'])\s*([A-Za-z_][A-Za-z0-9_']*)"
+                        r"([^:()\[\]{}]*:(?![:=]))?")
+_COLON_RE = re.compile(r":[:=]?")  # `::` and `:=` are read as one token, as Coq lexes them
+
+
 def _lemmas(sentences: list[Sentence]) -> Iterator[tuple[Sentence, list[Sentence], bool]]:
     """Each lemma sentence with its body and whether a closing sentence ends it.
 
     A body runs up to a closer or the next lemma sentence; a `Proof.` right
     after the lemma sentence is not part of it.  Sentences outside lemmas
-    (imports, definitions, ...) are skipped.
+    (imports, definitions, ...) are skipped.  A closer is a sentence that is
+    exactly `Qed` or `Defined`, so a body sentence costs one set lookup and
+    one anchored regex match.
     """
+    starts_lemma = _LEMMA_START_RE.match
     i, n = 0, len(sentences)
     while i < n:
         sen = sentences[i]
         i += 1
-        if _first_word(sen.text) not in LEMMA_KEYWORDS:
+        if not starts_lemma(sen.text):
             continue
         if i < n and _first_word(sentences[i].text) == "Proof":
             i += 1
@@ -354,44 +392,48 @@ def _lemmas(sentences: list[Sentence]) -> Iterator[tuple[Sentence, list[Sentence
         closed = False
         while i < n:
             nxt = sentences[i]
-            word = _first_word(nxt.text)
-            if word in LEMMA_KEYWORDS:
-                break
-            i += 1
-            if word in PROOF_CLOSERS and word == nxt.text:
+            if nxt.text in PROOF_CLOSERS:
+                i += 1
                 closed = True
                 break
+            if starts_lemma(nxt.text):
+                break
+            i += 1
             body.append(nxt)
         yield sen, body, closed
 
 
 def _parse_header(sentence: Sentence, file: str) -> tuple[str, str]:
+    """The name and statement text of a lemma sentence.
+
+    The statement follows the first `:` outside brackets that is not part of
+    a `::` or `:=`; each colon's bracket depth is counted with `str.count`
+    over the text since the colon before it.
+    """
     text = sentence.text
-    kw = _first_word(text)
-    rest = text[len(kw):]
-    m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_']*)", rest)
+    m = _HEADER_RE.match(text)
     if not m:
         raise MalformedStatement("lemma sentence without a name", file=file, line=sentence.line_start)
     name = m.group(1)
-    tail = rest[m.end():]
+    if m.group(2) is not None:
+        return name, _statement_text(text, m.end(), name, file, sentence.line_start)
     depth = 0
-    i = 0
-    while i < len(tail):
-        c = tail[i]
-        if c in "([{":
-            depth += 1
-        elif c in ")]}":
-            depth -= 1
-        elif c == ":" and depth == 0:
-            if tail[i + 1:i + 2] in (":", "="):
-                i += 2
-                continue
-            statement = tail[i + 1:].strip()
-            if not statement:
-                raise MalformedStatement(f"missing statement for {name}", file=file, line=sentence.line_start)
-            return name, statement
-        i += 1
+    counted = m.end()
+    for colon in _COLON_RE.finditer(text, counted):
+        at = colon.start()
+        depth += (text.count("(", counted, at) + text.count("[", counted, at) + text.count("{", counted, at)
+                  - text.count(")", counted, at) - text.count("]", counted, at) - text.count("}", counted, at))
+        counted = at
+        if depth == 0 and colon.end() == at + 1:
+            return name, _statement_text(text, at + 1, name, file, sentence.line_start)
     raise MalformedStatement(f"missing ':' in statement of {name}", file=file, line=sentence.line_start)
+
+
+def _statement_text(text: str, start: int, name: str, file: str, line: int) -> str:
+    statement = text[start:].strip()
+    if not statement:
+        raise MalformedStatement(f"missing statement for {name}", file=file, line=line)
+    return statement
 
 
 def _statement_tree(name: str, statement_text: str, intern: dict, *, file: str, line: int) -> TermTree:
@@ -402,32 +444,39 @@ def _statement_tree(name: str, statement_text: str, intern: dict, *, file: str, 
 
 
 def _record(name: str, statement: TermTree, body: list[Sentence], library: str, proofs: dict,
-            file: str) -> LemmaRecord:
+            file: str, patch_len: int | None = None) -> LemmaRecord:
     """A lemma record whose first step's goal is the statement.
 
     proofs maps the command-line texts of each body already parsed in the
-    file to its steps' tactic applications, so a repeated body is classified
-    once: a proof's context starts empty and changes only through its own
-    lines.  A body that fails to parse is not stored.
+    file to its steps, without goals, so a repeated body is classified once:
+    a proof's context starts empty and changes only through its own lines.
+    The records of a repeated body share its steps after the first, and all
+    its tactic tuples.  A body that fails to parse is not stored.  Steps from
+    patch_len on, when it is given, keep their tactic names only.
     """
     texts = tuple([sen.text for sen in body])
-    tactics = proofs.get(texts)
-    if tactics is None:
+    steps = proofs.get(texts)
+    if steps is None:
         ctx = _ProofContext()
-        tactics = proofs[texts] = tuple([
-            _tactics(sen.text, ctx, "proof step without tokens", file=file, line=sen.line_start)
-            for sen in body])
-    steps = [ProofStep(apps, statement if pos == 0 else None) for pos, apps in enumerate(tactics)]
-    return LemmaRecord(name, statement, tuple(steps), library)
+        classified = len(body) if patch_len is None else patch_len
+        steps = proofs[texts] = tuple([
+            ProofStep(_tactics(sen.text, ctx, "proof step without tokens", file=file, line=sen.line_start,
+                               classify=pos < classified))
+            for pos, sen in enumerate(body)])
+    if steps:
+        steps = (ProofStep(steps[0].tactics, statement),) + steps[1:]
+    return LemmaRecord(name, statement, steps, library)
 
 
 def parse_library(source: str, library_tag: str, *, filename: str = "<string>",
-                  symbols: set[str] | None = None) -> list[LemmaRecord]:
+                  symbols: set[str] | None = None, patch_len: int | None = None) -> list[LemmaRecord]:
     """Extract every proved lemma from vernacular source text.
 
     Sentences that are not lemma statements, proof steps, or proof delimiters
     (imports, definitions, ...) are skipped.  If the parse succeeds, symbols,
     when given, receives the symbol of every node of the returned terms.
+    With patch_len, the steps after a lemma's first patch_len keep their
+    tactic names and no arguments: all that the encoder reads of them.
     """
     if not library_tag:
         raise ValueError("library_tag must be non-empty")
@@ -443,7 +492,7 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>",
         statement = _statement_tree(name, statement_text, intern, file=filename, line=sen.line_start)
         if not closed:
             raise UnterminatedProof(f"proof of {name} never closed", file=filename, line=sen.line_start)
-        records.append(_record(name, statement, body, library_tag, proofs, filename))
+        records.append(_record(name, statement, body, library_tag, proofs, filename, patch_len))
     if symbols is not None:
         symbols.update(interned_symbols(intern))
     return records
@@ -473,12 +522,13 @@ _TRACE_FIELDS = {"lemma": str, "library": str, "step_index": int, "tactic_line":
 
 
 def parse_trace(source: str, *, filename: str = "<trace>",
-                symbols: set[str] | None = None) -> list[LemmaRecord]:
+                symbols: set[str] | None = None, patch_len: int | None = None) -> list[LemmaRecord]:
     """Read per-step trace records with goal text and subgoal counts.
 
     Records are split at CRLF, LF and CR only, none of which a JSON string
     holds raw.  If the parse succeeds, symbols, when given, receives
-    the symbol of every node of the returned terms.
+    the symbol of every node of the returned terms.  patch_len is as for
+    parse_library.
     """
     per_lemma: dict[str, tuple[str, dict]] = {}  # name -> (library, steps by index), in first-seen order
     for line_no, raw in enumerate(_LINE_BREAK_RE.split(source), start=1):
@@ -533,7 +583,8 @@ def parse_trace(source: str, *, filename: str = "<trace>",
             if idx != pos + 1:
                 raise ParseError(f"missing step {pos + 1} for {name}", file=filename, line=line_no)
             apps = known[pos] if known is not None else _tactics(
-                texts[pos], ctx, f"empty tactic_line for {name}", file=filename, line=line_no)
+                texts[pos], ctx, f"empty tactic_line for {name}", file=filename, line=line_no,
+                classify=patch_len is None or pos < patch_len)
             goal = _statement_tree(name, goal_text, intern, file=filename, line=line_no)
             steps.append(ProofStep(apps, goal_before=goal, subgoals_after=subgoals))
         if known is None:

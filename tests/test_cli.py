@@ -267,6 +267,7 @@ def test_runs_too_large_to_allocate_exit_2(fixtures_corpus, tmp_path, capsys, co
     assert main(args[command] + ["--runs", "1000000000000"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.rstrip().endswith("too large")
+    assert captured.err.rstrip().endswith(": --runs 1000000000000 is too large")
     assert "Traceback" not in captured.err and not captured.out and not out.exists()
 
 
@@ -277,6 +278,7 @@ def test_extract_patch_len_too_large_to_encode_exits_2(tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.rstrip().endswith("too large")
+    assert err.rstrip().endswith(": --patch-len 4611686018427387904 is too large")
     assert not out.exists()
 
 

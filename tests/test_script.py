@@ -1,12 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proofmine.script import (ArgumentKind, DuplicateLemmaName, EmptyStep, MalformedStatement,
-                              ParseError, ProofStep, UnterminatedProof, parse_library,
-                              Sentence, parse_partial, parse_trace, split_sentences)
+from proofmine.script import (LEMMA_KEYWORDS, ArgumentKind, DuplicateLemmaName, EmptyStep, MalformedStatement,
+                              ParseError, ProofStep, UnterminatedProof, _first_word, _parse_header,
+                              parse_library, Sentence, parse_partial, parse_trace, split_sentences)
 
 from proofmine.terms import UnbalancedDelimiters, parse_term_tree
 
@@ -541,6 +542,126 @@ def test_splitter_matches_oracle_on_random_sources():
     rng = np.random.default_rng(8)
     for trial in range(10):
         assert_splits_like_oracle(random_library_source(rng, 12, f"r{trial}"))
+
+
+# the scanner splits each stretch without a comment or string with one regex
+# pass, so these sources put comments and strings between, inside and around
+# sentences, and end lines with CRLF as well as LF
+LINE_ENDS = st.sampled_from(["\n", "\r\n"])
+COMMENT_TEXT = st.sampled_from([" c ", ".", ". ", "a.\n", "\r\n", '"', "'", "*", "(", ")", "x.y", "é"])
+COMMENTS = st.recursive(
+    COMMENT_TEXT, lambda inner: st.lists(inner, max_size=3).map(lambda parts: "(*" + "".join(parts) + "*)"),
+    max_leaves=8).map(lambda text: text if text.startswith("(*") else f"(*{text}*)")
+STRINGS = st.lists(st.sampled_from(["(*", "*)", ".", ". ", ".\n", "\r\n", "s", " ", "é"]),
+                   max_size=4).map(lambda parts: '"' + "".join(parts) + '"')
+FRAGMENTS = st.one_of(st.sampled_from(["Lemma a : x", "by []", "Qed", "m.+1", "M.x", "f.", " ", "\t", "\u2003"]),
+                      LINE_ENDS, COMMENTS, STRINGS)
+TERMINATORS = st.sampled_from([". ", ".\n", ".\r\n", ".\t"])
+
+
+@st.composite
+def commented_sources(draw) -> str:
+    """Sentences of words, comments, strings and blanks; the last one may lack its terminator."""
+    sentences = draw(st.lists(st.lists(FRAGMENTS, max_size=5).map("".join), max_size=8))
+    source = "".join(text + draw(TERMINATORS) for text in sentences)
+    return source + draw(st.sampled_from(["", "x", " (* c *) trailing", '"s."', ".", "\r\n"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(commented_sources())
+def test_scanner_matches_oracle_on_commented_sources(source):
+    # every string and comment here is closed, so the oracle's sentences and errors are exact
+    assert split_outcome(split_sentences, source) == split_outcome(oracle_split_sentences, source), source
+
+
+@pytest.mark.parametrize("source", [
+    "a.\r\n(* open\r\nb.", "a. (* (* *) \n b.", '"s". (*\n', 'x (* " *) y.\n(* z', "\n\n(*(*)*)\n(*",
+    "Lemma a : x.\nProof. (* a\n (* b *)\n by [].\nQed.\n",
+])
+def test_scanner_reports_an_open_comment_at_the_oracles_line(source):
+    assert split_outcome(split_sentences, source) == split_outcome(oracle_split_sentences, source)
+
+
+def test_sentence_is_a_named_tuple_of_text_and_line():
+    (sen,) = split_sentences("\n a b .")
+    assert sen == Sentence("a b", 2) and sen._fields == ("text", "line_start")
+    assert (sen.text, sen.line_start) == ("a b", 2)
+
+
+# ---------------------------------------------------------------------------
+# lemma headers against the character-at-a-time reader they replaced, copied
+# verbatim (renamed with an `oracle` prefix)
+
+
+def oracle_parse_header(sentence: Sentence, file: str) -> tuple[str, str]:
+    text = sentence.text
+    kw = _first_word(text)
+    rest = text[len(kw):]
+    m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_']*)", rest)
+    if not m:
+        raise MalformedStatement("lemma sentence without a name", file=file, line=sentence.line_start)
+    name = m.group(1)
+    tail = rest[m.end():]
+    depth = 0
+    i = 0
+    while i < len(tail):
+        c = tail[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif c == ":" and depth == 0:
+            if tail[i + 1:i + 2] in (":", "="):
+                i += 2
+                continue
+            statement = tail[i + 1:].strip()
+            if not statement:
+                raise MalformedStatement(f"missing statement for {name}", file=file, line=sentence.line_start)
+            return name, statement
+        i += 1
+    raise MalformedStatement(f"missing ':' in statement of {name}", file=file, line=sentence.line_start)
+
+
+def header_outcome(parse, text: str):
+    try:
+        return parse(Sentence(text, 3), "h.v")
+    except MalformedStatement as exc:
+        return type(exc), str(exc)
+
+
+HEADER_CASES = {
+    "plain": "Lemma foo : x = y",
+    "binders with colons": "Theorem t (a b : nat) {H : P a} [n : T] : f a = b",
+    "a colon pair before the separator": "Lemma l x :: y : z",
+    "a definition colon before the separator": "Fact f (x := 2) := y : P x",
+    "three colons": "Lemma l ::: T",
+    "four colons": "Lemma l :::: T",
+    "colon equals colon": "Lemma l :=: T",
+    "a separator inside brackets only": "Corollary c (x : T)",
+    "an unbalanced closer first": "Lemma l ) : a : b",
+    "nested binders": "Lemma l (f : (a : A) -> B) : f = f",
+    "nothing after the separator": "Lemma l (x : T) :  ",
+    "no name": "Lemma : x",
+    "a name with a prime": "Lemma l' {x} : x",
+    "unicode whitespace": "Lemma\u2003name\x85:\u2003x",
+    "a separator at the end of a run": "Lemma l (a) [b]: c",
+}
+
+
+@pytest.mark.parametrize("text", HEADER_CASES.values(), ids=HEADER_CASES.keys())
+def test_header_matches_oracle_on_edge_cases(text):
+    assert header_outcome(_parse_header, text) == header_outcome(oracle_parse_header, text)
+
+
+HEADER_SOUP = st.sampled_from(["(", ")", "[", "]", "{", "}", ":", "::", ":=", "=", " ", "\n", "x", "nat", "H'", "->"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(LEMMA_KEYWORDS)), st.sampled_from([" l", "  l'", "\nname_1", " ", ""]),
+       st.lists(HEADER_SOUP, max_size=16).map("".join))
+def test_header_matches_oracle_on_header_soup(keyword, name, tail):
+    text = keyword + name + tail
+    assert header_outcome(_parse_header, text) == header_outcome(oracle_parse_header, text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """`extract`'s memos against the per-step path they replace.
 
-`extract` classifies each distinct proof body once per file, reduces each
-distinct tactic tuple of a step once per file, and codes each distinct patch
-once.  The oracles below are the path it took before: a fresh context for
-every proof and `_tactics` for each of its lines, `_step_slots` for every
-step, and each lemma's patch coded on its own.
+`extract` classifies each distinct proof body once per file, and a repeated
+body's records share its tactic tuples and its steps after the first.  It
+reduces each of those step and tuple objects once, keyed on their identity,
+and codes each distinct patch once.  It classifies the arguments of a
+lemma's first patch_len steps only.  The oracles below are the path it took
+before: a fresh context for every proof and `_tactics` for each of its
+lines, `_step_slots` for every step, and each lemma's patch coded on its own.
 """
 
 import json
@@ -239,6 +241,60 @@ def test_one_body_under_two_statements_keeps_each_goal(tmp_path):
     assert_ingest_matches_oracle([path], ["t"])
 
 
+def test_one_body_under_two_statements_shares_its_objects_and_patches_match(tmp_path):
+    # the identity-keyed memos of lemma_patches and ingest hit only on shared objects
+    source = ("Lemma a : foo x = y.\nProof.\nmove=> H.\nrewrite H.\nby [].\nQed.\n"
+              "Lemma b : bar (baz x).\nProof.\nmove=> H.\nrewrite H.\nby [].\nQed.\n"
+              "Lemma c : foo x = y.\nProof.\nby [].\nQed.\n")
+    a, b, c = parsed_and_checked(source, "t", set())
+    assert a.steps[0] is not b.steps[0] and a.steps[0].goal_before is not b.steps[0].goal_before
+    assert a.steps[0].tactics is b.steps[0].tactics
+    assert all(x is y for x, y in zip(a.steps[1:], b.steps[1:]))
+    # another body's equal line is its own object, reduced on its own to the same slots
+    assert c.steps[0].tactics == a.steps[2].tactics and c.steps[0].tactics is not a.steps[2].tactics
+    for patch_len in PATCH_LENS:
+        pa, pb, pc = lemma_patches([a, b, c], patch_len)
+        assert pa.steps[0] != pb.steps[0] and pa.steps[1:] == pb.steps[1:]
+        assert patch_len < 3 or pc.steps[0][:3] == pa.steps[2][:3]
+    path = tmp_path / "lib.v"
+    path.write_text(source, encoding="utf-8")
+    assert_ingest_matches_oracle([path], ["t"])
+
+
+def test_equal_records_from_separate_parses_reduce_alike():
+    # records of two parses share no object, so no id is reused across them and none hits
+    source = vernacular_source([(f"l{i}", "x = y", ["move=> H", "rewrite H"], None) for i in range(3)])
+    first, second = parse_library(source, "t"), parse_library(source, "t")
+    assert first == second
+    records = first + second
+    for patch_len in PATCH_LENS:
+        assert lemma_patches(records, patch_len) == [patch_oracle(r, patch_len) for r in records]
+
+
+def names_only(step) -> tuple[str, ...]:
+    return tuple(app.name for app in step.tactics)
+
+
+@pytest.mark.parametrize("kind", ["v", "jsonl"])
+@pytest.mark.parametrize("patch_len", [1, 2, 5])
+def test_steps_past_patch_len_keep_only_their_names(kind, patch_len):
+    body = ["move=> H x", "rewrite H IHn", "elim: n => [|n IHn]", "apply: (f x) H", "by rewrite /= IHn addn0"]
+    lemmas = [(f"l{i}", "x = y", body[:i + 1], [("a = b", 1)] * (i + 1)) for i in range(len(body))] * 2
+    lemmas = [(f"{name}_{pos}", *rest) for pos, (name, *rest) in enumerate(lemmas)]
+    source = vernacular_source(lemmas) if kind == "v" else trace_source(lemmas, "t")
+    parse = (lambda **kw: parse_trace(source, **kw)) if kind == "jsonl" else (
+        lambda **kw: parse_library(source, "t", **kw))
+    full, short = parse(), parse(patch_len=patch_len)
+    assert [r.name for r in full] == [r.name for r in short]
+    for whole, cut in zip(full, short):
+        assert whole.steps[:patch_len] == cut.steps[:patch_len]
+        for step, kept in zip(whole.steps[patch_len:], cut.steps[patch_len:]):
+            assert names_only(step) == names_only(kept)
+            assert all(app.arguments == () for app in kept.tactics)
+            assert (step.goal_before, step.subgoals_after) == (kept.goal_before, kept.subgoals_after)
+        assert lemma_patches([whole], patch_len) == lemma_patches([cut], patch_len)
+
+
 def test_trace_lemmas_with_equal_lines_keep_their_goals_and_subgoals(tmp_path):
     body = ["move=> H", "rewrite H", "by []"]
     lemmas = [("a", None, body, [("a = b", 2), ("f a = g b", 1), ("R a", 0)]),
@@ -308,13 +364,13 @@ ERROR_CASES = {
 }
 
 
-def first_error(kind: str, lemmas: list[list[str]]) -> ParseError | TermError:
+def first_error(kind: str, lemmas: list[list[str]], **parse_args) -> ParseError | TermError:
     source = "".join(line + "\n" for lines in lemmas for line in lines)
     with pytest.raises((ParseError, TermError)) as caught:
         if kind == "jsonl":
-            parse_trace(source, filename="lib.jsonl")
+            parse_trace(source, filename="lib.jsonl", **parse_args)
         else:
-            parse_library(source, "t", filename="lib.v")
+            parse_library(source, "t", filename="lib.v", **parse_args)
     return caught.value
 
 
@@ -328,6 +384,15 @@ def test_the_first_error_after_memo_hits_is_the_per_step_one(case):
     blanked = [[""] * len(lines) for lines in lemmas[:-1]] + lemmas[-1:]
     alone = first_error(kind, blanked)
     assert (type(alone), str(alone)) == (type(error), str(error))
+
+
+@pytest.mark.parametrize("case", list(ERROR_CASES))
+@pytest.mark.parametrize("patch_len", [1, 5])
+def test_steps_left_unclassified_report_the_same_first_error(case, patch_len):
+    # only argument classification is skipped past patch_len, and it raises nothing
+    kind, lemmas, _, _ = ERROR_CASES[case]
+    error, cut = first_error(kind, lemmas), first_error(kind, lemmas, patch_len=patch_len)
+    assert (type(cut), str(cut)) == (type(error), str(error))
 
 
 def test_the_first_lemma_without_steps_in_name_order_is_reported(tmp_path):
