@@ -6,8 +6,10 @@ errors: a bad flag, or a digest setting out of range (`--runs 0`,
 `--freq-threshold 2`, a negative `--seed`, a non-integer or negative
 PROOFMINE_SEED), which is reported before any file is read, and a setting too
 large to allocate or to size an array for (`--runs 1000000000000`,
-`--patch-len 4611686018427387904`), which is reported as "error: ... too large"
-naming the subcommand's size flag and its value.
+`--patch-len 4611686018427387904`), which is reported as "error: ... too large".
+The message names the flag and its value when the failed allocation is the
+one that flag sizes (a patch's padding, the per-run label arrays), and says
+"a setting is too large" otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .corpus import (CorruptFile, QUERY_NAME, VersionMismatch, database_with_que
                      ingest, load, save)
 from .digest import (HOMOGENEITY, DigestConfig, TooFewLemmas, digest_to_dict, read_digest,
                      run_digest, select_reliable, write_digest)
-from .features import write_feature_records
+from .features import SettingTooLarge, write_feature_records
 from .script import ParseError, parse_partial, read_source
 from .terms import TermError
 
@@ -207,10 +209,6 @@ _COMMANDS = {
 }
 
 
-# the flag that sizes each subcommand's arrays, named when one is too large to allocate
-_SIZE_FLAGS = {"extract": "patch_len", "cluster": "runs", "hint": "runs"}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -224,13 +222,15 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, CorruptFile, VersionMismatch) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except SettingTooLarge as exc:
+        flag = "--" + exc.setting.replace("_", "-")
+        print(f"error: {exc.reason}: {flag} {exc.value} is too large", file=sys.stderr)
+        return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (MemoryError, OverflowError) as exc:
-        dest = _SIZE_FLAGS.get(args.command)
-        setting = f"--{dest.replace('_', '-')} {getattr(args, dest)}" if dest else "a setting"
-        print(f"error: {exc or type(exc).__name__}: {setting} is too large", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}: a setting is too large", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import ALGORITHMS, PointSet, _distinct_rows, choose_n
-from .features import FeatureDatabase
+from .features import FeatureDatabase, SettingTooLarge
 
 DIGEST_FORMAT = "proofmine digest v1"
 # a cluster's members share one library tag, or they do not
@@ -95,8 +95,11 @@ def run_partitions(matrix: np.ndarray, cfg: DigestConfig) -> tuple[np.ndarray, n
     n = choose_n(m, cfg.granularity)
     algorithm = ALGORITHMS[cfg.algorithm]
     points = PointSet(matrix)
-    labels = np.empty((cfg.runs, m), dtype=np.int64)
-    proximity = np.empty((cfg.runs, m))
+    try:
+        labels = np.empty((cfg.runs, m), dtype=np.int64)
+        proximity = np.empty((cfg.runs, m))
+    except (MemoryError, OverflowError) as exc:
+        raise SettingTooLarge("runs", cfg.runs, exc) from exc
     for i in range(cfg.runs):
         result = algorithm(points, n, cfg.master_seed + i)
         labels[i] = result.labels

@@ -42,6 +42,17 @@ class NoProofBody(ValueError):
     pass
 
 
+class SettingTooLarge(ValueError):
+    """A size setting (`patch_len`, `runs`) too large for the array it sizes.
+
+    reason is the failed allocation's own message.
+    """
+
+    def __init__(self, setting: str, value: int, exc: MemoryError | OverflowError):
+        self.setting, self.value, self.reason = setting, value, str(exc) or type(exc).__name__
+        super().__init__(f"{self.reason}: {setting} {value} is too large")
+
+
 @dataclass(frozen=True)
 class EncodingTable:
     """Corpus-wide vocabulary codes, assigned lexicographically from 1."""
@@ -195,7 +206,10 @@ def extract_features(lemma: LemmaRecord | LemmaPatch, table: EncodingTable,
     blocks: list[float] = []
     for step in steps:
         blocks.extend(_code_step(step, table))
-    blocks.extend([0.0] * (SLOTS_PER_STEP * (patch_len - len(steps))))
+    try:
+        blocks.extend([0.0] * (SLOTS_PER_STEP * (patch_len - len(steps))))
+    except (MemoryError, OverflowError) as exc:
+        raise SettingTooLarge("patch_len", patch_len, exc) from exc
     return tuple(blocks)
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from proofmine import clustering, corpus as corpus_module
 from proofmine.cli import main
 from proofmine.corpus import CORPUS_FORMAT, load
 from proofmine.digest import DigestConfig
@@ -279,6 +280,35 @@ def test_extract_patch_len_too_large_to_encode_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.rstrip().endswith("too large")
     assert err.rstrip().endswith(": --patch-len 4611686018427387904 is too large")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "hint"])
+def test_memory_error_outside_the_run_arrays_names_no_flag(fixtures_corpus, tmp_path, capsys, monkeypatch,
+                                                            command):
+    # a distance column that fails to allocate is not sized by --runs, so --runs is not blamed
+    def fail(self, row):
+        raise MemoryError("no room for a distance column")
+
+    monkeypatch.setattr(clustering.PointSet, "column", fail)
+    out = tmp_path / "d.json"
+    args = {"cluster": ["cluster", "--corpus", str(fixtures_corpus), "--out", str(out)],
+            "hint": ["hint", "--corpus", str(fixtures_corpus), "--query", str(HINT / "hint_query.v")]}
+    assert main(args[command] + ["--runs", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no room for a distance column: a setting is too large\n"
+    assert not captured.out and not out.exists()
+
+
+def test_memory_error_outside_the_padding_names_no_flag(tmp_path, capsys, monkeypatch):
+    # a failure while reading the library is not sized by --patch-len, so --patch-len is not blamed
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(corpus_module, "parse_library", fail)
+    out = tmp_path / "c.corpus"
+    assert main(extract_args(out, [("ssrnat", FIXTURES / "ssr_nat.v")]) + ["--patch-len", "7"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError: a setting is too large\n"
     assert not out.exists()
 
 
