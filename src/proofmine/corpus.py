@@ -6,7 +6,7 @@ payload {"patch_len", "tactics", "symbols", "rows", "libraries"}.  `tactics`
 and `symbols` are the vocabularies in strictly ascending order, a word's code
 being its position plus one, as `build_encoding_table` assigns them.  `rows`
 holds each distinct raw feature row once, 8 * patch_len finite numbers, and
-`libraries` maps each tag to records [name, row_id], where name is an
+`libraries` maps each non-empty tag to records [name, row_id], where name is an
 identifier, as parsing requires, and row_id is an int (not a bool) within
 `rows`.  A lemma name may appear once across all libraries, as `ingest`
 requires; anything else is a corrupt file.
@@ -70,7 +70,8 @@ def _read_library(path: Path, tag: str, patch_len: int, symbols: set[str],
     """The lemmas of one file reduced to the encoder's inputs.
 
     The goal symbols of the file go into symbols and the tactic names of
-    every step, not only of the patches, into tactics.  The file's text,
+    every step, not only of the patches, into tactics.  Nothing here depends
+    on which objects the parser shares between records.  The file's text,
     records and term trees are dropped when this returns.
     """
     source = read_source(path)
@@ -78,10 +79,7 @@ def _read_library(path: Path, tag: str, patch_len: int, symbols: set[str],
         parsed = parse_trace(source, filename=str(path), symbols=symbols, patch_len=patch_len)
     else:
         parsed = parse_library(source, tag, filename=str(path), symbols=symbols, patch_len=patch_len)
-    # a repeated body shares its steps' tactic tuples (the parser's `proofs` memo), and
-    # parsed keeps them alive, so their ids tell the distinct ones apart
-    distinct = {id(step.tactics): step.tactics for record in parsed for step in record.steps}
-    tactics.update(app.name for apps in distinct.values() for app in apps)
+    tactics.update(app.name for record in parsed for step in record.steps for app in step.tactics)
     return lemma_patches(parsed, patch_len)
 
 
@@ -204,6 +202,8 @@ def _read_v5(data: dict) -> Corpus:
     libraries: dict[str, str] = {}
     repeated = set()
     for tag, records in stored.items():
+        if not tag:  # as parsing requires
+            raise ValueError("a library tag is empty")
         if type(records) is not list:
             raise ValueError("the records of a library are not a list")
         for pos, record in enumerate(records):

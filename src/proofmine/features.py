@@ -134,35 +134,32 @@ class LemmaPatch(NamedTuple):
 
 
 def _step_slots(step: ProofStep, memo: dict) -> StepSlots:
-    """One step's slots.  memo maps the id of each step already reduced to its slots, and the id
-    of each step.tactics already seen to slots 1-4, which depend on nothing else."""
-    slots = memo.get(id(step))
+    """One step's slots.  memo maps the id of each step.tactics already seen to the slots of a step
+    with those tactics and no goal or subgoal count: slots 1-4 depend on nothing else.  A step
+    without either, as a vernacular step after the first is, gets that very tuple."""
+    slots = memo.get(id(step.tactics))
     if slots is None:
-        half = memo.get(id(step.tactics))
-        if half is None:
-            kinds = [arg.kind for app in step.tactics for arg in app.arguments]
-            half = memo[id(step.tactics)] = (
-                tuple(app.name for app in step.tactics),
-                _decimal_fold([KIND_CODES[k] for k in kinds[:_MAX_FOLDED_ARGS]]),
-                _relation_code(kinds),
-            )
-        slots = memo[id(step)] = StepSlots(
-            *half,
-            step.goal_before.top_symbols() if step.goal_before is not None else None,
-            float(step.subgoals_after) if step.subgoals_after is not None else -1.0,
-        )
-    return slots
+        kinds = [arg.kind for app in step.tactics for arg in app.arguments]
+        slots = memo[id(step.tactics)] = StepSlots(
+            tuple(app.name for app in step.tactics),
+            _decimal_fold([KIND_CODES[k] for k in kinds[:_MAX_FOLDED_ARGS]]),
+            _relation_code(kinds), None, -1.0)
+    if step.goal_before is None and step.subgoals_after is None:
+        return slots
+    return StepSlots(slots.tactics, slots.kinds, slots.relation,
+                     step.goal_before.top_symbols() if step.goal_before is not None else None,
+                     float(step.subgoals_after) if step.subgoals_after is not None else -1.0)
 
 
 def lemma_patches(lemmas: list[LemmaRecord], patch_len: int = PATCH_LEN) -> list[LemmaPatch]:
     """The first half of the encoder, which needs no vocabulary: each lemma's first patch_len steps.
 
-    A step is reduced once per step object, and the tactic half of its
-    slots once per tactic tuple object.  The parser's memo gives the lemmas
-    of one file with a repeated body the same tuples and the same steps after
-    the first, as `ingest` passes the lemmas of one file, and lemmas keeps
-    every object alive, so no id is reused; equal objects that are not
-    shared are reduced once each, to the same values.
+    Slots 1-4 are reduced once per tactic tuple object, keyed on its id:
+    lemmas keeps every tuple alive for the call, so no id is reused.  Equal
+    tuples that are different objects are reduced once each, to the same
+    values, so the result does not depend on what the parser shares.  The
+    goal-less steps of one tactic tuple share one slots tuple: a tuple per
+    step would add live objects, and with them garbage collections.
     """
     memo: dict = {}
     return [LemmaPatch(lemma.name, lemma.library,

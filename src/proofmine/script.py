@@ -454,8 +454,10 @@ def _record(name: str, statement: TermTree, body: list[Sentence], library: str, 
     file to its steps, without goals, so a repeated body is classified once:
     a proof's context starts empty and changes only through its own lines.
     The records of a repeated body share its steps after the first, and all
-    its tactic tuples.  A body that fails to parse is not stored.  Steps from
-    patch_len on, when it is given, keep their tactic names only.
+    its tactic tuples, which saves building them again; a reader gets the
+    same values from separate equal objects.  A body that fails to parse is
+    not stored.  Steps from patch_len on, when it is given, keep their
+    tactic names only.
     """
     texts = tuple([sen.text for sen in body])
     steps = proofs.get(texts)
@@ -555,6 +557,8 @@ def parse_trace(source: str, *, filename: str = "<trace>",
         # a name as a vernacular file writes it: never empty, never the hint query's row name
         if not _IDENT_RE.fullmatch(name):
             raise ParseError("lemma must be an identifier", file=filename, line=line_no)
+        if not obj["library"]:  # as a --lib tag and parse_library's tag must be
+            raise ParseError("library must be non-empty", file=filename, line=line_no)
         idx = obj["step_index"]
         if idx < 1:
             raise ParseError("step_index must be a positive integer", file=filename, line=line_no)

@@ -426,6 +426,8 @@ MALFORMED_PAYLOADS = {
     # names: identifiers, as parsing gives them; the query row's name is not one
     "lemma named as the query row": _v5_record(["?query", _V5_RECORD[1]]),
     "empty lemma name": _v5_record(["", _V5_RECORD[1]]),
+    # tags: non-empty, as parsing requires
+    "empty library tag": _v5(libraries={**_V5["libraries"], "": [["emptytagged", _V5_RECORD[1]]]}),
 }
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proofmine.cli import main
 from proofmine.script import (LEMMA_KEYWORDS, ArgumentKind, DuplicateLemmaName, EmptyStep, MalformedStatement,
                               ParseError, ProofStep, UnterminatedProof, _first_word, _parse_header,
                               parse_library, Sentence, parse_partial, parse_trace, split_sentences)
@@ -747,6 +748,20 @@ def test_trace_lemma_that_is_not_an_identifier_is_a_located_parse_error(name):
                            "goal_before": "a = b", "subgoals_after": 0}) for lemma in ("x'_1", name)]
     with pytest.raises(ParseError, match=r"^t\.jsonl:2: lemma must be an identifier$"):
         parse_trace("\n".join(records), filename="t.jsonl")
+
+
+@pytest.mark.parametrize("libraries, line", [(("l", ""), 2), (("", ""), 1)])
+def test_trace_empty_library_is_a_located_parse_error(tmp_path, capsys, libraries, line):
+    # a --lib tag and parse_library's tag are never empty either
+    records = [json.dumps({"lemma": lemma, "library": library, "step_index": 1, "tactic_line": "by [].",
+                           "goal_before": "a = b", "subgoals_after": 0})
+               for lemma, library in zip(("x", "y"), libraries)]
+    with pytest.raises(ParseError, match=rf"^t\.jsonl:{line}: library must be non-empty$"):
+        parse_trace("\n".join(records), filename="t.jsonl")
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(records), encoding="utf-8")
+    assert main(["extract", "--lib", f"t:{path}", "--out", str(tmp_path / "c.corpus")]) == 2
+    assert f"t.jsonl:{line}: library must be non-empty" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("indices, missing, line", [([2, 5], 1, 1), ([1, 2, 4], 3, 3), ([3, 1], 2, 1)])

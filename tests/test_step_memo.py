@@ -1,12 +1,12 @@
 """`extract`'s memos against the per-step path they replace.
 
 `extract` classifies each distinct proof body once per file, and a repeated
-body's records share its tactic tuples and its steps after the first.  It
-reduces each of those step and tuple objects once, keyed on their identity,
-and codes each distinct patch once.  It classifies the arguments of a
-lemma's first patch_len steps only.  The oracles below are the path it took
-before: a fresh context for every proof and `_tactics` for each of its
-lines, `_step_slots` for every step, and each lemma's patch coded on its own.
+body's records share its tactic tuples and its steps after the first.  The
+encoder reduces slots 1-4 once per tactic tuple object, keyed on its
+identity, and codes each distinct patch once.  It classifies the arguments
+of a lemma's first patch_len steps only.  The oracles below are the path it
+took before: a fresh context for every proof and `_tactics` for each of its
+lines, every step reduced on its own, and each lemma's patch coded on its own.
 """
 
 import json
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proofmine import features
 from proofmine.corpus import ingest
 from proofmine.features import (_MAX_FOLDED_ARGS, KIND_CODES, LemmaPatch, StepSlots, _decimal_fold,
                                 _relation_code, build_encoding_table, extract_features, lemma_patches)
@@ -242,7 +243,8 @@ def test_one_body_under_two_statements_keeps_each_goal(tmp_path):
 
 
 def test_one_body_under_two_statements_shares_its_objects_and_patches_match(tmp_path):
-    # the identity-keyed memos of lemma_patches and ingest hit only on shared objects
+    # the parser shares a repeated body's tactic tuples and later steps; lemma_patches' memo,
+    # keyed on a tuple's identity, hits on the shared tuples and reduces the others on their own
     source = ("Lemma a : foo x = y.\nProof.\nmove=> H.\nrewrite H.\nby [].\nQed.\n"
               "Lemma b : bar (baz x).\nProof.\nmove=> H.\nrewrite H.\nby [].\nQed.\n"
               "Lemma c : foo x = y.\nProof.\nby [].\nQed.\n")
@@ -259,6 +261,41 @@ def test_one_body_under_two_statements_shares_its_objects_and_patches_match(tmp_
     path = tmp_path / "lib.v"
     path.write_text(source, encoding="utf-8")
     assert_ingest_matches_oracle([path], ["t"])
+
+
+@pytest.mark.parametrize("kind", ["v", "jsonl"])
+def test_a_repeated_statement_and_body_under_a_new_name_matches_the_per_step_path(tmp_path, kind):
+    # as in the benchmark libraries: a lemma repeats an earlier one's statement and body under its
+    # own name, and that body also stands under another statement
+    body = ["move=> H", "elim: n => [|n IHn]", "rewrite H IHn", "by []"]
+    other = ["rewrite H", "by []"]
+    goals = [("a = b", 1), ("f a = b", 2), ("R a", 1), ("b = b", 0)]
+    lemmas = [("l0", "x = y", body, goals), ("l1", "P x -> Q x", other, goals[:2]),
+              ("l2", "x = y", body, goals), ("l3", "foo (bar x) = y", body, goals[::-1]),
+              ("l4", "P x -> Q x", other, goals[:2]), ("l5", "x = y", body, goals)]
+    source = vernacular_source(lemmas) if kind == "v" else trace_source(lemmas, "t")
+    records = {r.name: r for r in parsed_and_checked(source, "t", set())}
+    for patch_len in PATCH_LENS:
+        p0, p2, p3, p5 = lemma_patches([records[n] for n in ("l0", "l2", "l3", "l5")], patch_len)
+        assert p0.steps == p2.steps == p5.steps
+        assert [s[:3] for s in p3.steps] == [s[:3] for s in p0.steps] and p3.steps[0] != p0.steps[0]
+    path = tmp_path / f"lib.{kind}"
+    path.write_text(source, encoding="utf-8")
+    assert_ingest_matches_oracle([path], ["t"])
+
+
+@pytest.mark.parametrize("patch_len", PATCH_LENS)
+def test_slots_1_to_4_are_reduced_at_most_once_per_tactic_tuple_object(monkeypatch, patch_len):
+    # the first steps of l0, l1 and l3 are three step objects that share one tactic tuple
+    source = vernacular_source([(f"l{i}", statement, body, None) for i, (statement, body) in enumerate(
+        [("x = y", ["move=> H", "rewrite H", "by []"]), ("P x", ["move=> H", "rewrite H", "by []"]),
+         ("x = y", ["rewrite H", "by []"]), ("x = y", ["move=> H", "rewrite H", "by []"])])])
+    records = parse_library(source, "t")
+    reduced = []
+    relation_code = features._relation_code
+    monkeypatch.setattr(features, "_relation_code", lambda kinds: reduced.append(kinds) or relation_code(kinds))
+    assert lemma_patches(records, patch_len) == [patch_oracle(r, patch_len) for r in records]
+    assert len(reduced) <= len({id(step.tactics) for r in records for step in r.steps[:patch_len]})
 
 
 def test_equal_records_from_separate_parses_reduce_alike():
