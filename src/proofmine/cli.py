@@ -1,12 +1,16 @@
 """Command-line driver: extract | cluster | hint | report.
 
-Exit codes: 0 success (including an empty hint), 2 parse errors,
-3 I/O or corpus-file errors, 4 insufficient data.  Exit 2 also covers usage
-errors: a bad flag, or a digest setting out of range (`--runs 0`,
-`--freq-threshold 2`, a negative `--seed`, a non-integer or negative
-PROOFMINE_SEED), which is reported before any file is read, and a setting too
-large to allocate or to size an array for (`--runs 1000000000000`,
-`--patch-len 4611686018427387904`), which is reported as "error: ... too large".
+Exit codes and the exceptions that `main` maps to them: 0 success (including
+an empty hint); 2 `ParseError`, printed as "parse error: FILE:LINE: message",
+or "parse error: FILE: message" for the two errors without a line (a lemma
+name that an earlier file holds, a query without a lemma); 3 `OSError` or
+`CorruptFile`; 4 `TooFewLemmas`.  Exit 2 also covers usage errors: a bad
+flag, and any other `ValueError`, printed as "error: ...".  That includes a
+digest setting out of range (`--runs 0`, `--freq-threshold 2`, a negative
+`--seed`, a non-integer or negative PROOFMINE_SEED), which is reported before
+any file is read, and a setting too large to allocate or to size an array for
+(`--runs 1000000000000`, `--patch-len 4611686018427387904`), which is
+reported as "error: ... too large".
 The message names the flag and its value when the failed allocation is the
 one that flag sizes (a patch's padding, the per-run label arrays), and says
 "a setting is too large" otherwise.
@@ -21,14 +25,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .clustering import choose_n
-from .corpus import (CorruptFile, QUERY_NAME, VersionMismatch, database_with_query,
-                     ingest, load, save)
+from .corpus import CorruptFile, QUERY_NAME, database_with_query, ingest, load, save
 from .digest import (HOMOGENEITY, DigestConfig, TooFewLemmas, digest_to_dict, read_digest,
                      run_digest, select_reliable, write_digest)
-from .features import SettingTooLarge, write_feature_records
+from .features import PATCH_LEN, SettingTooLarge, write_feature_records
 from .script import ParseError, parse_partial, read_source
-from .terms import TermError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -90,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--out", required=True, help="corpus file to write")
     p_extract.add_argument("--features", default=None,
                            help="also dump the feature database as JSON Lines")
-    p_extract.add_argument("--patch-len", type=_positive_int, default=5,
-                           help="steps per feature patch (default 5)")
+    p_extract.add_argument("--patch-len", type=_positive_int, default=PATCH_LEN,
+                           help=f"steps per feature patch (default {PATCH_LEN})")
 
     p_cluster = sub.add_parser("cluster", help="digest a corpus and print the cluster report")
     p_cluster.add_argument("--corpus", required=True)
@@ -162,9 +163,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     corpus = load(args.corpus)
     db = corpus.feature_database()
     clusters = run_digest(db, cfg)
-    n = choose_n(len(db.names), cfg.granularity)
-    doc = digest_to_dict(clusters, cfg, objects=len(db.names), clusters_per_run=n,
-                         libraries=db.libraries)
+    doc = digest_to_dict(clusters, cfg, libraries=db.libraries)
     write_digest(args.out, doc)
     print(render_report(doc))
     return EXIT_OK
@@ -213,13 +212,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, TermError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except TooFewLemmas as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
-    except (OSError, CorruptFile, VersionMismatch) as exc:
+    except (OSError, CorruptFile) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SettingTooLarge as exc:

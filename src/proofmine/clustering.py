@@ -17,10 +17,6 @@ EM_TOLERANCE = 1e-6
 VARIANCE_FLOOR = 1e-6
 
 
-class TooFewPoints(ValueError):
-    pass
-
-
 def choose_n(m: int, g: int) -> int:
     """Cluster count for m objects at granularity g; callers keep g in 1..5."""
     return max(1, m // (10 - g))
@@ -46,7 +42,7 @@ def _check_n(n: int, m: int) -> None:
     if n < 1:
         raise ValueError(f"cluster count must be positive, got {n}")
     if n > m:
-        raise TooFewPoints(f"asked for {n} clusters over {m} points")
+        raise ValueError(f"asked for {n} clusters over {m} points")
 
 
 def _sq_norms(diff: np.ndarray) -> np.ndarray:
@@ -244,7 +240,6 @@ def em_gaussian(points, n: int, seed: int) -> ClusterAssignment:
             variances[j] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
 
     history: list[float] = []
-    resp = np.full((m, n), 1.0 / n)
     for _ in range(EM_MAX_ITER):
         log_prob = _log_gaussian_prob(pts, means, variances, weights)
         norm = _logsumexp(log_prob)
@@ -288,7 +283,7 @@ def farthest_first(points, n: int, seed: int) -> ClusterAssignment:
         nxt = int(np.argmax(min_sq))
         chosen.append(nxt)
         min_sq = np.minimum(min_sq, shared.column(nxt))
-    sq = np.column_stack([shared.column(row) for row in chosen])
+    sq = shared.columns(chosen)
     labels = np.argmin(sq, axis=1)
     dist = np.sqrt(sq[np.arange(len(labels)), labels])
     return ClusterAssignment(

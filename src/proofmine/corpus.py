@@ -30,24 +30,16 @@ import numpy as np
 from .clustering import _distinct_rows
 from .features import (EncodingTable, FeatureDatabase, LemmaPatch, build_encoding_table,
                        extract_features, lemma_patches, min_max_scale, PATCH_LEN, SLOTS_PER_STEP)
-from .script import (_IDENT_RE, DuplicateLemmaName, LemmaRecord, looks_like_trace, parse_library,
-                     parse_trace, read_source)
+from .script import (_IDENT_RE, LemmaRecord, ParseError, looks_like_trace, parse_library, parse_trace,
+                     read_source)
 
 # Rows are stored: a change to the feature encoding or the vocabulary rule must bump this tag.
 CORPUS_FORMAT = "proofmine corpus v5"
 QUERY_NAME = "?query"
 
 
-class VersionMismatch(ValueError):
-    pass
-
-
 class CorruptFile(ValueError):
-    pass
-
-
-class EmptyCorpus(ValueError):
-    pass
+    """A corpus file that is damaged, malformed or of another format version (exit 3)."""
 
 
 @dataclass
@@ -102,12 +94,12 @@ def ingest(paths: list[str | Path], tags: list[str], *, patch_len: int = PATCH_L
     for path, tag in zip(paths, tags):
         for patch in _read_library(Path(path), tag, patch_len, symbols, tactics):
             if patch.name in patches:
-                raise DuplicateLemmaName(
+                raise ParseError(
                     f"lemma {patch.name} already ingested under library {patches[patch.name].library!r}",
                     file=str(path))
             patches[patch.name] = patch
     if not patches:
-        raise EmptyCorpus(f"the given libraries hold no proved lemma: {', '.join(map(str, paths))}")
+        raise ValueError(f"the given libraries hold no proved lemma: {', '.join(map(str, paths))}")
     names = sorted(patches)
     table = build_encoding_table(tactics, symbols)
     rows = []  # the distinct rows, in the order of their first lemma by name
@@ -235,8 +227,8 @@ def load(path: str | Path) -> Corpus:
         found = repr(header["format"])
         if len(found) > 80:  # a format tag is short; do not echo a long value whole
             found = found[:80] + "... (cut)"
-        raise VersionMismatch(f"{path}: expected {CORPUS_FORMAT!r}, found {found}; "
-                              "run `proofmine extract` on its sources to rebuild it")
+        raise CorruptFile(f"{path}: expected {CORPUS_FORMAT!r}, found {found}; "
+                          "run `proofmine extract` on its sources to rebuild it")
     if hashlib.sha256(rest).hexdigest() != header.get("checksum"):
         raise CorruptFile(f"{path}: checksum mismatch")
     try:

@@ -309,13 +309,13 @@ def select_reliable(db: FeatureDatabase, cfg: DigestConfig, lemma: str) -> Conse
 
 
 def digest_to_dict(clusters: list[ConsensusCluster], cfg: DigestConfig, *,
-                   objects: int, clusters_per_run: int,
                    libraries: dict[str, str]) -> dict:
+    """The digest file's document; libraries maps every clustered object to its tag."""
     return {
         "format": DIGEST_FORMAT,
         "config": cfg.to_dict(),
-        "objects": objects,
-        "clusters_per_run": clusters_per_run,
+        "objects": len(libraries),
+        "clusters_per_run": choose_n(len(libraries), cfg.granularity),
         "libraries": dict(sorted(libraries.items())),
         "clusters": [c.to_dict() for c in clusters],
     }

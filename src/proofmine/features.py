@@ -38,10 +38,6 @@ _RELATED_KINDS = (ArgumentKind.HYPOTHESIS, ArgumentKind.EXTERNAL_LEMMA)
 _MAX_FOLDED_ARGS = 6
 
 
-class NoProofBody(ValueError):
-    pass
-
-
 class SettingTooLarge(ValueError):
     """A size setting (`patch_len`, `runs`) too large for the array it sizes.
 
@@ -198,7 +194,7 @@ def extract_features(lemma: LemmaRecord | LemmaPatch, table: EncodingTable,
     """
     patch = lemma if isinstance(lemma, LemmaPatch) else lemma_patches([lemma], patch_len)[0]
     if not patch.steps:
-        raise NoProofBody(f"lemma {patch.name} has no proof steps")
+        raise ValueError(f"lemma {patch.name} has no proof steps")
     steps = patch.steps[:patch_len]
     blocks: list[float] = []
     for step in steps:

@@ -28,27 +28,16 @@ from .terms import TermError, TermTree, UnbalancedDelimiters, group_end, interne
 
 
 class ParseError(ValueError):
+    """A library, trace or query file that cannot be read (exit 2).
+
+    The message reads "FILE:LINE: message", or "FILE: message" when line is None.
+    """
+
     def __init__(self, message: str, *, file: str | None = None, line: int | None = None):
         self.file = file or "<input>"
         self.line = line
         loc = self.file if line is None else f"{self.file}:{line}"
         super().__init__(f"{loc}: {message}")
-
-
-class UnterminatedProof(ParseError):
-    pass
-
-
-class MalformedStatement(ParseError):
-    pass
-
-
-class DuplicateLemmaName(ParseError):
-    pass
-
-
-class EmptyStep(ParseError):
-    pass
 
 
 class ArgumentKind(str, Enum):
@@ -203,12 +192,13 @@ def _first_word(text: str) -> str | None:
 # tactic command-line lexer
 
 
-def _lex_segments(text: str, *, file: str, line: int) -> tuple[tuple[tuple[str, str], ...], ...]:
+def _lex_segments(text: str) -> tuple[tuple[tuple[str, str], ...], ...]:
     """The ';'-separated segments of a command line, as (kind, text) tokens.
 
     Kinds: ':', '=>' and 'unit', a run of other characters that keeps each
     bracket group whole.  The whole line is lexed before any segment is read,
-    so a delimiter error anywhere in it wins over every other error.
+    so a delimiter error anywhere in it wins over every other error; the
+    caller gives it the line's location.
     """
     segments: list[list[tuple[str, str]]] = [[]]
     i, n = 0, len(text)
@@ -226,13 +216,13 @@ def _lex_segments(text: str, *, file: str, line: int) -> tuple[tuple[tuple[str, 
             segments[-1].append(("=>", "=>"))
             i += 2
         elif c in ")]}":
-            raise UnbalancedDelimiters(f"stray {c!r} at {file}:{line}")
+            raise UnbalancedDelimiters(f"stray {c!r}")
         else:
             j = i
             while j < n:
                 cj = text[j]
                 if cj in "([{":
-                    j = group_end(text, j, f" at {file}:{line}")
+                    j = group_end(text, j)
                     continue
                 if cj.isspace() or cj in ";:)]}":
                     break
@@ -343,13 +333,16 @@ def _tactics(text: str, ctx: _ProofContext, empty_message: str, *,
     `_arguments` is skipped, which raises nothing, so the line's errors are
     the same either way.
     """
-    segments = _lex_segments(text, file=file, line=line)
+    try:
+        segments = _lex_segments(text)
+    except UnbalancedDelimiters as exc:
+        raise ParseError(str(exc), file=file, line=line) from exc
     if segments == ((),):
-        raise EmptyStep(empty_message, file=file, line=line)
+        raise ParseError(empty_message, file=file, line=line)
     apps: list[TacticApplication] = []
     for tokens in segments:
         if not tokens:
-            raise EmptyStep("empty tactic between ';'", file=file, line=line)
+            raise ParseError("empty tactic between ';'", file=file, line=line)
         # `by tac args` reads as a bare `by`, then `tac args`
         while (tokens[0] == ("unit", "by") and len(tokens) > 1 and tokens[1][0] == "unit"
                and tokens[1][1] != "by" and _IDENT_RE.match(tokens[1][1])):
@@ -358,7 +351,7 @@ def _tactics(text: str, ctx: _ProofContext, empty_message: str, *,
         kind, first = tokens[0]
         m = _IDENT_RE.match(first) if kind == "unit" else None
         if m is None:
-            raise MalformedStatement(f"tactic expected, got {first!r}", file=file, line=line)
+            raise ParseError(f"tactic expected, got {first!r}", file=file, line=line)
         name, rest = m.group(0), tokens[1:]
         if m.end() < len(first):  # `apply/view` is `apply` with the argument `/view`
             rest = (("unit", first[m.end():]),) + rest
@@ -372,8 +365,9 @@ def _tactics(text: str, ctx: _ProofContext, empty_message: str, *,
 
 # a sentence whose first word is a lemma keyword
 _LEMMA_START_RE = re.compile(rf"(?:{'|'.join(sorted(LEMMA_KEYWORDS))})(?![A-Za-z0-9_'])")
-# the keyword, then the lemma's name (the lookahead keeps the keyword whole)
-_HEADER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*(?![A-Za-z0-9_'])\s*([A-Za-z_][A-Za-z0-9_']*)")
+# the keyword, then the lemma's name (the lookahead keeps the keyword whole), then whatever
+# follows the name before whitespace, a bracket opener or a colon: text that makes it no name
+_HEADER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*(?![A-Za-z0-9_'])\s*([A-Za-z_][A-Za-z0-9_']*)([^\s(\[{:]*)")
 # a bracket or a colon; `::` and `:=` are read as one token, as Coq lexes them
 _HEADER_TOKEN_RE = re.compile(r"[()\[\]{}]|:[:=]?")
 
@@ -414,15 +408,19 @@ def _lemmas(sentences: list[Sentence]) -> Iterator[tuple[Sentence, list[Sentence
 def _parse_header(sentence: Sentence, file: str) -> tuple[str, str]:
     """The name and statement text of a lemma sentence.
 
-    The statement follows the first `:` outside brackets that is not part of
-    a `::` or `:=`.  After the name, only brackets and colons are visited,
-    each found by one regex.
+    The name is an identifier that ends at whitespace, `(`, `[`, `{`, `:` or
+    the end of the sentence.  The statement follows the first `:` outside
+    brackets that is not part of a `::` or `:=`.  After the name, only
+    brackets and colons are visited, each found by one regex.
     """
     text = sentence.text
     m = _HEADER_RE.match(text)
     if not m:
-        raise MalformedStatement("lemma sentence without a name", file=file, line=sentence.line_start)
+        raise ParseError("lemma sentence without a name", file=file, line=sentence.line_start)
     name = m.group(1)
+    if m.group(2):
+        raise ParseError(f"lemma name {name + m.group(2)!r} is not an identifier", file=file,
+                         line=sentence.line_start)
     depth = 0
     for token in _HEADER_TOKEN_RE.finditer(text, m.end()):
         t = token.group()
@@ -430,20 +428,20 @@ def _parse_header(sentence: Sentence, file: str) -> tuple[str, str]:
             if not depth:
                 statement = text[token.end():].strip()
                 if not statement:
-                    raise MalformedStatement(f"missing statement for {name}", file=file, line=sentence.line_start)
+                    raise ParseError(f"missing statement for {name}", file=file, line=sentence.line_start)
                 return name, statement
         elif t in ("(", "[", "{"):
             depth += 1
         elif t in (")", "]", "}"):
             depth -= 1
-    raise MalformedStatement(f"missing ':' in statement of {name}", file=file, line=sentence.line_start)
+    raise ParseError(f"missing ':' in statement of {name}", file=file, line=sentence.line_start)
 
 
 def _statement_tree(name: str, statement_text: str, intern: dict, *, file: str, line: int) -> TermTree:
     try:
         return parse_term_tree(statement_text, intern)
     except TermError as exc:
-        raise MalformedStatement(f"bad statement for {name}: {exc}", file=file, line=line) from exc
+        raise ParseError(f"bad statement for {name}: {exc}", file=file, line=line) from exc
 
 
 def _record(name: str, statement: TermTree, body: list[Sentence], library: str, proofs: dict,
@@ -492,11 +490,11 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>",
     for sen, body, closed in _lemmas(split_sentences(source, filename=filename)):
         name, statement_text = _parse_header(sen, filename)
         if name in seen:
-            raise DuplicateLemmaName(f"duplicate lemma {name}", file=filename, line=sen.line_start)
+            raise ParseError(f"duplicate lemma {name}", file=filename, line=sen.line_start)
         seen.add(name)
         statement = _statement_tree(name, statement_text, intern, file=filename, line=sen.line_start)
         if not closed:
-            raise UnterminatedProof(f"proof of {name} never closed", file=filename, line=sen.line_start)
+            raise ParseError(f"proof of {name} never closed", file=filename, line=sen.line_start)
         records.append(_record(name, statement, body, library_tag, proofs, filename, patch_len))
     if symbols is not None:
         symbols.update(interned_symbols(intern))
@@ -507,12 +505,12 @@ def parse_partial(source: str, *, filename: str = "<query>") -> LemmaRecord:
     """Lenient parse of an unfinished proof, tagged "query": its first lemma with a step; no closer needed."""
     lemma = next(_lemmas(split_sentences(source, filename=filename)), None)
     if lemma is None:
-        raise MalformedStatement("no lemma statement found", file=filename)
+        raise ParseError("no lemma statement found", file=filename)
     sen, body, _ = lemma
     name, statement_text = _parse_header(sen, filename)
     statement = _statement_tree(name, statement_text, {}, file=filename, line=sen.line_start)
     if not body:
-        raise MalformedStatement(f"partial proof of {name} has no steps", file=filename, line=sen.line_start)
+        raise ParseError(f"partial proof of {name} has no steps", file=filename, line=sen.line_start)
     return _record(name, statement, body, "query", {}, filename)
 
 

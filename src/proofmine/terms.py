@@ -14,10 +14,6 @@ class UnbalancedDelimiters(TermError):
     pass
 
 
-class EmptyStatement(TermError):
-    pass
-
-
 @dataclass(frozen=True, slots=True)
 class TermTree:
     """Ordered tree keyed by head symbol; leaves have no children."""
@@ -73,11 +69,8 @@ _TOKEN_RE = re.compile(
 _BRACKET_RE = re.compile(r"[\[\]{}]")
 
 
-def group_end(text: str, start: int, where: str = "") -> int:
-    """End index (exclusive) of the balanced group opening at start.
-
-    where is appended to the error message, for example " at FILE:LINE".
-    """
+def group_end(text: str, start: int) -> int:
+    """End index (exclusive) of the balanced group opening at start."""
     stack = []
     for i in range(start, len(text)):
         c = text[i]
@@ -85,11 +78,11 @@ def group_end(text: str, start: int, where: str = "") -> int:
             stack.append(_CLOSERS[c])
         elif c in ")]}":
             if not stack or stack[-1] != c:
-                raise UnbalancedDelimiters(f"mismatched {c!r}{where}")
+                raise UnbalancedDelimiters(f"mismatched {c!r}")
             stack.pop()
             if not stack:
                 return i + 1
-    raise UnbalancedDelimiters(f"unclosed {text[start]!r}{where}")
+    raise UnbalancedDelimiters(f"unclosed {text[start]!r}")
 
 
 def _lex(text: str) -> list[str]:
@@ -227,7 +220,7 @@ def parse_term_tree(text: str, intern: dict | None = None) -> TermTree:
         return tree
     tokens = _lex(text)
     if not tokens:
-        raise EmptyStatement("empty statement")
+        raise TermError("empty statement")
     tokens.append("")
     parser = _Parser(tokens, intern)
     try:

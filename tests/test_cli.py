@@ -551,6 +551,82 @@ def test_extract_trace_lemma_named_as_the_query_row_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+_GOOD_LEMMA = "Lemma ok : x = x.\nProof. by []. Qed.\n"
+
+
+def _trace_text(*records: dict) -> str:
+    return "".join(json.dumps({"lemma": "t", "library": "l", "step_index": 1, "tactic_line": "by [].",
+                               "goal_before": "a = b", "subgoals_after": 0, **record}) + "\n"
+                   for record in records)
+
+
+# command, file name, the file's text or bytes, the line of the error (None: it has no line),
+# and the message after its location; "extract after" reads a library holding `ok` first
+PARSE_ERROR_CASES = {
+    "stray closer in a tactic line": (
+        "extract", "s.v", _GOOD_LEMMA + "Lemma a : x.\nProof. rewrite a). Qed.\n", 4, "stray ')'"),
+    "unclosed bracket in a tactic line": (
+        "extract", "u.v", _GOOD_LEMMA + "Lemma a : x.\nProof.\nrewrite [a b.\nQed.\n", 5, "unclosed '['"),
+    "stray closer in a trace tactic line": (
+        "extract", "s.jsonl", _trace_text({}, {"lemma": "u", "tactic_line": "move=> x)."}), 2, "stray ')'"),
+    "unclosed bracket in a trace tactic line": (
+        "extract", "u.jsonl", _trace_text({}, {"lemma": "u", "tactic_line": "case: [x."}), 2, "unclosed '['"),
+    "stray closer in a query": (
+        "hint", "s.v", "Lemma q : x = x.\nProof.\nby [].\nrewrite }.\n", 4, "stray '}'"),
+    "unclosed bracket in a query": (
+        "hint", "u.v", "Lemma q : x = x.\nProof.\nrewrite {2}(foo.\n", 3, "unclosed '('"),
+    "bad statement": (
+        "extract", "b.v", _GOOD_LEMMA + "Lemma a : (x.\nProof. by []. Qed.\n", 3,
+        "bad statement for a: missing ')'"),
+    "bad statement in a query": (
+        "hint", "b.v", "Lemma q : x =.\nProof. by [].\n", 1, "bad statement for q: unexpected end of statement"),
+    "empty step": (
+        "extract", "e.v", _GOOD_LEMMA + "Lemma a : x.\nProof. by []. . Qed.\n", 4, "proof step without tokens"),
+    "empty trace tactic line": (
+        "extract", "e.jsonl", _trace_text({"tactic_line": " . "}), 1, "empty tactic_line for t"),
+    "unterminated proof": (
+        "extract", "p.v", _GOOD_LEMMA + "Lemma a : x.\nProof. by [].\n", 3, "proof of a never closed"),
+    "duplicate name in one file": (
+        "extract", "d.v", _GOOD_LEMMA * 2, 3, "duplicate lemma ok"),
+    "non-identifier lemma name": (
+        "extract", "n.v", _GOOD_LEMMA + "Lemma café : x = x.\nProof. by []. Qed.\n", 3,
+        "lemma name 'café' is not an identifier"),
+    "non-identifier lemma name in a query": (
+        "hint", "n.v", "Lemma foo-bar : x = x.\nProof. by [].\n", 1, "lemma name 'foo-bar' is not an identifier"),
+    "non-identifier trace lemma name": (
+        "extract", "n.jsonl", _trace_text({"lemma": "café"}), 1, "lemma must be an identifier"),
+    "bad trace record": (
+        "extract", "r.jsonl", _trace_text({}) + "{\n", 2,
+        "bad trace record: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "not UTF-8": (
+        "extract", "x.v", _GOOD_LEMMA.encode() + b"Lemma a : \xff.\n", 3, "not UTF-8: byte 0xff (invalid start byte)"),
+    "name ingested from an earlier file": (
+        "extract after", "o.v", _GOOD_LEMMA, None, "lemma ok already ingested under library 'first'"),
+    "query without a lemma": (
+        "hint", "q.v", "Definition d := 1.\n", None, "no lemma statement found"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_ERROR_CASES))
+def test_every_parse_error_exits_2_with_one_file_and_line_prefix(corpus_file, tmp_path, capsys, case):
+    command, name, text, line, message = PARSE_ERROR_CASES[case]
+    path = tmp_path / name
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    first = tmp_path / "first.v"
+    first.write_text(_GOOD_LEMMA, encoding="utf-8")
+    out = tmp_path / "c.corpus"
+    argv = {"extract": extract_args(out, [("t", path)]),
+            "extract after": extract_args(out, [("first", first), ("t", path)]),
+            "hint": ["hint", "--corpus", str(corpus_file), "--query", str(path), "--runs", "2"]}[command]
+    assert main(argv) == 2
+    where = path if line is None else f"{path}:{line}"
+    assert capsys.readouterr() == ("", f"parse error: {where}: {message}\n")
+    assert not out.exists()
+
+
 def _outputs_in_process(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from proofmine import clustering, ingest
-from proofmine.clustering import (KMEANS_MAX_ITER, ClusterAssignment, PointSet, TooFewPoints,
+from proofmine.clustering import (KMEANS_MAX_ITER, ClusterAssignment, PointSet,
                                   choose_n, em_gaussian, farthest_first, kmeans)
 
 from conftest import em_with_responsibilities, random_library_source, row_indices
@@ -145,7 +145,7 @@ def test_kmeans_handles_duplicate_points_with_repair():
 
 
 def test_kmeans_too_few_points():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(ValueError, match=r"^asked for 3 clusters over 2 points$"):
         kmeans(np.zeros((2, 3)), n=3, seed=0)
 
 

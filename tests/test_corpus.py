@@ -10,10 +10,9 @@ import pytest
 
 from proofmine import corpus as corpus_module
 from proofmine.cli import main
-from proofmine.corpus import (CORPUS_FORMAT, CorruptFile, EmptyCorpus, VersionMismatch,
-                              database_with_query, ingest, load, save)
+from proofmine.corpus import CORPUS_FORMAT, CorruptFile, database_with_query, ingest, load, save
 from proofmine.features import SLOTS_PER_STEP, build_encoding_table, extract_features
-from proofmine.script import DuplicateLemmaName, parse_library, parse_partial, parse_trace
+from proofmine.script import ParseError, parse_library, parse_partial, parse_trace
 from proofmine.terms import TermTree
 
 from conftest import (FIXTURES, GOLDEN_SOURCES, HINT, HINT_LIBS, iter_nodes, random_library_source,
@@ -32,12 +31,14 @@ def test_ingest_counts_and_tags():
 
 
 def test_ingest_same_file_twice_duplicates():
-    with pytest.raises(DuplicateLemmaName):
-        ingest([FIXTURES / "ssr_bool.v", FIXTURES / "ssr_bool.v"], ["a", "b"])
+    path = FIXTURES / "ssr_bool.v"
+    with pytest.raises(ParseError, match=r"^.*ssr_bool\.v: lemma andbb already ingested under library 'a'$") as err:
+        ingest([path, path], ["a", "b"])
+    assert (err.value.file, err.value.line) == (str(path), None)
 
 
 def test_ingest_of_no_paths_is_an_empty_corpus():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(ValueError, match=r"^the given libraries hold no proved lemma: $"):
         ingest([], [])
 
 
@@ -300,7 +301,7 @@ def test_corpus_rejects_a_repeated_lemma_name(tmp_path):
     other = tmp_path / "other.v"
     other.write_text("Lemma andbb : idempotent andb.\nProof. by case. Qed.\n")
     for paths, tags in (([twice], ["twice"]), ([FIXTURES / "ssr_bool.v", other], ["ssrbool", "other"])):
-        with pytest.raises(DuplicateLemmaName, match="andbb"):
+        with pytest.raises(ParseError, match="andbb"):
             ingest(paths, tags)
 
 
@@ -463,7 +464,7 @@ def test_version_mismatch(tmp_path, capsys, tag):
     """A corpus in any other format, older ones included, is refused; `extract` rebuilds it."""
     path = tmp_path / "c.corpus"
     _write_checked(path, _v5(), tag)
-    with pytest.raises(VersionMismatch, match=tag):
+    with pytest.raises(CorruptFile, match=tag):
         load(path)
     for argv in (["cluster", "--corpus", str(path), "--out", str(tmp_path / "d")],
                  ["hint", "--corpus", str(path), "--query", str(HINT / "hint_query.v")]):

@@ -316,8 +316,7 @@ def run_digest_oracle(db: FeatureDatabase, cfg: DigestConfig) -> list[ConsensusC
 
 def assert_digest_matches_oracle(db, cfg):
     def doc(clusters):
-        return repr(digest_to_dict(clusters, cfg, objects=len(db.names), clusters_per_run=1,
-                                   libraries=db.libraries))
+        return repr(digest_to_dict(clusters, cfg, libraries=db.libraries))
 
     clusters = run_digest(db, cfg)
     assert doc(clusters) == doc(run_digest_oracle(db, cfg))
@@ -839,8 +838,7 @@ def test_digest_file_round_trip(tmp_path):
                  tags=["u"] * 3 + ["v"] * 3)
     cfg = DigestConfig(runs=10, granularity=5, master_seed=1)
     clusters = run_digest(db, cfg)
-    doc = digest_to_dict(clusters, cfg, objects=len(db.names), clusters_per_run=1,
-                         libraries=db.libraries)
+    doc = digest_to_dict(clusters, cfg, libraries=db.libraries)
     path = tmp_path / "digest.json"
     write_digest(path, doc)
     assert read_digest(path) == doc
@@ -850,11 +848,21 @@ def test_digest_file_round_trip(tmp_path):
         read_digest(bad)
 
 
+def test_digest_counts_are_derived_so_every_written_digest_reads_back(tmp_path):
+    path = tmp_path / "digest.json"
+    for m in range(2, 61):
+        libraries = {f"l{i}": "lib" for i in range(m)}
+        for g in range(1, 6):
+            doc = digest_to_dict([], DigestConfig(granularity=g), libraries=libraries)
+            assert (doc["objects"], doc["clusters_per_run"]) == (m, choose_n(m, g))
+            write_digest(path, doc)
+            assert read_digest(path) == doc
+
+
 def test_write_digest_writes_compact_canonical_json(tmp_path):
     db = make_db(family_matrix(families=2, per=3, jitter=0.0), tags=["u"] * 3 + ["v"] * 3)
     cfg = DigestConfig(runs=10, granularity=5, master_seed=1)
-    doc = digest_to_dict(run_digest(db, cfg), cfg, objects=len(db.names), clusters_per_run=1,
-                         libraries=db.libraries)
+    doc = digest_to_dict(run_digest(db, cfg), cfg, libraries=db.libraries)
     path = tmp_path / "digest.json"
     write_digest(path, doc)
     assert path.read_bytes() == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from proofmine.features import (EncodingTable, KIND_CODES, NoProofBody,
+from proofmine.features import (EncodingTable, KIND_CODES,
                                 build_encoding_table, extract_features,
                                 min_max_scale, write_feature_records)
 from proofmine.corpus import load
@@ -231,7 +231,7 @@ def test_unknown_vocabulary_encodes_to_zero():
 def test_no_proof_body_rejected():
     records, table = pair_records()
     bare = records[0].__class__(name="empty", statement=records[0].statement, steps=(), library="t")
-    with pytest.raises(NoProofBody):
+    with pytest.raises(ValueError, match=r"^lemma empty has no proof steps$"):
         extract_features(bare, table)
 
 

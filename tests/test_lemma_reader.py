@@ -4,6 +4,9 @@ The parsers before the shared lemma reader are copied below verbatim (renamed
 with an `oracle` prefix), less the source spans and step indices that records
 no longer carry, and so are the tactic-line helpers before the lexer
 returned `;`-separated segments (`_Tok` to `_parse_segment`, names unchanged).
+Since the parser's error subclasses were folded into `ParseError`, the copies
+raise that, and the tactic-line lexer takes no location: as `_tactics` does,
+its callers give a delimiter error the line's `FILE:LINE:` prefix.
 They share the module's sentence, header and argument classification helpers.
 Every input must give equal records, or the same exception class and message.
 The one intended difference: in `parse_partial` a lemma sentence after the
@@ -20,9 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from proofmine.script import (_CONNECTIVE_WORDS, _IDENT_RE, _INDUCTION_TACTICS, _INTRO_TACTICS,
                               _TRACE_FIELDS, LEMMA_KEYWORDS, PROOF_CLOSERS, ArgumentKind,
-                              ArgumentToken, DuplicateLemmaName, EmptyStep, LemmaRecord,
-                              MalformedStatement, ParseError, ProofStep, Sentence,
-                              TacticApplication, UnterminatedProof, _classify_token, _first_word,
+                              ArgumentToken, LemmaRecord, ParseError, ProofStep, Sentence,
+                              TacticApplication, _classify_token, _first_word,
                               _intro_names, _parse_header, _ProofContext, _statement_tree,
                               parse_library, parse_partial, parse_trace, split_sentences)
 from proofmine.terms import TermTree, UnbalancedDelimiters, group_end
@@ -40,7 +42,7 @@ class _Tok:
     text: str
 
 
-def _lex_step_tokens(text: str, *, file: str, line: int) -> list[_Tok]:
+def _lex_step_tokens(text: str) -> list[_Tok]:
     tokens: list[_Tok] = []
     i, n = 0, len(text)
     while i < n:
@@ -61,12 +63,12 @@ def _lex_step_tokens(text: str, *, file: str, line: int) -> list[_Tok]:
             i += 2
             continue
         if c in ")]}":
-            raise UnbalancedDelimiters(f"stray {c!r} at {file}:{line}")
+            raise UnbalancedDelimiters(f"stray {c!r}")
         j = i
         while j < n:
             cj = text[j]
             if cj in "([{":
-                j = group_end(text, j, f" at {file}:{line}")
+                j = group_end(text, j)
                 continue
             if cj.isspace() or cj in ";:)]}":
                 break
@@ -117,7 +119,7 @@ def _build_arguments(name: str, tokens: list[_Tok], ctx: _ProofContext) -> tuple
 def _parse_segment(tokens: list[_Tok], ctx: _ProofContext, *, file: str, line: int) -> list[TacticApplication]:
     first = tokens[0]
     if first.kind != "unit":
-        raise MalformedStatement(f"tactic expected, got {first.text!r}", file=file, line=line)
+        raise ParseError(f"tactic expected, got {first.text!r}", file=file, line=line)
     if first.text == "by":
         rest = tokens[1:]
         if rest and rest[0].kind == "unit" and _IDENT_RE.match(rest[0].text) and rest[0].text != "by":
@@ -127,7 +129,7 @@ def _parse_segment(tokens: list[_Tok], ctx: _ProofContext, *, file: str, line: i
         return [app]
     m = _IDENT_RE.match(first.text)
     if not m:
-        raise MalformedStatement(f"tactic expected, got {first.text!r}", file=file, line=line)
+        raise ParseError(f"tactic expected, got {first.text!r}", file=file, line=line)
     name = m.group(0)
     leftover = first.text[m.end():]
     arg_tokens = ([_Tok("unit", leftover)] if leftover else []) + tokens[1:]
@@ -143,13 +145,16 @@ def _parse_segment(tokens: list[_Tok], ctx: _ProofContext, *, file: str, line: i
 def oracle_steps_from_sentences(sentences: list[Sentence], ctx: _ProofContext, file: str) -> list[ProofStep]:
     steps: list[ProofStep] = []
     for sen in sentences:
-        tokens = _lex_step_tokens(sen.text, file=file, line=sen.line_start)
+        try:
+            tokens = _lex_step_tokens(sen.text)
+        except UnbalancedDelimiters as exc:
+            raise ParseError(str(exc), file=file, line=sen.line_start) from exc
         if not tokens:
-            raise EmptyStep("proof step without tokens", file=file, line=sen.line_start)
+            raise ParseError("proof step without tokens", file=file, line=sen.line_start)
         apps: list[TacticApplication] = []
         for segment in _split_on_semis(tokens):
             if not segment:
-                raise EmptyStep("empty tactic between ';'", file=file, line=sen.line_start)
+                raise ParseError("empty tactic between ';'", file=file, line=sen.line_start)
             apps.extend(_parse_segment(segment, ctx, file=file, line=sen.line_start))
         steps.append(ProofStep(tactics=tuple(apps)))
     return steps
@@ -175,7 +180,7 @@ def oracle_parse_library(source: str, library_tag: str, *, filename: str = "<str
             continue
         name, statement_text = _parse_header(sen, filename)
         if name in seen:
-            raise DuplicateLemmaName(f"duplicate lemma {name}", file=filename, line=sen.line_start)
+            raise ParseError(f"duplicate lemma {name}", file=filename, line=sen.line_start)
         statement = _statement_tree(name, statement_text, intern, file=filename, line=sen.line_start)
         i += 1
         if i < len(sentences) and _first_word(sentences[i].text) == "Proof":
@@ -194,7 +199,7 @@ def oracle_parse_library(source: str, library_tag: str, *, filename: str = "<str
             body.append(nxt)
             i += 1
         if not closed:
-            raise UnterminatedProof(f"proof of {name} never closed", file=filename, line=sen.line_start)
+            raise ParseError(f"proof of {name} never closed", file=filename, line=sen.line_start)
         steps = oracle_steps_from_sentences(body, _ProofContext(), filename)
         if steps:
             steps[0] = replace(steps[0], goal_before=statement)
@@ -215,7 +220,7 @@ def oracle_parse_partial(source: str, *, filename: str = "<query>") -> LemmaReco
     while i < len(sentences) and _first_word(sentences[i].text) not in LEMMA_KEYWORDS:
         i += 1
     if i == len(sentences):
-        raise MalformedStatement("no lemma statement found", file=filename)
+        raise ParseError("no lemma statement found", file=filename)
     sen = sentences[i]
     name, statement_text = _parse_header(sen, filename)
     statement = _statement_tree(name, statement_text, {}, file=filename, line=sen.line_start)
@@ -229,7 +234,7 @@ def oracle_parse_partial(source: str, *, filename: str = "<query>") -> LemmaReco
             break
         body.append(nxt)
     if not body:
-        raise MalformedStatement(f"partial proof of {name} has no steps", file=filename, line=sen.line_start)
+        raise ParseError(f"partial proof of {name} has no steps", file=filename, line=sen.line_start)
     steps = oracle_steps_from_sentences(body, _ProofContext(), filename)
     steps[0] = replace(steps[0], goal_before=statement)
     return LemmaRecord(
@@ -282,13 +287,16 @@ def oracle_parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaR
             text = tactic_line.strip()
             if text.endswith("."):
                 text = text[:-1]
-            tokens = _lex_step_tokens(text, file=filename, line=line_no)
+            try:
+                tokens = _lex_step_tokens(text)
+            except UnbalancedDelimiters as exc:
+                raise ParseError(str(exc), file=filename, line=line_no) from exc
             if not tokens:
-                raise EmptyStep(f"empty tactic_line for {name}", file=filename, line=line_no)
+                raise ParseError(f"empty tactic_line for {name}", file=filename, line=line_no)
             apps: list[TacticApplication] = []
             for segment in _split_on_semis(tokens):
                 if not segment:
-                    raise EmptyStep("empty tactic between ';'", file=filename, line=line_no)
+                    raise ParseError("empty tactic between ';'", file=filename, line=line_no)
                 apps.extend(_parse_segment(segment, ctx, file=filename, line=line_no))
             goal = _statement_tree(name, goal_text, intern, file=filename, line=line_no)
             if statement is None:
@@ -328,13 +336,15 @@ def continues_into_next_lemma(source: str) -> bool:
 
 
 def assert_parsers_match_oracles(source: str, filename: str) -> None:
-    assert (outcome(parse_library, source, "lib", filename=filename)
-            == outcome(oracle_parse_library, source, "lib", filename=filename))
-    assert (outcome(parse_trace, source, filename=filename)
-            == outcome(oracle_parse_trace, source, filename=filename))
+    results = [outcome(parse_library, source, "lib", filename=filename),
+               outcome(parse_trace, source, filename=filename)]
+    assert results[0] == outcome(oracle_parse_library, source, "lib", filename=filename)
+    assert results[1] == outcome(oracle_parse_trace, source, filename=filename)
     if not continues_into_next_lemma(source):
-        assert (outcome(parse_partial, source, filename=filename)
-                == outcome(oracle_parse_partial, source, filename=filename))
+        results.append(outcome(parse_partial, source, filename=filename))
+        assert results[2] == outcome(oracle_parse_partial, source, filename=filename)
+    # every error is a ParseError, which carries its file and line; none is a bare TermError
+    assert all(type(result) is not tuple or result[0] is ParseError for result in results)
 
 
 @pytest.mark.parametrize("path", PARSER_INPUTS, ids=lambda p: p.name)
@@ -420,5 +430,5 @@ def test_partial_body_ends_at_the_next_lemma_sentence():
     old = oracle_parse_partial(source)
     assert [[app.name for app in step.tactics] for step in old.steps] == [
         ["by"], ["Lemma"], ["Proof"], ["by", "case"]]
-    with pytest.raises(MalformedStatement, match="partial proof of first has no steps"):
+    with pytest.raises(ParseError, match="partial proof of first has no steps"):
         parse_partial("Lemma first : a = a.\nLemma second : b = b.\nProof. by []. Qed.\n")

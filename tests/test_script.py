@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proofmine.cli import main
-from proofmine.script import (LEMMA_KEYWORDS, ArgumentKind, DuplicateLemmaName, EmptyStep, MalformedStatement,
-                              ParseError, ProofStep, UnterminatedProof, _first_word, _parse_header,
+from proofmine.script import (LEMMA_KEYWORDS, ArgumentKind, ParseError, ProofStep, _first_word, _parse_header,
                               parse_library, Sentence, parse_partial, parse_trace, split_sentences)
 
 from proofmine.terms import UnbalancedDelimiters, parse_term_tree
@@ -78,9 +77,9 @@ def test_by_with_empty_brackets():
 
 
 def test_empty_step_rejected():
-    with pytest.raises(EmptyStep):
+    with pytest.raises(ParseError, match=r"^<input>:1: proof step without tokens$"):
         proof_steps("rewrite foo. . rewrite bar.")
-    with pytest.raises(EmptyStep):
+    with pytest.raises(ParseError, match=r"^<input>:1: empty tactic between ';'$"):
         proof_steps("rewrite foo;; rewrite bar.")
 
 
@@ -240,14 +239,14 @@ def test_paired_lemmas_share_step_counts():
 
 
 def test_unterminated_proof():
-    with pytest.raises(UnterminatedProof):
+    with pytest.raises(ParseError, match=r"^<string>:1: proof of f never closed$"):
         parse_library("Lemma f : x = y.\nProof. by [].\n", "t")
 
 
 def test_unterminated_proof_before_next_lemma():
     src = ("Lemma f : x = y.\nProof. by [].\n"
            "Lemma g : x = z.\nProof. by []. Qed.\n")
-    with pytest.raises(UnterminatedProof):
+    with pytest.raises(ParseError, match=r"^<string>:1: proof of f never closed$"):
         parse_library(src, "t")
 
 
@@ -258,26 +257,45 @@ def test_fixture_statements_reprint_identically(name):
 
 
 def test_malformed_statement():
-    with pytest.raises(MalformedStatement):
+    with pytest.raises(ParseError, match=r"^<string>:1: lemma sentence without a name$"):
         parse_library("Lemma : x = y.\nProof. by []. Qed.", "t")
-    with pytest.raises(MalformedStatement):
+    with pytest.raises(ParseError, match=r"^<string>:1: missing ':' in statement of noname$"):
         parse_library("Lemma noname x = y.\nProof. by []. Qed.", "t")
 
 
 def test_duplicate_lemma_name():
     src = ("Lemma f : a = b.\nProof. by []. Qed.\n"
            "Lemma f : a = c.\nProof. by []. Qed.\n")
-    with pytest.raises(DuplicateLemmaName):
+    with pytest.raises(ParseError, match=r"^<string>:3: duplicate lemma f$"):
         parse_library(src, "t")
+
+
+@pytest.mark.parametrize("name", ["café", "xéy", "foo-bar", "foo.bar", "l)"])
+def test_a_lemma_name_that_is_not_an_identifier_is_a_parse_error_at_its_line(name):
+    # a name ends at whitespace, `(`, `[`, `{`, `:` or the end of its sentence; nothing is cut off
+    message = f"lemma name {name!r} is not an identifier"
+    source = f"Lemma ok : x = x.\nProof. by []. Qed.\nLemma {name} : x = x.\nProof. by []. Qed.\n"
+    with pytest.raises(ParseError) as err:
+        parse_library(source, "t", filename="n.v")
+    assert (str(err.value), err.value.file, err.value.line) == (f"n.v:3: {message}", "n.v", 3)
+    with pytest.raises(ParseError) as err:
+        parse_partial(f"Lemma {name} : x = x.\nProof. by [].\n", filename="q.v")
+    assert (str(err.value), err.value.line) == (f"q.v:1: {message}", 1)
+    # the trace reader refuses the same name
+    record = {"lemma": name, "library": "t", "step_index": 1, "tactic_line": "by [].",
+              "goal_before": "x = x", "subgoals_after": 0}
+    with pytest.raises(ParseError, match=r"^t\.jsonl:1: lemma must be an identifier$"):
+        parse_trace(json.dumps(record) + "\n", filename="t.jsonl")
 
 
 def test_parse_error_carries_location():
     try:
         parse_library("Lemma f : a = b.\nProof. by [].\n", "t", filename="lib.v")
-    except UnterminatedProof as exc:
+    except ParseError as exc:
         assert "lib.v:1" in str(exc)
+        assert (exc.file, exc.line) == ("lib.v", 1)
     else:
-        pytest.fail("expected UnterminatedProof")
+        pytest.fail("expected ParseError")
 
 
 def test_comments_and_qualified_dots_do_not_split():
@@ -591,7 +609,9 @@ def test_sentence_is_a_named_tuple_of_text_and_line():
 
 # ---------------------------------------------------------------------------
 # lemma headers against the character-at-a-time reader they replaced, copied
-# verbatim (renamed with an `oracle` prefix)
+# verbatim (renamed with an `oracle` prefix, its error class now the ParseError
+# it derived from), less one intended difference: a name must end at
+# whitespace, a bracket opener, a colon or the end of the sentence
 
 
 def oracle_parse_header(sentence: Sentence, file: str) -> tuple[str, str]:
@@ -600,7 +620,7 @@ def oracle_parse_header(sentence: Sentence, file: str) -> tuple[str, str]:
     rest = text[len(kw):]
     m = re.match(r"\s*([A-Za-z_][A-Za-z0-9_']*)", rest)
     if not m:
-        raise MalformedStatement("lemma sentence without a name", file=file, line=sentence.line_start)
+        raise ParseError("lemma sentence without a name", file=file, line=sentence.line_start)
     name = m.group(1)
     tail = rest[m.end():]
     depth = 0
@@ -617,17 +637,27 @@ def oracle_parse_header(sentence: Sentence, file: str) -> tuple[str, str]:
                 continue
             statement = tail[i + 1:].strip()
             if not statement:
-                raise MalformedStatement(f"missing statement for {name}", file=file, line=sentence.line_start)
+                raise ParseError(f"missing statement for {name}", file=file, line=sentence.line_start)
             return name, statement
         i += 1
-    raise MalformedStatement(f"missing ':' in statement of {name}", file=file, line=sentence.line_start)
+    raise ParseError(f"missing ':' in statement of {name}", file=file, line=sentence.line_start)
 
 
 def header_outcome(parse, text: str):
     try:
         return parse(Sentence(text, 3), "h.v")
-    except MalformedStatement as exc:
+    except ParseError as exc:
         return type(exc), str(exc)
+
+
+def expected_header_outcome(text: str):
+    """The oracle's outcome, unless the word after the keyword starts a name and is not one."""
+    rest = text[len(_first_word(text)):].lstrip()
+    end = next((i for i, c in enumerate(rest) if c.isspace() or c in "([{:"), len(rest))
+    word = rest[:end]
+    if re.match(r"[A-Za-z_]", word) and not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", word):
+        return ParseError, f"h.v:3: lemma name {word!r} is not an identifier"
+    return header_outcome(oracle_parse_header, text)
 
 
 HEADER_CASES = {
@@ -646,12 +676,18 @@ HEADER_CASES = {
     "a name with a prime": "Lemma l' {x} : x",
     "unicode whitespace": "Lemma\u2003name\x85:\u2003x",
     "a separator at the end of a run": "Lemma l (a) [b]: c",
+    "a name with a non-ASCII letter": "Lemma café : x = x",
+    "a non-ASCII letter inside a name": "Lemma xéy : x",
+    "a hyphenated name": "Lemma foo-bar : x",
+    "a qualified name": "Lemma foo.bar : x",
+    "a closer after the name": "Lemma l) : x",
+    "a colon right after the name": "Lemma l: x",
 }
 
 
 @pytest.mark.parametrize("text", HEADER_CASES.values(), ids=HEADER_CASES.keys())
 def test_header_matches_oracle_on_edge_cases(text):
-    assert header_outcome(_parse_header, text) == header_outcome(oracle_parse_header, text)
+    assert header_outcome(_parse_header, text) == expected_header_outcome(text)
 
 
 HEADER_SOUP = st.sampled_from(["(", ")", "[", "]", "{", "}", ":", "::", ":=", "=", " ", "\n", "x", "nat", "H'", "->"])
@@ -662,7 +698,7 @@ HEADER_SOUP = st.sampled_from(["(", ")", "[", "]", "{", "}", ":", "::", ":=", "=
        st.lists(HEADER_SOUP, max_size=16).map("".join))
 def test_header_matches_oracle_on_header_soup(keyword, name, tail):
     text = keyword + name + tail
-    assert header_outcome(_parse_header, text) == header_outcome(oracle_parse_header, text)
+    assert header_outcome(_parse_header, text) == expected_header_outcome(text)
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +713,9 @@ def test_parse_partial_without_qed():
 
 
 def test_parse_partial_requires_a_step():
-    with pytest.raises(MalformedStatement):
+    with pytest.raises(ParseError, match=r"^<query>:1: partial proof of q has no steps$"):
         parse_partial("Lemma q : a = b.\nProof.\n")
-    with pytest.raises(MalformedStatement):
+    with pytest.raises(ParseError, match=r"^<query>: no lemma statement found$"):
         parse_partial("just some text")
 
 
@@ -800,13 +836,13 @@ def test_trace_records_split_only_at_crlf_lf_and_cr(char):
 
 
 @pytest.mark.parametrize("parse, text, error, message", [
-    (lambda t: proof_steps(t, file="a.v"), "move=> x.\nrewrite (foo].", UnbalancedDelimiters,
-     "mismatched ']' at a.v:2"),
-    (lambda t: proof_steps(t, file="a.v"), "rewrite {foo.", UnbalancedDelimiters, "unclosed '{' at a.v:1"),
+    (lambda t: proof_steps(t, file="a.v"), "move=> x.\nrewrite (foo].", ParseError,
+     "a.v:2: mismatched ']'"),
+    (lambda t: proof_steps(t, file="a.v"), "rewrite {foo.", ParseError, "a.v:1: unclosed '{'"),
     (parse_term_tree, "f [a", UnbalancedDelimiters, "unclosed '['"),
     (parse_term_tree, "f [a)]", UnbalancedDelimiters, "mismatched ')'"),
     (lambda t: parse_library(t, "l", filename="b.v"), "Lemma x : f [a.\nProof. by []. Qed.",
-     MalformedStatement, "b.v:1: bad statement for x: unclosed '['"),
+     ParseError, "b.v:1: bad statement for x: unclosed '['"),
 ])
 def test_unbalanced_group_messages(parse, text, error, message):
     with pytest.raises(error) as err:

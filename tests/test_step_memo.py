@@ -25,7 +25,7 @@ from proofmine.features import (_MAX_FOLDED_ARGS, KIND_CODES, LemmaPatch, StepSl
                                 _relation_code, build_encoding_table, extract_features, lemma_patches)
 from proofmine.script import (ArgumentKind, ParseError, _lemmas, _parse_header, _ProofContext, _tactics,
                               looks_like_trace, parse_library, parse_trace, split_sentences)
-from proofmine.terms import TermError, parse_term_tree
+from proofmine.terms import parse_term_tree
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 from generate import WORKLOADS, generate, trace_jsonl  # noqa: E402
@@ -369,11 +369,11 @@ ERROR_CASES = {
     "bad goal after hits": (
         "jsonl", [trace_lemma("a", GOOD), trace_lemma("b", GOOD),
                   trace_lemma("c", [GOOD[0], (2, "rewrite H.", "f (a = b"), GOOD[2]])],
-        "MalformedStatement", ":8: bad statement for c: "),
+        "ParseError", ":8: bad statement for c: "),
     "bad goal before a missing step, after hits": (
         "jsonl", [trace_lemma("a", GOOD), trace_lemma("b", GOOD),
                   trace_lemma("c", [GOOD[0], (2, "rewrite H.", "f (a = b"), (4, "by [].", "b = b")])],
-        "MalformedStatement", ":8: bad statement for c: "),
+        "ParseError", ":8: bad statement for c: "),
     "missing step after hits": (
         "jsonl", [trace_lemma("a", GOOD), trace_lemma("b", GOOD),
                   trace_lemma("c", [GOOD[0], GOOD[1], (4, "by [].", "b = b")])],
@@ -381,29 +381,29 @@ ERROR_CASES = {
     "bad tactic at step 2, missing step 3": (
         "jsonl", [trace_lemma("a", GOOD), trace_lemma("b", GOOD),
                   trace_lemma("c", [GOOD[0], (2, "-> H.", "f a = b"), (4, "by [].", "b = b")])],
-        "MalformedStatement", ":8: tactic expected, got '->'"),
+        "ParseError", ":8: tactic expected, got '->'"),
     "bad tactic before a bad goal": (
         "jsonl", [trace_lemma("a", GOOD), trace_lemma("b", GOOD),
                   trace_lemma("c", [GOOD[0], (2, "-> H.", "f (a"), GOOD[2]])],
-        "MalformedStatement", ":8: tactic expected, got '->'"),
+        "ParseError", ":8: tactic expected, got '->'"),
     "bad statement after hits": (
         "v", [vernacular_lemma("a", "x = y", BODY), vernacular_lemma("b", "x = y", BODY),
               vernacular_lemma("c", "x = (y", BODY)],
-        "MalformedStatement", ":13: bad statement for c: "),
+        "ParseError", ":13: bad statement for c: "),
     "empty tactic after hits": (
         "v", [vernacular_lemma("a", "x = y", BODY), vernacular_lemma("b", "x = y", BODY),
               vernacular_lemma("c", "x = y", [*BODY, "by ;"])],
-        "EmptyStep", ":18: empty tactic between ';'"),
+        "ParseError", ":18: empty tactic between ';'"),
     "unclosed proof after hits": (
         "v", [vernacular_lemma("a", "x = y", BODY), vernacular_lemma("b", "x = y", BODY),
               vernacular_lemma("c", "x = y", BODY, closer="")],
-        "UnterminatedProof", ":13: proof of c never closed"),
+        "ParseError", ":13: proof of c never closed"),
 }
 
 
-def first_error(kind: str, lemmas: list[list[str]], **parse_args) -> ParseError | TermError:
+def first_error(kind: str, lemmas: list[list[str]], **parse_args) -> ParseError:
     source = "".join(line + "\n" for lines in lemmas for line in lines)
-    with pytest.raises((ParseError, TermError)) as caught:
+    with pytest.raises(ParseError) as caught:
         if kind == "jsonl":
             parse_trace(source, filename="lib.jsonl", **parse_args)
         else:

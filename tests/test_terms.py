@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from proofmine import script, terms
 from proofmine.corpus import ingest, load, save
-from proofmine.script import (LEMMA_KEYWORDS, MalformedStatement, _first_word, _parse_header,
+from proofmine.script import (LEMMA_KEYWORDS, ParseError, _first_word, _parse_header,
                               parse_library, parse_partial, parse_trace, split_sentences)
 from proofmine.terms import (_DIGIT, _OP_ASSOC, _OP_LEVEL, _OPERATORS, _PREFIX, BINDERS, OPERATOR_LEVELS,
-                             EmptyStatement, TermError, TermTree, UnbalancedDelimiters, _lex, group_end,
+                             TermError, TermTree, UnbalancedDelimiters, _lex, group_end,
                              parse_term_tree)
 
 from conftest import (_APP_LEVEL, FIXTURES, HINT, format_term, iter_nodes, random_library_source,
@@ -126,7 +126,7 @@ def test_unbalanced_raises():
 
 
 def test_empty_statement_raises():
-    with pytest.raises(EmptyStatement):
+    with pytest.raises(TermError, match="^empty statement$"):
         parse_term_tree("   ")
 
 
@@ -389,7 +389,7 @@ def oracle_climbing_parse(text: str, intern: dict) -> TermTree:
     """parse_term_tree before the lexer used regexes and before texts were memoised."""
     tokens = oracle_lex(text)
     if not tokens:
-        raise EmptyStatement("empty statement")
+        raise TermError("empty statement")
     tokens.append(_END)
     parser = _OracleClimbingParser(tokens, intern)
     try:
@@ -523,7 +523,7 @@ def oracle_parse_term_tree(text: str) -> TermTree:
     """The parser before precedence climbing and interning."""
     tokens = oracle_lex(text)
     if not tokens:
-        raise EmptyStatement("empty statement")
+        raise TermError("empty statement")
     parser = _OracleParser(tokens)
     node = parser.parse_expr(0)
     leftover = parser.peek()
@@ -803,10 +803,10 @@ def test_a_bad_text_raises_every_time_at_its_own_file_and_line():
     good_then_bad = lemmas("f x", "f (x")
     for filename in ("a.v", "b.v"):
         for source, line in ((good_then_bad, 3), (lemmas("f (x"), 1)):
-            with pytest.raises(MalformedStatement, match=rf"^{filename}:{line}: bad statement for l\d"):
+            with pytest.raises(ParseError, match=rf"^{filename}:{line}: bad statement for l\d"):
                 parse_library(source, "lib", filename=filename)
     for filename in ("a.jsonl", "b.jsonl"):
-        with pytest.raises(MalformedStatement, match=rf"^{filename}:2: bad statement for t0"):
+        with pytest.raises(ParseError, match=rf"^{filename}:2: bad statement for t0"):
             parse_trace(goals("f x", "f (x", "f (x"), filename=filename)
 
 
