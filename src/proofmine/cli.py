@@ -25,6 +25,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from .clustering import ALGORITHMS
 from .corpus import CorruptFile, QUERY_NAME, database_with_query, ingest, load, save
 from .digest import (HOMOGENEITY, DigestConfig, TooFewLemmas, digest_to_dict, read_digest,
                      run_digest, select_reliable, write_digest)
@@ -38,7 +39,7 @@ EXIT_INSUFFICIENT = 4
 
 
 def _add_digest_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algorithm", choices=("kmeans", "em", "farthest-first"),
+    parser.add_argument("--algorithm", choices=tuple(ALGORITHMS),
                         default="kmeans", help="clustering backend (default kmeans)")
     parser.add_argument("--granularity", type=int, choices=range(1, 6), default=3,
                         metavar="1..5", help="cluster-count knob (default 3)")

@@ -1,8 +1,8 @@
 """Seeded clustering backends: k-means, diagonal-covariance EM, farthest-first.
 
-All three are deterministic given (points, n, seed) and report a per-point
-proximity in [0, 1].  The cluster count for a corpus of m objects at
-granularity g is floor(m / (10 - g)), clamped to at least 1.
+All three take a PointSet, are deterministic given (points, n, seed) and
+report a per-point proximity in [0, 1].  The cluster count for a corpus of m
+objects at granularity g is floor(m / (10 - g)), clamped to at least 1.
 """
 
 from __future__ import annotations
@@ -29,13 +29,6 @@ class ClusterAssignment:
     centers: np.ndarray
     objective_history: tuple[float, ...] = ()
     log_likelihood_history: tuple[float, ...] = ()
-
-
-def _as_points(points) -> np.ndarray:
-    arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("points must form a 2-d array")
-    return arr
 
 
 def _check_n(n: int, m: int) -> None:
@@ -78,7 +71,7 @@ def _distinct_rows(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PointSet:
-    """The points of one digest, shared by its seeded runs.
+    """The points of one digest, as float64 in two dimensions, shared by its seeded runs.
 
     The distinct rows are split out once, and the distance columns that
     farthest-first reads, and those of k-means' seeds and reseeds, are kept
@@ -87,12 +80,12 @@ class PointSet:
     the distinct rows, read through `inverse`, is the column over every row bit
     for bit, and a kept column is the one a fresh run would compute.  It keeps
     at most one column per distinct row, for as long as the PointSet lives.
-    The clustering functions also take a plain array, which gets a PointSet of
-    its own.
     """
 
     def __init__(self, points) -> None:
-        self.points = _as_points(points)
+        self.points = np.asarray(points, dtype=np.float64)
+        if self.points.ndim != 2:
+            raise ValueError("points must form a 2-d array")
         rows, inverse = _distinct_rows(self.points)
         first = np.unique(inverse, return_index=True)[1]
         # renumbered by first occurrence, so the first maximum over the distinct
@@ -114,11 +107,7 @@ class PointSet:
         return np.stack([self.column(row) for row in rows], axis=1)
 
 
-def _point_set(points) -> PointSet:
-    return points if isinstance(points, PointSet) else PointSet(points)
-
-
-def kmeans(points, n: int, seed: int) -> ClusterAssignment:
+def kmeans(shared: PointSet, n: int, seed: int) -> ClusterAssignment:
     """Lloyd iteration from n seeded starting rows: distinct row indices, which
     may hold equal rows.
 
@@ -142,7 +131,6 @@ def kmeans(points, n: int, seed: int) -> ClusterAssignment:
     distinct row and read through `inverse`: each depends only on its row's
     bytes, so every row gets the bits of its duplicates.
     """
-    shared = _point_set(points)
     pts, distinct, inverse = shared.points, shared.distinct, shared.inverse
     m = len(pts)
     _check_n(n, m)
@@ -223,9 +211,8 @@ def _logsumexp(rows: np.ndarray) -> np.ndarray:
     return (peak + np.log(np.sum(np.exp(rows - peak), axis=1, keepdims=True)))[:, 0]
 
 
-def em_gaussian(points, n: int, seed: int) -> ClusterAssignment:
+def em_gaussian(shared: PointSet, n: int, seed: int) -> ClusterAssignment:
     """Diagonal Gaussian mixture fitted by EM, initialized from one k-means pass."""
-    shared = _point_set(points)
     pts = shared.points
     m, dims = pts.shape
     _check_n(n, m)
@@ -265,14 +252,13 @@ def em_gaussian(points, n: int, seed: int) -> ClusterAssignment:
     )
 
 
-def farthest_first(points, n: int, seed: int) -> ClusterAssignment:
+def farthest_first(shared: PointSet, n: int, seed: int) -> ClusterAssignment:
     """Greedy max-min center selection from one seeded starting point.
 
     The loop, the assignment and the proximities run over the distinct rows
     with the PointSet's columns, and are broadcast back to every row.  The
     centers are the chosen distinct rows, byte-equal to the rows picked.
     """
-    shared = _point_set(points)
     m = len(shared.points)
     _check_n(n, m)
     rng = np.random.default_rng(seed)

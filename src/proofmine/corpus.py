@@ -119,9 +119,10 @@ def ingest(paths: list[str | Path], tags: list[str], *, patch_len: int = PATCH_L
 def database_with_query(corpus: Corpus, query: LemmaRecord) -> FeatureDatabase:
     """Corpus features plus one temporary query row, re-scaled together.
 
-    Unknown query vocabulary encodes as 0; the query row is named QUERY_NAME.
+    The query is reduced and coded as `ingest` codes a lemma; unknown query
+    vocabulary encodes as 0.  The query row is named QUERY_NAME.
     """
-    row = extract_features(query, corpus.table, corpus.patch_len)
+    row = extract_features(lemma_patches([query], corpus.patch_len)[0], corpus.table, corpus.patch_len)
     matrix = min_max_scale(np.vstack([corpus.raw, row]))
     libraries = {**corpus.libraries, QUERY_NAME: query.library}
     return FeatureDatabase(names=corpus.names + [QUERY_NAME], libraries=libraries, matrix=matrix)
@@ -152,14 +153,14 @@ def save(corpus: Corpus, path: str | Path) -> None:
     Path(path).write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
 
-def _codes(words, what: str) -> dict[str, int]:
-    """A stored vocabulary's codes: non-empty strings in strictly ascending order, coded from 1."""
+def _vocabulary(words, what: str) -> set[str]:
+    """A stored vocabulary, checked to be non-empty strings in strictly ascending order."""
     if type(words) is not list:
         raise ValueError(f"{what} is not a list")
     for pos, word in enumerate(words):
         if type(word) is not str or not word or (pos and words[pos - 1] >= word):
             raise ValueError(f"{what} entry {pos} is not a non-empty string above the one before it")
-    return {word: code for code, word in enumerate(words, start=1)}
+    return set(words)
 
 
 def _rows(rows, width: int) -> np.ndarray:
@@ -185,7 +186,8 @@ def _read_v5(data: dict) -> Corpus:
     patch_len = data["patch_len"]
     if type(patch_len) is not int or patch_len < 1:  # bool is not a length
         raise ValueError("patch_len is not a positive integer")
-    table = EncodingTable(_codes(data["tactics"], "tactics"), _codes(data["symbols"], "symbols"))
+    table = build_encoding_table(_vocabulary(data["tactics"], "tactics"),
+                                 _vocabulary(data["symbols"], "symbols"))
     rows = _rows(data["rows"], SLOTS_PER_STEP * patch_len)
     stored = data["libraries"]
     if type(stored) is not dict:

@@ -21,7 +21,7 @@ one cluster with the same code `run_digest` uses.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -60,13 +60,7 @@ class DigestConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.master_seed}")
 
     def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "frequency_threshold": self.frequency_threshold,
-            "algorithm": self.algorithm,
-            "granularity": self.granularity,
-            "master_seed": self.master_seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -328,7 +322,8 @@ def write_digest(path: str | Path, doc: dict) -> None:
 
 
 def read_digest(path: str | Path) -> dict:
-    """Load a digest file, checking the fields a report reads and their types."""
+    """Load a digest file, checking the fields a report reads, their types, and that
+    `libraries`, if present, tag exactly its objects and give every cluster's homogeneity."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
@@ -359,9 +354,10 @@ def read_digest(path: str | Path) -> dict:
     objects, n = doc.get("objects"), doc.get("clusters_per_run")
     need(type(objects) is int and objects >= 2, "objects")
     need(type(n) is int and n == choose_n(objects, cfg.granularity), "clusters_per_run")
-    libraries = doc.get("libraries", {})
-    need(isinstance(libraries, dict) and all(isinstance(tag, str) for tag in libraries.values()),
-         "libraries")
+    libraries = doc.get("libraries")
+    if "libraries" in doc:  # older digests hold no tags
+        need(isinstance(libraries, dict) and all(isinstance(tag, str) for tag in libraries.values())
+             and len(libraries) == objects, "libraries")
     need(isinstance(doc.get("clusters"), list), "clusters")
     for cluster in doc["clusters"]:
         need(isinstance(cluster, dict) and rate(cluster.get("frequency"))
@@ -371,4 +367,8 @@ def read_digest(path: str | Path) -> dict:
         for name in cluster["members"]:
             need(isinstance(name, str) and rate(cluster["member_proximity"].get(name)),
                  "member proximity")
+        if libraries is not None:
+            need(all(name in libraries for name in cluster["members"]), "cluster members")
+            tags = {libraries[name] for name in cluster["members"]}
+            need(cluster["homogeneity"] == HOMOGENEITY[len(tags) > 1], "homogeneity")
     return doc

@@ -85,6 +85,7 @@ def build_encoding_table(tactics: set[str], symbols: set[str]) -> EncodingTable:
     tactics are the names of every step of the corpus, not only of its
     patches; symbols is the set that `parse_library` and `parse_trace` filled
     while parsing: the symbol of every node of the statements and goals.
+    A loaded corpus passes the two vocabularies it stores.
     """
     return EncodingTable(
         tactic_codes={name: i for i, name in enumerate(sorted(tactics), start=1)},
@@ -184,15 +185,10 @@ def _code_step(step: StepSlots, table: EncodingTable) -> tuple[float, ...]:
     )
 
 
-def extract_features(lemma: LemmaRecord | LemmaPatch, table: EncodingTable,
+def extract_features(patch: LemmaPatch, table: EncodingTable,
                      patch_len: int = PATCH_LEN) -> tuple[float, ...]:
-    """Concatenated step blocks for the first patch_len steps, zero-padded.
-
-    This is `lemma_patches`, then the coding of the patch against table.  A
-    lemma already reduced by `lemma_patches`, as `ingest` reduces each file
-    before it reads the next, is coded as it is.
-    """
-    patch = lemma if isinstance(lemma, LemmaPatch) else lemma_patches([lemma], patch_len)[0]
+    """The second half of the encoder: a patch from `lemma_patches` coded against table,
+    eight slots for each of its first patch_len steps, zero-padded."""
     if not patch.steps:
         raise ValueError(f"lemma {patch.name} has no proof steps")
     steps = patch.steps[:patch_len]

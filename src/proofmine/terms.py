@@ -21,10 +21,6 @@ class TermTree:
     symbol: str
     children: tuple["TermTree", ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.symbol:
-            raise ValueError("term symbol must be non-empty")
-
     def top_symbols(self) -> tuple[str, str | None, str | None]:
         """Head symbol plus the heads of the first two children."""
         first = self.children[0].symbol if self.children else None

@@ -53,7 +53,7 @@ def em_with_responsibilities(points, n: int, seed: int):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(clustering, "_log_gaussian_prob", spy)
-        result = clustering.em_gaussian(points, n, seed)
+        result = clustering.em_gaussian(clustering.PointSet(points), n, seed)
     log_prob = seen[-1]
     return result, np.exp(log_prob - clustering._logsumexp(log_prob)[:, None])
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proofmine.clustering import choose_n, farthest_first, kmeans
+from proofmine.clustering import PointSet, choose_n, farthest_first, kmeans
 from proofmine.corpus import (CorruptFile, QUERY_NAME, database_with_query, ingest, load, save)
 from proofmine.digest import (DigestConfig, co_occurrence_counts, components_at, run_digest,
                               run_partitions, select_reliable)
@@ -141,13 +141,13 @@ def test_acceptance_5_algorithm_oracles():
         points = rng.uniform(-3, 3, size=(m, dims))
         seed = int(rng.integers(10_000))
 
-        km = kmeans(points, n, seed)
+        km = kmeans(PointSet(points), n, seed)
         dist_sq = np.sum((points[:, None, :] - km.centers[None, :, :]) ** 2, axis=2)
         own = dist_sq[np.arange(m), km.labels]
         assert own.sum() <= km.objective_history[0] + 1e-9
         assert np.all(dist_sq >= own[:, None] - 1e-12), "a relabeling would improve"
 
-        ff = farthest_first(points, n, seed)
+        ff = farthest_first(PointSet(points), n, seed)
         chosen = row_indices(points, ff.centers)
         assert chosen == _greedy_oracle(points, n, chosen[0]), f"case {case}"
 

@@ -75,7 +75,7 @@ def cover_radius(points, result: ClusterAssignment) -> float:
 
 def test_kmeans_singleton_clusters():
     points = _pad([[i, 0] for i in range(5)])
-    result = kmeans(points, n=5, seed=3)
+    result = kmeans(PointSet(points), n=5, seed=3)
     assert sorted(result.labels) == list(range(5))
     assert within_sum_of_squares(points, result) == 0.0
     assert np.all(result.proximity == 1.0)
@@ -83,7 +83,7 @@ def test_kmeans_singleton_clusters():
 
 def test_kmeans_single_cluster_center_is_mean():
     points = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 6.0]])
-    result = kmeans(points, n=1, seed=0)
+    result = kmeans(PointSet(points), n=1, seed=0)
     assert np.allclose(result.centers[0], points.mean(axis=0))
 
 
@@ -112,7 +112,7 @@ def test_kmeans_two_triples_match_brute_force():
         [10.0, 10.0], [10.1, 10.0], [10.0, 10.1],
     ])
     best, best_obj = brute_force_best_partition(points)
-    result = kmeans(points, n=2, seed=0)
+    result = kmeans(PointSet(points), n=2, seed=0)
     got = frozenset(frozenset(int(i) for i in np.flatnonzero(result.labels == lab))
                     for lab in np.unique(result.labels))
     assert got == best
@@ -122,7 +122,7 @@ def test_kmeans_two_triples_match_brute_force():
 def test_kmeans_objective_history_non_increasing():
     rng = np.random.default_rng(11)
     points = rng.normal(size=(30, 4))
-    result = kmeans(points, n=4, seed=5)
+    result = kmeans(PointSet(points), n=4, seed=5)
     history = result.objective_history
     assert all(history[i + 1] <= history[i] + 1e-9 for i in range(len(history) - 1))
     assert within_sum_of_squares(points, result) <= history[0] + 1e-9
@@ -131,14 +131,14 @@ def test_kmeans_objective_history_non_increasing():
 def test_kmeans_terminates_on_nearest_centers():
     rng = np.random.default_rng(2)
     points = rng.normal(size=(25, 3))
-    result = kmeans(points, n=3, seed=9)
+    result = kmeans(PointSet(points), n=3, seed=9)
     dist = np.sum((points[:, None, :] - result.centers[None, :, :]) ** 2, axis=2)
     assert np.array_equal(result.labels, np.argmin(dist, axis=1))
 
 
 def test_kmeans_handles_duplicate_points_with_repair():
     points = _pad([[0, 0]] * 4 + [[9, 9]], dim=2)
-    result = kmeans(points, n=3, seed=1)
+    result = kmeans(PointSet(points), n=3, seed=1)
     assert len(result.centers) == 3
     assert result.labels.max() < 3
     assert 0.0 <= result.proximity.min() <= result.proximity.max() <= 1.0
@@ -146,14 +146,14 @@ def test_kmeans_handles_duplicate_points_with_repair():
 
 def test_kmeans_too_few_points():
     with pytest.raises(ValueError, match=r"^asked for 3 clusters over 2 points$"):
-        kmeans(np.zeros((2, 3)), n=3, seed=0)
+        kmeans(PointSet(np.zeros((2, 3))), n=3, seed=0)
 
 
 def test_kmeans_deterministic():
     rng = np.random.default_rng(7)
     points = rng.normal(size=(20, 5))
-    a = kmeans(points, n=4, seed=42)
-    b = kmeans(points, n=4, seed=42)
+    a = kmeans(PointSet(points), n=4, seed=42)
+    b = kmeans(PointSet(points), n=4, seed=42)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.centers, b.centers)
     assert np.array_equal(a.proximity, b.proximity)
@@ -187,7 +187,7 @@ def kmeans_oracle(points, n: int, seed: int) -> ClusterAssignment:
     """The Lloyd loop without cycle detection or distinct-row assignment.
 
     EM hands its k-means start a PointSet; only its matrix is read here."""
-    pts = clustering._as_points(getattr(points, "points", points))
+    pts = np.asarray(getattr(points, "points", points), dtype=np.float64)
     m = len(pts)
     clustering._check_n(n, m)
     rng = np.random.default_rng(seed)
@@ -240,7 +240,7 @@ def test_kmeans_matches_oracle_when_n_exceeds_distinct_rows(template_matrix):
     capped = 0
     for seed in range(6):
         want = kmeans_oracle(template_matrix, n, seed)
-        assert_same_run(kmeans(template_matrix, n, seed), want)
+        assert_same_run(kmeans(PointSet(template_matrix), n, seed), want)
         capped += len(want.objective_history) == KMEANS_MAX_ITER + 1
     assert capped, "no oracle run reached the iteration cap"
 
@@ -250,7 +250,7 @@ def test_kmeans_matches_oracle_when_n_within_distinct_rows(template_matrix, shar
     n = max(1, int(distinct_rows(template_matrix) * share))
     for seed in range(6):
         want = kmeans_oracle(template_matrix, n, seed)
-        got = kmeans(template_matrix, n, seed)
+        got = kmeans(PointSet(template_matrix), n, seed)
         assert_same_run(got, want)
         assert got.objective_history == want.objective_history
 
@@ -261,7 +261,7 @@ def test_kmeans_matches_oracle_on_gaussian_data():
         points = rng.normal(size=(int(rng.integers(10, 80)), int(rng.integers(1, 6))))
         n = int(rng.integers(1, len(points) // 2))
         want = kmeans_oracle(points, n, seed)
-        got = kmeans(points, n, seed)
+        got = kmeans(PointSet(points), n, seed)
         assert_same_run(got, want)
         assert got.objective_history == want.objective_history
 
@@ -285,11 +285,11 @@ def test_kmeans_distinct_rows_match_unique_oracle(template_matrix, monkeypatch):
         assert np.array_equal(distinct[inverse], points)
         keys = {row.tobytes() for row in points}
         assert len(distinct) == len(keys) and {row.tobytes() for row in distinct} == keys
-    got = [[kmeans(points, n, seed) for seed in range(4)] for points, n in cases]
+    got = [[kmeans(PointSet(points), n, seed) for seed in range(4)] for points, n in cases]
     monkeypatch.setattr(clustering, "_distinct_rows", unique_rows_oracle)
     for (points, n), runs in zip(cases, got):
         for seed, result in enumerate(runs):
-            want = kmeans(points, n, seed)
+            want = kmeans(PointSet(points), n, seed)
             assert_same_run(result, want)
             assert result.objective_history == want.objective_history
 
@@ -297,15 +297,15 @@ def test_kmeans_distinct_rows_match_unique_oracle(template_matrix, monkeypatch):
 def test_kmeans_capped_case_ends_on_repeated_labelling(template_matrix):
     n = distinct_rows(template_matrix) + 1
     for seed in range(6):
-        assert len(kmeans(template_matrix, n, seed).objective_history) - 1 < KMEANS_MAX_ITER
+        assert len(kmeans(PointSet(template_matrix), n, seed).objective_history) - 1 < KMEANS_MAX_ITER
 
 
 def test_em_unchanged_by_kmeans_start(template_matrix, monkeypatch):
     n = distinct_rows(template_matrix) + 1
-    got = [em_gaussian(template_matrix, n, seed) for seed in range(3)]
+    got = [em_gaussian(PointSet(template_matrix), n, seed) for seed in range(3)]
     monkeypatch.setattr(clustering, "kmeans", kmeans_oracle)
     for seed, result in enumerate(got):
-        want = em_gaussian(template_matrix, n, seed)
+        want = em_gaussian(PointSet(template_matrix), n, seed)
         assert np.array_equal(result.labels, want.labels)
         assert result.log_likelihood_history == want.log_likelihood_history
 
@@ -331,7 +331,7 @@ def test_em_separated_blobs_confident():
     blob_a = rng.normal(0.0, sigma, size=(10, 2))
     blob_b = rng.normal(0.0, sigma, size=(10, 2)) + np.array([5.0, 5.0])
     points = np.vstack([blob_a, blob_b])
-    result = em_gaussian(points, n=2, seed=1)
+    result = em_gaussian(PointSet(points), n=2, seed=1)
     labels = result.labels
     assert len(set(labels[:10])) == 1
     assert len(set(labels[10:])) == 1
@@ -342,7 +342,7 @@ def test_em_separated_blobs_confident():
 def test_em_log_likelihood_non_decreasing():
     rng = np.random.default_rng(5)
     points = rng.normal(size=(24, 3))
-    result = em_gaussian(points, n=3, seed=8)
+    result = em_gaussian(PointSet(points), n=3, seed=8)
     history = result.log_likelihood_history
     assert all(history[i + 1] >= history[i] - 1e-9 for i in range(len(history) - 1))
 
@@ -350,8 +350,8 @@ def test_em_log_likelihood_non_decreasing():
 def test_em_deterministic():
     rng = np.random.default_rng(9)
     points = rng.normal(size=(15, 4))
-    a = em_gaussian(points, n=3, seed=13)
-    b = em_gaussian(points, n=3, seed=13)
+    a = em_gaussian(PointSet(points), n=3, seed=13)
+    b = em_gaussian(PointSet(points), n=3, seed=13)
     assert np.array_equal(a.labels, b.labels)
     assert a.log_likelihood_history == b.log_likelihood_history
 
@@ -376,7 +376,7 @@ def greedy_oracle(points, n, first):
 def test_farthest_first_collinear_picks_far_end():
     points = _pad([[0.0], [1.0], [10.0]])
     for seed in range(50):
-        result = farthest_first(points, n=2, seed=seed)
+        result = farthest_first(PointSet(points), n=2, seed=seed)
         if row_indices(points, result.centers)[0] == 0:
             assert row_indices(points, result.centers)[1] == 2
             return
@@ -385,7 +385,7 @@ def test_farthest_first_collinear_picks_far_end():
 
 def test_farthest_first_full_cover_radius_zero():
     points = _pad([[i, i * 2] for i in range(6)], dim=3)
-    result = farthest_first(points, n=6, seed=2)
+    result = farthest_first(PointSet(points), n=6, seed=2)
     assert cover_radius(points, result) == 0.0
     assert np.all(result.proximity == 1.0)
 
@@ -396,7 +396,7 @@ def test_farthest_first_matches_greedy_oracle():
         m = int(rng.integers(3, 11))
         n = int(rng.integers(2, m + 1))
         points = rng.normal(size=(m, int(rng.integers(1, 4))))
-        result = farthest_first(points, n=n, seed=int(rng.integers(1000)))
+        result = farthest_first(PointSet(points), n=n, seed=int(rng.integers(1000)))
         chosen = row_indices(points, result.centers)
         assert chosen == greedy_oracle(points.tolist(), n, chosen[0])
 
@@ -416,7 +416,7 @@ def test_farthest_first_within_twice_optimal():
         m = int(rng.integers(4, 11))
         n = int(rng.integers(1, 4))
         points = rng.uniform(-5, 5, size=(m, 2))
-        result = farthest_first(points, n=n, seed=int(rng.integers(1000)))
+        result = farthest_first(PointSet(points), n=n, seed=int(rng.integers(1000)))
         optimal = brute_force_optimal_radius(points, n)
         assert cover_radius(points, result) <= 2.0 * optimal + 1e-9
 
@@ -424,8 +424,8 @@ def test_farthest_first_within_twice_optimal():
 def test_farthest_first_deterministic():
     rng = np.random.default_rng(4)
     points = rng.normal(size=(12, 6))
-    a = farthest_first(points, n=4, seed=77)
-    b = farthest_first(points, n=4, seed=77)
+    a = farthest_first(PointSet(points), n=4, seed=77)
+    b = farthest_first(PointSet(points), n=4, seed=77)
     assert np.array_equal(a.centers, b.centers)
     assert np.array_equal(a.labels, b.labels)
 
@@ -434,7 +434,7 @@ def test_all_algorithms_proximity_in_unit_interval():
     rng = np.random.default_rng(21)
     points = rng.normal(size=(20, 5))
     for algo in (kmeans, em_gaussian, farthest_first):
-        result = algo(points, 4, 3)
+        result = algo(PointSet(points), 4, 3)
         assert result.proximity.min() >= 0.0
         assert result.proximity.max() <= 1.0
 
@@ -447,7 +447,7 @@ def kmeans_per_run_oracle(points, n: int, seed: int, sq=einsum_sq) -> ClusterAss
     """kmeans as it was before the runs shared a PointSet: the distinct rows
     are split again on every run, in _distinct_rows' own order.  `sq` reduces
     the reseed and proximity distances."""
-    pts = clustering._as_points(getattr(points, "points", points))
+    pts = np.asarray(getattr(points, "points", points), dtype=np.float64)
     m = len(pts)
     clustering._check_n(n, m)
     rng = np.random.default_rng(seed)
@@ -484,7 +484,7 @@ def farthest_first_oracle(points, n: int, seed: int, sq=einsum_sq) -> ClusterAss
     """farthest_first as it was before the runs shared a PointSet: every
     distance over every row, computed again on every run.  `sq` reduces the
     distances of the max-min loop and of the proximities."""
-    pts = clustering._as_points(points)
+    pts = np.asarray(points, dtype=np.float64)
     m = len(pts)
     clustering._check_n(n, m)
     rng = np.random.default_rng(seed)
@@ -509,7 +509,7 @@ def per_run_oracle(algorithm: str, points, n: int, seed: int, sq=einsum_sq) -> C
     if algorithm == "em":
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(clustering, "kmeans", functools.partial(kmeans_per_run_oracle, sq=sq))
-            return em_gaussian(points, n, seed)
+            return em_gaussian(PointSet(points), n, seed)
     return {"kmeans": kmeans_per_run_oracle, "farthest-first": farthest_first_oracle}[algorithm](
         points, n, seed, sq)
 
@@ -683,7 +683,7 @@ def test_capped_case_cycles_to_the_cap():
 def test_kmeans_matches_per_run_oracle_byte_for_byte(case):
     params, n, seed = case
     rows = duplicate_rows(*params)
-    assert_identical_runs(kmeans(rows, n, seed), kmeans_per_run_oracle(rows, n, seed))
+    assert_identical_runs(kmeans(PointSet(rows), n, seed), kmeans_per_run_oracle(rows, n, seed))
 
 
 @pytest.mark.parametrize("m, n, dims", [(150, 30, 40), (64, 7, 3), (65, 1, 1), (3, 5, 2)])

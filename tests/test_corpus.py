@@ -11,7 +11,7 @@ import pytest
 from proofmine import corpus as corpus_module
 from proofmine.cli import main
 from proofmine.corpus import CORPUS_FORMAT, CorruptFile, database_with_query, ingest, load, save
-from proofmine.features import SLOTS_PER_STEP, build_encoding_table, extract_features
+from proofmine.features import SLOTS_PER_STEP, build_encoding_table, extract_features, lemma_patches
 from proofmine.script import ParseError, parse_library, parse_partial, parse_trace
 from proofmine.terms import TermTree
 
@@ -55,7 +55,7 @@ def test_incremental_ingest_rebuilds_table():
     changed = 0
     for record in earlier:
         row = grown.raw[grown.names.index(record.name)]
-        assert row.tolist() == list(extract_features(record, grown.table))
+        assert row.tolist() == list(extract_features(lemma_patches([record])[0], grown.table))
         changed += row.tolist() != corpus.raw[corpus.names.index(record.name)].tolist()
     assert changed  # the grown vocabulary shifted codes that earlier rows hold
 
@@ -161,7 +161,7 @@ def test_vocabulary_does_not_depend_on_the_patch_length():
         assert corpus.table == table
         for record in records:  # the rows of the lemmas themselves, encoded whole
             row = corpus.raw[corpus.names.index(record.name)]
-            assert row.tolist() == list(extract_features(record, table, patch_len))
+            assert row.tolist() == list(extract_features(lemma_patches([record], patch_len)[0], table, patch_len))
 
 
 ERROR_ORDER_FILES = {

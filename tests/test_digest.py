@@ -919,6 +919,17 @@ def test_write_digest_writes_compact_canonical_json(tmp_path):
     *({"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": objects,
        "clusters_per_run": n, "clusters": []}
       for objects, n in [(1, 1), (0, 1), (-3, 1), (2, -5), (2, 2), (2, 0), (70, 1), (70, 10.0)]),
+    # a digest's libraries tag exactly its objects: every member, and the tags give homogeneity
+    {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 70,
+     "clusters_per_run": 10, "libraries": {"a": "u", "b": "v"}, "clusters": []},
+    {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
+     "clusters_per_run": 1, "libraries": {"a": "u", "b": "v"},
+     "clusters": [{"members": ["a", "zz"], "frequency": 1.0, "member_proximity": {"a": 1.0, "zz": 1.0},
+                   "homogeneity": "homogeneous"}]},
+    {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
+     "clusters_per_run": 1, "libraries": {"a": "u", "b": "v"},
+     "clusters": [{"members": ["a", "b"], "frequency": 1.0, "member_proximity": {"a": 1.0, "b": 1.0},
+                   "homogeneity": "homogeneous"}]},
 ])
 def test_read_digest_rejects_missing_report_fields(tmp_path, doc):
     path = tmp_path / "digest.json"

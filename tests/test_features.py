@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proofmine.features import (EncodingTable, KIND_CODES,
-                                build_encoding_table, extract_features,
+                                build_encoding_table, extract_features, lemma_patches,
                                 min_max_scale, write_feature_records)
 from proofmine.corpus import load
 from proofmine.script import ArgumentKind, parse_library, parse_trace
@@ -162,7 +162,7 @@ def test_growing_corpus_keeps_relative_code_order():
 def test_encode_by_case_step():
     records, table = pair_records()
     andbb = records[0]
-    slots = extract_features(andbb, table, patch_len=1)  # its one step
+    slots = extract_features(lemma_patches([andbb], 1)[0], table, patch_len=1)  # its one step
     assert slots == (1.2, 2.0, 0.0, 0.0, 2.0, 1.0, 0.0, -1.0)
 
 
@@ -174,7 +174,7 @@ def test_kind_codes_fixed_range():
 def test_elim_step_slots_from_hand_enumeration():
     records, table = library_and_table(TRIO_SRC, "seq")
     has_map = records[0]
-    slots = extract_features(has_map, table, patch_len=1)  # its one step
+    slots = extract_features(lemma_patches([has_map], 1)[0], table, patch_len=1)  # its one step
     # tactics by=1, elim=2 -> 1.2; arg kinds ext,wild,intro,intro,intro
     assert slots[0] == pytest.approx(1.2)
     assert slots[1] == 2.0
@@ -188,7 +188,7 @@ def test_elim_step_slots_from_hand_enumeration():
 
 def test_vector_length_and_padding():
     records, table = pair_records()
-    vec = extract_features(records[0], table)
+    vec = extract_features(lemma_patches(records)[0], table)
     assert len(vec) == 40
     assert vec[8:] == (0.0,) * 32  # one-step proof pads blocks 2..5
     assert np.all(np.isfinite(vec))
@@ -198,14 +198,13 @@ def test_identical_sources_identical_vectors():
     records, table = library_and_table(
         "Lemma one : wrap a = wrap b.\nProof. by rewrite u v. Qed.\n"
         "Lemma two : wrap a = wrap b.\nProof. by rewrite u v. Qed.\n", "t")
-    v1 = extract_features(records[0], table)
-    v2 = extract_features(records[1], table)
+    v1, v2 = (extract_features(patch, table) for patch in lemma_patches(records))
     assert v1 == v2
 
 
 def test_trio_blocks_match_except_statement_symbols():
     records, table = library_and_table(TRIO_SRC, "seq")
-    vectors = [extract_features(r, table) for r in records]
+    vectors = [extract_features(patch, table) for patch in lemma_patches(records)]
     differing = {
         dim
         for a in vectors
@@ -222,7 +221,7 @@ def test_unknown_vocabulary_encodes_to_zero():
     records, table = pair_records()
     foreign = parse_library(
         "Lemma zzz : mystery gadget.\nProof. frobnicate x. Qed.\n", "t")[0]
-    vec = extract_features(foreign, table)
+    vec = extract_features(lemma_patches([foreign])[0], table)
     assert vec[0] == 0.0  # unknown tactic folds to zero
     assert vec[4] == vec[5] == 0.0  # unknown statement symbols
     assert vec[1] == 1.0  # the tactic count is structural, not vocabulary
@@ -232,19 +231,19 @@ def test_no_proof_body_rejected():
     records, table = pair_records()
     bare = records[0].__class__(name="empty", statement=records[0].statement, steps=(), library="t")
     with pytest.raises(ValueError, match=r"^lemma empty has no proof steps$"):
-        extract_features(bare, table)
+        extract_features(lemma_patches([bare])[0], table)
 
 
 def test_patch_len_controls_block_count():
     records, table = library_and_table(TRIO_SRC, "seq")
-    assert len(extract_features(records[0], table, patch_len=3)) == 24
+    assert len(extract_features(lemma_patches(records, 3)[0], table, patch_len=3)) == 24
 
 
 def test_subgoal_slot_reads_trace_counts():
     symbols: set[str] = set()
     records = parse_trace((FIXTURES / "matrix_trace.jsonl").read_text(), symbols=symbols)
     table = build_encoding_table(tactic_names(records), symbols)
-    vec = extract_features(records[0], table)
+    vec = extract_features(lemma_patches(records)[0], table)
     assert vec[7] == 1.0
     assert vec[23] == 2.0  # third step splits into two subgoals
 

@@ -1,5 +1,6 @@
-"""The scripts under tools/, run in a subprocess as a user runs them."""
+"""The scripts under tools/, run as a user runs them or loaded in-process."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -16,3 +17,34 @@ def test_output_hashes_prints_one_sha256_per_output():
     assert {line.split(" ", 1)[0] for line in lines} == {"dup-kmeans", "long-proofs-ff"}
     for line in lines:
         assert re.fullmatch(r".+: [0-9a-f]{64}", line), line
+
+
+def test_layers_measures_every_layer_of_a_small_corpus(monkeypatch):
+    """tools/layers.py reads private names of every layer; one small in-process
+    measure keeps it running against the code it times."""
+    # what the script changes at import: the BLAS thread variables, bytecode writing, sys.path
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("layers", ROOT / "tools" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    layers.LIBRARIES, layers.LEMMAS_PER_LIBRARY, layers.DIGEST_RUNS = 2, 12, 3
+
+    got = layers.measure(12, 2)
+    assert set(got["layers"]) == {
+        "parse.vernacular_s", "encode.reduce_s", "parse.trace_s", "encode.table_s", "encode.features_s",
+        "corpus.save_s", "corpus.load_s", "run.kmeans_s", "run.em_s", "run.farthest-first_s",
+        "digest.kmeans_partitions_s", "digest.farthest_first_200_s", "digest.partitions_s",
+        "digest.cooccurrence_s", "digest.components_s", "digest.consensus_s",
+        "hint.digest_search_s", "hint.consensus_s"}
+    assert all(type(seconds) is float for seconds in got["layers"].values())
+    assert set(got["shape"]) == {
+        "lemmas", "vernacular_steps", "trace_steps", "distinct_proofs", "distinct_patches",
+        "corpus_bytes", "distinct_rows", "tactics", "symbols", "m", "n", "kmeans_runs",
+        "kmeans_point_set_kept_bytes", "digest_clusters", "point_set_kept_bytes", "hint_members"}
+    assert (got["shape"]["lemmas"], got["shape"]["m"], got["shape"]["kmeans_runs"]) == (24, 24, 2)
+    assert set(got["iterations"]) == {"kmeans", "em", "farthest-first"}
+    assert set(got["hashes"]) == {"kmeans_partitions"}
+    assert re.fullmatch(r"[0-9a-f]{64}", got["hashes"]["kmeans_partitions"])

@@ -12,9 +12,9 @@ as trace JSON Lines.  At granularity 3 each clustering run makes n = 200
 clusters.  For every `--src` (default: this checkout's `src`, labelled
 `change`) a fresh process imports proofmine from DIR and times, once each:
 
-* parsing per file kind (`parse_library` over the `.v` files, `parse_trace`
-  over the `.jsonl` files), with the distinct proof bodies of each file
-  summed over both kinds (`shape.distinct_proofs`);
+* parsing per file kind at `extract`'s patch length (`parse_library` over
+  the `.v` files, `parse_trace` over the `.jsonl` files), with the distinct
+  proof bodies of each file summed over both kinds (`shape.distinct_proofs`);
 * encoding: each parsed file reduced to the encoder's inputs, as `ingest`
   does before it reads the next file (`encode.reduce_s`); the vocabulary
   table; then the coding of the feature rows (`encode.features_s`).
@@ -165,7 +165,7 @@ def measure(seed: int, kmeans_runs: int) -> dict:
         vernacular_steps = 0
         for tag, path in vernacular.libraries:
             parsed, seconds = _timed(script.parse_library, path.read_text(encoding="utf-8"), tag,
-                                     filename=str(path), symbols=symbols)
+                                     filename=str(path), symbols=symbols, patch_len=features.PATCH_LEN)
             layers["parse.vernacular_s"] += seconds
             vernacular_steps += sum(len(r.steps) for r in parsed)
             proofs += distinct_proofs(parsed)
@@ -176,7 +176,7 @@ def measure(seed: int, kmeans_runs: int) -> dict:
         trace_steps = 0
         for _, path in traces.libraries:
             parsed, seconds = _timed(script.parse_trace, path.read_text(encoding="utf-8"),
-                                     filename=str(path))
+                                     filename=str(path), patch_len=features.PATCH_LEN)
             trace_steps += sum(len(r.steps) for r in parsed)
             proofs += distinct_proofs(parsed)
             layers["parse.trace_s"] += seconds
@@ -200,9 +200,13 @@ def measure(seed: int, kmeans_runs: int) -> dict:
     n = clustering.choose_n(len(db.names), GRANULARITY)
     shape.update(m=len(db.names), n=n)
     iterations = {}
+
+    def run(algorithm):  # the fresh point set is part of the run's time
+        return algorithm(clustering.PointSet(db.matrix), n, 0)
+
     for name, history in (("kmeans", "objective_history"), ("em", "log_likelihood_history"),
                           ("farthest-first", None)):
-        result, layers[f"run.{name}_s"] = _timed(clustering.ALGORITHMS[name], db.matrix, n, 0)
+        result, layers[f"run.{name}_s"] = _timed(run, clustering.ALGORITHMS[name])
         iterations[name] = len(getattr(result, history)) if history else n
 
     kmeans_cfg = digest.DigestConfig(runs=kmeans_runs, algorithm="kmeans", granularity=GRANULARITY)
