@@ -142,7 +142,7 @@ def render_report(doc: dict) -> str:
         f"freq-threshold={cfg['frequency_threshold']}  seed={cfg['master_seed']}",
         f"objects clustered: {doc['objects']}; consensus clusters: {len(clusters)}",
     ]
-    libraries = doc.get("libraries", {})
+    libraries = doc["libraries"]
     for key in HOMOGENEITY:
         group = [c for c in clusters if c["homogeneity"] == key]
         lines.append("")
@@ -154,8 +154,7 @@ def render_report(doc: dict) -> str:
                          f"size={len(cluster['members'])}")
             for name in cluster["members"]:
                 proximity = cluster["member_proximity"][name]
-                tag = libraries.get(name, "?")
-                lines.append(f"      {name} ({tag}) proximity={proximity:.3f}")
+                lines.append(f"      {name} ({libraries[name]}) proximity={proximity:.3f}")
     return "\n".join(lines)
 
 
@@ -185,9 +184,8 @@ def cmd_hint(args: argparse.Namespace) -> int:
     for name in chosen.members:
         if name == QUERY_NAME:
             continue
-        tag = db.libraries.get(name, "?")
         proximity = chosen.member_proximity[name]
-        print(f"  {name} ({tag}) proximity={proximity:.3f}")
+        print(f"  {name} ({db.libraries[name]}) proximity={proximity:.3f}")
     return EXIT_OK
 
 

@@ -78,11 +78,12 @@ def _read_library(path: Path, tag: str, patch_len: int, symbols: set[str],
 def ingest(paths: list[str | Path], tags: list[str], *, patch_len: int = PATCH_LEN) -> Corpus:
     """Parse each file under its tag, then encode every lemma against the whole corpus's vocabulary.
 
-    Files are read as UTF-8, with or without a byte order mark.  Trace files
-    carry their own per-record library field, which wins over the supplied
-    tag.  Lemma names must be unique across all libraries.  Each file is
-    reduced to the encoder's inputs before the next is read, so the parsed
-    records of one file at a time are held.
+    An empty tag is refused before any file is read.  Files are read in
+    order, as UTF-8, with or without a byte order mark, and the first error
+    of a file ends the call.  Trace files carry their own per-record library
+    field, which wins over the supplied tag.  Lemma names must be unique
+    across all libraries.  Each file is reduced to the encoder's inputs
+    before the next is read, so the parsed records of one file at a time are held.
     """
     if len(paths) != len(tags):
         raise ValueError("paths and tags must be parallel lists")

@@ -33,6 +33,7 @@ from .features import FeatureDatabase, SettingTooLarge
 DIGEST_FORMAT = "proofmine digest v1"
 # a cluster's members share one library tag, or they do not
 HOMOGENEITY = ("homogeneous", "heterogeneous")
+FREQUENCY_SLACK = 1e-12  # how far a kept cluster's frequency, a float mean, may fall below the threshold
 
 
 class TooFewLemmas(ValueError):
@@ -218,7 +219,7 @@ def _consensus_clusters(db: FeatureDatabase, cfg: DigestConfig, classes: _LabelC
             frequency[i] = float(rates_among(component)[position][:, position][order[:, None] < order].mean())
             # loosely chained components can average below the threshold even
             # though every edge clears it; those are not frequent enough to show
-            if frequency[i] < cfg.frequency_threshold - 1e-12:
+            if frequency[i] < cfg.frequency_threshold - FREQUENCY_SLACK:
                 continue
         kept.append(i)
 
@@ -322,8 +323,9 @@ def write_digest(path: str | Path, doc: dict) -> None:
 
 
 def read_digest(path: str | Path) -> dict:
-    """Load a digest file, checking the fields a report reads, their types, and that
-    `libraries`, if present, tag exactly its objects and give every cluster's homogeneity."""
+    """Load a digest file, checking the fields a report reads, their types, and what `run_digest`
+    writes: `libraries` tag exactly the objects and give each cluster's homogeneity; clusters are
+    disjoint, of 2 or more sorted members, a proximity per member, a frequency the threshold keeps."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
@@ -355,20 +357,22 @@ def read_digest(path: str | Path) -> dict:
     need(type(objects) is int and objects >= 2, "objects")
     need(type(n) is int and n == choose_n(objects, cfg.granularity), "clusters_per_run")
     libraries = doc.get("libraries")
-    if "libraries" in doc:  # older digests hold no tags
-        need(isinstance(libraries, dict) and all(isinstance(tag, str) for tag in libraries.values())
-             and len(libraries) == objects, "libraries")
+    need(isinstance(libraries, dict) and all(isinstance(tag, str) for tag in libraries.values())
+         and len(libraries) == objects, "libraries")
     need(isinstance(doc.get("clusters"), list), "clusters")
     for cluster in doc["clusters"]:
         need(isinstance(cluster, dict) and rate(cluster.get("frequency"))
+             and cluster["frequency"] >= cfg.frequency_threshold - FREQUENCY_SLACK
              and cluster.get("homogeneity") in HOMOGENEITY
              and isinstance(cluster.get("members"), list)
              and isinstance(cluster.get("member_proximity"), dict), "cluster fields")
-        for name in cluster["members"]:
-            need(isinstance(name, str) and rate(cluster["member_proximity"].get(name)),
-                 "member proximity")
-        if libraries is not None:
-            need(all(name in libraries for name in cluster["members"]), "cluster members")
-            tags = {libraries[name] for name in cluster["members"]}
-            need(cluster["homogeneity"] == HOMOGENEITY[len(tags) > 1], "homogeneity")
+        members, proximity = cluster["members"], cluster["member_proximity"]
+        need(all(isinstance(name, str) and rate(proximity.get(name)) for name in members)
+             and proximity.keys() == set(members), "member proximity")
+        need(len(members) >= 2 and members == sorted(members)
+             and all(name in libraries for name in members), "cluster members")
+        tags = {libraries[name] for name in members}
+        need(cluster["homogeneity"] == HOMOGENEITY[len(tags) > 1], "homogeneity")
+    named = [name for cluster in doc["clusters"] for name in cluster["members"]]
+    need(len(set(named)) == len(named), "cluster members")  # distinct within and across clusters
     return doc

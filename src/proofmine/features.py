@@ -188,9 +188,8 @@ def _code_step(step: StepSlots, table: EncodingTable) -> tuple[float, ...]:
 def extract_features(patch: LemmaPatch, table: EncodingTable,
                      patch_len: int = PATCH_LEN) -> tuple[float, ...]:
     """The second half of the encoder: a patch from `lemma_patches` coded against table,
-    eight slots for each of its first patch_len steps, zero-padded."""
-    if not patch.steps:
-        raise ValueError(f"lemma {patch.name} has no proof steps")
+    eight slots for each of its first patch_len steps, zero-padded.  The patch has at
+    least one step, as the parsers guarantee."""
     steps = patch.steps[:patch_len]
     blocks: list[float] = []
     for step in steps:

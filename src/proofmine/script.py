@@ -24,7 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .terms import TermError, TermTree, UnbalancedDelimiters, group_end, interned_symbols, parse_term_tree
+from .terms import TermError, TermTree, group_end, interned_symbols, parse_term_tree
 
 
 class ParseError(ValueError):
@@ -216,7 +216,7 @@ def _lex_segments(text: str) -> tuple[tuple[tuple[str, str], ...], ...]:
             segments[-1].append(("=>", "=>"))
             i += 2
         elif c in ")]}":
-            raise UnbalancedDelimiters(f"stray {c!r}")
+            raise TermError(f"stray {c!r}")
         else:
             j = i
             while j < n:
@@ -251,7 +251,7 @@ def _is_whole_group(text: str) -> bool:
         return False
     try:
         return group_end(text, 0) == len(text)
-    except UnbalancedDelimiters:
+    except TermError:
         return False
 
 
@@ -268,7 +268,7 @@ def _strip_argument_flags(text: str) -> str:
         if out[0] in "{[":
             try:
                 end = group_end(out, 0)
-            except UnbalancedDelimiters:
+            except TermError:
                 break
             if end < len(out):
                 out = out[end:]
@@ -335,7 +335,7 @@ def _tactics(text: str, ctx: _ProofContext, empty_message: str, *,
     """
     try:
         segments = _lex_segments(text)
-    except UnbalancedDelimiters as exc:
+    except TermError as exc:
         raise ParseError(str(exc), file=file, line=line) from exc
     if segments == ((),):
         raise ParseError(empty_message, file=file, line=line)
@@ -466,8 +466,7 @@ def _record(name: str, statement: TermTree, body: list[Sentence], library: str, 
             ProofStep(_tactics(sen.text, ctx, "proof step without tokens", file=file, line=sen.line_start,
                                classify=pos < classified))
             for pos, sen in enumerate(body)])
-    if steps:
-        steps = (ProofStep(steps[0].tactics, statement),) + steps[1:]
+    steps = (ProofStep(steps[0].tactics, statement),) + steps[1:]
     return LemmaRecord(name, statement, steps, library)
 
 
@@ -476,13 +475,12 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>",
     """Extract every proved lemma from vernacular source text.
 
     Sentences that are not lemma statements, proof steps, or proof delimiters
-    (imports, definitions, ...) are skipped.  If the parse succeeds, symbols,
-    when given, receives the symbol of every node of the returned terms.
-    With patch_len, the steps after a lemma's first patch_len keep their
-    tactic names and no arguments: all that the encoder reads of them.
+    (imports, definitions, ...) are skipped.  A proof without steps is a
+    ParseError at its lemma's line.  If the parse succeeds, symbols, when
+    given, receives the symbol of every node of the returned terms.  With
+    patch_len, the steps after a lemma's first patch_len keep their tactic
+    names and no arguments: all that the encoder reads of them.
     """
-    if not library_tag:
-        raise ValueError("library_tag must be non-empty")
     records: list[LemmaRecord] = []
     seen: set[str] = set()
     intern: dict = {}  # one per file: equal subterms are shared, a repeated statement text parsed once
@@ -495,6 +493,8 @@ def parse_library(source: str, library_tag: str, *, filename: str = "<string>",
         statement = _statement_tree(name, statement_text, intern, file=filename, line=sen.line_start)
         if not closed:
             raise ParseError(f"proof of {name} never closed", file=filename, line=sen.line_start)
+        if not body:
+            raise ParseError(f"proof of {name} has no steps", file=filename, line=sen.line_start)
         records.append(_record(name, statement, body, library_tag, proofs, filename, patch_len))
     if symbols is not None:
         symbols.update(interned_symbols(intern))

@@ -7,11 +7,7 @@ from dataclasses import dataclass
 
 
 class TermError(ValueError):
-    """Statement text that cannot be turned into a term tree."""
-
-
-class UnbalancedDelimiters(TermError):
-    pass
+    """A statement, goal or tactic line that cannot be parsed, whatever the reason."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,11 +70,11 @@ def group_end(text: str, start: int) -> int:
             stack.append(_CLOSERS[c])
         elif c in ")]}":
             if not stack or stack[-1] != c:
-                raise UnbalancedDelimiters(f"mismatched {c!r}")
+                raise TermError(f"mismatched {c!r}")
             stack.pop()
             if not stack:
                 return i + 1
-    raise UnbalancedDelimiters(f"unclosed {text[start]!r}")
+    raise TermError(f"unclosed {text[start]!r}")
 
 
 def _lex(text: str) -> list[str]:
@@ -90,7 +86,7 @@ def _lex(text: str) -> list[str]:
         tokens += _TOKEN_RE.findall(text, i, j)
         c = text[j]
         if c in "]}":
-            raise UnbalancedDelimiters(f"unexpected {c!r}")
+            raise TermError(f"unexpected {c!r}")
         i = group_end(text, j)
         tokens.append(" ".join(text[j:i].split()))
     tokens += _TOKEN_RE.findall(text, i)
@@ -161,7 +157,7 @@ class _Parser:
                     items.append(self.parse_expr())
                 node = self.node(",", tuple(items))
             if tokens[self.pos] != ")":
-                raise UnbalancedDelimiters("missing ')'")
+                raise TermError("missing ')'")
             self.pos += 1
             return node
         if tok not in _APP_STOP:
@@ -178,8 +174,8 @@ class _Parser:
             self.pos += 1
             return self.node(tok, (self.parse_application(),))
         if not tok:
-            raise UnbalancedDelimiters("unexpected end of statement")
-        raise UnbalancedDelimiters(f"unexpected {tok!r}")
+            raise TermError("unexpected end of statement")
+        raise TermError(f"unexpected {tok!r}")
 
     def parse_binder(self) -> TermTree:
         tokens = self.tokens
@@ -189,12 +185,12 @@ class _Parser:
         self.pos += 1
         while (tok := tokens[self.pos]) != sep or depth:
             if not tok:
-                raise UnbalancedDelimiters(f"{kw} binder without '{sep}'")
+                raise TermError(f"{kw} binder without '{sep}'")
             if tok == "(":
                 depth += 1
             elif tok == ")":
                 if depth == 0:
-                    raise UnbalancedDelimiters("unexpected ')' in binder")
+                    raise TermError("unexpected ')' in binder")
                 depth -= 1
             self.pos += 1
         self.pos += 1
@@ -226,7 +222,7 @@ def parse_term_tree(text: str, intern: dict | None = None) -> TermTree:
         raise TermError("statement nested too deeply") from None
     leftover = tokens[parser.pos]
     if leftover:
-        raise UnbalancedDelimiters(f"trailing {leftover!r} in statement")
+        raise TermError(f"trailing {leftover!r} in statement")
     intern[text] = tree
     return tree
 

@@ -432,6 +432,14 @@ def test_extract_without_lemmas_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [":x.v", "t:", "x.v"])
+def test_extract_lib_flag_without_a_tag_or_a_path_is_a_usage_error(tmp_path, capsys, value):
+    out = tmp_path / "c.corpus"
+    assert main(["extract", "--lib", value, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: --lib wants TAG:PATH, got {value!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_extract_nonpositive_patch_len_is_usage_error(tmp_path, capsys, value):
     out = tmp_path / "c.corpus"
@@ -586,6 +594,8 @@ PARSE_ERROR_CASES = {
         "extract", "e.jsonl", _trace_text({"tactic_line": " . "}), 1, "empty tactic_line for t"),
     "unterminated proof": (
         "extract", "p.v", _GOOD_LEMMA + "Lemma a : x.\nProof. by [].\n", 3, "proof of a never closed"),
+    "proof without steps": (
+        "extract", "z.v", _GOOD_LEMMA + "Lemma zz : P.\nProof.\nQed.\n", 3, "proof of zz has no steps"),
     "duplicate name in one file": (
         "extract", "d.v", _GOOD_LEMMA * 2, 3, "duplicate lemma ok"),
     "non-identifier lemma name": (

@@ -37,6 +37,11 @@ def test_ingest_same_file_twice_duplicates():
     assert (err.value.file, err.value.line) == (str(path), None)
 
 
+def test_ingest_refuses_an_empty_tag_before_reading_a_file(tmp_path):
+    with pytest.raises(ValueError, match=r"^library tags must be non-empty$"):
+        ingest([tmp_path / "missing.v"], [""])
+
+
 def test_ingest_of_no_paths_is_an_empty_corpus():
     with pytest.raises(ValueError, match=r"^the given libraries hold no proved lemma: $"):
         ingest([], [])
@@ -165,7 +170,7 @@ def test_vocabulary_does_not_depend_on_the_patch_length():
 
 
 ERROR_ORDER_FILES = {
-    "ok.v": "Lemma a1 : f x = x.\nProof. by rewrite g. Qed.\nLemma bare1 : P.\nProof. Qed.\n",
+    "ok.v": "Lemma a1 : f x = x.\nProof. by rewrite g. Qed.\n",
     "bad.v": "Lemma b1 : f (x = x.\nProof. by []. Qed.\n",
     "dup.v": "Lemma z9 : g y.\nProof. by []. Qed.\nLemma a1 : h y.\nProof. by []. Qed.\n",
     "bare.v": "Lemma bare0 : Q.\nProof. Qed.\nLemma c1 : h z.\nProof. by []. Qed.\n",
@@ -174,17 +179,19 @@ ERROR_ORDER_FILES = {
 }
 
 
-# Each file is parsed, then checked for names that an earlier file holds; a lemma without
-# steps is reported only once every file is read, the first in name order.
+# Files are read in --lib order, each parsed and then checked for names that an earlier file
+# holds; the first error ends extract, so no later file's error can hide it.
+BARE = "parse error: <bare.v>:1: proof of bare0 has no steps"
 ERROR_ORDER_CASES = [
     (["ok.v", "bad.v", "dup.v"], "parse error: <bad.v>:1: bad statement for b1: missing ')'"),
     (["ok.v", "dup.v", "bad.v"], "parse error: <dup.v>: lemma a1 already ingested under library 't1'"),
     (["ok.v", "dup.jsonl"], "parse error: <dup.jsonl>: lemma a1 already ingested under library 't1'"),
     (["dup.jsonl", "ok.v"], "parse error: <ok.v>: lemma a1 already ingested under library 'tr'"),
-    (["bare.v", "dup.v", "ok.v"], "parse error: <ok.v>: lemma a1 already ingested under library 't2'"),
-    (["ok.v", "bare.v"], "error: lemma bare0 has no proof steps"),
-    (["bare.v", "bad.v"], "parse error: <bad.v>:1: bad statement for b1: missing ')'"),
-    (["bare.v", "ok.v", "dup.v"], "parse error: <dup.v>: lemma a1 already ingested under library 't2'"),
+    (["bare.v", "dup.v", "ok.v"], BARE),
+    (["ok.v", "bare.v"], BARE),
+    (["bare.v", "bad.v"], BARE),
+    (["bare.v", "ok.v", "dup.v"], BARE),
+    (["bad.v", "bare.v"], "parse error: <bad.v>:1: bad statement for b1: missing ')'"),
 ]
 
 

@@ -877,31 +877,36 @@ def test_write_digest_writes_compact_canonical_json(tmp_path):
     {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": "2",
      "clusters_per_run": 1, "clusters": []},
     {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
-     "clusters_per_run": 1, "clusters": [{"members": ["a", "b"], "frequency": 1.0,
-                                          "member_proximity": {"a": 1.0},
-                                          "homogeneity": "homogeneous"}]},
+     "clusters_per_run": 1, "libraries": {"a": "u", "b": "u"},
+     "clusters": [{"members": ["a", "b"], "frequency": 1.0,
+                   "member_proximity": {"a": 1.0},
+                   "homogeneity": "homogeneous"}]},
     {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
-     "clusters_per_run": 1, "clusters": [{"members": ["a", "b"], "frequency": 1.0,
-                                          "member_proximity": {"a": 1.0, "b": 1.0},
-                                          "homogeneity": "mixed"}]},
+     "clusters_per_run": 1, "libraries": {"a": "u", "b": "u"},
+     "clusters": [{"members": ["a", "b"], "frequency": 1.0,
+                   "member_proximity": {"a": 1.0, "b": 1.0},
+                   "homogeneity": "mixed"}]},
     # JSON true and false load as Python bools, which are ints; none is a count or a rate
     {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": True,
      "clusters_per_run": 1, "clusters": []},
     {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
      "clusters_per_run": True, "clusters": []},
     {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
-     "clusters_per_run": 1, "clusters": [{"members": ["a", "b"], "frequency": True,
-                                          "member_proximity": {"a": 1.0, "b": 1.0},
-                                          "homogeneity": "homogeneous"}]},
+     "clusters_per_run": 1, "libraries": {"a": "u", "b": "u"},
+     "clusters": [{"members": ["a", "b"], "frequency": True,
+                   "member_proximity": {"a": 1.0, "b": 1.0},
+                   "homogeneity": "homogeneous"}]},
     {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
-     "clusters_per_run": 1, "clusters": [{"members": ["a", "b"], "frequency": 1.0,
-                                          "member_proximity": {"a": 1.0, "b": False},
-                                          "homogeneity": "homogeneous"}]},
+     "clusters_per_run": 1, "libraries": {"a": "u", "b": "u"},
+     "clusters": [{"members": ["a", "b"], "frequency": 1.0,
+                   "member_proximity": {"a": 1.0, "b": False},
+                   "homogeneity": "homogeneous"}]},
     # no cluster writes a rate outside [0, 1]; JSON Infinity and NaN load as floats
     *({"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
-       "clusters_per_run": 1, "clusters": [{"members": ["a", "b"], "frequency": frequency,
-                                            "member_proximity": {"a": 1.0, "b": proximity},
-                                            "homogeneity": "homogeneous"}]}
+       "clusters_per_run": 1, "libraries": {"a": "u", "b": "u"},
+       "clusters": [{"members": ["a", "b"], "frequency": frequency,
+                     "member_proximity": {"a": 1.0, "b": proximity},
+                     "homogeneity": "homogeneous"}]}
       for frequency, proximity in [(float("inf"), 1.0), (float("nan"), 1.0), (1.5, 1.0), (-0.5, 1.0),
                                    (1.0, float("nan")), (1.0, float("-inf")), (1.0, 1.01), (1.0, -1e-9)]),
     {"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 2,
@@ -930,6 +935,17 @@ def test_write_digest_writes_compact_canonical_json(tmp_path):
      "clusters_per_run": 1, "libraries": {"a": "u", "b": "v"},
      "clusters": [{"members": ["a", "b"], "frequency": 1.0, "member_proximity": {"a": 1.0, "b": 1.0},
                    "homogeneity": "homogeneous"}]},
+    # what run_digest writes: disjoint clusters of 2 or more sorted members, a proximity for each
+    # member and none else, and a frequency that the threshold keeps
+    *({"format": "proofmine digest v1", "config": DigestConfig().to_dict(), "objects": 3,
+       "clusters_per_run": 1, "libraries": {"a": "u", "b": "u", "c": "u"},
+       "clusters": [{"members": members, "frequency": frequency,
+                     "member_proximity": dict.fromkeys(named, 1.0), "homogeneity": "homogeneous"}
+                    for members, frequency, named in clusters]}
+      for clusters in [[(["a", "b"], 1.0, "ab"), (["a", "b"], 1.0, "ab")],
+                       [(["a", "b"], 1.0, "ab"), (["b", "c"], 1.0, "bc")],
+                       [(["a", "a"], 1.0, "a")], [(["a"], 1.0, "a")], [(["a", "b"], 1.0, "abc")],
+                       [(["a", "b"], 0.1, "ab")], [(["b", "a"], 1.0, "ab")]]),
 ])
 def test_read_digest_rejects_missing_report_fields(tmp_path, doc):
     path = tmp_path / "digest.json"

@@ -227,13 +227,6 @@ def test_unknown_vocabulary_encodes_to_zero():
     assert vec[1] == 1.0  # the tactic count is structural, not vocabulary
 
 
-def test_no_proof_body_rejected():
-    records, table = pair_records()
-    bare = records[0].__class__(name="empty", statement=records[0].statement, steps=(), library="t")
-    with pytest.raises(ValueError, match=r"^lemma empty has no proof steps$"):
-        extract_features(lemma_patches([bare])[0], table)
-
-
 def test_patch_len_controls_block_count():
     records, table = library_and_table(TRIO_SRC, "seq")
     assert len(extract_features(lemma_patches(records, 3)[0], table, patch_len=3)) == 24

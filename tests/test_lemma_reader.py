@@ -9,9 +9,11 @@ raise that, and the tactic-line lexer takes no location: as `_tactics` does,
 its callers give a delimiter error the line's `FILE:LINE:` prefix.
 They share the module's sentence, header and argument classification helpers.
 Every input must give equal records, or the same exception class and message.
-The one intended difference: in `parse_partial` a lemma sentence after the
+Two differences are intended.  In `parse_partial` a lemma sentence after the
 first lemma and before any closer now ends the body, where the old walk read
-it as a tactic named after its keyword.
+it as a tactic named after its keyword.  And a proof without steps is now a
+ParseError in `parse_library`, so the copy below checks it too, after its
+"never closed" check.
 """
 
 import json
@@ -27,7 +29,7 @@ from proofmine.script import (_CONNECTIVE_WORDS, _IDENT_RE, _INDUCTION_TACTICS, 
                               TacticApplication, _classify_token, _first_word,
                               _intro_names, _parse_header, _ProofContext, _statement_tree,
                               parse_library, parse_partial, parse_trace, split_sentences)
-from proofmine.terms import TermTree, UnbalancedDelimiters, group_end
+from proofmine.terms import TermError, TermTree, group_end
 
 from conftest import PARSER_INPUTS, mutated_inputs, random_library_source, random_trace_source
 
@@ -63,7 +65,7 @@ def _lex_step_tokens(text: str) -> list[_Tok]:
             i += 2
             continue
         if c in ")]}":
-            raise UnbalancedDelimiters(f"stray {c!r}")
+            raise TermError(f"stray {c!r}")
         j = i
         while j < n:
             cj = text[j]
@@ -147,7 +149,7 @@ def oracle_steps_from_sentences(sentences: list[Sentence], ctx: _ProofContext, f
     for sen in sentences:
         try:
             tokens = _lex_step_tokens(sen.text)
-        except UnbalancedDelimiters as exc:
+        except TermError as exc:
             raise ParseError(str(exc), file=file, line=sen.line_start) from exc
         if not tokens:
             raise ParseError("proof step without tokens", file=file, line=sen.line_start)
@@ -200,6 +202,8 @@ def oracle_parse_library(source: str, library_tag: str, *, filename: str = "<str
             i += 1
         if not closed:
             raise ParseError(f"proof of {name} never closed", file=filename, line=sen.line_start)
+        if not body:
+            raise ParseError(f"proof of {name} has no steps", file=filename, line=sen.line_start)
         steps = oracle_steps_from_sentences(body, _ProofContext(), filename)
         if steps:
             steps[0] = replace(steps[0], goal_before=statement)
@@ -289,7 +293,7 @@ def oracle_parse_trace(source: str, *, filename: str = "<trace>") -> list[LemmaR
                 text = text[:-1]
             try:
                 tokens = _lex_step_tokens(text)
-            except UnbalancedDelimiters as exc:
+            except TermError as exc:
                 raise ParseError(str(exc), file=filename, line=line_no) from exc
             if not tokens:
                 raise ParseError(f"empty tactic_line for {name}", file=filename, line=line_no)

@@ -9,7 +9,7 @@ from proofmine.cli import main
 from proofmine.script import (LEMMA_KEYWORDS, ArgumentKind, ParseError, ProofStep, _first_word, _parse_header,
                               parse_library, Sentence, parse_partial, parse_trace, split_sentences)
 
-from proofmine.terms import UnbalancedDelimiters, parse_term_tree
+from proofmine.terms import TermError, parse_term_tree
 
 from conftest import (GOLDEN_SOURCES, PARSER_INPUT_GROUPS, compare_with_golden, format_term,
                       load_golden, random_library_source, random_trace_source)
@@ -248,6 +248,15 @@ def test_unterminated_proof_before_next_lemma():
            "Lemma g : x = z.\nProof. by []. Qed.\n")
     with pytest.raises(ParseError, match=r"^<string>:1: proof of f never closed$"):
         parse_library(src, "t")
+
+
+@pytest.mark.parametrize("source, line", [
+    ("Lemma z : x = y.\nProof.\nQed.\nLemma g : x = z.\nProof. by []. Qed.\n", 1),
+    ("Lemma g : x = z.\nProof. by []. Qed.\n\nLemma z : x = y.\nQed.\n", 4),
+])
+def test_proof_without_steps_is_an_error_at_its_lemma(source, line):
+    with pytest.raises(ParseError, match=rf"^lib\.v:{line}: proof of z has no steps$"):
+        parse_library(source, "t", filename="lib.v")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SOURCES))
@@ -839,8 +848,8 @@ def test_trace_records_split_only_at_crlf_lf_and_cr(char):
     (lambda t: proof_steps(t, file="a.v"), "move=> x.\nrewrite (foo].", ParseError,
      "a.v:2: mismatched ']'"),
     (lambda t: proof_steps(t, file="a.v"), "rewrite {foo.", ParseError, "a.v:1: unclosed '{'"),
-    (parse_term_tree, "f [a", UnbalancedDelimiters, "unclosed '['"),
-    (parse_term_tree, "f [a)]", UnbalancedDelimiters, "mismatched ')'"),
+    (parse_term_tree, "f [a", TermError, "unclosed '['"),
+    (parse_term_tree, "f [a)]", TermError, "mismatched ')'"),
     (lambda t: parse_library(t, "l", filename="b.v"), "Lemma x : f [a.\nProof. by []. Qed.",
      ParseError, "b.v:1: bad statement for x: unclosed '['"),
 ])

@@ -11,6 +11,7 @@ lines, every step reduced on its own, and each lemma's patch coded on its own.
 
 import json
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -432,9 +433,9 @@ def test_steps_left_unclassified_report_the_same_first_error(case, patch_len):
     assert (type(cut), str(cut)) == (type(error), str(error))
 
 
-def test_the_first_lemma_without_steps_in_name_order_is_reported(tmp_path):
+def test_the_first_lemma_without_steps_in_file_order_is_reported(tmp_path):
     path = tmp_path / "lib.v"
     path.write_text("Lemma b : x = x.\nProof.\nQed.\nLemma c : x = x.\nProof.\nby [].\nQed.\n"
                     "Lemma a : y = y.\nProof.\nQed.\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="^lemma a has no proof steps$"):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:1: proof of b has no steps$"):
         ingest([path], ["t"])

@@ -10,7 +10,7 @@ from proofmine.corpus import ingest, load, save
 from proofmine.script import (LEMMA_KEYWORDS, ParseError, _first_word, _parse_header,
                               parse_library, parse_partial, parse_trace, split_sentences)
 from proofmine.terms import (_DIGIT, _OP_ASSOC, _OP_LEVEL, _OPERATORS, _PREFIX, BINDERS, OPERATOR_LEVELS,
-                             TermError, TermTree, UnbalancedDelimiters, _lex, group_end,
+                             TermError, TermTree, _lex, group_end,
                              parse_term_tree)
 
 from conftest import (_APP_LEVEL, FIXTURES, HINT, format_term, iter_nodes, random_library_source,
@@ -119,9 +119,9 @@ def test_successor_and_factorial_notations_stay_in_words():
 
 
 def test_unbalanced_raises():
-    with pytest.raises(UnbalancedDelimiters):
+    with pytest.raises(TermError):
         parse_term_tree("foo (bar")
-    with pytest.raises(UnbalancedDelimiters):
+    with pytest.raises(TermError):
         parse_term_tree("foo bar)")
 
 
@@ -236,7 +236,7 @@ def oracle_lex(text: str) -> list[tuple[str, str]]:
             i = j
             continue
         if c in "]}":
-            raise UnbalancedDelimiters(f"unexpected {c!r}")
+            raise TermError(f"unexpected {c!r}")
         if c == ",":
             tokens.append((",", ","))
             i += 1
@@ -354,15 +354,15 @@ class _OracleClimbingParser:
                     items.append(self.parse_expr())
                 node = self.node(",", tuple(items))
             if tokens[self.pos][0] != ")":
-                raise UnbalancedDelimiters("missing ')'")
+                raise TermError("missing ')'")
             self.pos += 1
             return node
         if kind == "op" and text in _PREFIX:
             self.pos += 1
             return self.node(text, (self.parse_application(),))
         if kind == "end":
-            raise UnbalancedDelimiters("unexpected end of statement")
-        raise UnbalancedDelimiters(f"unexpected {text!r}")
+            raise TermError("unexpected end of statement")
+        raise TermError(f"unexpected {text!r}")
 
     def parse_binder(self) -> TermTree:
         tokens = self.tokens
@@ -373,12 +373,12 @@ class _OracleClimbingParser:
         while (tok := tokens[self.pos]) != sep or depth:
             kind = tok[0]
             if kind == "end":
-                raise UnbalancedDelimiters(f"{kw} binder without '{sep[1]}'")
+                raise TermError(f"{kw} binder without '{sep[1]}'")
             if kind == "(":
                 depth += 1
             elif kind == ")":
                 if depth == 0:
-                    raise UnbalancedDelimiters("unexpected ')' in binder")
+                    raise TermError("unexpected ')' in binder")
                 depth -= 1
             self.pos += 1
         self.pos += 1
@@ -398,7 +398,7 @@ def oracle_climbing_parse(text: str, intern: dict) -> TermTree:
         raise TermError("statement nested too deeply") from None
     kind, leftover = tokens[parser.pos]
     if kind != "end":
-        raise UnbalancedDelimiters(f"trailing {leftover!r} in statement")
+        raise TermError(f"trailing {leftover!r} in statement")
     return node
 
 
@@ -456,7 +456,7 @@ class _OracleParser:
     def parse_atom(self) -> TermTree:
         tok = self.peek()
         if tok is None:
-            raise UnbalancedDelimiters("unexpected end of statement")
+            raise TermError("unexpected end of statement")
         kind, text = tok
         if kind == "atom":
             if text in BINDERS:
@@ -483,13 +483,13 @@ class _OracleParser:
                 node = TermTree(",", tuple(items))
             closing = self.peek()
             if closing is None or closing[0] != ")":
-                raise UnbalancedDelimiters("missing ')'")
+                raise TermError("missing ')'")
             self.advance()
             return node
         if kind == "op" and text in _PREFIX:
             self.advance()
             return TermTree(text, (self.parse_expr(_APP_LEVEL),))
-        raise UnbalancedDelimiters(f"unexpected {text!r}")
+        raise TermError(f"unexpected {text!r}")
 
     def parse_binder(self) -> TermTree:
         kw = self.advance()[1]
@@ -499,7 +499,7 @@ class _OracleParser:
             tok = self.peek()
             if tok is None:
                 sep = "'=>'" if stop_arrow else "','"
-                raise UnbalancedDelimiters(f"{kw} binder without {sep}")
+                raise TermError(f"{kw} binder without {sep}")
             kind, text = tok
             if depth == 0:
                 if stop_arrow and kind == "op" and text == "=>":
@@ -512,7 +512,7 @@ class _OracleParser:
                 depth += 1
             elif kind == ")":
                 if depth == 0:
-                    raise UnbalancedDelimiters("unexpected ')' in binder")
+                    raise TermError("unexpected ')' in binder")
                 depth -= 1
             self.advance()
         body = self.parse_expr(0)
@@ -528,7 +528,7 @@ def oracle_parse_term_tree(text: str) -> TermTree:
     node = parser.parse_expr(0)
     leftover = parser.peek()
     if leftover is not None:
-        raise UnbalancedDelimiters(f"trailing {leftover[1]!r} in statement")
+        raise TermError(f"trailing {leftover[1]!r} in statement")
     return node
 
 
@@ -697,7 +697,7 @@ def test_lexer_edge_cases(text, tokens):
     ("f [a", "unclosed '['"),
 ])
 def test_stray_closers_and_bad_groups(text, message):
-    with pytest.raises(UnbalancedDelimiters, match=f"^{re.escape(message)}$"):
+    with pytest.raises(TermError, match=f"^{re.escape(message)}$"):
         _lex(text)
     assert_scans_like_oracle([text])
 
@@ -797,7 +797,7 @@ def test_the_memo_holds_a_parsed_text_under_its_own_str_key():
 def test_a_bad_text_raises_every_time_at_its_own_file_and_line():
     intern: dict = {}
     for _ in range(2):
-        with pytest.raises(UnbalancedDelimiters, match="missing"):
+        with pytest.raises(TermError, match="missing"):
             parse_term_tree("f (x", intern)
     assert "f (x" not in intern
     good_then_bad = lemmas("f x", "f (x")

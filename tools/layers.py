@@ -250,6 +250,14 @@ def measure(seed: int, kmeans_runs: int) -> dict:
             "shape": shape, "hashes": hashes}
 
 
+def _package_dir(parser: argparse.ArgumentParser, src: str) -> Path:
+    """src resolved; a usage error (exit 2) unless it holds the proofmine package."""
+    path = Path(src).resolve()
+    if not (path / "proofmine" / "__init__.py").is_file():
+        parser.error(f"{src}: no proofmine package in this directory")
+    return path
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", metavar="LABEL=DIR",
@@ -260,13 +268,22 @@ def main() -> int:
     parser.add_argument("--out", default="BENCH_paper_scale.json")
     parser.add_argument("--measure", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.measure:
-        sys.path.insert(0, str(Path(args.measure).resolve()))
+    if args.measure is not None:
+        path = _package_dir(parser, args.measure)
+        sys.path.insert(0, str(path))
+        import proofmine
+        if not Path(proofmine.__file__).resolve().is_relative_to(path):
+            parser.error(f"{args.measure}: proofmine was imported from {proofmine.__file__} instead")
         print(json.dumps(measure(args.seed, args.kmeans_runs)))
         return 0
-    results = {}
+    trees = []  # every tree is checked before any is timed
     for spec in args.src or [f"change={ROOT / 'src'}"]:
-        label, _, src = spec.partition("=")
+        label, sep, src = spec.partition("=")
+        if not (label and sep and src):
+            parser.error(f"--src wants LABEL=DIR, got {spec!r}")
+        trees.append((label, str(_package_dir(parser, src))))
+    results = {}
+    for label, src in trees:
         done = subprocess.run([sys.executable, __file__, "--measure", src, "--seed", str(args.seed),
                                "--kmeans-runs", str(args.kmeans_runs)],
                               check=True, capture_output=True, text=True)

@@ -171,14 +171,30 @@ def workload_hashes(cli_main, workload, seed: int) -> list[tuple[str, str]]:
     return rows
 
 
+def _import_proofmine(parser: argparse.ArgumentParser, src: str) -> None:
+    """Import proofmine from the directory src, put first on sys.path.
+
+    A directory without the package, or a proofmine imported from elsewhere (one
+    already loaded), is a usage error (exit 2): the hashes would be of another tree.
+    """
+    path = Path(src).resolve()
+    if not (path / "proofmine" / "__init__.py").is_file():
+        parser.error(f"--src {src}: no proofmine package in this directory")
+    sys.path.insert(0, str(path))
+    import proofmine
+    if not Path(proofmine.__file__).resolve().is_relative_to(path):
+        parser.error(f"--src {src}: proofmine was imported from {proofmine.__file__} instead")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the proofmine package to run")
     parser.add_argument("--seeds", type=int, nargs="+", default=[12, 1, 2])
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOAD_NAMES))
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOAD_NAMES, default=list(WORKLOAD_NAMES))
     args = parser.parse_args(argv)
-    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
+    _import_proofmine(parser, args.src)
+    sys.path.insert(1, str(ROOT / "perfbench"))
     from generate import WORKLOADS
     from proofmine.cli import main as cli_main
 
