@@ -109,27 +109,29 @@ class PointSet:
 
 def kmeans(shared: PointSet, n: int, seed: int) -> ClusterAssignment:
     """Lloyd iteration from n seeded starting rows: distinct row indices, which
-    may hold equal rows.
+    may hold equal rows.  It stops when an iteration changes no label, or after
+    KMEANS_MAX_ITER iterations.
 
-    Updated centers depend only on the labels, so once a labelling repeats the
-    run cycles for good; it then stops with the state that KMEANS_MAX_ITER
-    iterations would reach.  A fixed point is the cycle of period 1.
+    A cluster's center is the mean of its members, except that a cluster whose
+    members are all copies of one row takes that row's bytes: the mean of k
+    copies can sit a rounding error off the row, and a row would then move back
+    and forth between that mean and an exact copy of itself elsewhere.
 
     Each iteration redoes only what moved, and gets the bits of a full Lloyd
     step.  The squared distances from every distinct row to every center are
     kept, one column per center, and only the columns of centers whose bytes
     changed are refilled.  A seed or a reseed is a row, so its column is the
     PointSet's column of that row, and all of them are written in one gather;
-    a mean's column is the same reduction over one pair of rows, computed afresh.
-    A mean is recomputed only for a cluster that gained or lost a row since the
-    last update, or whose center is not yet the mean of its members (a seed or
-    a reseed); the mean of the same rows in the same order is the same.  Means
-    are taken over each cluster's slice of the rows sorted stably by label,
-    which holds its members in index order, as a boolean mask would, and are
-    ndarray.mean's arithmetic: one add.reduce, then a division by the count.
-    The reseed distances and the objective's summands are computed once per
-    distinct row and read through `inverse`: each depends only on its row's
-    bytes, so every row gets the bits of its duplicates.
+    an updated center's column is the same reduction over one pair of rows,
+    computed afresh.  A center is recomputed only for a cluster that gained or
+    lost a row since the last update, or whose center was not yet computed from
+    its members (a seed or a reseed); the same rows in the same order give the
+    same center.  Centers are taken over each cluster's slice of the rows sorted
+    stably by label, which holds its members in index order, as a boolean mask
+    would, and a mean is ndarray.mean's arithmetic: one add.reduce, then a
+    division by the count.  The reseed distances and the objective's summands
+    are computed once per distinct row and read through `inverse`: each depends
+    only on its row's bytes, so every row gets the bits of its duplicates.
     """
     pts, distinct, inverse = shared.points, shared.distinct, shared.inverse
     m = len(pts)
@@ -138,57 +140,51 @@ def kmeans(shared: PointSet, n: int, seed: int) -> ClusterAssignment:
     init = rng.choice(m, size=n, replace=False)
 
     centers = pts[init].copy()
-    source = inverse[init]  # the distinct row center j was taken from, or -1 for a mean
-    dist = shared.columns(source.tolist())
+    dist = shared.columns(inverse[init].tolist())
     rows = np.argmin(dist, axis=1)  # the label of each distinct row
     labels = rows[inverse]
-    settled = np.zeros(n, dtype=bool)  # center j is the mean of its members under `labels`
-    states = [(rows, centers)]
-    first_seen = {rows.tobytes(): 0}  # rows repeat exactly when labels do
+    settled = np.zeros(n, dtype=bool)  # center j was computed from its members under `labels`
     history = [float(np.sum(((distinct - centers[rows]) ** 2)[inverse]))]
-    for step in range(1, KMEANS_MAX_ITER + 1):
+    for _ in range(KMEANS_MAX_ITER):
         counts = np.bincount(labels, minlength=n)
         new = centers.copy()
         stale = np.flatnonzero((counts > 0) & ~settled)
         if len(stale):
-            grouped = pts[np.argsort(labels, kind="stable")]
+            order = np.argsort(labels, kind="stable")
+            grouped, grouped_rows = pts[order], inverse[order]
             ends = np.cumsum(counts).tolist()
+            # breaks[i]: how often the distinct row changes along grouped_rows[:i + 1]
+            breaks = np.r_[0, np.cumsum(grouped_rows[1:] != grouped_rows[:-1])].tolist()
             for j in stale.tolist():
-                size = int(counts[j])
-                new[j] = np.add.reduce(grouped[ends[j] - size:ends[j]], axis=0) / size
-            source[stale] = -1
+                start, end = ends[j] - int(counts[j]), ends[j]
+                if breaks[start] == breaks[end - 1]:  # copies of one distinct row
+                    new[j] = distinct[grouped_rows[start]]
+                else:
+                    new[j] = np.add.reduce(grouped[start:end], axis=0) / (end - start)
+            moved = stale[(new[stale].view(np.uint64) != centers[stale].view(np.uint64)).any(axis=1)]
+            for j in moved.tolist():
+                dist[:, j] = _sq_norms(distinct - new[j])
         empties = np.flatnonzero(counts == 0)
         if len(empties):
             # re-seed each empty cluster with the point farthest from its own center
             own = np.sqrt(_sq_norms(distinct - new[rows]))[inverse]
             picks = _farthest(own, len(empties))
             new[empties] = pts[picks]
-            source[empties] = inverse[picks]
-            dist[:, empties] = shared.columns(source[empties].tolist())
-        # reseeded columns are written above; refill those of means whose bytes changed
-        moved = np.flatnonzero((new.view(np.uint64) != centers.view(np.uint64)).any(axis=1)
-                               & (source < 0))
-        for j in moved.tolist():
-            dist[:, j] = _sq_norms(distinct - new[j])
+            dist[:, empties] = shared.columns(inverse[picks].tolist())
         centers = new
-        settled = counts > 0
         new_rows = np.argmin(dist, axis=1)
+        history.append(float(np.sum(((distinct - centers[new_rows]) ** 2)[inverse])))
         changed = new_rows != rows
+        if not changed.any():  # a fixed point
+            break
+        settled = counts > 0
         settled[rows[changed]] = False
         settled[new_rows[changed]] = False
         rows = new_rows
         labels = rows[inverse]
-        history.append(float(np.sum(((distinct - centers[rows]) ** 2)[inverse])))
-        states.append((rows, centers))
-        start = first_seen.setdefault(rows.tobytes(), step)
-        if start != step:
-            # states start+1 .. step repeat with period step - start; the centers
-            # picked may not be the ones whose distances `dist` holds
-            rows, centers = states[start + 1 + (KMEANS_MAX_ITER - start - 1) % (step - start)]
-            break
-    near = np.sqrt(_sq_norms(distinct - centers[rows]))
+    near = np.sqrt(dist[np.arange(len(rows)), rows])
     return ClusterAssignment(
-        labels=rows[inverse],
+        labels=labels,
         proximity=_proximity(near)[inverse],
         centers=centers,
         objective_history=tuple(history),

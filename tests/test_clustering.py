@@ -170,8 +170,11 @@ def _update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray,
     new = centers.copy()
     counts = np.bincount(labels, minlength=n)
     for j in range(n):
-        if counts[j]:
-            new[j] = points[labels == j].mean(axis=0)
+        members = points[labels == j]
+        if len({row.tobytes() for row in members}) == 1:  # copies of one row keep its bytes
+            new[j] = members[0]
+        elif len(members):
+            new[j] = members.mean(axis=0)
     empties = np.flatnonzero(counts == 0)
     if len(empties):
         # re-seed each empty cluster with the point farthest from its own center
@@ -184,7 +187,7 @@ def _update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray,
 
 
 def kmeans_oracle(points, n: int, seed: int) -> ClusterAssignment:
-    """The Lloyd loop without cycle detection or distinct-row assignment.
+    """The plain Lloyd loop, without distinct-row assignment.
 
     EM hands its k-means start a PointSet; only its matrix is read here."""
     pts = np.asarray(getattr(points, "points", points), dtype=np.float64)
@@ -231,18 +234,15 @@ def assert_same_run(got: ClusterAssignment, want: ClusterAssignment) -> None:
     assert np.array_equal(got.labels, want.labels)
     assert np.array_equal(got.centers, want.centers)
     assert np.array_equal(got.proximity, want.proximity)
-    # the same iterations, cut short where the oracle only cycles on to its cap
-    assert got.objective_history == want.objective_history[:len(got.objective_history)]
+    assert got.objective_history == want.objective_history
 
 
 def test_kmeans_matches_oracle_when_n_exceeds_distinct_rows(template_matrix):
     n = distinct_rows(template_matrix) + 1
-    capped = 0
     for seed in range(6):
         want = kmeans_oracle(template_matrix, n, seed)
         assert_same_run(kmeans(PointSet(template_matrix), n, seed), want)
-        capped += len(want.objective_history) == KMEANS_MAX_ITER + 1
-    assert capped, "no oracle run reached the iteration cap"
+        assert len(want.objective_history) <= KMEANS_MAX_ITER, "an oracle run reached the cap"
 
 
 @pytest.mark.parametrize("share", [1.0, 0.5, 0.1])
@@ -252,7 +252,6 @@ def test_kmeans_matches_oracle_when_n_within_distinct_rows(template_matrix, shar
         want = kmeans_oracle(template_matrix, n, seed)
         got = kmeans(PointSet(template_matrix), n, seed)
         assert_same_run(got, want)
-        assert got.objective_history == want.objective_history
 
 
 def test_kmeans_matches_oracle_on_gaussian_data():
@@ -263,7 +262,6 @@ def test_kmeans_matches_oracle_on_gaussian_data():
         want = kmeans_oracle(points, n, seed)
         got = kmeans(PointSet(points), n, seed)
         assert_same_run(got, want)
-        assert got.objective_history == want.objective_history
 
 
 def unique_rows_oracle(pts):
@@ -291,10 +289,9 @@ def test_kmeans_distinct_rows_match_unique_oracle(template_matrix, monkeypatch):
         for seed, result in enumerate(runs):
             want = kmeans(PointSet(points), n, seed)
             assert_same_run(result, want)
-            assert result.objective_history == want.objective_history
 
 
-def test_kmeans_capped_case_ends_on_repeated_labelling(template_matrix):
+def test_kmeans_ends_at_a_fixed_point_when_n_exceeds_distinct_rows(template_matrix):
     n = distinct_rows(template_matrix) + 1
     for seed in range(6):
         assert len(kmeans(PointSet(template_matrix), n, seed).objective_history) - 1 < KMEANS_MAX_ITER
@@ -459,19 +456,14 @@ def kmeans_per_run_oracle(points, n: int, seed: int, sq=einsum_sq) -> ClusterAss
 
     centers = pts[init].copy()
     labels = assign(centers)
-    states = [(labels, centers)]
-    first_seen = {labels.tobytes(): 0}
     history = [float(np.sum((pts - centers[labels]) ** 2))]
-    for step in range(1, KMEANS_MAX_ITER + 1):
+    for _ in range(KMEANS_MAX_ITER):
         centers = _update_centers(pts, labels, centers, sq)
-        labels = assign(centers)
-        history.append(float(np.sum((pts - centers[labels]) ** 2)))
-        states.append((labels, centers))
-        start = first_seen.setdefault(labels.tobytes(), step)
-        if start != step:
-            # states start+1 .. step repeat with period step - start
-            labels, centers = states[start + 1 + (KMEANS_MAX_ITER - start - 1) % (step - start)]
+        new_labels = assign(centers)
+        history.append(float(np.sum((pts - centers[new_labels]) ** 2)))
+        if np.array_equal(new_labels, labels):
             break
+        labels = new_labels
     return ClusterAssignment(
         labels=labels,
         proximity=nearest_proximity(pts, centers, labels, sq),
@@ -669,16 +661,38 @@ def kmeans_cases(draw):
     return params, n, draw(st.integers(0, 2 ** 32 - 1))
 
 
-CAPPED_CASE = ((0, 30, 8, 3, False), 9, 0)  # cycles with period > 1 until the cap
+COPIES_CASE = ((0, 30, 8, 3, False), 9, 0)  # cycles to the cap if copies take their mean
 
 
-def test_capped_case_cycles_to_the_cap():
-    params, n, seed = CAPPED_CASE
-    assert len(kmeans_oracle(duplicate_rows(*params), n, seed).objective_history) == KMEANS_MAX_ITER + 1
+def test_copies_case_ends_at_a_fixed_point_with_exact_centers():
+    params, n, seed = COPIES_CASE
+    rows = duplicate_rows(*params)
+    assert len(kmeans_oracle(rows, n, seed).objective_history) <= KMEANS_MAX_ITER
+    got = kmeans(PointSet(rows), n, seed)
+    copies = 0
+    for j in range(n):
+        members = rows[got.labels == j]
+        if len({row.tobytes() for row in members}) == 1:
+            copies += 1
+            assert got.centers[j].tobytes() == members[0].tobytes()
+            assert np.all(got.proximity[got.labels == j] == 1.0)
+    assert copies
 
 
 @given(kmeans_cases())
-@example(CAPPED_CASE)
+@example(COPIES_CASE)
+@settings(max_examples=150, deadline=None)
+def test_kmeans_ends_where_one_more_lloyd_step_moves_nothing(case):
+    params, n, seed = case
+    rows = duplicate_rows(*params)
+    got = kmeans(PointSet(rows), n, seed)
+    centers = _update_centers(rows, got.labels, got.centers)
+    assert centers.tobytes() == got.centers.tobytes()
+    assert np.array_equal(np.argmin(sq_distances(rows, centers), axis=1), got.labels)
+
+
+@given(kmeans_cases())
+@example(COPIES_CASE)
 @settings(max_examples=150, deadline=None)
 def test_kmeans_matches_per_run_oracle_byte_for_byte(case):
     params, n, seed = case

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from proofmine import clustering, ingest
+from proofmine.clustering import PointSet, kmeans
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -22,7 +25,7 @@ def test_output_hashes_prints_one_sha256_per_output():
         assert re.fullmatch(r".+: [0-9a-f]{64}", line), line
 
 
-def test_layers_measures_every_layer_of_a_small_corpus(monkeypatch):
+def test_layers_measures_every_layer_of_a_small_corpus(monkeypatch, tmp_path):
     """tools/layers.py reads private names of every layer; one small in-process
     measure keeps it running against the code it times."""
     # what the script changes at import: the BLAS thread variables, bytecode writing, sys.path
@@ -49,6 +52,12 @@ def test_layers_measures_every_layer_of_a_small_corpus(monkeypatch):
         "kmeans_point_set_kept_bytes", "digest_clusters", "point_set_kept_bytes", "hint_members"}
     assert (got["shape"]["lemmas"], got["shape"]["m"], got["shape"]["kmeans_runs"]) == (24, 24, 2)
     assert set(got["iterations"]) == {"kmeans", "em", "farthest-first"}
+    # the same corpus through ingest: k-means' iterations leave out its starting objective
+    libraries = layers.generate.generate(layers._workload(traces=False), 12, tmp_path).libraries
+    matrix = ingest([path for _, path in libraries], [tag for tag, _ in libraries]).feature_database().matrix
+    n = clustering.choose_n(len(matrix), layers.GRANULARITY)
+    assert (len(matrix), n) == (got["shape"]["m"], got["shape"]["n"])
+    assert got["iterations"]["kmeans"] == len(kmeans(PointSet(matrix), n, 0).objective_history) - 1
     assert set(got["hashes"]) == {"kmeans_partitions"}
     assert re.fullmatch(r"[0-9a-f]{64}", got["hashes"]["kmeans_partitions"])
 

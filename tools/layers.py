@@ -204,10 +204,11 @@ def measure(seed: int, kmeans_runs: int) -> dict:
     def run(algorithm):  # the fresh point set is part of the run's time
         return algorithm(clustering.PointSet(db.matrix), n, 0)
 
-    for name, history in (("kmeans", "objective_history"), ("em", "log_likelihood_history"),
-                          ("farthest-first", None)):
+    # k-means' history opens with the objective of its seeds, EM's holds one entry per E-step
+    for name, history, start in (("kmeans", "objective_history", 1), ("em", "log_likelihood_history", 0),
+                                 ("farthest-first", None, 0)):
         result, layers[f"run.{name}_s"] = _timed(run, clustering.ALGORITHMS[name])
-        iterations[name] = len(getattr(result, history)) if history else n
+        iterations[name] = len(getattr(result, history)) - start if history else n
 
     kmeans_cfg = digest.DigestConfig(runs=kmeans_runs, algorithm="kmeans", granularity=GRANULARITY)
     with _point_sets(digest) as point_sets:

@@ -19,7 +19,8 @@ class alone, a component of several classes (long-proofs-ff, kmeans x5), a
 component of over a hundred classes that the mean-rate filter drops, and a
 query alone in its class.  The digests reach classes that have the majority
 in only some runs (long-proofs-ff, farthest-first x20 at 0.6) and components
-that the mean-rate filter drops (kmeans x5 at 0.3).
+that the mean-rate filter drops (long-proofs-ff, kmeans x5 at 0.3).  Every
+component of dup-kmeans, in digests and hints alike, is a single class.
 
 Every digest and `report --format json` output is hashed twice more, each
 time after parsing it and dumping it again with sorted keys and no
